@@ -8,32 +8,57 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from multiprocessing import Pool
+from typing import Sequence
 
 from .closed_forms import poly_complete, poly_cycle, poly_path, poly_threshold
-from .forcing import _closure_table
 from .graphs import (
     Graph,
+    _connected_components,
+    _edge_mask_adj,
     edge_pair_order,
     graph_from_edge_mask,
-    is_connected,
     is_isomorphic,
 )
-from .polynomial import ZfPolynomial, zf_polynomial
+from .parallel import parallel_map
+from .polynomial import ZfPolynomial, _closure_tally, zf_polynomial
+
+
+def _is_path_graph(adj: Sequence[int], n: int) -> bool:
+    if n <= 1:
+        return n == 1
+    ends = 0
+    for a in adj:
+        d = a.bit_count()
+        if d > 2:
+            return False
+        if d <= 1:
+            ends += 1
+    return ends == 2 and len(_connected_components(adj, n)) == 1
 
 
 def is_path_graph(g: Graph) -> bool:
     """Structural path test: connected, max degree <= 2, exactly two ends."""
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
-    degs = g.degrees()
-    if max(degs) > 2:
-        return False
-    if sum(1 for d in degs if d <= 1) != 2:
-        return False
-    return is_connected(g)
+    return _is_path_graph(g.adj, g.n)
+
+
+def _extremal_coefficients(adj: Sequence[int], n: int) -> tuple[int, int, int, int]:
+    second = sum(1 for a in adj if a)
+    third = 0
+    for u in range(n):
+        au = adj[u]
+        if not au:
+            continue
+        for v in range(u + 1, n):
+            av = adj[v]
+            if av and au & ~(1 << v) != av & ~(1 << u):
+                third += 1
+    if n == 1:
+        z1 = 1
+    elif _is_path_graph(adj, n):
+        z1 = 2
+    else:
+        z1 = 0
+    return 1, second, third, z1
 
 
 def extremal_coefficients(g: Graph) -> tuple[int, int, int, int]:
@@ -45,26 +70,9 @@ def extremal_coefficients(g: Graph) -> tuple[int, int, int, int]:
     their punctured neighborhoods differ.  Size 1: paths have two
     single-vertex forcing sets (one when n = 1), everything else none.
     """
-    n = g.n
-    if n < 1:
+    if g.n < 1:
         raise ValueError("requires a nonempty graph")
-    second = sum(1 for v in range(n) if g.adj[v])
-    third = 0
-    for u in range(n):
-        if not g.adj[u]:
-            continue
-        for v in range(u + 1, n):
-            if not g.adj[v]:
-                continue
-            if g.adj[u] & ~(1 << v) != g.adj[v] & ~(1 << u):
-                third += 1
-    if n == 1:
-        z1 = 1
-    elif is_path_graph(g):
-        z1 = 2
-    else:
-        z1 = 0
-    return 1, second, third, z1
+    return _extremal_coefficients(g.adj, g.n)
 
 
 def all_min_sets_forcing(g: Graph) -> bool:
@@ -112,36 +120,17 @@ def recognizes_complete(p: ZfPolynomial) -> bool:
 def _cycle_match_worker(args: tuple[int, int, int]) -> list[int]:
     """Edge masks in [lo, hi) whose polynomial equals the n-cycle's."""
     n, lo, hi = args
-    target = poly_cycle(n).coeffs
+    target = list(poly_cycle(n).coeffs)
     pairs = edge_pair_order(n)
-    full = (1 << n) - 1
     matches = []
     for emask in range(lo, hi):
-        adj = [0] * n
-        m = emask
-        while m:
-            b = m & -m
-            m ^= b
-            u, v = pairs[b.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        adj = _edge_mask_adj(pairs, n, emask)
         # cheap rejects first: the top three coefficients are structural
         if any(not a for a in adj):
             continue  # an isolated vertex forces coefficient n-1 below n
-        third = 0
-        for u in range(n):
-            au = adj[u]
-            for v in range(u + 1, n):
-                if au & ~(1 << v) != adj[v] & ~(1 << u):
-                    third += 1
-        if third != target[n - 2]:
+        if _extremal_coefficients(adj, n)[2] != target[n - 2]:
             continue
-        table = _closure_table(adj, n)
-        coeffs = [0] * (n + 1)
-        for mask in range(full + 1):
-            if table[mask] == full:
-                coeffs[mask.bit_count()] += 1
-        if tuple(coeffs) == target:
+        if _closure_tally(adj, n)[1] == target:
             matches.append(emask)
     return matches
 
@@ -155,11 +144,9 @@ def cycle_polynomial_class(n: int, jobs: int = 1) -> list[Graph]:
     if jobs > 1:
         step = max(1, total // (jobs * 8))
         ranges = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with Pool(jobs) as pool:
-            chunks = pool.map(_cycle_match_worker, ranges)
-        matches = [e for chunk in chunks for e in chunk]
     else:
-        matches = _cycle_match_worker((n, 0, total))
+        ranges = [(n, 0, total)]
+    matches = [e for chunk in parallel_map(_cycle_match_worker, ranges, jobs) for e in chunk]
     reps: list[Graph] = []
     fingerprints: list[tuple] = []
     for emask in matches:

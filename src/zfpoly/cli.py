@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import closed_forms, sweeps
 from .forts import enumerate_forts, min_fort_cover
@@ -33,7 +34,7 @@ from .graphs import (
     vertices_of,
     wheel,
 )
-from .polynomial import ZfPolynomial, zf_polynomial, zf_polynomial_by_components
+from .polynomial import zf_polynomial, zf_polynomial_by_components
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -46,36 +47,47 @@ class MethodMismatchError(ValueError):
     """Requested method cannot handle the given graph."""
 
 
-def _parse_family(spec: str) -> tuple[str, list[str]]:
+def _one_int(args: list[str]) -> tuple:
+    return (int(args[0]),)
+
+
+def _int_list(args: list[str]) -> tuple:
+    return ([int(a) for a in args[0].split(",")],)
+
+
+def _text(args: list[str]) -> tuple:
+    return (args[0],)
+
+
+def _three_ints(args: list[str]) -> tuple:
+    return (int(args[0]), int(args[1]), int(args[2]))
+
+
+# --family NAME:ARGS -> (argument parser, graph builder, closed form or None)
+FAMILIES = {
+    "path": (_one_int, path, closed_forms.poly_path),
+    "cycle": (_one_int, cycle, closed_forms.poly_cycle),
+    "complete": (_one_int, complete, closed_forms.poly_complete),
+    "empty": (_one_int, empty, None),
+    "star": (_one_int, star, None),
+    "wheel": (_one_int, wheel, closed_forms.poly_wheel),
+    "multipartite": (_int_list, complete_multipartite, closed_forms.poly_multipartite),
+    "threshold": (_text, threshold_from_string, closed_forms.poly_threshold),
+    "cycle-chord": (_three_ints, cycle_plus_chord, None),
+}
+
+
+def _family(spec: str) -> tuple[str, tuple, Callable, Callable | None]:
+    """(name, parsed arguments, builder, closed form) of a family spec."""
     name, _, rest = spec.partition(":")
-    args = rest.split(":") if rest else []
-    return name, args
-
-
-def _family_graph(spec: str) -> Graph:
-    name, args = _parse_family(spec)
+    if name not in FAMILIES:
+        raise GraphFormatError(f"unknown family {name!r}")
+    parse, build, closed = FAMILIES[name]
     try:
-        if name == "path":
-            return path(int(args[0]))
-        if name == "cycle":
-            return cycle(int(args[0]))
-        if name == "complete":
-            return complete(int(args[0]))
-        if name == "empty":
-            return empty(int(args[0]))
-        if name == "star":
-            return star(int(args[0]))
-        if name == "wheel":
-            return wheel(int(args[0]))
-        if name == "multipartite":
-            return complete_multipartite([int(a) for a in args[0].split(",")])
-        if name == "threshold":
-            return threshold_from_string(args[0])
-        if name == "cycle-chord":
-            return cycle_plus_chord(int(args[0]), int(args[1]), int(args[2]))
+        params = parse(rest.split(":") if rest else [])
     except IndexError as exc:
         raise GraphFormatError(f"family spec {spec!r} is missing arguments") from exc
-    raise GraphFormatError(f"unknown family {name!r}")
+    return name, params, build, closed
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -94,26 +106,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
                 raise GraphFormatError(f"no graph6 line in {text}")
             text = lines[0]
         return from_graph6(text)
-    return _family_graph(args.family)
-
-
-def _closed_form_poly(family_spec: str | None) -> ZfPolynomial:
-    if family_spec is None:
-        raise MethodMismatchError("--method closed requires a --family input")
-    name, args = _parse_family(family_spec)
-    if name == "path":
-        return closed_forms.poly_path(int(args[0]))
-    if name == "cycle":
-        return closed_forms.poly_cycle(int(args[0]))
-    if name == "complete":
-        return closed_forms.poly_complete(int(args[0]))
-    if name == "wheel":
-        return closed_forms.poly_wheel(int(args[0]))
-    if name == "multipartite":
-        return closed_forms.poly_multipartite([int(a) for a in args[0].split(",")])
-    if name == "threshold":
-        return closed_forms.poly_threshold(args[0])
-    raise MethodMismatchError(f"no closed form for family {name!r}")
+    _, params, build, _ = _family(args.family)
+    return build(*params)
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
@@ -122,14 +116,19 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--family",
         metavar="NAME:ARGS",
-        help="e.g. path:7, cycle:6, complete:5, wheel:6, multipartite:2,3, "
+        help=f"one of {', '.join(FAMILIES)}, e.g. path:7, multipartite:2,3, "
              "threshold:11011, cycle-chord:6:0:2",
     )
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
     if args.method == "closed":
-        poly = _closed_form_poly(args.family)
+        if args.family is None:
+            raise MethodMismatchError("--method closed requires a --family input")
+        name, params, _, closed = _family(args.family)
+        if closed is None:
+            raise MethodMismatchError(f"no closed form for family {name!r}")
+        poly = closed(*params)
     else:
         g = _load_graph(args)
         if args.method == "components":
@@ -168,6 +167,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.suite not in sweeps.SUITES:
         print(f"unknown suite {args.suite!r}; choose from {', '.join(sweeps.SUITES)}", file=sys.stderr)
         return EXIT_PARSE
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        print(f"--jobs must be between 1 and the {cpus} available CPUs, got {args.jobs}", file=sys.stderr)
+        return EXIT_PARSE
     report = sweeps.run_suite(args.suite, max_n=args.max_n, seed=args.seed, jobs=args.jobs)
     for rec in report["failures"]:
         print(json.dumps({"record": "failure", **rec}))
@@ -176,6 +179,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     summary = {
         "record": "summary",
         "suite": report["suite"],
+        "max_n": report["max_n"],
         "graphs_checked": report["graphs_checked"],
         "failures": len(report["failures"]),
         "warnings": len(report["warnings"]),

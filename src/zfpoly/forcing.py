@@ -89,6 +89,23 @@ class ForceRecord:
         }
 
 
+def _chronological_forces(adj: Sequence[int], n: int, colored: int) -> tuple[list[tuple[int, int]], int]:
+    full = (1 << n) - 1
+    state = colored
+    forces: list[tuple[int, int]] = []
+    while state != full:
+        for u in range(n):
+            if (state >> u) & 1:
+                unc = adj[u] & ~state
+                if unc and not (unc & (unc - 1)):
+                    forces.append((u, unc.bit_length() - 1))
+                    state |= unc
+                    break
+        else:
+            break  # no vertex can force: state is the closure
+    return forces, state
+
+
 def chronological_forces(g: Graph, colored: int) -> ForceRecord:
     """Deterministic force list reaching the closure.
 
@@ -96,21 +113,7 @@ def chronological_forces(g: Graph, colored: int) -> ForceRecord:
     (forcer, forced) pair is performed.
     """
     _check_subset(g, colored)
-    adj = g.adj
-    state = colored
-    forces: list[tuple[int, int]] = []
-    while True:
-        step = None
-        for u in range(g.n):
-            if (state >> u) & 1:
-                unc = adj[u] & ~state
-                if unc and not (unc & (unc - 1)):
-                    step = (u, unc.bit_length() - 1)
-                    break
-        if step is None:
-            break
-        forces.append(step)
-        state |= 1 << step[1]
+    forces, state = _chronological_forces(g.adj, g.n, colored)
     return ForceRecord(colored, tuple(forces), state)
 
 

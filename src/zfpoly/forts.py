@@ -8,10 +8,12 @@ that integer program.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .closed_forms import binom
+from .forcing import _closure_table
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import ZfPolynomial, enumeration_cap, zf_polynomial
+from .polynomial import _TABLE_MAX_N, ZfPolynomial, _closure_tally, enumeration_cap, zf_polynomial
 
 FORT_COUNT_BOUND_MAX = 20
 
@@ -27,47 +29,70 @@ class FortFamily:
         return {"n": self.n, "forts": [vertices_of(f) for f in self.forts]}
 
 
-def is_fort(g: Graph, mask: int) -> bool:
-    """True iff mask is nonempty and no outside vertex sees exactly one member."""
-    if mask & ~g.vertex_mask:
-        raise ValueError("fort candidate has vertices outside the graph")
+def _is_fort(adj: Sequence[int], n: int, mask: int) -> bool:
     if not mask:
         return False
-    outside = g.vertex_mask & ~mask
+    outside = ((1 << n) - 1) & ~mask
     while outside:
         b = outside & -outside
         outside ^= b
-        inside = g.adj[b.bit_length() - 1] & mask
+        inside = adj[b.bit_length() - 1] & mask
         if inside and not (inside & (inside - 1)):
             return False
     return True
 
 
-def _fort_masks(adj: tuple[int, ...], n: int) -> list[int]:
+def is_fort(g: Graph, mask: int) -> bool:
+    """True iff mask is nonempty and no outside vertex sees exactly one member."""
+    if mask & ~g.vertex_mask:
+        raise ValueError("fort candidate has vertices outside the graph")
+    return _is_fort(g.adj, g.n, mask)
+
+
+def _forts_from_table(table: Sequence[int], n: int) -> list[int]:
+    """Every fort, ascending by mask, read off a closure table.
+
+    A vertex of V - F can force iff it has exactly one neighbor in F, so F is
+    a fort iff V - F is a proper closed set: the forts are the complements of
+    the masks m != V with table[m] == m.
+    """
     full = (1 << n) - 1
-    out = []
-    for mask in range(1, full + 1):
-        outside = full & ~mask
-        ok = True
-        while outside:
-            b = outside & -outside
-            outside ^= b
-            inside = adj[b.bit_length() - 1] & mask
-            if inside and not (inside & (inside - 1)):
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return out
+    return [full ^ m for m in range(full - 1, -1, -1) if table[m] == m]
 
 
-def enumerate_forts(g: Graph) -> FortFamily:
-    """All forts by full subset scan."""
+def _check_cap(g: Graph) -> None:
     cap = enumeration_cap()
     if g.n > cap:
         raise SizeCapError(f"fort enumeration over {g.n} vertices exceeds cap {cap}")
-    return FortFamily(g.n, tuple(_fort_masks(g.adj, g.n)))
+
+
+def _scan_forts(g: Graph) -> list[int]:
+    """Every fort, ascending by mask, by testing the definition on each subset."""
+    return [m for m in range(1, 1 << g.n) if _is_fort(g.adj, g.n, m)]
+
+
+def enumerate_forts(g: Graph) -> FortFamily:
+    """All forts, as the complements of the proper closed sets.
+
+    Past the closure-table size the 2^n table would dominate memory, so the
+    forts come from a definition scan instead.
+    """
+    _check_cap(g)
+    if g.n <= _TABLE_MAX_N:
+        forts = _forts_from_table(_closure_table(g.adj, g.n), g.n)
+    else:
+        forts = _scan_forts(g)
+    forts.sort(key=lambda m: (m.bit_count(), m))
+    return FortFamily(g.n, tuple(forts))
+
+
+def _coeffs_and_forts(g: Graph) -> tuple[list[int], list[int]]:
+    """(coefficients, forts) of g, from one closure table where it fits."""
+    _check_cap(g)
+    if g.n > _TABLE_MAX_N:
+        return list(zf_polynomial(g).coeffs), _scan_forts(g)
+    table, coeffs = _closure_tally(g.adj, g.n)
+    return coeffs, _forts_from_table(table, g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +226,9 @@ def fort_count_bound_holds(g: Graph) -> tuple[int, int, bool]:
     """Compare the fort count against 2^n minus the number of zero forcing sets."""
     if g.n > FORT_COUNT_BOUND_MAX:
         raise SizeCapError(f"fort count bound check capped at {FORT_COUNT_BOUND_MAX} vertices")
-    lhs = len(enumerate_forts(g).forts)
-    total_zfs = int(zf_polynomial(g).evaluate(1))
-    rhs = (1 << g.n) - total_zfs
+    coeffs, forts = _coeffs_and_forts(g)
+    lhs = len(forts)
+    rhs = (1 << g.n) - sum(coeffs)
     return lhs, rhs, lhs <= rhs
 
 
@@ -213,16 +238,15 @@ def small_fort_coefficient_bound(g: Graph) -> list[tuple[int, int, int, bool]] |
     Applies when some fort has size at most Z(G)+1; returns None otherwise.
     Rows are (i, coefficient, bound, holds).
     """
-    family = enumerate_forts(g)
-    poly = zf_polynomial(g)
-    if g.n == 0 or not family.forts:
+    coeffs, forts = _coeffs_and_forts(g)
+    if g.n == 0 or not forts:
         return None
-    z = poly.zero_forcing_number()
-    smallest = min(f.bit_count() for f in family.forts)
+    z = ZfPolynomial(g.n, tuple(coeffs)).zero_forcing_number()
+    smallest = min(f.bit_count() for f in forts)
     if smallest > z + 1:
         return None
     rows = []
     for i in range(1, g.n + 1):
         bound = binom(g.n, i) - binom(g.n - i - 1, i)
-        rows.append((i, poly.coeffs[i], bound, poly.coeffs[i] <= bound))
+        rows.append((i, coeffs[i], bound, coeffs[i] <= bound))
     return rows

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 # Sanity cap on graph order.  Bitmasks are arbitrary-width Python ints, so
 # this is a guard against absurd inputs, not a storage limit; raise it if a
@@ -400,11 +400,10 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     return from_edge_list(n, edges)
 
 
-def connected_components(g: Graph) -> list[int]:
-    """Vertex-set masks of the connected components, ordered by minimum vertex."""
+def _connected_components(adj: Sequence[int], n: int) -> list[int]:
     seen = 0
     comps = []
-    for v in range(g.n):
+    for v in range(n):
         if (seen >> v) & 1:
             continue
         comp = 1 << v
@@ -415,7 +414,7 @@ def connected_components(g: Graph) -> list[int]:
             while rem:
                 b = rem & -rem
                 rem ^= b
-                grow |= g.adj[b.bit_length() - 1]
+                grow |= adj[b.bit_length() - 1]
             frontier = grow & ~comp
             comp |= grow
         comps.append(comp)
@@ -423,8 +422,9 @@ def connected_components(g: Graph) -> list[int]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+def connected_components(g: Graph) -> list[int]:
+    """Vertex-set masks of the connected components, ordered by minimum vertex."""
+    return _connected_components(g.adj, g.n)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -474,16 +474,11 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     return extend(0)
 
 
-def has_hamiltonian_path(g: Graph) -> bool:
-    """Spanning-path existence via the subsets-times-endpoints bitmask DP."""
-    n = g.n
-    if n > HAMILTONIAN_MAX:
-        raise SizeCapError(f"Hamiltonian-path DP capped at {HAMILTONIAN_MAX} vertices")
+def _has_hamiltonian_path(adj: Sequence[int], n: int) -> bool:
     if n <= 1:
         return True
-    if not is_connected(g):
+    if len(_connected_components(adj, n)) != 1:
         return False
-    adj = g.adj
     full = (1 << n) - 1
     # ends[mask]: vertices that can terminate a path spanning exactly `mask`
     ends = [0] * (full + 1)
@@ -507,6 +502,13 @@ def has_hamiltonian_path(g: Graph) -> bool:
     return bool(ends[full])
 
 
+def has_hamiltonian_path(g: Graph) -> bool:
+    """Spanning-path existence via the subsets-times-endpoints bitmask DP."""
+    if g.n > HAMILTONIAN_MAX:
+        raise SizeCapError(f"Hamiltonian-path DP capped at {HAMILTONIAN_MAX} vertices")
+    return _has_hamiltonian_path(g.adj, g.n)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive generation
 
@@ -516,11 +518,9 @@ def edge_pair_order(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
-def graph_from_edge_mask(n: int, edge_mask: int) -> Graph:
-    """Labeled graph whose edge set is the given subset of edge_pair_order(n)."""
-    pairs = edge_pair_order(n)
-    if edge_mask >> len(pairs):
-        raise ValueError("edge mask out of range")
+def _edge_mask_adj(pairs: Sequence[tuple[int, int]], n: int, edge_mask: int) -> list[int]:
+    """Adjacency of the labeled graph whose edges are the set bits of edge_mask
+    over the given pair order (callers pass edge_pair_order(n))."""
     adj = [0] * n
     m = edge_mask
     while m:
@@ -529,7 +529,15 @@ def graph_from_edge_mask(n: int, edge_mask: int) -> Graph:
         u, v = pairs[b.bit_length() - 1]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return _graph_from_adj(n, adj)
+    return adj
+
+
+def graph_from_edge_mask(n: int, edge_mask: int) -> Graph:
+    """Labeled graph whose edge set is the given subset of edge_pair_order(n)."""
+    pairs = edge_pair_order(n)
+    if edge_mask >> len(pairs):
+        raise ValueError("edge mask out of range")
+    return _graph_from_adj(n, _edge_mask_adj(pairs, n, edge_mask))
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:

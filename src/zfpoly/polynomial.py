@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 from .forcing import _closure_table, _sweep_closure
 from .graphs import Graph, SizeCapError, connected_components, vertices_of
@@ -30,9 +31,12 @@ def enumeration_cap() -> int:
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if cap < 0:
+        raise ValueError(f"{CAP_ENV_VAR} must be nonnegative, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -125,14 +129,16 @@ def multiply(p: ZfPolynomial, q: ZfPolynomial) -> ZfPolynomial:
     return ZfPolynomial(p.n + q.n, tuple(out))
 
 
-def _coeffs_from_table(adj: tuple[int, ...], n: int) -> list[int]:
+def _closure_tally(adj: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """The closure table of every subset, and per size the count of subsets
+    whose closure is the whole vertex set (the polynomial's coefficients)."""
     full = (1 << n) - 1
     table = _closure_table(adj, n)
     coeffs = [0] * (n + 1)
     for mask in range(full + 1):
         if table[mask] == full:
             coeffs[mask.bit_count()] += 1
-    return coeffs
+    return table, coeffs
 
 
 def _coeffs_by_sweep(adj: tuple[int, ...], n: int) -> list[int]:
@@ -161,7 +167,7 @@ def zf_polynomial(g: Graph, engine: str = "auto") -> ZfPolynomial:
     if engine == "auto":
         engine = "table" if n <= _TABLE_MAX_N else "sweep"
     if engine == "table":
-        coeffs = _coeffs_from_table(g.adj, n)
+        _, coeffs = _closure_tally(g.adj, n)
     elif engine == "sweep":
         coeffs = _coeffs_by_sweep(g.adj, n)
     else:

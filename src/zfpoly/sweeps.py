@@ -10,10 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 from math import comb
-from multiprocessing import Pool
 from time import perf_counter
 
-from .analysis import cycle_polynomial_class
+from .analysis import _extremal_coefficients, _hall_ok, _is_path_graph, cycle_polynomial_class
 from .closed_forms import (
     count_consecutive_selections,
     poly_complete,
@@ -24,10 +23,13 @@ from .closed_forms import (
     poly_wheel,
     threshold_zfs_check,
 )
-from .forcing import _closure_table
-from .forts import _min_hitting_set_size
+from .forcing import _chronological_forces
+from .forts import _forts_from_table, _is_fort, _min_hitting_set_size
 from .graphs import (
     Graph,
+    _connected_components,
+    _edge_mask_adj,
+    _has_hamiltonian_path,
     complete,
     complete_multipartite,
     cycle,
@@ -42,7 +44,8 @@ from .graphs import (
     threshold_from_string,
     wheel,
 )
-from .polynomial import zf_polynomial
+from .parallel import parallel_map
+from .polynomial import ZfPolynomial, _closure_tally, induced_subgraph, multiply, zf_polynomial
 
 EXHAUSTIVE_MAX_N = 7
 
@@ -83,106 +86,8 @@ RANDOM_N_RANGE = (8, 14)
 
 
 # ---------------------------------------------------------------------------
-# Per-graph kernel.  Works on raw adjacency lists to keep the inner loop lean.
-
-
-def _components_masks(adj: list[int], n: int) -> list[int]:
-    seen = 0
-    comps = []
-    for v in range(n):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            grow = 0
-            rem = frontier
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                grow |= adj[b.bit_length() - 1]
-            frontier = grow & ~comp
-            comp |= grow
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
-def _is_path_shape(adj: list[int], n: int) -> bool:
-    if n == 1:
-        return True
-    ends = 0
-    for a in adj:
-        d = a.bit_count()
-        if d > 2:
-            return False
-        if d <= 1:
-            ends += 1
-    return ends == 2 and len(_components_masks(adj, n)) == 1
-
-
-def _has_ham_path(adj: list[int], n: int, full: int) -> bool:
-    if n <= 1:
-        return True
-    ends = [0] * (full + 1)
-    for v in range(n):
-        ends[1 << v] = 1 << v
-    for mask in range(1, full + 1):
-        ep = ends[mask]
-        if not ep:
-            continue
-        rem = ep
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            nxt = adj[b.bit_length() - 1] & ~mask
-            while nxt:
-                nb = nxt & -nxt
-                nxt ^= nb
-                ends[mask | nb] |= nb
-    return ends[full] != 0
-
-
-def _fort_masks_fast(adj: list[int], n: int, full: int) -> list[int]:
-    out = []
-    for mask in range(1, full + 1):
-        outside = full & ~mask
-        ok = True
-        while outside:
-            b = outside & -outside
-            outside ^= b
-            inside = adj[b.bit_length() - 1] & mask
-            if inside and not (inside & (inside - 1)):
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return out
-
-
-def _component_coeffs(adj: list[int], comp: int) -> list[int]:
-    verts = []
-    rem = comp
-    while rem:
-        b = rem & -rem
-        rem ^= b
-        verts.append(b.bit_length() - 1)
-    index = {v: i for i, v in enumerate(verts)}
-    k = len(verts)
-    sub = [0] * k
-    for v in verts:
-        nb = adj[v] & comp
-        while nb:
-            b = nb & -nb
-            nb ^= b
-            sub[index[v]] |= 1 << index[b.bit_length() - 1]
-    subfull = (1 << k) - 1
-    table = _closure_table(sub, k)
-    coeffs = [0] * (k + 1)
-    for mask in range(subfull + 1):
-        if table[mask] == subfull:
-            coeffs[mask.bit_count()] += 1
-    return coeffs
+# Per-graph kernel.  Works on raw adjacency lists through the library's
+# (adj, n) kernels, so one closure table per graph serves every check.
 
 
 class _GraphContext:
@@ -210,38 +115,16 @@ def _context(n: int) -> _GraphContext:
 def _check_one(n: int, emask: int, checks: frozenset, ctx: _GraphContext) -> list[tuple[str, str]]:
     """Run the requested checks on one labeled graph; returns (check, detail) pairs."""
     full = ctx.full
-    adj = [0] * n
-    m = emask
-    while m:
-        b = m & -m
-        m ^= b
-        u, v = ctx.pairs[b.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-
-    table = _closure_table(adj, n)
-    coeffs = [0] * (n + 1)
-    for mask in range(full + 1):
-        if table[mask] == full:
-            coeffs[mask.bit_count()] += 1
-    z = next(i for i, c in enumerate(coeffs) if c)
+    adj = _edge_mask_adj(ctx.pairs, n, emask)
+    table, coeffs = _closure_tally(adj, n)
+    poly = ZfPolynomial(n, tuple(coeffs))
+    z = poly.zero_forcing_number()
     bad: list[tuple[str, str]] = []
 
     if "extremal" in checks:
-        second = sum(1 for a in adj if a)
-        third = 0
-        for u in range(n):
-            au = adj[u]
-            if not au:
-                continue
-            for v in range(u + 1, n):
-                av = adj[v]
-                if av and au & ~(1 << v) != av & ~(1 << u):
-                    third += 1
-        is_path = _is_path_shape(adj, n)
-        z1 = 1 if n == 1 else (2 if is_path else 0)
-        if coeffs[n] != 1:
-            bad.append(("extremal", f"top coefficient {coeffs[n]} != 1"))
+        top, second, third, z1 = _extremal_coefficients(adj, n)
+        if coeffs[n] != top:
+            bad.append(("extremal", f"top coefficient {coeffs[n]} != {top}"))
         if coeffs[n - 1] != second:
             bad.append(("extremal", f"size n-1: {coeffs[n - 1]} != {second}"))
         if n >= 2 and coeffs[n - 2] != third:
@@ -258,39 +141,30 @@ def _check_one(n: int, emask: int, checks: frozenset, ctx: _GraphContext) -> lis
         if every_min_forces != extreme:
             bad.append(("all-min-sets", f"all-minimum-sets {every_min_forces} vs complete/empty {extreme}"))
 
-    if "hall" in checks:
-        for i in range(1, (n - 1) // 2 + 1):
-            if 2 * i < n and coeffs[i] > coeffs[i + 1]:
-                bad.append(("hall", f"coefficient {i} exceeds coefficient {i + 1}"))
-                break
+    if "hall" in checks and not _hall_ok(poly.coeffs, n):
+        bad.append(("hall", f"coefficients {coeffs} decrease somewhere below n/2"))
 
     if "multiplicativity" in checks:
-        comps = _components_masks(adj, n)
+        comps = _connected_components(adj, n)
         if len(comps) > 1:
-            prod = [1]
+            g = Graph(n, tuple(adj))
+            product = ZfPolynomial(0, (1,))
             for comp in comps:
-                sub = _component_coeffs(adj, comp)
-                nxt = [0] * (len(prod) + len(sub) - 1)
-                for i, a in enumerate(prod):
-                    if a:
-                        for j, c in enumerate(sub):
-                            if c:
-                                nxt[i + j] += a * c
-                prod = nxt
-            if prod != coeffs:
+                sub = induced_subgraph(g, comp)
+                sub_coeffs = _closure_tally(sub.adj, sub.n)[1]
+                product = multiply(product, ZfPolynomial(sub.n, tuple(sub_coeffs)))
+            if product != poly:
                 bad.append(("multiplicativity", "component product differs from direct enumeration"))
 
     forts: list[int] | None = None
     if checks & {"fort-transversal", "fort-count-bound", "ip"}:
-        forts = _fort_masks_fast(adj, n, full)
-
-    if "fort-transversal" in checks:
-        # A zero forcing set avoiding F exists iff the largest F-avoiding set,
-        # V minus F, is itself forcing (closure is monotone; tested directly
-        # in the unit suite).
+        forts = _forts_from_table(table, n)
+        # Complements of proper closed sets are avoided by no zero forcing
+        # set (closure is monotone), so every fort theorem rests on each
+        # derived set being a fort; check that against the definition.
         for f in forts:
-            if table[full & ~f] == full:
-                bad.append(("fort-transversal", f"fort {f:#x} avoided by a zero forcing set"))
+            if not _is_fort(adj, n, f):
+                bad.append(("fort-transversal", f"derived set {f:#x} is not a fort"))
                 break
 
     if "fort-count-bound" in checks:
@@ -302,28 +176,21 @@ def _check_one(n: int, emask: int, checks: frozenset, ctx: _GraphContext) -> lis
         if cover != z:
             bad.append(("ip", f"minimum fort cover {cover} != zero forcing number {z}"))
 
-    if "ham-bound" in checks and _has_ham_path(adj, n, full):
+    if "ham-bound" in checks and _has_hamiltonian_path(adj, n):
         pathc = ctx.path_coeffs
         if any(coeffs[i] > pathc[i] for i in range(n + 1)):
             bad.append(("ham-bound", "Hamiltonian-path graph exceeds the path bound"))
-        if (tuple(coeffs) == pathc) != _is_path_shape(adj, n):
+        if (poly.coeffs == pathc) != _is_path_graph(adj, n):
             bad.append(("ham-bound", "path-bound equality profile does not single out the path"))
 
     if "recognizability" in checks:
-        if (tuple(coeffs) == ctx.path_coeffs) != _is_path_shape(adj, n):
+        if (poly.coeffs == ctx.path_coeffs) != _is_path_graph(adj, n):
             bad.append(("recognizability", "path polynomial does not characterize paths"))
-        if (tuple(coeffs) == ctx.complete_coeffs) != (emask == ctx.full_edges):
+        if (poly.coeffs == ctx.complete_coeffs) != (emask == ctx.full_edges):
             bad.append(("recognizability", "complete polynomial does not characterize complete graphs"))
 
-    if "unimodality" in checks:
-        seg = coeffs[z:]
-        i = 0
-        while i + 1 < len(seg) and seg[i + 1] >= seg[i]:
-            i += 1
-        while i + 1 < len(seg) and seg[i + 1] <= seg[i]:
-            i += 1
-        if i != len(seg) - 1:
-            bad.append(("unimodality", f"coefficients {coeffs} are not unimodal"))
+    if "unimodality" in checks and not poly.is_unimodal():
+        bad.append(("unimodality", f"coefficients {coeffs} are not unimodal"))
 
     if "path-bound" in checks:
         pathc = ctx.path_coeffs
@@ -334,20 +201,9 @@ def _check_one(n: int, emask: int, checks: frozenset, ctx: _GraphContext) -> lis
         for mask in range(full + 1):
             if mask.bit_count() != z or table[mask] != full:
                 continue
-            state = mask
             forcers = 0
-            while state != full:
-                progressed = False
-                for u in range(n):
-                    if (state >> u) & 1:
-                        unc = adj[u] & ~state
-                        if unc and not (unc & (unc - 1)):
-                            forcers |= 1 << u
-                            state |= unc
-                            progressed = True
-                            break
-                if not progressed:  # unreachable for a forcing set
-                    break
+            for u, _ in _chronological_forces(adj, n, mask)[0]:
+                forcers |= 1 << u
             tails = full & ~forcers  # chain terminals: colored vertices that never force
             if table[tails] != full:
                 bad.append(("reversal", f"reversed chains of {mask:#x} do not force"))
@@ -379,15 +235,6 @@ def _record(check: str, n: int, graph, detail: str) -> dict:
     return {"check": check, "n": n, "graph": graph, "detail": detail}
 
 
-def _run_jobs(worker, arglist, jobs: int):
-    if jobs > 1 and len(arglist) > 1:
-        with Pool(jobs) as pool:
-            yield from pool.imap(worker, arglist)
-    else:
-        for args in arglist:
-            yield worker(args)
-
-
 def exhaustive_sweep(checks, max_n: int, jobs: int = 1, min_n: int = 1) -> tuple[int, list[dict]]:
     """Run checks on every labeled graph with min_n <= n <= max_n.
 
@@ -408,7 +255,7 @@ def exhaustive_sweep(checks, max_n: int, jobs: int = 1, min_n: int = 1) -> tuple
             arglist = [(n, lo, min(lo + step, total), checks) for lo in range(0, total, step)]
         else:
             arglist = [(n, 0, total, checks)]
-        for count, bad in _run_jobs(_scan_worker, arglist, jobs):
+        for count, bad in parallel_map(_scan_worker, arglist, jobs):
             total_graphs += count
             records.extend(_record(c, gn, e, d) for c, gn, e, d in bad)
     return total_graphs, records
@@ -439,7 +286,7 @@ def random_sweep(checks, specs: list[tuple[int, int]], jobs: int = 1) -> tuple[i
         arglist = [(specs, checks)]
     total = 0
     records: list[dict] = []
-    for count, bad in _run_jobs(_random_worker, arglist, jobs):
+    for count, bad in parallel_map(_random_worker, arglist, jobs):
         total += count
         records.extend(_record(c, gn, e, d) for c, gn, e, d in bad)
     return total, records
@@ -497,11 +344,7 @@ def _threshold_string_worker(b: str) -> list[tuple[str, str, str]]:
     g = threshold_from_string(b)
     n = g.n
     full = (1 << n) - 1
-    table = _closure_table(g.adj, n)
-    coeffs = [0] * (n + 1)
-    for mask in range(full + 1):
-        if table[mask] == full:
-            coeffs[mask.bit_count()] += 1
+    table, coeffs = _closure_tally(g.adj, n)
     if tuple(coeffs) != poly_threshold(b).coeffs:
         bad.append(("threshold-poly", b, "closed form differs from enumeration"))
     for mask in range(full + 1):
@@ -598,14 +441,12 @@ def run_closed_forms_suite(max_n: int = 12, jobs: int = 1, lemma_max_n: int = 14
     if jobs > 1:
         step = max(1, len(strings) // (jobs * 8))
         chunks = [strings[i:i + step] for i in range(0, len(strings), step)]
-        with Pool(jobs) as pool:
-            results = pool.map(_threshold_batch_worker, chunks)
-        bads = [item for chunk in results for item in chunk]
     else:
-        bads = _threshold_batch_worker(strings)
+        chunks = [strings]
+    for bads in parallel_map(_threshold_batch_worker, chunks, jobs):
+        for check, b, detail in bads:
+            fail(check, len(b), f"threshold:{b}", detail)
     checked += len(strings)
-    for check, b, detail in bads:
-        fail(check, len(b), f"threshold:{b}", detail)
 
     return checked, records
 
@@ -665,9 +506,17 @@ def run_suite(
     ip_random_count: int = IP_RANDOM_COUNT,
     conjecture_random_count: int = CONJECTURE_RANDOM_COUNT,
 ) -> dict:
-    """Run one named check suite and return a report dict."""
+    """Run one named check suite and return a report dict.
+
+    ``max_n`` defaults to 12 for the closed forms and to EXHAUSTIVE_MAX_N for
+    the exhaustive sweep, which also clamps larger values; the report's
+    ``max_n`` is the order actually used (the sweep's, for sweep suites).
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    forms_max = 12 if max_n is None else max_n
     t0 = perf_counter()
     failures: list[dict] = []
     warnings: list[dict] = []
@@ -678,16 +527,17 @@ def run_suite(
             (warnings if rec["check"] in CONJECTURE_CHECKS else failures).append(rec)
 
     if suite == "closed-forms":
-        count, records = run_closed_forms_suite(max_n=max_n or 12, jobs=jobs)
+        max_n = forms_max
+        count, records = run_closed_forms_suite(max_n=max_n, jobs=jobs)
         checked += count
         classify(records)
     else:
-        sweep_max = min(max_n or EXHAUSTIVE_MAX_N, EXHAUSTIVE_MAX_N)
+        max_n = EXHAUSTIVE_MAX_N if max_n is None else min(max_n, EXHAUSTIVE_MAX_N)
         if suite == "all":
             checks = frozenset(CHECK_KEYS)
         else:
             checks = SWEEP_SUITE_CHECKS[suite]
-        count, records = exhaustive_sweep(checks, sweep_max, jobs=jobs)
+        count, records = exhaustive_sweep(checks, max_n, jobs=jobs)
         checked += count
         classify(records)
         if "ip" in checks and ip_random_count:
@@ -701,11 +551,11 @@ def run_suite(
             checked += count
             classify(records)
         if suite in ("recognizability", "all"):
-            for n in range(3, sweep_max + 1):
+            for n in range(3, max_n + 1):
                 checked += 1
                 classify(verify_cycle_class(n, jobs=jobs))
         if suite == "all":
-            count, records = run_closed_forms_suite(max_n=min(max_n or 12, 12), jobs=jobs)
+            count, records = run_closed_forms_suite(max_n=min(forms_max, 12), jobs=jobs)
             checked += count
             classify(records)
 

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from zfpoly import parallel, sweeps
 from zfpoly.cli import main
 
 
@@ -128,6 +130,48 @@ def test_check_suite_passes(capsys):
     assert summary["record"] == "summary"
     assert summary["passed"] is True
     assert summary["failures"] == 0
+
+
+def _stub_sweep(monkeypatch):
+    """Replace the exhaustive sweep by a recorder of the orders it is asked for."""
+    orders = []
+
+    def sweep(checks, max_n, jobs=1, min_n=1):
+        orders.append(max_n)
+        return 0, []
+
+    monkeypatch.setattr(sweeps, "exhaustive_sweep", sweep)
+    return orders
+
+
+def test_check_rejects_max_n_below_one(capsys, monkeypatch):
+    orders = _stub_sweep(monkeypatch)
+    code, _, err = run(capsys, "check", "--suite", "hall", "--max-n", "0")
+    assert code == 2 and "max_n" in err
+    assert orders == []
+    code, _, _ = run(capsys, "check", "--suite", "closed-forms", "--max-n", "0")
+    assert code == 2
+
+
+def test_check_reports_clamped_max_n(capsys, monkeypatch):
+    orders = _stub_sweep(monkeypatch)
+    code, out, _ = run(capsys, "check", "--suite", "hall", "--max-n", "9")
+    assert code == 0
+    assert orders == [sweeps.EXHAUSTIVE_MAX_N]
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["max_n"] == sweeps.EXHAUSTIVE_MAX_N
+
+
+@pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+def test_check_rejects_jobs_out_of_range_before_any_pool(capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(parallel, "Pool", no_pool)
+    orders = _stub_sweep(monkeypatch)
+    code, _, err = run(capsys, "check", "--suite", "hall", "--max-n", "3", "--jobs", str(jobs))
+    assert code == 2 and "--jobs" in err
+    assert orders == []
 
 
 def test_check_rejects_unknown_suite(capsys):

@@ -5,6 +5,7 @@ import pytest
 from oracles import naive_forts, naive_min_cover_size
 from zfpoly import (
     all_labeled_graphs,
+    closure_table,
     complete,
     cycle,
     empty,
@@ -21,6 +22,11 @@ from zfpoly import (
     vertices_of,
     zf_polynomial,
 )
+from zfpoly import forts as forts_mod
+from zfpoly import sweeps
+from zfpoly.forts import _forts_from_table
+from zfpoly.polynomial import _closure_tally
+from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
 
 def test_is_fort_examples():
@@ -40,10 +46,48 @@ def test_enumerate_forts_examples():
 
 
 def test_enumerate_forts_matches_naive_oracle():
-    for n in range(1, 5):
+    graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+    rng = random.Random(6060)
+    for _ in range(40):
+        n = rng.randint(6, 9)
+        graphs.append(graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
+    for g in graphs:
+        got = {frozenset(vertices_of(f)) for f in enumerate_forts(g).forts}
+        assert got == naive_forts(g)
+
+
+def test_forts_past_table_size_come_from_definition_scan(monkeypatch):
+    # above the closure-table size the forts are scanned, not tabled; both
+    # routes must give the same family and the same coefficient bound rows
+    rng = random.Random(6061)
+    graphs = [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (4, 5, 6) for _ in range(5)]
+    expected = [(enumerate_forts(g), small_fort_coefficient_bound(g)) for g in graphs]
+    monkeypatch.setattr(forts_mod, "_TABLE_MAX_N", 3)
+    monkeypatch.setattr(forts_mod, "_closure_table", None)
+    monkeypatch.setattr(forts_mod, "_closure_tally", None)
+    assert [(enumerate_forts(g), small_fort_coefficient_bound(g)) for g in graphs] == expected
+
+
+def test_sweep_kernel_checks_every_derived_fort(monkeypatch):
+    # the sets the sweep kernel derives are forts by the definition ...
+    for n in range(1, 6):
         for g in all_labeled_graphs(n):
-            got = {frozenset(vertices_of(f)) for f in enumerate_forts(g).forts}
-            assert got == naive_forts(g)
+            derived = _forts_from_table(closure_table(g), n)
+            assert derived and all(is_fort(g, f) for f in derived)
+    assert exhaustive_sweep({"fort-transversal"}, max_n=5)[1] == []
+
+    # ... and a set that is not (a corrupted table entry) is reported
+    def corrupted(adj, n):
+        table, coeffs = _closure_tally(adj, n)
+        table[0b001] = 0b001  # {0} forces the whole 3-path; claim it is closed
+        return table, coeffs
+
+    monkeypatch.setattr(sweeps, "_closure_tally", corrupted)
+    path3 = 0b101  # edges (0, 1) and (1, 2) in edge_pair_order(3)
+    for checks in ({"fort-transversal"}, {"fort-count-bound"}, {"ip"}):
+        _, records = random_sweep(checks, [(3, path3)])
+        assert records and records[0]["check"] == "fort-transversal", checks
+        assert "0x6" in records[0]["detail"]
 
 
 def test_fort_family_sorted_by_size_then_mask():

@@ -14,6 +14,7 @@ from zfpoly import (
     cycle,
     disjoint_union,
     empty,
+    enumeration_cap,
     extremal_coefficients,
     graph_from_edge_mask,
     induced_subgraph,
@@ -74,6 +75,14 @@ def test_enumeration_cap_env(monkeypatch):
         zf_polynomial(path(5))
     monkeypatch.setenv("ZFPOLY_MAX_N", "5")
     assert zf_polynomial(path(5)).coeffs[1] == 2
+
+
+def test_enumeration_cap_env_rejects_negative(monkeypatch):
+    monkeypatch.setenv("ZFPOLY_MAX_N", "-1")
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumeration_cap()
+    with pytest.raises(ValueError, match="nonnegative"):
+        zf_polynomial(path(2))
 
 
 def test_count_zfs_examples():

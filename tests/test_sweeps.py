@@ -1,5 +1,6 @@
 import pytest
 
+from zfpoly.parallel import parallel_map
 from zfpoly.sweeps import (
     CHECK_KEYS,
     SUITES,
@@ -31,10 +32,23 @@ def test_exhaustive_sweep_rejects_large_order():
         exhaustive_sweep({"hall"}, max_n=8)
 
 
+def test_parallel_map_rejects_jobs_below_one():
+    with pytest.raises(ValueError):
+        list(parallel_map(abs, [1, 2], 0))
+    assert list(parallel_map(abs, [-1, -2], 1)) == [1, 2]
+
+
 def test_parallel_sweep_is_deterministic():
     solo = exhaustive_sweep({"extremal", "ip"}, max_n=4, jobs=1)
     duo = exhaustive_sweep({"extremal", "ip"}, max_n=4, jobs=2)
     assert solo == duo
+
+
+def test_multiplicativity_check_ignores_enumeration_cap(monkeypatch):
+    # the sweep kernel tallies components directly, so ZFPOLY_MAX_N (which
+    # caps the public entry points) cannot abort a sweep part way through
+    monkeypatch.setenv("ZFPOLY_MAX_N", "1")
+    assert exhaustive_sweep({"multiplicativity"}, max_n=4)[1] == []
 
 
 def test_random_specs_deterministic():
