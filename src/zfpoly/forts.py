@@ -2,8 +2,8 @@
 
 A fort is a nonempty vertex set F such that no vertex outside F has exactly
 one neighbor in F.  Every zero forcing set meets every fort, and the minimum
-fort transversal has size Z(G); the exact hitting-set solver below realizes
-that integer program.
+fort transversal has size Z(G).  That integer program is answered by one
+exact decision search: is there a fort cover within a given budget?
 """
 from __future__ import annotations
 
@@ -96,26 +96,10 @@ def _coeffs_and_forts(g: Graph) -> tuple[list[int], list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Exact minimum hitting set (branch and bound)
+# Fort-cover decision search
 
 
-def _greedy_cover(forts: list[int], n: int) -> int:
-    """Greedy incumbent: repeatedly take the vertex hitting most uncovered forts."""
-    chosen = 0
-    uncovered = list(forts)
-    while uncovered:
-        best_v, best_hits = -1, -1
-        for v in range(n):
-            bit = 1 << v
-            hits = sum(1 for f in uncovered if f & bit)
-            if hits > best_hits:
-                best_v, best_hits = v, hits
-        chosen |= 1 << best_v
-        uncovered = [f for f in uncovered if not (f >> best_v) & 1]
-    return chosen
-
-
-def _packing_bound(uncovered: list[int], allowed: int) -> int:
+def _packing_bound(uncovered: Sequence[int], allowed: int) -> int:
     """Count of pairwise-disjoint uncovered forts, restricted to allowed vertices."""
     taken = 0
     count = 0
@@ -127,75 +111,30 @@ def _packing_bound(uncovered: list[int], allowed: int) -> int:
     return count
 
 
-class _HittingSetSearch:
-    """Fail-first branch and bound over forts.
+def _cover_within(forts: Sequence[int], budget: int, excluded: int = 0) -> int | None:
+    """A set of at most budget vertices, none in excluded, meeting every fort.
 
-    Branches on the uncovered fort with fewest remaining candidate vertices;
-    a fort reduced to one candidate forces that vertex.  Sibling branches
-    exclude previously tried candidates, so the enumeration is exact.
+    Returns None when no such set exists.  Fail-first branching: branch on the
+    fort with fewest candidate vertices (a fort down to one candidate forces
+    it), and exclude each tried candidate from its later siblings, so the
+    search is exact.  Disjoint forts each need their own vertex, which prunes.
     """
-
-    def __init__(self, forts: list[int], n: int, limit: int | None = None):
-        self.forts = forts
-        self.n = n
-        if limit is not None:
-            self.best_size = limit + 1
-            self.best_mask: int | None = None
-        else:
-            greedy = _greedy_cover(forts, n)
-            self.best_size = greedy.bit_count()
-            self.best_mask = greedy
-
-    def _dfs(self, chosen: int, count: int, excluded: int, uncovered: list[int]) -> None:
-        if not uncovered:
-            if count < self.best_size:
-                self.best_size = count
-                self.best_mask = chosen
-            return
-        allowed = ~excluded
-        if count + _packing_bound(uncovered, allowed) >= self.best_size:
-            return
-        pivot_cand, pivot_width = 0, self.n + 1
-        for f in uncovered:
-            cand = f & allowed
-            width = cand.bit_count()
-            if width == 0:
-                return  # some fort can no longer be hit
-            if width < pivot_width:
-                pivot_cand, pivot_width = cand, width
-                if width == 1:
-                    break
-        cand = pivot_cand
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            rest = [f for f in uncovered if not f & bit]
-            self._dfs(chosen | bit, count + 1, excluded, rest)
-            excluded |= bit
-
-    def run(self) -> tuple[int, int | None]:
-        self._dfs(0, 0, 0, self.forts)
-        return self.best_size, self.best_mask
-
-
-def _min_hitting_set_size(forts: list[int], n: int) -> int:
+    if budget < 0:
+        return None
     if not forts:
         return 0
-    size, _ = _HittingSetSearch(forts, n).run()
-    return size
-
-
-def _completable(forts: list[int], n: int, chosen: int, excluded: int, budget: int) -> bool:
-    """Is there a hitting set of total size <= budget extending chosen/excluded?"""
-    uncovered = [f for f in forts if not f & chosen]
-    if not uncovered:
-        return True
-    remaining = budget - chosen.bit_count()
-    if remaining <= 0:
-        return False
-    search = _HittingSetSearch(uncovered, n, limit=remaining)
-    search._dfs(0, 0, excluded, uncovered)
-    return search.best_mask is not None
+    allowed = ~excluded
+    if _packing_bound(forts, allowed) > budget:
+        return None
+    pivot = min((f & allowed for f in forts), key=int.bit_count)
+    while pivot:
+        bit = pivot & -pivot
+        pivot ^= bit
+        rest = _cover_within([f for f in forts if not f & bit], budget - 1, excluded)
+        if rest is not None:
+            return rest | bit
+        excluded |= bit
+    return None  # a fort with no candidate left, or every branch failed
 
 
 def min_fort_cover(g: Graph) -> tuple[int, int]:
@@ -204,21 +143,20 @@ def min_fort_cover(g: Graph) -> tuple[int, int]:
     Among optimal witnesses, the one whose sorted vertex list is
     lexicographically smallest is returned.
     """
-    family = enumerate_forts(g)
-    forts = list(family.forts)
-    if not forts:
-        return 0, 0
-    size = _min_hitting_set_size(forts, g.n)
+    forts = enumerate_forts(g).forts
+    size = g.n  # V meets every fort
+    while (cover := _cover_within(forts, size - 1)) is not None:
+        size = cover.bit_count()
     chosen = 0
     excluded = 0
     for v in range(g.n):
-        bit = 1 << v
-        if _completable(forts, g.n, chosen | bit, excluded, size):
-            chosen |= bit
-            if chosen.bit_count() == size:
-                break
+        if chosen.bit_count() == size:
+            break
+        trial = chosen | 1 << v
+        if _cover_within([f for f in forts if not f & trial], size - trial.bit_count(), excluded) is not None:
+            chosen = trial
         else:
-            excluded |= bit
+            excluded |= 1 << v
     return size, chosen
 
 

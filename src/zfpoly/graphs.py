@@ -99,10 +99,6 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in vertices_of(self.adj[u]) if u < v]
 
 
-def _graph_from_adj(n: int, adj: list[int]) -> Graph:
-    return Graph(n, tuple(adj))
-
-
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on ``n`` vertices with the given edges (duplicates collapsed)."""
     if n > MAX_VERTICES:
@@ -115,7 +111,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return _graph_from_adj(n, adj)
+    return Graph(n, tuple(adj))
 
 
 def from_edge_list_text(text: str) -> Graph:
@@ -218,7 +214,7 @@ def from_graph6(text: str | bytes) -> Graph:
             elif bit:
                 raise GraphFormatError("nonzero graph6 padding bits")
             pos += 1
-    return _graph_from_adj(n, adj)
+    return Graph(n, tuple(adj))
 
 
 def to_graph6(g: Graph) -> str:
@@ -332,7 +328,7 @@ def threshold_from_string(b: str) -> Graph:
             adj[k] |= (1 << k) - 1
             for j in range(k):
                 adj[j] |= 1 << k
-    return _graph_from_adj(n, adj)
+    return Graph(n, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -373,7 +369,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     if n > MAX_VERTICES:
         raise SizeCapError(f"combined order {n} exceeds cap {MAX_VERTICES}")
     adj = list(g1.adj) + [nb << g1.n for nb in g2.adj]
-    return _graph_from_adj(n, adj)
+    return Graph(n, tuple(adj))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -382,7 +378,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
     lo = (1 << g1.n) - 1
     hi = base.vertex_mask ^ lo
     adj = [nb | (hi if v < g1.n else lo) for v, nb in enumerate(base.adj)]
-    return _graph_from_adj(base.n, adj)
+    return Graph(base.n, tuple(adj))
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
@@ -537,7 +533,7 @@ def graph_from_edge_mask(n: int, edge_mask: int) -> Graph:
     pairs = edge_pair_order(n)
     if edge_mask >> len(pairs):
         raise ValueError("edge mask out of range")
-    return _graph_from_adj(n, _edge_mask_adj(pairs, n, edge_mask))
+    return Graph(n, tuple(_edge_mask_adj(pairs, n, edge_mask)))
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:

@@ -24,7 +24,7 @@ from .closed_forms import (
     threshold_zfs_check,
 )
 from .forcing import _chronological_forces
-from .forts import _forts_from_table, _is_fort, _min_hitting_set_size
+from .forts import _cover_within, _forts_from_table, _is_fort
 from .graphs import (
     Graph,
     _connected_components,
@@ -172,9 +172,10 @@ def _check_one(n: int, emask: int, checks: frozenset, ctx: _GraphContext) -> lis
             bad.append(("fort-count-bound", f"{len(forts)} forts > 2^n - {sum(coeffs)}"))
 
     if "ip" in checks:
-        cover = _min_hitting_set_size(forts, n)
-        if cover != z:
-            bad.append(("ip", f"minimum fort cover {cover} != zero forcing number {z}"))
+        if _cover_within(forts, z) is None:
+            bad.append(("ip", f"no fort cover of size {z}, the zero forcing number"))
+        elif _cover_within(forts, z - 1) is not None:
+            bad.append(("ip", f"a fort cover smaller than the zero forcing number {z}"))
 
     if "ham-bound" in checks and _has_hamiltonian_path(adj, n):
         pathc = ctx.path_coeffs
@@ -380,22 +381,16 @@ def run_closed_forms_suite(max_n: int = 12, jobs: int = 1, lemma_max_n: int = 14
     def fail(check: str, n, graph, detail: str) -> None:
         records.append(_record(check, n, graph, detail))
 
-    for n in range(1, max_n + 1):
-        checked += 1
-        if poly_path(n).coeffs != _brute_coeffs(path(n)):
-            fail("family-path", n, f"path:{n}", "closed form differs from enumeration")
-    for n in range(3, max_n + 1):
-        checked += 1
-        if poly_cycle(n).coeffs != _brute_coeffs(cycle(n)):
-            fail("family-cycle", n, f"cycle:{n}", "closed form differs from enumeration")
-    for n in range(1, max_n + 1):
-        checked += 1
-        if poly_complete(n).coeffs != _brute_coeffs(complete(n)):
-            fail("family-complete", n, f"complete:{n}", "closed form differs from enumeration")
-    for n in range(5, max_n + 1):
-        checked += 1
-        if poly_wheel(n).coeffs != _brute_coeffs(wheel(n)):
-            fail("family-wheel", n, f"wheel:{n}", "closed form differs from enumeration")
+    for label, first, build, form in (
+        ("path", 1, path, poly_path),
+        ("cycle", 3, cycle, poly_cycle),
+        ("complete", 1, complete, poly_complete),
+        ("wheel", 5, wheel, poly_wheel),
+    ):
+        for n in range(first, max_n + 1):
+            checked += 1
+            if form(n).coeffs != _brute_coeffs(build(n)):
+                fail(f"family-{label}", n, f"{label}:{n}", "closed form differs from enumeration")
     for parts in _partitions_min2(max_n):
         checked += 1
         if poly_multipartite(parts).coeffs != _brute_coeffs(complete_multipartite(parts)):

@@ -145,7 +145,7 @@ def test_criterion_6_threshold_family_invariance():
     _report("criterion 6 (threshold family invariance)", time.perf_counter() - t0)
 
 
-def test_criterion_7_conjecture_probes(big_sweep):
+def test_criterion_7_conjecture_probes(big_sweep, tmp_path):
     t0 = time.perf_counter()
     exhaust = [r for r in big_sweep["records"] if r["check"] in CONJECTURE_CHECKS]
     specs = random_graph_specs(500, 8, 14, seed=0)
@@ -154,7 +154,7 @@ def test_criterion_7_conjecture_probes(big_sweep):
     counterexamples = exhaust + rand_records
     if counterexamples:
         # open conjectures: a counterexample is a discovery, not a build failure
-        artifact = os.path.join(os.path.dirname(__file__), "conjecture_counterexamples.json")
+        artifact = tmp_path / "conjecture_counterexamples.json"
         with open(artifact, "w") as fh:
             json.dump(counterexamples, fh, indent=2)
         print(f"\nWARNING: {len(counterexamples)} conjecture counterexamples -> {artifact}")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from zfpoly import (
 )
 from zfpoly import forts as forts_mod
 from zfpoly import sweeps
-from zfpoly.forts import _forts_from_table
+from zfpoly.forts import _cover_within, _forts_from_table
 from zfpoly.polynomial import _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
@@ -88,6 +89,48 @@ def test_sweep_kernel_checks_every_derived_fort(monkeypatch):
         _, records = random_sweep(checks, [(3, path3)])
         assert records and records[0]["check"] == "fort-transversal", checks
         assert "0x6" in records[0]["detail"]
+
+
+def test_ip_check_reports_a_shifted_zero_forcing_number(monkeypatch):
+    # a cover of size z must exist and none of size z - 1; moving the first
+    # nonzero coefficient up breaks the second, moving it down the first
+    def shifted(step):
+        def tally(adj, n):
+            table, coeffs = _closure_tally(adj, n)
+            z = next(i for i, c in enumerate(coeffs) if c)
+            coeffs[z + step], coeffs[z] = coeffs[z], 0
+            return table, coeffs
+        return tally
+
+    specs = [(3, 0b101), (4, 0b111111)]  # the 3-path (Z = 1) and K4 (Z = 3)
+    assert random_sweep({"ip"}, specs)[1] == []
+    for step in (1, -1):
+        monkeypatch.setattr(sweeps, "_closure_tally", shifted(step))
+        _, records = random_sweep({"ip"}, specs)
+        assert [(r["check"], r["n"]) for r in records] == [("ip", 3), ("ip", 4)], step
+
+
+def test_cover_within_matches_brute_force_hitting_sets():
+    rng = random.Random(8128)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        sets = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]  # arbitrary masks, the empty one too
+        excluded = rng.getrandbits(n) & rng.getrandbits(n)
+        allowed = [v for v in range(n) if v not in vertices_of(excluded)]
+        members = [set(vertices_of(s)) for s in sets]
+        for budget in range(-1, n + 1):
+            exists = any(
+                all(m & set(combo) for m in members)
+                for size in range(budget + 1)
+                for combo in itertools.combinations(allowed, size)
+            )
+            got = _cover_within(sets, budget, excluded)
+            if not exists:
+                assert got is None, (sets, budget, excluded)
+            else:
+                assert got is not None, (sets, budget, excluded)
+                assert got.bit_count() <= budget and not got & excluded
+                assert all(got & s for s in sets)
 
 
 def test_fort_family_sorted_by_size_then_mask():
