@@ -7,11 +7,13 @@ class of graphs sharing a cycle's polynomial.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from math import comb
 from typing import Sequence
 
 from .closed_forms import poly_complete, poly_cycle, poly_path, poly_threshold
 from .graphs import (
+    LABELED_ENUM_MAX,
     Graph,
     _connected_components,
     _edge_mask_adj,
@@ -117,36 +119,26 @@ def recognizes_complete(p: ZfPolynomial) -> bool:
 # Graphs sharing a cycle's polynomial
 
 
-def _cycle_match_worker(args: tuple[int, int, int]) -> list[int]:
-    """Edge masks in [lo, hi) whose polynomial equals the n-cycle's."""
-    n, lo, hi = args
-    target = list(poly_cycle(n).coeffs)
-    pairs = edge_pair_order(n)
-    matches = []
-    for emask in range(lo, hi):
-        adj = _edge_mask_adj(pairs, n, emask)
-        # cheap rejects first: the top three coefficients are structural
-        if any(not a for a in adj):
-            continue  # an isolated vertex forces coefficient n-1 below n
-        if _extremal_coefficients(adj, n)[2] != target[n - 2]:
-            continue
-        if _closure_tally(adj, n)[1] == target:
-            matches.append(emask)
-    return matches
+def _has_cycle_polynomial(n: int, pairs: list[tuple[int, int]], target: list[int], emask: int) -> bool:
+    """Whether the labeled graph with this edge mask has target, the n-cycle's
+    coefficients."""
+    adj = _edge_mask_adj(pairs, n, emask)
+    # cheap rejects first: the top three coefficients are structural
+    if any(not a for a in adj):
+        return False  # an isolated vertex forces coefficient n-1 below n
+    if _extremal_coefficients(adj, n)[2] != target[n - 2]:
+        return False
+    return _closure_tally(adj, n)[1] == target
 
 
 def cycle_polynomial_class(n: int, jobs: int = 1) -> list[Graph]:
     """Isomorphism-class representatives of all n-vertex graphs whose
     polynomial equals the n-cycle's, by exhaustive labeled sweep."""
-    if not 3 <= n <= 7:
-        raise ValueError("cycle polynomial class sweep supports 3 <= n <= 7")
-    total = 1 << (n * (n - 1) // 2)
-    if jobs > 1:
-        step = max(1, total // (jobs * 8))
-        ranges = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    else:
-        ranges = [(n, 0, total)]
-    matches = [e for chunk in parallel_map(_cycle_match_worker, ranges, jobs) for e in chunk]
+    if not 3 <= n <= LABELED_ENUM_MAX:
+        raise ValueError(f"cycle polynomial class sweep supports 3 <= n <= {LABELED_ENUM_MAX}")
+    emasks = range(1 << (n * (n - 1) // 2))
+    is_match = partial(_has_cycle_polynomial, n, edge_pair_order(n), list(poly_cycle(n).coeffs))
+    matches = [e for e, hit in zip(emasks, parallel_map(is_match, emasks, jobs)) if hit]
     reps: list[Graph] = []
     fingerprints: list[tuple] = []
     for emask in matches:

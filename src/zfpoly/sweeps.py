@@ -1,18 +1,24 @@
 """Corpus sweeps machine-checking the structural results.
 
 Exhaustive sweeps visit every labeled graph up to a small order; randomized
-sweeps draw seeded graphs at larger orders.  Work splits over contiguous
-ranges of the labeled-graph counter, and reports are deterministic for a
-fixed seed regardless of worker count.
+sweeps draw seeded graphs at larger orders.  Each graph is checked on its
+own and its records come back in graph order, so reports are deterministic
+for a fixed seed regardless of worker count.
 """
 from __future__ import annotations
 
-import itertools
 import random
+from functools import cache, partial
 from math import comb
 from time import perf_counter
 
-from .analysis import _extremal_coefficients, _hall_ok, _is_path_graph, cycle_polynomial_class
+from .analysis import (
+    _extremal_coefficients,
+    _hall_ok,
+    _is_path_graph,
+    cycle_polynomial_class,
+    same_poly_threshold_family,
+)
 from .closed_forms import (
     count_consecutive_selections,
     poly_complete,
@@ -26,6 +32,7 @@ from .closed_forms import (
 from .forcing import _chronological_forces
 from .forts import _cover_within, _forts_from_table, _is_fort
 from .graphs import (
+    LABELED_ENUM_MAX,
     Graph,
     _connected_components,
     _edge_mask_adj,
@@ -47,7 +54,7 @@ from .graphs import (
 from .parallel import parallel_map
 from .polynomial import ZfPolynomial, _closure_tally, induced_subgraph, multiply, zf_polynomial
 
-EXHAUSTIVE_MAX_N = 7
+EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
 # Individual per-graph checks; suites select subsets of these.
 CHECK_KEYS = (
@@ -102,18 +109,15 @@ class _GraphContext:
         self.complete_coeffs = tuple(poly_complete(n).coeffs)
 
 
-_CTX_CACHE: dict[int, _GraphContext] = {}
-
-
+@cache
 def _context(n: int) -> _GraphContext:
-    ctx = _CTX_CACHE.get(n)
-    if ctx is None:
-        ctx = _CTX_CACHE[n] = _GraphContext(n)
-    return ctx
+    return _GraphContext(n)
 
 
-def _check_one(n: int, emask: int, checks: frozenset, ctx: _GraphContext) -> list[tuple[str, str]]:
-    """Run the requested checks on one labeled graph; returns (check, detail) pairs."""
+def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] | tuple[()]:
+    """Run the requested checks on one labeled graph; returns (check, detail)
+    pairs, or the shared empty tuple when every check passes."""
+    ctx = _context(n)
     full = ctx.full
     adj = _edge_mask_adj(ctx.pairs, n, emask)
     table, coeffs = _closure_tally(adj, n)
@@ -210,55 +214,41 @@ def _check_one(n: int, emask: int, checks: frozenset, ctx: _GraphContext) -> lis
                 bad.append(("reversal", f"reversed chains of {mask:#x} do not force"))
                 break
 
-    return bad
+    return bad or ()
 
 
-def _scan_worker(args: tuple[int, int, int, frozenset]) -> tuple[int, list[tuple[str, int, int, str]]]:
-    n, lo, hi, checks = args
-    ctx = _context(n)
-    bad: list[tuple[str, int, int, str]] = []
-    for emask in range(lo, hi):
-        for check, detail in _check_one(n, emask, checks, ctx):
-            bad.append((check, n, emask, detail))
-    return hi - lo, bad
+def _check_spec(checks: frozenset, spec: tuple[int, int]) -> list[tuple[str, str]] | tuple[()]:
+    return _check_one(checks, *spec)
 
 
-def _random_worker(args: tuple[list[tuple[int, int]], frozenset]) -> tuple[int, list[tuple[str, int, int, str]]]:
-    specs, checks = args
-    bad: list[tuple[str, int, int, str]] = []
-    for n, emask in specs:
-        for check, detail in _check_one(n, emask, checks, _context(n)):
-            bad.append((check, n, emask, detail))
-    return len(specs), bad
+def _check_names(checks) -> frozenset:
+    checks = frozenset(checks)
+    unknown = checks.difference(CHECK_KEYS)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    return checks
 
 
 def _record(check: str, n: int, graph, detail: str) -> dict:
     return {"check": check, "n": n, "graph": graph, "detail": detail}
 
 
-def exhaustive_sweep(checks, max_n: int, jobs: int = 1, min_n: int = 1) -> tuple[int, list[dict]]:
-    """Run checks on every labeled graph with min_n <= n <= max_n.
+def exhaustive_sweep(checks, max_n: int, jobs: int = 1) -> tuple[int, list[dict]]:
+    """Run checks on every labeled graph with 1 <= n <= max_n.
 
     Returns (graphs checked, failure records ordered by (n, graph)).
     """
-    checks = frozenset(checks)
-    unknown = checks - set(CHECK_KEYS)
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    checks = _check_names(checks)
     if max_n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive sweep capped at {EXHAUSTIVE_MAX_N} vertices")
     total_graphs = 0
     records: list[dict] = []
-    for n in range(min_n, max_n + 1):
-        total = 1 << (n * (n - 1) // 2)
-        if jobs > 1 and total >= (1 << 14):
-            step = max(1, total // (jobs * 16))
-            arglist = [(n, lo, min(lo + step, total), checks) for lo in range(0, total, step)]
-        else:
-            arglist = [(n, 0, total, checks)]
-        for count, bad in parallel_map(_scan_worker, arglist, jobs):
-            total_graphs += count
-            records.extend(_record(c, gn, e, d) for c, gn, e, d in bad)
+    for n in range(1, max_n + 1):
+        emasks = range(1 << (n * (n - 1) // 2))
+        for emask, bad in zip(emasks, parallel_map(partial(_check_one, checks, n), emasks, jobs)):
+            for check, detail in bad:
+                records.append(_record(check, n, emask, detail))
+        total_graphs += len(emasks)
     return total_graphs, records
 
 
@@ -279,18 +269,12 @@ def random_graph_specs(count: int, n_lo: int, n_hi: int, seed: int) -> list[tupl
 
 def random_sweep(checks, specs: list[tuple[int, int]], jobs: int = 1) -> tuple[int, list[dict]]:
     """Run checks on an explicit list of (n, edge mask) graphs."""
-    checks = frozenset(checks)
-    if jobs > 1 and len(specs) > 1:
-        step = max(1, len(specs) // (jobs * 4))
-        arglist = [(specs[i:i + step], checks) for i in range(0, len(specs), step)]
-    else:
-        arglist = [(specs, checks)]
-    total = 0
+    checks = _check_names(checks)
     records: list[dict] = []
-    for count, bad in parallel_map(_random_worker, arglist, jobs):
-        total += count
-        records.extend(_record(c, gn, e, d) for c, gn, e, d in bad)
-    return total, records
+    for (n, emask), bad in zip(specs, parallel_map(partial(_check_spec, checks), specs, jobs)):
+        for check, detail in bad:
+            records.append(_record(check, n, emask, detail))
+    return len(specs), records
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +322,22 @@ def _brute_coeffs(g: Graph) -> tuple[int, ...]:
     return zf_polynomial(g, engine="table").coeffs
 
 
-def _threshold_string_worker(b: str) -> list[tuple[str, str, str]]:
+def _threshold_string_worker(b: str) -> list[tuple[str, str]] | tuple[()]:
     """Check one threshold string: closed-form polynomial and the direct
-    zero-forcing-set characterization, both against enumeration."""
+    zero-forcing-set characterization, both against enumeration.  Returns
+    (check, detail) pairs, or the shared empty tuple when both hold."""
     bad = []
     g = threshold_from_string(b)
     n = g.n
     full = (1 << n) - 1
     table, coeffs = _closure_tally(g.adj, n)
     if tuple(coeffs) != poly_threshold(b).coeffs:
-        bad.append(("threshold-poly", b, "closed form differs from enumeration"))
+        bad.append(("threshold-poly", "closed form differs from enumeration"))
     for mask in range(full + 1):
         if threshold_zfs_check(b, mask) != (table[mask] == full):
-            bad.append(("threshold-zfs-check", b, f"characterization wrong on mask {mask:#x}"))
+            bad.append(("threshold-zfs-check", f"characterization wrong on mask {mask:#x}"))
             break
-    return bad
+    return bad or ()
 
 
 def canonical_connected_strings(length: int) -> list[str]:
@@ -421,36 +406,22 @@ def run_closed_forms_suite(max_n: int = 12, jobs: int = 1, lemma_max_n: int = 14
 
     # permutation-invariant threshold families
     for k in (3, 4):
-        perms = ["00".join("1" * s for s in perm)
-                 for perm in itertools.permutations(range(2, k + 1))]
-        polys = [poly_threshold(b) for b in perms]
-        checked += len(perms)
-        if any(p != polys[0] for p in polys):
-            fail("threshold-permutation", len(perms[0]), f"k={k}",
+        family = same_poly_threshold_family(k)
+        checked += len(family)
+        if any(p != family[0][1] for _, p in family):
+            fail("threshold-permutation", len(family[0][0]), f"k={k}",
                  "permuted block sizes changed the polynomial")
 
     # every canonical connected string, closed form + characterization
     strings = []
     for length in range(2, max_n + 1):
         strings.extend(canonical_connected_strings(length))
-    if jobs > 1:
-        step = max(1, len(strings) // (jobs * 8))
-        chunks = [strings[i:i + step] for i in range(0, len(strings), step)]
-    else:
-        chunks = [strings]
-    for bads in parallel_map(_threshold_batch_worker, chunks, jobs):
-        for check, b, detail in bads:
+    for b, bad in zip(strings, parallel_map(_threshold_string_worker, strings, jobs)):
+        for check, detail in bad:
             fail(check, len(b), f"threshold:{b}", detail)
     checked += len(strings)
 
     return checked, records
-
-
-def _threshold_batch_worker(strings: list[str]) -> list[tuple[str, str, str]]:
-    bad = []
-    for b in strings:
-        bad.extend(_threshold_string_worker(b))
-    return bad
 
 
 # ---------------------------------------------------------------------------

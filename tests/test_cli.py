@@ -136,7 +136,7 @@ def _stub_sweep(monkeypatch):
     """Replace the exhaustive sweep by a recorder of the orders it is asked for."""
     orders = []
 
-    def sweep(checks, max_n, jobs=1, min_n=1):
+    def sweep(checks, max_n, jobs=1):
         orders.append(max_n)
         return 0, []
 

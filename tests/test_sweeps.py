@@ -1,6 +1,11 @@
+import multiprocessing
+
 import pytest
 
+from zfpoly import analysis, parallel, sweeps
+from zfpoly.closed_forms import poly_cycle
 from zfpoly.parallel import parallel_map
+from zfpoly.polynomial import _closure_tally
 from zfpoly.sweeps import (
     CHECK_KEYS,
     SUITES,
@@ -27,6 +32,11 @@ def test_exhaustive_sweep_rejects_unknown_check():
         exhaustive_sweep({"spectral"}, max_n=3)
 
 
+def test_random_sweep_rejects_unknown_check():
+    with pytest.raises(ValueError):
+        random_sweep({"spectral"}, [(5, 3)])
+
+
 def test_exhaustive_sweep_rejects_large_order():
     with pytest.raises(ValueError):
         exhaustive_sweep({"hall"}, max_n=8)
@@ -38,9 +48,76 @@ def test_parallel_map_rejects_jobs_below_one():
     assert list(parallel_map(abs, [-1, -2], 1)) == [1, 2]
 
 
-def test_parallel_sweep_is_deterministic():
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Records the arguments of every process pool parallel_map starts."""
+    starts = []
+    real_pool = parallel.Pool
+
+    def counting_pool(*args, **kwargs):
+        starts.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "Pool", counting_pool)
+    return starts
+
+
+# Planted failures are module attributes patched in this process; pool
+# workers see them only when they are forked from it.
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="planted failures reach pool workers only through fork")
+
+
+def test_parallel_sweep_is_deterministic(pool_starts):
     solo = exhaustive_sweep({"extremal", "ip"}, max_n=4, jobs=1)
+    assert pool_starts == []
     duo = exhaustive_sweep({"extremal", "ip"}, max_n=4, jobs=2)
+    assert pool_starts == [(2,)] * 3  # orders 2-4; order 1 has a single graph
+    assert solo == duo
+
+
+def _tally_with_z_one_lower(adj, n):
+    table, coeffs = _closure_tally(adj, n)
+    z = next(i for i, c in enumerate(coeffs) if c)
+    coeffs[z - 1], coeffs[z] = coeffs[z], 0
+    return table, coeffs
+
+
+@needs_fork
+def test_random_sweep_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
+    # every graph fails zero-range and ip, some extremal too, so the
+    # comparison covers the order of records within and across graphs
+    monkeypatch.setattr(sweeps, "_closure_tally", _tally_with_z_one_lower)
+    specs = random_graph_specs(12, 5, 8, seed=4)
+    checks = {"extremal", "zero-range", "ip"}
+    solo = random_sweep(checks, specs, jobs=1)
+    duo = random_sweep(checks, specs, jobs=2)
+    assert len(pool_starts) == 1
+    assert len(solo[1]) >= 2 * len(specs)
+    assert solo == duo
+
+
+@needs_fork
+def test_cycle_class_does_not_depend_on_jobs(monkeypatch, pool_starts):
+    # every graph with no isolated vertex and the cycle's coefficient n-2
+    # now matches, so several classes come back in first-seen order
+    monkeypatch.setattr(analysis, "_closure_tally", lambda adj, n: (None, list(poly_cycle(n).coeffs)))
+    solo = analysis.cycle_polynomial_class(5, jobs=1)
+    duo = analysis.cycle_polynomial_class(5, jobs=2)
+    assert len(pool_starts) == 1
+    assert len(solo) > len(expected_cycle_class(5))
+    assert solo == duo
+
+
+@needs_fork
+def test_closed_forms_suite_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
+    real_check = sweeps.threshold_zfs_check
+    # the characterization negated on every string of odd length
+    monkeypatch.setattr(sweeps, "threshold_zfs_check", lambda b, mask: real_check(b, mask) != len(b) % 2)
+    solo = run_closed_forms_suite(max_n=6, jobs=1)
+    duo = run_closed_forms_suite(max_n=6, jobs=2)
+    assert len(pool_starts) == 1
+    assert len(solo[1]) == 2 + 8  # the strings of length 3 and 5
     assert solo == duo
 
 
