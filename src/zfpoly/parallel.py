@@ -14,14 +14,14 @@ MAX_BATCH = 4096
 def parallel_map(worker: Callable, items: Sequence, jobs: int) -> Iterator:
     """Yield worker(item) for each item, in item order.
 
-    With jobs > 1 and more than one item the calls run in a pool of that many
-    processes, which receive the items in contiguous batches; otherwise they
-    run here.
+    With jobs > 1 and enough items for BATCHES_PER_JOB batches per process the
+    calls run in a pool of that many processes, which receive the items in
+    contiguous batches; otherwise they run here.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1 and len(items) > 1:
-        chunksize = max(1, min(MAX_BATCH, len(items) // (jobs * BATCHES_PER_JOB)))
+    if jobs > 1 and len(items) >= jobs * BATCHES_PER_JOB:
+        chunksize = min(MAX_BATCH, len(items) // (jobs * BATCHES_PER_JOB))
         with Pool(jobs) as pool:
             yield from pool.imap(worker, items, chunksize)
     else:

@@ -16,7 +16,6 @@ from .analysis import (
     _extremal_coefficients,
     _hall_ok,
     _is_path_graph,
-    cycle_polynomial_class,
     same_poly_threshold_family,
 )
 from .closed_forms import (
@@ -67,7 +66,7 @@ CHECK_KEYS = (
     "fort-count-bound",  # fort count at most 2^n minus the zero forcing set count
     "ip",                # minimum fort cover size equals the zero forcing number
     "ham-bound",         # Hamiltonian-path graphs obey the path coefficient bound
-    "recognizability",   # path/complete polynomials characterize path/complete
+    "recognizability",   # path, complete and cycle-class polynomials characterize their graphs
     "unimodality",       # conjecture: coefficients rise then fall
     "path-bound",        # conjecture: coefficients at most the path's
     "reversal",          # reversing the chains of a minimum set forces again
@@ -107,6 +106,9 @@ class _GraphContext:
         self.full_edges = (1 << len(self.pairs)) - 1
         self.path_coeffs = tuple(poly_path(n).coeffs)
         self.complete_coeffs = tuple(poly_complete(n).coeffs)
+        # The cycle class list is verified only at the enumerable orders.
+        self.cycle_coeffs = tuple(poly_cycle(n).coeffs) if 3 <= n <= EXHAUSTIVE_MAX_N else None
+        self.cycle_class = expected_cycle_class(n) if self.cycle_coeffs else []
 
 
 @cache
@@ -193,6 +195,10 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
             bad.append(("recognizability", "path polynomial does not characterize paths"))
         if (poly.coeffs == ctx.complete_coeffs) != (emask == ctx.full_edges):
             bad.append(("recognizability", "complete polynomial does not characterize complete graphs"))
+        if poly.coeffs == ctx.cycle_coeffs:
+            g = Graph(n, tuple(adj))
+            if not any(is_isomorphic(g, h) for h in ctx.cycle_class):
+                bad.append(("recognizability", "cycle polynomial outside the listed cycle class"))
 
     if "unimodality" in checks and not poly.is_unimodal():
         bad.append(("unimodality", f"coefficients {coeffs} are not unimodal"))
@@ -355,7 +361,7 @@ def canonical_connected_strings(length: int) -> list[str]:
     return out
 
 
-def run_closed_forms_suite(max_n: int = 12, jobs: int = 1, lemma_max_n: int = 14) -> tuple[int, list[dict]]:
+def run_closed_forms_suite(max_n: int = 12, jobs: int = 1) -> tuple[int, list[dict]]:
     """Closed forms against brute-force enumeration for every admissible size.
 
     Returns (instances checked, failure records).
@@ -382,9 +388,9 @@ def run_closed_forms_suite(max_n: int = 12, jobs: int = 1, lemma_max_n: int = 14
             fail("family-multipartite", sum(parts), f"multipartite:{parts}",
                  "closed form differs from enumeration")
 
-    # consecutive-run selections against direct counting
+    # consecutive-run selections against direct counting, n <= 14
     for m in (3, 4):
-        for n in range(3, lemma_max_n + 1):
+        for n in range(3, 15):
             direct = _count_consecutive_direct(n, m)
             for k in range(n + 1):
                 checked += 1
@@ -441,23 +447,15 @@ def expected_cycle_class(n: int) -> list[Graph]:
     return reps
 
 
-def verify_cycle_class(n: int, jobs: int = 1) -> list[dict]:
-    """Compare the swept polynomial class against the expected class list."""
-    found = cycle_polynomial_class(n, jobs=jobs)
-    expected = expected_cycle_class(n)
-    records = []
-    if len(found) != len(expected):
-        records.append(_record("cycle-class", n, f"n={n}",
-                               f"found {len(found)} classes, expected {len(expected)}"))
-    for g in expected:
-        if sum(1 for h in found if is_isomorphic(g, h)) != 1:
-            records.append(_record("cycle-class", n, f"n={n}",
-                                   "an expected class is missing or duplicated"))
-    for h in found:
-        if not any(is_isomorphic(g, h) for g in expected):
-            records.append(_record("cycle-class", n, f"n={n}",
-                                   f"unexpected class with edges {h.edges()}"))
-    return records
+def verify_cycle_class(n: int) -> list[dict]:
+    """Check that every listed graph has the n-cycle's polynomial.
+
+    The converse, that no unlisted graph has it, is the sweep's
+    ``recognizability`` check, which tests every labeled graph of order n.
+    """
+    target = poly_cycle(n).coeffs
+    return [_record("cycle-class", n, f"n={n}", f"listed graph with edges {g.edges()} lacks the cycle polynomial")
+            for g in expected_cycle_class(n) if _brute_coeffs(g) != target]
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +467,6 @@ def run_suite(
     max_n: int | None = None,
     seed: int = 0,
     jobs: int = 1,
-    ip_random_count: int = IP_RANDOM_COUNT,
-    conjecture_random_count: int = CONJECTURE_RANDOM_COUNT,
 ) -> dict:
     """Run one named check suite and return a report dict.
 
@@ -506,20 +502,20 @@ def run_suite(
         count, records = exhaustive_sweep(checks, max_n, jobs=jobs)
         checked += count
         classify(records)
-        if "ip" in checks and ip_random_count:
-            specs = random_graph_specs(ip_random_count, *RANDOM_N_RANGE, seed)
+        if "ip" in checks:
+            specs = random_graph_specs(IP_RANDOM_COUNT, *RANDOM_N_RANGE, seed)
             count, records = random_sweep({"ip"}, specs, jobs=jobs)
             checked += count
             classify(records)
-        if checks & CONJECTURE_CHECKS and conjecture_random_count:
-            specs = random_graph_specs(conjecture_random_count, *RANDOM_N_RANGE, seed + 1)
+        if checks & CONJECTURE_CHECKS:
+            specs = random_graph_specs(CONJECTURE_RANDOM_COUNT, *RANDOM_N_RANGE, seed + 1)
             count, records = random_sweep(checks & CONJECTURE_CHECKS, specs, jobs=jobs)
             checked += count
             classify(records)
         if suite in ("recognizability", "all"):
             for n in range(3, max_n + 1):
                 checked += 1
-                classify(verify_cycle_class(n, jobs=jobs))
+                classify(verify_cycle_class(n))
         if suite == "all":
             count, records = run_closed_forms_suite(max_n=min(forms_max, 12), jobs=jobs)
             checked += count

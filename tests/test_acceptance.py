@@ -90,7 +90,7 @@ def test_criterion_1_reference_value_regression():
 
 def test_criterion_2_closed_form_oracle_equivalence():
     t0 = time.perf_counter()
-    checked, records = run_closed_forms_suite(max_n=12, jobs=JOBS, lemma_max_n=14)
+    checked, records = run_closed_forms_suite(max_n=12, jobs=JOBS)
     elapsed = time.perf_counter() - t0
     assert records == [], records[:5]
     assert checked > 2_000  # includes all 2^10 canonical connected strings of length 12
@@ -125,7 +125,7 @@ def test_criterion_5_recognizability(big_sweep):
     failures = [r for r in big_sweep["records"] if r["check"] == "recognizability"]
     assert failures == [], failures[:5]
     for n in range(4, 8):
-        assert verify_cycle_class(n, jobs=JOBS) == []
+        assert verify_cycle_class(n) == []
     _report("criterion 5 (recognizability)", time.perf_counter() - t0)
 
 

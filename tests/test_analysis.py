@@ -8,7 +8,6 @@ from zfpoly import (
     complete,
     complete_multipartite,
     cycle,
-    cycle_plus_chord,
     cycle_polynomial_class,
     disjoint_union,
     empty,
@@ -112,19 +111,13 @@ def test_recognizers_are_exact_at_n5():
         assert recognizes_complete(poly) == (g.edge_count() == 10)
 
 
-def test_cycle_class_n4():
-    reps = cycle_polynomial_class(4)
-    expected = [cycle(4), cycle_plus_chord(4, 0, 2), disjoint_union(path(2), path(2))]
-    assert len(reps) == 3
+@pytest.mark.parametrize("n", range(3, 7))
+def test_cycle_class_matches_the_list(n):
+    reps = cycle_polynomial_class(n)
+    expected = expected_cycle_class(n)
+    assert len(reps) == len(expected)
     for g in expected:
         assert sum(1 for h in reps if is_isomorphic(g, h)) == 1
-
-
-def test_cycle_class_n5():
-    reps = cycle_polynomial_class(5)
-    assert len(reps) == 2
-    assert any(is_isomorphic(h, cycle(5)) for h in reps)
-    assert any(is_isomorphic(h, cycle_plus_chord(5, 0, 2)) for h in reps)
 
 
 def test_cycle_class_n6_includes_exceptional_join():

@@ -4,8 +4,9 @@ import pytest
 
 from zfpoly import analysis, parallel, sweeps
 from zfpoly.closed_forms import poly_cycle
+from zfpoly.graphs import cycle, graph_from_edge_mask, is_isomorphic, path
 from zfpoly.parallel import parallel_map
-from zfpoly.polynomial import _closure_tally
+from zfpoly.polynomial import _closure_tally, zf_polynomial
 from zfpoly.sweeps import (
     CHECK_KEYS,
     SUITES,
@@ -72,7 +73,7 @@ def test_parallel_sweep_is_deterministic(pool_starts):
     solo = exhaustive_sweep({"extremal", "ip"}, max_n=4, jobs=1)
     assert pool_starts == []
     duo = exhaustive_sweep({"extremal", "ip"}, max_n=4, jobs=2)
-    assert pool_starts == [(2,)] * 3  # orders 2-4; order 1 has a single graph
+    assert pool_starts == [(2,)]  # order 4 only; orders 1-3 give no process 16 graphs
     assert solo == duo
 
 
@@ -88,7 +89,7 @@ def test_random_sweep_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
     # every graph fails zero-range and ip, some extremal too, so the
     # comparison covers the order of records within and across graphs
     monkeypatch.setattr(sweeps, "_closure_tally", _tally_with_z_one_lower)
-    specs = random_graph_specs(12, 5, 8, seed=4)
+    specs = random_graph_specs(40, 5, 8, seed=4)
     checks = {"extremal", "zero-range", "ip"}
     solo = random_sweep(checks, specs, jobs=1)
     duo = random_sweep(checks, specs, jobs=2)
@@ -114,10 +115,10 @@ def test_closed_forms_suite_records_do_not_depend_on_jobs(monkeypatch, pool_star
     real_check = sweeps.threshold_zfs_check
     # the characterization negated on every string of odd length
     monkeypatch.setattr(sweeps, "threshold_zfs_check", lambda b, mask: real_check(b, mask) != len(b) % 2)
-    solo = run_closed_forms_suite(max_n=6, jobs=1)
-    duo = run_closed_forms_suite(max_n=6, jobs=2)
+    solo = run_closed_forms_suite(max_n=7, jobs=1)
+    duo = run_closed_forms_suite(max_n=7, jobs=2)
     assert len(pool_starts) == 1
-    assert len(solo[1]) == 2 + 8  # the strings of length 3 and 5
+    assert len(solo[1]) == 2 + 8 + 32  # the strings of length 3, 5 and 7
     assert solo == duo
 
 
@@ -153,7 +154,7 @@ def test_canonical_connected_string_counts():
 
 
 def test_closed_forms_suite_small():
-    checked, records = run_closed_forms_suite(max_n=8, lemma_max_n=9)
+    checked, records = run_closed_forms_suite(max_n=8)
     assert records == []
     assert checked > 100
 
@@ -167,9 +168,61 @@ def test_verify_cycle_class_small():
     assert verify_cycle_class(5) == []
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_listed_cycle_class_is_distinct_and_shares_the_cycle_polynomial(n):
+    listed = expected_cycle_class(n)
+    for i, g in enumerate(listed):
+        assert zf_polynomial(g) == poly_cycle(n)
+        assert not any(is_isomorphic(g, h) for h in listed[i + 1:])
+
+
+@pytest.fixture
+def fresh_context():
+    """Drops the cached per-order constants before and after a patch of the
+    cycle class list, so no check sees a list from another test."""
+    sweeps._context.cache_clear()
+    yield
+    sweeps._context.cache_clear()
+
+
+@needs_fork
+def test_recognizability_reports_a_cycle_outside_the_list(monkeypatch, pool_starts, fresh_context):
+    real_list = sweeps.expected_cycle_class
+    # the plain 5-cycle dropped from the list
+    monkeypatch.setattr(sweeps, "expected_cycle_class", lambda n: real_list(n)[1:] if n == 5 else real_list(n))
+    solo = exhaustive_sweep({"recognizability"}, max_n=5, jobs=1)
+    duo = exhaustive_sweep({"recognizability"}, max_n=5, jobs=2)
+    assert len(pool_starts) == 2  # orders 4 and 5
+    assert solo == duo
+    records = solo[1]
+    assert len(records) == 12  # 5!/10 labeled 5-cycles
+    assert all(r["check"] == "recognizability" and r["n"] == 5 for r in records)
+    assert all(is_isomorphic(graph_from_edge_mask(5, r["graph"]), cycle(5)) for r in records)
+
+
+def test_verify_cycle_class_reports_a_listed_non_member(monkeypatch, fresh_context):
+    real_list = sweeps.expected_cycle_class
+    monkeypatch.setattr(sweeps, "expected_cycle_class", lambda n: real_list(n) + [path(n)])
+    records = verify_cycle_class(5)
+    assert len(records) == 1
+    assert records[0]["check"] == "cycle-class" and str(path(5).edges()) in records[0]["detail"]
+
+
+def test_recognizability_suite_does_not_run_the_class_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite must not search for the cycle class")
+
+    monkeypatch.setattr(analysis, "cycle_polynomial_class", refuse)
+    assert not hasattr(sweeps, "cycle_polynomial_class")
+    report = run_suite("recognizability", max_n=6)
+    assert report["passed"], report["failures"]
+    # every labeled graph with n <= 6, plus one list check per order 3-6
+    assert report["graphs_checked"] == sum(1 << (n * (n - 1) // 2) for n in range(1, 7)) + 4
+
+
 @pytest.mark.parametrize("suite", sorted(SWEEP_SUITE_CHECKS))
 def test_each_sweep_suite_passes_at_small_order(suite):
-    report = run_suite(suite, max_n=4, seed=1, ip_random_count=6, conjecture_random_count=10)
+    report = run_suite(suite, max_n=4, seed=1)
     assert report["passed"], report["failures"]
     assert report["warnings"] == []
 
