@@ -11,6 +11,7 @@ Example:
 """
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -28,6 +29,9 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None, help="write counterexamples as JSON lines")
     args = parser.parse_args()
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        parser.error(f"--jobs must be between 1 and the {cpus} available CPUs, got {args.jobs}")
 
     specs = random_graph_specs(args.count, args.min_n, args.max_n, args.seed)
     sizes = Counter(n for n, _ in specs)

@@ -27,14 +27,15 @@ def _sweep_closure(adj: Sequence[int], colored: int) -> int:
         colored = new
 
 
-def _closure_table(adj: Sequence[int], n: int) -> list[int]:
-    """Closure of every subset at once.
+def closure_table(g: Graph) -> list[int]:
+    """List mapping every subset mask to its closure; index by subset.
 
     Masks are processed in decreasing order; applying any one force and
     looking up the (already computed) closure of the larger set is valid
     because the rule is confluent.
     """
-    full = (1 << n) - 1
+    adj = g.adj
+    full = g.vertex_mask
     table = [0] * (full + 1)
     table[full] = full
     for mask in range(full - 1, -1, -1):
@@ -60,11 +61,6 @@ def closure(g: Graph, colored: int) -> int:
     """Set of colored vertices once no further force is possible."""
     _check_subset(g, colored)
     return _sweep_closure(g.adj, colored)
-
-
-def closure_table(g: Graph) -> list[int]:
-    """List mapping every subset mask to its closure; index by subset."""
-    return _closure_table(g.adj, g.n)
 
 
 def is_zero_forcing_set(g: Graph, colored: int) -> bool:

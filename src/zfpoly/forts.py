@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .closed_forms import binom
-from .forcing import _closure_table
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import _TABLE_MAX_N, ZfPolynomial, _closure_tally, enumeration_cap, zf_polynomial
+from .polynomial import CLOSED, ZfPolynomial, _closure_tally, enumeration_cap
 
 FORT_COUNT_BOUND_MAX = 20
 
@@ -49,50 +48,32 @@ def is_fort(g: Graph, mask: int) -> bool:
     return _is_fort(g.adj, g.n, mask)
 
 
-def _forts_from_table(table: Sequence[int], n: int) -> list[int]:
-    """Every fort, ascending by mask, read off a closure table.
+def _forts_from_table(flags: Sequence[int], n: int) -> list[int]:
+    """Every fort, ascending by mask, read off the flag table.
 
     A vertex of V - F can force iff it has exactly one neighbor in F, so F is
     a fort iff V - F is a proper closed set: the forts are the complements of
-    the masks m != V with table[m] == m.
+    the masks m != V flagged CLOSED.
     """
     full = (1 << n) - 1
-    return [full ^ m for m in range(full - 1, -1, -1) if table[m] == m]
-
-
-def _check_cap(g: Graph) -> None:
-    cap = enumeration_cap()
-    if g.n > cap:
-        raise SizeCapError(f"fort enumeration over {g.n} vertices exceeds cap {cap}")
-
-
-def _scan_forts(g: Graph) -> list[int]:
-    """Every fort, ascending by mask, by testing the definition on each subset."""
-    return [m for m in range(1, 1 << g.n) if _is_fort(g.adj, g.n, m)]
-
-
-def enumerate_forts(g: Graph) -> FortFamily:
-    """All forts, as the complements of the proper closed sets.
-
-    Past the closure-table size the 2^n table would dominate memory, so the
-    forts come from a definition scan instead.
-    """
-    _check_cap(g)
-    if g.n <= _TABLE_MAX_N:
-        forts = _forts_from_table(_closure_table(g.adj, g.n), g.n)
-    else:
-        forts = _scan_forts(g)
-    forts.sort(key=lambda m: (m.bit_count(), m))
-    return FortFamily(g.n, tuple(forts))
+    return [full ^ m for m in range(full - 1, -1, -1) if flags[m] & CLOSED]
 
 
 def _coeffs_and_forts(g: Graph) -> tuple[list[int], list[int]]:
-    """(coefficients, forts) of g, from one closure table where it fits."""
-    _check_cap(g)
-    if g.n > _TABLE_MAX_N:
-        return list(zf_polynomial(g).coeffs), _scan_forts(g)
-    table, coeffs = _closure_tally(g.adj, g.n)
-    return coeffs, _forts_from_table(table, g.n)
+    """(coefficients, forts) of g, from one flag table."""
+    cap = enumeration_cap()
+    if g.n > cap:
+        raise SizeCapError(f"fort enumeration over {g.n} vertices exceeds cap {cap}")
+    flags, coeffs = _closure_tally(g.adj, g.n)
+    return coeffs, _forts_from_table(flags, g.n)
+
+
+def enumerate_forts(g: Graph) -> FortFamily:
+    """All forts, as the complements of the proper closed sets, at every
+    order up to the enumeration cap."""
+    forts = _coeffs_and_forts(g)[1]
+    forts.sort(key=lambda m: (m.bit_count(), m))
+    return FortFamily(g.n, tuple(forts))
 
 
 # ---------------------------------------------------------------------------

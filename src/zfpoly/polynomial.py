@@ -13,16 +13,17 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .forcing import _closure_table, _sweep_closure
+from .forcing import _sweep_closure
 from .graphs import Graph, SizeCapError, connected_components, vertices_of
 
-# Full-subset enumeration is exponential; 2^24 closures take minutes.
+# Full-subset enumeration is exponential; 2^24 subsets take minutes.
 DEFAULT_ENUMERATION_CAP = 24
 CAP_ENV_VAR = "ZFPOLY_MAX_N"
 
-# The shared-closure engine allocates a 2^n table; beyond this, fall back to
-# independent per-subset sweeps.
-_TABLE_MAX_N = 20
+# Per-subset flags of the shared table: the subset forces every vertex, and
+# the subset is closed (no force applies).
+ZF = 1
+CLOSED = 2
 
 
 def enumeration_cap() -> int:
@@ -129,16 +130,37 @@ def multiply(p: ZfPolynomial, q: ZfPolynomial) -> ZfPolynomial:
     return ZfPolynomial(p.n + q.n, tuple(out))
 
 
-def _closure_tally(adj: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """The closure table of every subset, and per size the count of subsets
-    whose closure is the whole vertex set (the polynomial's coefficients)."""
+def _closure_tally(adj: Sequence[int], n: int) -> tuple[bytearray, list[int]]:
+    """One flag byte per subset (ZF, CLOSED), and per size the count of
+    subsets that force every vertex (the polynomial's coefficients).
+
+    Masks are visited in decreasing order.  A mask with an applicable force
+    has the closure of the larger mask it forces into (the rule is
+    confluent), so it forces every vertex iff that larger mask does; a mask
+    with no applicable force is its own closure.  Every byte starts as ZF,
+    the common case, and only the exceptions are written.
+    """
     full = (1 << n) - 1
-    table = _closure_table(adj, n)
+    flags = bytearray((ZF,)) * (full + 1)
+    flags[full] = ZF | CLOSED
     coeffs = [0] * (n + 1)
-    for mask in range(full + 1):
-        if table[mask] == full:
-            coeffs[mask.bit_count()] += 1
-    return table, coeffs
+    coeffs[n] = 1
+    for mask in range(full - 1, -1, -1):
+        out = full ^ mask
+        rem = mask
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            unc = adj[b.bit_length() - 1] & out
+            if unc.bit_count() == 1:
+                if flags[mask | unc] & ZF:
+                    coeffs[mask.bit_count()] += 1
+                else:
+                    flags[mask] = 0
+                break
+        else:
+            flags[mask] = CLOSED
+    return flags, coeffs
 
 
 def _coeffs_by_sweep(adj: tuple[int, ...], n: int) -> list[int]:
@@ -150,12 +172,13 @@ def _coeffs_by_sweep(adj: tuple[int, ...], n: int) -> list[int]:
     return coeffs
 
 
-def zf_polynomial(g: Graph, engine: str = "auto") -> ZfPolynomial:
+def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
     """Exact coefficients by enumerating all 2^n subsets.
 
-    ``engine="sweep"`` runs an independent sweep closure per subset;
-    ``engine="table"`` shares closure work across subsets (same enumeration,
-    exact agreement is tested).  ``"auto"`` picks by size.
+    ``engine="table"`` shares forcing work across subsets through one flag
+    byte per subset, at every order up to the enumeration cap.
+    ``engine="sweep"`` runs an independent sweep closure per subset; it is
+    the differential oracle for the table (exact agreement is tested).
     """
     n = g.n
     if n == 0:
@@ -164,8 +187,6 @@ def zf_polynomial(g: Graph, engine: str = "auto") -> ZfPolynomial:
     cap = enumeration_cap()
     if n > cap:
         raise SizeCapError(f"enumeration over {n} vertices exceeds cap {cap}")
-    if engine == "auto":
-        engine = "table" if n <= _TABLE_MAX_N else "sweep"
     if engine == "table":
         _, coeffs = _closure_tally(g.adj, n)
     elif engine == "sweep":
@@ -209,7 +230,7 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
     return Graph(len(verts), tuple(adj))
 
 
-def zf_polynomial_by_components(g: Graph, engine: str = "auto") -> ZfPolynomial:
+def zf_polynomial_by_components(g: Graph, engine: str = "table") -> ZfPolynomial:
     """Product of the per-component polynomials; equals zf_polynomial(g)."""
     result = ZfPolynomial(0, (1,))
     for comp in connected_components(g):

@@ -51,7 +51,7 @@ from .graphs import (
     wheel,
 )
 from .parallel import parallel_map
-from .polynomial import ZfPolynomial, _closure_tally, induced_subgraph, multiply, zf_polynomial
+from .polynomial import ZF, ZfPolynomial, _closure_tally, induced_subgraph, multiply, zf_polynomial
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -93,7 +93,7 @@ RANDOM_N_RANGE = (8, 14)
 
 # ---------------------------------------------------------------------------
 # Per-graph kernel.  Works on raw adjacency lists through the library's
-# (adj, n) kernels, so one closure table per graph serves every check.
+# (adj, n) kernels, so one flag table per graph serves every check.
 
 
 class _GraphContext:
@@ -122,7 +122,7 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     ctx = _context(n)
     full = ctx.full
     adj = _edge_mask_adj(ctx.pairs, n, emask)
-    table, coeffs = _closure_tally(adj, n)
+    flags, coeffs = _closure_tally(adj, n)
     poly = ZfPolynomial(n, tuple(coeffs))
     z = poly.zero_forcing_number()
     bad: list[tuple[str, str]] = []
@@ -164,7 +164,7 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
 
     forts: list[int] | None = None
     if checks & {"fort-transversal", "fort-count-bound", "ip"}:
-        forts = _forts_from_table(table, n)
+        forts = _forts_from_table(flags, n)
         # Complements of proper closed sets are avoided by no zero forcing
         # set (closure is monotone), so every fort theorem rests on each
         # derived set being a fort; check that against the definition.
@@ -210,13 +210,13 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
 
     if "reversal" in checks:
         for mask in range(full + 1):
-            if mask.bit_count() != z or table[mask] != full:
+            if mask.bit_count() != z or not flags[mask] & ZF:
                 continue
             forcers = 0
             for u, _ in _chronological_forces(adj, n, mask)[0]:
                 forcers |= 1 << u
             tails = full & ~forcers  # chain terminals: colored vertices that never force
-            if table[tails] != full:
+            if not flags[tails] & ZF:
                 bad.append(("reversal", f"reversed chains of {mask:#x} do not force"))
                 break
 
@@ -325,7 +325,7 @@ def _partitions_min2(max_total: int) -> list[list[int]]:
 
 
 def _brute_coeffs(g: Graph) -> tuple[int, ...]:
-    return zf_polynomial(g, engine="table").coeffs
+    return zf_polynomial(g).coeffs
 
 
 def _threshold_string_worker(b: str) -> list[tuple[str, str]] | tuple[()]:
@@ -334,13 +334,11 @@ def _threshold_string_worker(b: str) -> list[tuple[str, str]] | tuple[()]:
     (check, detail) pairs, or the shared empty tuple when both hold."""
     bad = []
     g = threshold_from_string(b)
-    n = g.n
-    full = (1 << n) - 1
-    table, coeffs = _closure_tally(g.adj, n)
+    flags, coeffs = _closure_tally(g.adj, g.n)
     if tuple(coeffs) != poly_threshold(b).coeffs:
         bad.append(("threshold-poly", "closed form differs from enumeration"))
-    for mask in range(full + 1):
-        if threshold_zfs_check(b, mask) != (table[mask] == full):
+    for mask, flag in enumerate(flags):
+        if threshold_zfs_check(b, mask) != bool(flag & ZF):
             bad.append(("threshold-zfs-check", f"characterization wrong on mask {mask:#x}"))
             break
     return bad or ()

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +175,24 @@ def test_check_rejects_jobs_out_of_range_before_any_pool(capsys, monkeypatch, jo
     code, _, err = run(capsys, "check", "--suite", "hall", "--max-n", "3", "--jobs", str(jobs))
     assert code == 2 and "--jobs" in err
     assert orders == []
+
+
+@pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+def test_conjecture_scan_rejects_jobs_out_of_range_before_any_pool(capsys, monkeypatch, jobs):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "conjecture_scan.py"
+    spec = importlib.util.spec_from_file_location("conjecture_scan", script)
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(parallel, "Pool", no_pool)
+    monkeypatch.setattr(sys, "argv", ["conjecture_scan.py", "--count", "40", "--jobs", str(jobs)])
+    with pytest.raises(SystemExit) as exc:
+        scan.main()
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_check_rejects_unknown_suite(capsys):

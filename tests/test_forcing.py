@@ -21,6 +21,7 @@ from zfpoly import (
     vertices_of,
     zf_polynomial,
 )
+from zfpoly.polynomial import CLOSED, ZF, _closure_tally
 
 graph_and_set = st.integers(1, 7).flatmap(
     lambda n: st.tuples(
@@ -74,6 +75,17 @@ def test_closure_table_matches_per_subset_closure(gs):
     table = closure_table(g)
     for mask in range(1 << g.n):
         assert table[mask] == closure(g, mask)
+
+
+def test_flags_match_the_closure_table_exhaustively():
+    for n in range(7):
+        for g in all_labeled_graphs(n):
+            table = closure_table(g)
+            flags = _closure_tally(g.adj, n)[0]
+            assert len(flags) == len(table) == 1 << n
+            for m, c in enumerate(table):
+                assert bool(flags[m] & ZF) == (c == g.vertex_mask)
+                assert bool(flags[m] & CLOSED) == (c == m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,6 @@ import pytest
 from oracles import naive_forts, naive_min_cover_size
 from zfpoly import (
     all_labeled_graphs,
-    closure_table,
     complete,
     cycle,
     empty,
@@ -23,10 +22,9 @@ from zfpoly import (
     vertices_of,
     zf_polynomial,
 )
-from zfpoly import forts as forts_mod
 from zfpoly import sweeps
 from zfpoly.forts import _cover_within, _forts_from_table
-from zfpoly.polynomial import _closure_tally
+from zfpoly.polynomial import CLOSED, _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
 
@@ -57,31 +55,19 @@ def test_enumerate_forts_matches_naive_oracle():
         assert got == naive_forts(g)
 
 
-def test_forts_past_table_size_come_from_definition_scan(monkeypatch):
-    # above the closure-table size the forts are scanned, not tabled; both
-    # routes must give the same family and the same coefficient bound rows
-    rng = random.Random(6061)
-    graphs = [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (4, 5, 6) for _ in range(5)]
-    expected = [(enumerate_forts(g), small_fort_coefficient_bound(g)) for g in graphs]
-    monkeypatch.setattr(forts_mod, "_TABLE_MAX_N", 3)
-    monkeypatch.setattr(forts_mod, "_closure_table", None)
-    monkeypatch.setattr(forts_mod, "_closure_tally", None)
-    assert [(enumerate_forts(g), small_fort_coefficient_bound(g)) for g in graphs] == expected
-
-
 def test_sweep_kernel_checks_every_derived_fort(monkeypatch):
     # the sets the sweep kernel derives are forts by the definition ...
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
-            derived = _forts_from_table(closure_table(g), n)
+            derived = _forts_from_table(_closure_tally(g.adj, n)[0], n)
             assert derived and all(is_fort(g, f) for f in derived)
     assert exhaustive_sweep({"fort-transversal"}, max_n=5)[1] == []
 
-    # ... and a set that is not (a corrupted table entry) is reported
+    # ... and a set that is not (a corrupted flag) is reported
     def corrupted(adj, n):
-        table, coeffs = _closure_tally(adj, n)
-        table[0b001] = 0b001  # {0} forces the whole 3-path; claim it is closed
-        return table, coeffs
+        flags, coeffs = _closure_tally(adj, n)
+        flags[0b001] |= CLOSED  # {0} forces the whole 3-path; claim it is closed
+        return flags, coeffs
 
     monkeypatch.setattr(sweeps, "_closure_tally", corrupted)
     path3 = 0b101  # edges (0, 1) and (1, 2) in edge_pair_order(3)
@@ -96,10 +82,10 @@ def test_ip_check_reports_a_shifted_zero_forcing_number(monkeypatch):
     # nonzero coefficient up breaks the second, moving it down the first
     def shifted(step):
         def tally(adj, n):
-            table, coeffs = _closure_tally(adj, n)
+            flags, coeffs = _closure_tally(adj, n)
             z = next(i for i, c in enumerate(coeffs) if c)
             coeffs[z + step], coeffs[z] = coeffs[z], 0
-            return table, coeffs
+            return flags, coeffs
         return tally
 
     specs = [(3, 0b101), (4, 0b111111)]  # the 3-path (Z = 1) and K4 (Z = 3)

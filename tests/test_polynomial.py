@@ -10,16 +10,22 @@ from zfpoly import (
     ZfPolynomial,
     all_labeled_graphs,
     complete,
+    complete_multipartite,
     count_zfs,
     cycle,
+    cycle_plus_chord,
     disjoint_union,
     empty,
     enumeration_cap,
     extremal_coefficients,
+    from_edge_list,
     graph_from_edge_mask,
     induced_subgraph,
     multiply,
     path,
+    poly_cycle,
+    star,
+    threshold_from_string,
     wheel,
     zf_polynomial,
     zf_polynomial_by_components,
@@ -62,6 +68,19 @@ def test_engines_agree_on_random_graphs(seed):
             zf_polynomial(g, engine="sweep").coeffs
             == zf_polynomial(g, engine="table").coeffs
         )
+
+
+def test_table_engine_runs_past_order_twenty():
+    # the table serves every order up to the cap; the n = 21 cycle meets its
+    # closed form, and the sweep oracle agrees on a relabelled graph of each family
+    assert zf_polynomial(cycle(21)) == poly_cycle(21)
+    rng = random.Random(2121)
+    for g in (path(8), cycle(8), complete(8), empty(8), star(8), wheel(8),
+              complete_multipartite([3, 3, 2]), threshold_from_string("11010011"),
+              cycle_plus_chord(8, 0, 3)):
+        perm = rng.sample(range(8), 8)
+        h = from_edge_list(8, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert zf_polynomial(h) == zf_polynomial(h, engine="sweep") == zf_polynomial(g)
 
 
 def test_unknown_engine_rejected():

@@ -78,10 +78,10 @@ def test_parallel_sweep_is_deterministic(pool_starts):
 
 
 def _tally_with_z_one_lower(adj, n):
-    table, coeffs = _closure_tally(adj, n)
+    flags, coeffs = _closure_tally(adj, n)
     z = next(i for i, c in enumerate(coeffs) if c)
     coeffs[z - 1], coeffs[z] = coeffs[z], 0
-    return table, coeffs
+    return flags, coeffs
 
 
 @needs_fork
@@ -142,6 +142,14 @@ def test_random_sweep_conjectures_clean():
     count, records = random_sweep({"unimodality", "path-bound"}, specs)
     assert count == 12
     assert records == []
+
+
+def test_reversal_reports_terminals_that_do_not_force(monkeypatch):
+    # claim that every vertex forces: the chain terminals are then the empty
+    # set, which is closed and forces nothing on the 3-path
+    monkeypatch.setattr(sweeps, "_chronological_forces", lambda adj, n, mask: ([(u, u) for u in range(n)], mask))
+    _, records = random_sweep({"reversal"}, [(3, 0b101)])
+    assert [r["check"] for r in records] == ["reversal"]
 
 
 def test_canonical_connected_string_counts():
