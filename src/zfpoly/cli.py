@@ -47,8 +47,8 @@ class MethodMismatchError(ValueError):
     """Requested method cannot handle the given graph."""
 
 
-def _one_int(args: list[str]) -> tuple:
-    return (int(args[0]),)
+def _ints(args: list[str]) -> tuple:
+    return tuple(int(a) for a in args)
 
 
 def _int_list(args: list[str]) -> tuple:
@@ -56,24 +56,21 @@ def _int_list(args: list[str]) -> tuple:
 
 
 def _text(args: list[str]) -> tuple:
-    return (args[0],)
+    return tuple(args)
 
 
-def _three_ints(args: list[str]) -> tuple:
-    return (int(args[0]), int(args[1]), int(args[2]))
-
-
-# --family NAME:ARGS -> (argument parser, graph builder, closed form or None)
+# --family NAME:ARGS -> (argument count, argument parser, graph builder,
+# closed form or None)
 FAMILIES = {
-    "path": (_one_int, path, closed_forms.poly_path),
-    "cycle": (_one_int, cycle, closed_forms.poly_cycle),
-    "complete": (_one_int, complete, closed_forms.poly_complete),
-    "empty": (_one_int, empty, None),
-    "star": (_one_int, star, None),
-    "wheel": (_one_int, wheel, closed_forms.poly_wheel),
-    "multipartite": (_int_list, complete_multipartite, closed_forms.poly_multipartite),
-    "threshold": (_text, threshold_from_string, closed_forms.poly_threshold),
-    "cycle-chord": (_three_ints, cycle_plus_chord, None),
+    "path": (1, _ints, path, closed_forms.poly_path),
+    "cycle": (1, _ints, cycle, closed_forms.poly_cycle),
+    "complete": (1, _ints, complete, closed_forms.poly_complete),
+    "empty": (1, _ints, empty, None),
+    "star": (1, _ints, star, None),
+    "wheel": (1, _ints, wheel, closed_forms.poly_wheel),
+    "multipartite": (1, _int_list, complete_multipartite, closed_forms.poly_multipartite),
+    "threshold": (1, _text, threshold_from_string, closed_forms.poly_threshold),
+    "cycle-chord": (3, _ints, cycle_plus_chord, None),
 }
 
 
@@ -82,12 +79,11 @@ def _family(spec: str) -> tuple[str, tuple, Callable, Callable | None]:
     name, _, rest = spec.partition(":")
     if name not in FAMILIES:
         raise GraphFormatError(f"unknown family {name!r}")
-    parse, build, closed = FAMILIES[name]
-    try:
-        params = parse(rest.split(":") if rest else [])
-    except IndexError as exc:
-        raise GraphFormatError(f"family spec {spec!r} is missing arguments") from exc
-    return name, params, build, closed
+    arity, parse, build, closed = FAMILIES[name]
+    args = rest.split(":") if rest else []
+    if len(args) != arity:
+        raise GraphFormatError(f"family {name!r} takes {arity} argument(s), got {len(args)} in {spec!r}")
+    return name, parse(args), build, closed
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:

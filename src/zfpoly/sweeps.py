@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from functools import cache, partial
+from itertools import combinations
 from math import comb
 from time import perf_counter
 
@@ -65,7 +66,7 @@ CHECK_KEYS = (
     "fort-transversal",  # no zero forcing set avoids a fort
     "fort-count-bound",  # fort count at most 2^n minus the zero forcing set count
     "ip",                # minimum fort cover size equals the zero forcing number
-    "ham-bound",         # Hamiltonian-path graphs obey the path coefficient bound
+    "ham-bound",         # Hamiltonian-path graphs obey the path bound (path DP runs only if it fails)
     "recognizability",   # path, complete and cycle-class polynomials characterize their graphs
     "unimodality",       # conjecture: coefficients rise then fall
     "path-bound",        # conjecture: coefficients at most the path's
@@ -114,6 +115,12 @@ class _GraphContext:
 @cache
 def _context(n: int) -> _GraphContext:
     return _GraphContext(n)
+
+
+@cache
+def _masks_of_size(n: int, k: int) -> tuple[int, ...]:
+    """The n-bit masks with k bits set, built on first use per (n, k)."""
+    return tuple(sum(1 << v for v in combo) for combo in combinations(range(n), k))
 
 
 def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] | tuple[()]:
@@ -183,12 +190,17 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
         elif _cover_within(forts, z - 1) is not None:
             bad.append(("ip", f"a fort cover smaller than the zero forcing number {z}"))
 
-    if "ham-bound" in checks and _has_hamiltonian_path(adj, n):
+    if "ham-bound" in checks:
+        # Both conclusions first: the antecedent (a Hamiltonian path) is
+        # the costly part and matters only when one of them fails.
         pathc = ctx.path_coeffs
-        if any(coeffs[i] > pathc[i] for i in range(n + 1)):
-            bad.append(("ham-bound", "Hamiltonian-path graph exceeds the path bound"))
-        if (poly.coeffs == pathc) != _is_path_graph(adj, n):
-            bad.append(("ham-bound", "path-bound equality profile does not single out the path"))
+        exceeds = any(coeffs[i] > pathc[i] for i in range(n + 1))
+        wrong_equality = (poly.coeffs == pathc) != _is_path_graph(adj, n)
+        if (exceeds or wrong_equality) and _has_hamiltonian_path(adj, n):
+            if exceeds:
+                bad.append(("ham-bound", "Hamiltonian-path graph exceeds the path bound"))
+            if wrong_equality:
+                bad.append(("ham-bound", "path-bound equality profile does not single out the path"))
 
     if "recognizability" in checks:
         if (poly.coeffs == ctx.path_coeffs) != _is_path_graph(adj, n):
@@ -209,8 +221,8 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
             bad.append(("path-bound", f"coefficients {coeffs} exceed the path's"))
 
     if "reversal" in checks:
-        for mask in range(full + 1):
-            if mask.bit_count() != z or not flags[mask] & ZF:
+        for mask in _masks_of_size(n, z):
+            if not flags[mask] & ZF:
                 continue
             forcers = 0
             for u, _ in _chronological_forces(adj, n, mask)[0]:

@@ -212,6 +212,23 @@ def test_unknown_family_is_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("method", ["brute", "closed", "components"])
+@pytest.mark.parametrize(
+    "spec", ["path:5:9", "cycle-chord:6:0:2:7", "multipartite:2,3:4", "threshold:101:1", "path:", "cycle-chord:6:0"]
+)
+def test_family_with_wrong_argument_count_is_parse_error(capsys, spec, method):
+    # extra arguments were once dropped: path:5:9 printed the polynomial of P_5
+    code, out, err = run(capsys, "poly", "--family", spec, "--method", method)
+    assert code == 2
+    assert out == ""
+    assert "argument(s), got" in err
+
+
+def test_forts_and_eval_reject_extra_family_arguments(capsys):
+    assert run(capsys, "forts", "--family", "cycle:5:1")[0] == 2
+    assert run(capsys, "eval", "--family", "wheel:6:2", "--at", "1")[0] == 2
+
+
 def test_malformed_edge_list_is_parse_error(capsys, tmp_path):
     el = tmp_path / "bad.el"
     el.write_text("2 5\n0 1\n")

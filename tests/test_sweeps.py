@@ -2,9 +2,10 @@ import multiprocessing
 
 import pytest
 
+from oracles import naive_is_zfs
 from zfpoly import analysis, parallel, sweeps
 from zfpoly.closed_forms import poly_cycle
-from zfpoly.graphs import cycle, graph_from_edge_mask, is_isomorphic, path
+from zfpoly.graphs import cycle, edge_pair_order, graph_from_edge_mask, is_isomorphic, path, star
 from zfpoly.parallel import parallel_map
 from zfpoly.polynomial import _closure_tally, zf_polynomial
 from zfpoly.sweeps import (
@@ -150,6 +151,63 @@ def test_reversal_reports_terminals_that_do_not_force(monkeypatch):
     monkeypatch.setattr(sweeps, "_chronological_forces", lambda adj, n, mask: ([(u, u) for u in range(n)], mask))
     _, records = random_sweep({"reversal"}, [(3, 0b101)])
     assert [r["check"] for r in records] == ["reversal"]
+
+
+def _emask(g):
+    return sum(1 << b for b, (u, v) in enumerate(edge_pair_order(g.n)) if g.has_edge(u, v))
+
+
+def _tally_above_the_path(adj, n):
+    flags, coeffs = _closure_tally(adj, n)
+    coeffs[n] += 1  # every graph now has more zero forcing sets of size n than the path
+    return flags, coeffs
+
+
+def test_ham_bound_reports_a_hamiltonian_graph_above_the_path_bound(monkeypatch):
+    monkeypatch.setattr(sweeps, "_closure_tally", _tally_above_the_path)
+    _, records = random_sweep({"ham-bound"}, [(4, _emask(cycle(4)))])
+    assert [(r["check"], r["detail"]) for r in records] == [
+        ("ham-bound", "Hamiltonian-path graph exceeds the path bound")]
+
+
+def test_ham_bound_consults_the_path_dp_before_reporting(monkeypatch):
+    # the star K_{1,3} has no Hamiltonian path, so the failed conclusion is vacuous
+    calls = []
+    real_dp = sweeps._has_hamiltonian_path
+    monkeypatch.setattr(sweeps, "_has_hamiltonian_path", lambda adj, n: calls.append(n) or real_dp(adj, n))
+    monkeypatch.setattr(sweeps, "_closure_tally", _tally_above_the_path)
+    assert random_sweep({"ham-bound"}, [(4, _emask(star(4)))])[1] == []
+    assert calls == [4]
+
+
+def test_ham_bound_skips_the_path_dp_when_both_conclusions_hold(monkeypatch):
+    def refuse(adj, n):
+        raise AssertionError("the Hamiltonian-path DP ran on a graph that meets the bound")
+
+    monkeypatch.setattr(sweeps, "_has_hamiltonian_path", refuse)
+    assert exhaustive_sweep({"ham-bound"}, max_n=5)[1] == []
+
+
+def test_reversal_visits_exactly_the_minimum_zero_forcing_sets(monkeypatch):
+    seen = {}
+    real_forces = sweeps._chronological_forces
+
+    def spy(adj, n, mask):
+        seen.setdefault((n, tuple(adj)), []).append(mask)
+        return real_forces(adj, n, mask)
+
+    monkeypatch.setattr(sweeps, "_chronological_forces", spy)
+    specs = [(n, e) for n in range(1, 6) for e in range(1 << (n * (n - 1) // 2))]
+    assert random_sweep({"reversal"}, specs)[1] == []
+    for n, emask in specs:
+        g = graph_from_edge_mask(n, emask)
+        for z in range(n + 1):
+            expected = [m for m in range(1 << n) if m.bit_count() == z
+                        and naive_is_zfs(g, {v for v in range(n) if m >> v & 1})]
+            if expected:
+                break
+        assert sorted(seen.pop((n, g.adj))) == expected
+    assert seen == {}
 
 
 def test_canonical_connected_string_counts():
