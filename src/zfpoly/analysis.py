@@ -7,7 +7,6 @@ class of graphs sharing a cycle's polynomial.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from math import comb
 from typing import Sequence
 
@@ -21,7 +20,6 @@ from .graphs import (
     graph_from_edge_mask,
     is_isomorphic,
 )
-from .parallel import parallel_map
 from .polynomial import ZfPolynomial, _closure_tally, zf_polynomial
 
 
@@ -131,17 +129,18 @@ def _has_cycle_polynomial(n: int, pairs: list[tuple[int, int]], target: list[int
     return _closure_tally(adj, n)[1] == target
 
 
-def cycle_polynomial_class(n: int, jobs: int = 1) -> list[Graph]:
+def cycle_polynomial_class(n: int) -> list[Graph]:
     """Isomorphism-class representatives of all n-vertex graphs whose
     polynomial equals the n-cycle's, by exhaustive labeled sweep."""
     if not 3 <= n <= LABELED_ENUM_MAX:
         raise ValueError(f"cycle polynomial class sweep supports 3 <= n <= {LABELED_ENUM_MAX}")
-    emasks = range(1 << (n * (n - 1) // 2))
-    is_match = partial(_has_cycle_polynomial, n, edge_pair_order(n), list(poly_cycle(n).coeffs))
-    matches = [e for e, hit in zip(emasks, parallel_map(is_match, emasks, jobs)) if hit]
+    pairs = edge_pair_order(n)
+    target = list(poly_cycle(n).coeffs)
     reps: list[Graph] = []
     fingerprints: list[tuple] = []
-    for emask in matches:
+    for emask in range(1 << (n * (n - 1) // 2)):
+        if not _has_cycle_polynomial(n, pairs, target, emask):
+            continue
         g = graph_from_edge_mask(n, emask)
         fp = tuple(sorted(g.degrees()))
         new = True

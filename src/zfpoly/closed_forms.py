@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .graphs import BlockPartition, block_partition
+from .graphs import BlockPartition, _require_binary, block_partition
 from .polynomial import ZfPolynomial
 
 
@@ -119,10 +119,16 @@ def poly_wheel(n: int) -> ZfPolynomial:
 # Threshold graphs
 
 
-def _require_usable(blocks: BlockPartition) -> None:
-    if not blocks.canonical:
+def _require_usable(b: str) -> None:
+    """The threshold closed forms' precondition on a generating string: binary,
+    length >= 2, canonical (first two symbols equal) and connected (last
+    symbol '1')."""
+    _require_binary(b)
+    if len(b) < 2:
+        raise ValueError("threshold closed forms require a string of length >= 2")
+    if b[0] != b[1]:
         raise ValueError("binary string must start with two equal symbols")
-    if not blocks.connected:
+    if b[-1] != "1":
         raise ValueError("binary string must end in '1' (connected threshold graph)")
 
 
@@ -136,7 +142,7 @@ def block_exclusion_sets(blocks: BlockPartition) -> set[frozenset[int]]:
     length-1 0-block cannot be skipped while also excluding from the next
     1-block.
     """
-    _require_usable(blocks)
+    _require_usable(blocks.source)
     t = len(blocks.blocks)
     if t % 2 == 1:
         state: set[tuple[frozenset[int], int]] = {(frozenset(), 0), (frozenset({1}), 1)}
@@ -174,10 +180,7 @@ def poly_threshold(b: str) -> ZfPolynomial:
     equal, last symbol '1').  For non-canonical strings, compose the graph
     builder with brute-force enumeration instead.
     """
-    if len(b) < 2:
-        raise ValueError("threshold polynomial requires a string of length >= 2")
     blocks = block_partition(b)
-    _require_usable(blocks)
     n = len(b)
     sizes = [length for _, length in blocks.blocks]
     coeffs = [0] * (n + 1)
@@ -194,31 +197,26 @@ def threshold_zfs_check(b: str, included: int) -> bool:
 
     ``included`` is a bitmask over string positions.  True iff the set
     excludes at most one vertex per block and, between any two excluded
-    1-vertices, some 0-vertex is included.
+    1-vertices, some 0-vertex is included.  One pass over the string; a new
+    block starts wherever the symbol changes.
     """
-    if len(b) < 2:
-        raise ValueError("requires a string of length >= 2")
-    blocks = block_partition(b)
-    _require_usable(blocks)
-    n = len(b)
-    if included & ~((1 << n) - 1):
+    _require_usable(b)
+    if included >> len(b):
         raise ValueError("included mask has bits outside the string")
-    pos = 0
-    for _, length in blocks.blocks:
-        block_mask = ((1 << length) - 1) << pos
-        if (block_mask & ~included).bit_count() > 1:
+    block_excludes = False  # the current block already excludes a vertex
+    blocked = False  # an excluded 1-vertex with no included 0-vertex since
+    prev = ""
+    for c in b:
+        if c != prev:
+            prev = c
+            block_excludes = False
+        if included & 1:
+            if c == "0":
+                blocked = False
+        elif block_excludes or (blocked and c == "1"):
             return False
-        pos += length
-    pending_excluded_one = False
-    zero_seen_since = False
-    for p in range(n):
-        inc = (included >> p) & 1
-        if b[p] == "1":
-            if not inc:
-                if pending_excluded_one and not zero_seen_since:
-                    return False
-                pending_excluded_one = True
-                zero_seen_since = False
-        elif inc:
-            zero_seen_since = True
+        else:
+            block_excludes = True
+            blocked = blocked or c == "1"
+        included >>= 1
     return True

@@ -14,8 +14,6 @@ from .closed_forms import binom
 from .graphs import Graph, SizeCapError, vertices_of
 from .polynomial import CLOSED, ZfPolynomial, _closure_tally, enumeration_cap
 
-FORT_COUNT_BOUND_MAX = 20
-
 
 @dataclass(frozen=True)
 class FortFamily:
@@ -143,8 +141,6 @@ def min_fort_cover(g: Graph) -> tuple[int, int]:
 
 def fort_count_bound_holds(g: Graph) -> tuple[int, int, bool]:
     """Compare the fort count against 2^n minus the number of zero forcing sets."""
-    if g.n > FORT_COUNT_BOUND_MAX:
-        raise SizeCapError(f"fort count bound check capped at {FORT_COUNT_BOUND_MAX} vertices")
     coeffs, forts = _coeffs_and_forts(g)
     lhs = len(forts)
     rhs = (1 << g.n) - sum(coeffs)

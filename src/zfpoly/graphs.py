@@ -309,16 +309,21 @@ def cycle_plus_chord(n: int, i: int, j: int) -> Graph:
     return from_edge_list(n, edges)
 
 
+def _require_binary(b: str) -> None:
+    """Reject an empty string or one with a symbol other than '0' and '1'."""
+    if not b:
+        raise ValueError("binary string must be nonempty")
+    if not set(b) <= {"0", "1"}:
+        raise ValueError(f"illegal character in binary string {b!r}")
+
+
 def threshold_from_string(b: str) -> Graph:
     """Threshold graph generated by a binary string.
 
     Vertex k is the k-th symbol; there is an edge {j, k} with j < k exactly
     when symbol k is '1'.
     """
-    if not b:
-        raise ValueError("binary string must be nonempty")
-    if any(c not in "01" for c in b):
-        raise ValueError(f"illegal character in binary string {b!r}")
+    _require_binary(b)
     n = len(b)
     if n > MAX_VERTICES:
         raise SizeCapError(f"string length {n} exceeds cap {MAX_VERTICES}")
@@ -338,23 +343,10 @@ class BlockPartition:
     blocks: tuple[tuple[int, int], ...]  # (symbol, length), symbols alternate
     source: str
 
-    @property
-    def canonical(self) -> bool:
-        """True when the first two string symbols agree (single block counts)."""
-        return len(self.blocks) == 1 or self.blocks[0][1] >= 2
-
-    @property
-    def connected(self) -> bool:
-        """True when the generated threshold graph is connected (last block is 1s)."""
-        return self.blocks[-1][0] == 1
-
 
 def block_partition(b: str) -> BlockPartition:
     """Run-length decomposition of a binary string."""
-    if not b:
-        raise ValueError("binary string must be nonempty")
-    if any(c not in "01" for c in b):
-        raise ValueError(f"illegal character in binary string {b!r}")
+    _require_binary(b)
     blocks = [(int(sym), len(list(run))) for sym, run in itertools.groupby(b)]
     return BlockPartition(tuple(blocks), b)
 

@@ -72,6 +72,26 @@ def test_poly_closed_rejects_family_without_formula(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "family,code",
+    [
+        # the builder accepts these, the closed form does not cover them
+        ("threshold:10", 4),
+        ("threshold:1100", 4),
+        ("wheel:4", 4),
+        ("multipartite:1,3", 4),
+        ("star:5", 4),
+        # the builder rejects it too
+        ("cycle:2", 2),
+        ("threshold:1x11", 2),
+        # past the builder's vertex cap, which the closed form does not share
+        ("path:100", 0),
+    ],
+)
+def test_poly_closed_exit_codes(capsys, family, code):
+    assert run(capsys, "poly", "--family", family, "--method", "closed")[0] == code
+
+
 def test_poly_graph6_file_input(capsys, tmp_path):
     g6 = tmp_path / "g.g6"
     g6.write_text(">>graph6<<Bg\n")

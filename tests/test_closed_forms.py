@@ -139,6 +139,8 @@ def test_block_exclusion_sets_preconditions():
         block_exclusion_sets(block_partition("10"))  # not canonical
     with pytest.raises(ValueError):
         block_exclusion_sets(block_partition("1100"))  # not connected
+    with pytest.raises(ValueError):
+        block_exclusion_sets(block_partition("1"))  # K1: {} would count as a zero forcing set
 
 
 def test_poly_threshold_values():
@@ -164,6 +166,14 @@ def test_threshold_zfs_check_examples():
     assert not threshold_zfs_check("0011", all4 & ~mask_of([2, 3]))
     all5 = 0b11111
     assert not threshold_zfs_check("11011", all5 & ~mask_of([0, 2, 4]))
+
+
+@pytest.mark.parametrize(
+    "b,mask", [("", 0), ("1", 1), ("0", 0), ("011", 0b111), ("1100", 0b1111), ("1x11", 0b1111), ("0011", 1 << 4)]
+)
+def test_threshold_zfs_check_preconditions(b, mask):
+    with pytest.raises(ValueError):
+        threshold_zfs_check(b, mask)
 
 
 def test_threshold_zfs_check_agrees_with_forcing():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_zf_coeffs
 from zfpoly import (
+    SizeCapError,
     ZfPolynomial,
     all_labeled_graphs,
     complete,
@@ -16,8 +17,10 @@ from zfpoly import (
     cycle_plus_chord,
     disjoint_union,
     empty,
+    enumerate_forts,
     enumeration_cap,
     extremal_coefficients,
+    fort_count_bound_holds,
     from_edge_list,
     graph_from_edge_mask,
     induced_subgraph,
@@ -94,6 +97,14 @@ def test_enumeration_cap_env(monkeypatch):
         zf_polynomial(path(5))
     monkeypatch.setenv("ZFPOLY_MAX_N", "5")
     assert zf_polynomial(path(5)).coeffs[1] == 2
+
+
+def test_one_enumeration_cap_for_every_enumeration(monkeypatch):
+    monkeypatch.setenv("ZFPOLY_MAX_N", "6")
+    for enumerate_ in (zf_polynomial, lambda g: count_zfs(g, 2), enumerate_forts, fort_count_bound_holds):
+        with pytest.raises(SizeCapError):
+            enumerate_(path(7))
+        enumerate_(path(6))
 
 
 def test_enumeration_cap_env_rejects_negative(monkeypatch):

@@ -100,18 +100,6 @@ def test_random_sweep_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
 
 
 @needs_fork
-def test_cycle_class_does_not_depend_on_jobs(monkeypatch, pool_starts):
-    # every graph with no isolated vertex and the cycle's coefficient n-2
-    # now matches, so several classes come back in first-seen order
-    monkeypatch.setattr(analysis, "_closure_tally", lambda adj, n: (None, list(poly_cycle(n).coeffs)))
-    solo = analysis.cycle_polynomial_class(5, jobs=1)
-    duo = analysis.cycle_polynomial_class(5, jobs=2)
-    assert len(pool_starts) == 1
-    assert len(solo) > len(expected_cycle_class(5))
-    assert solo == duo
-
-
-@needs_fork
 def test_closed_forms_suite_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
     real_check = sweeps.threshold_zfs_check
     # the characterization negated on every string of odd length
