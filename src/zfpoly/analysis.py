@@ -126,7 +126,7 @@ def _has_cycle_polynomial(n: int, pairs: list[tuple[int, int]], target: list[int
         return False  # an isolated vertex forces coefficient n-1 below n
     if _extremal_coefficients(adj, n)[2] != target[n - 2]:
         return False
-    return _closure_tally(adj, n)[1] == target
+    return _closure_tally(adj, n)[2] == target
 
 
 def cycle_polynomial_class(n: int) -> list[Graph]:

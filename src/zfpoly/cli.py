@@ -128,8 +128,12 @@ def _cmd_poly(args: argparse.Namespace) -> int:
             poly = closed(*params)
         except ValueError as exc:
             # only on failure: the closed form needs no graph and has no
-            # vertex cap; arguments the builder rejects too stay parse errors
-            build(*params)
+            # vertex cap; arguments the builder rejects too stay parse errors,
+            # and a graph past the builder's cap is well formed
+            try:
+                build(*params)
+            except SizeCapError:
+                pass
             raise MethodMismatchError(f"the {name} closed form does not cover {args.family!r}: {exc}") from exc
     else:
         g = _load_graph(args)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .closed_forms import binom
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import CLOSED, ZfPolynomial, _closure_tally, enumeration_cap
+from .polynomial import ZfPolynomial, _closure_tally, enumeration_cap
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,21 @@ def is_fort(g: Graph, mask: int) -> bool:
     return _is_fort(g.adj, g.n, mask)
 
 
-def _forts_from_table(flags: Sequence[int], n: int) -> list[int]:
-    """Every fort, ascending by mask, read off the flag table.
+def _forts_from_table(closed: int, n: int) -> list[int]:
+    """Every fort, ascending by mask, read off the closed bits of the table.
 
     A vertex of V - F can force iff it has exactly one neighbor in F, so F is
     a fort iff V - F is a proper closed set: the forts are the complements of
-    the masks m != V flagged CLOSED.
+    the masks m != V whose closed bit is set.  Written out from bit V down,
+    the digit at index p is the bit of mask V - p, whose complement is p.
     """
-    full = (1 << n) - 1
-    return [full ^ m for m in range(full - 1, -1, -1) if flags[m] & CLOSED]
+    digits = format(closed, f"0{1 << n}b")
+    forts = []
+    p = digits.find("1", 1)
+    while p > 0:
+        forts.append(p)
+        p = digits.find("1", p + 1)
+    return forts
 
 
 def _coeffs_and_forts(g: Graph) -> tuple[list[int], list[int]]:
@@ -62,8 +68,8 @@ def _coeffs_and_forts(g: Graph) -> tuple[list[int], list[int]]:
     cap = enumeration_cap()
     if g.n > cap:
         raise SizeCapError(f"fort enumeration over {g.n} vertices exceeds cap {cap}")
-    flags, coeffs = _closure_tally(g.adj, g.n)
-    return coeffs, _forts_from_table(flags, g.n)
+    _, closed, coeffs = _closure_tally(g.adj, g.n)
+    return coeffs, _forts_from_table(closed, g.n)
 
 
 def enumerate_forts(g: Graph) -> FortFamily:

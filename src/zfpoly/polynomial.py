@@ -10,6 +10,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -17,14 +18,14 @@ from .forcing import _sweep_closure
 from .graphs import Graph, SizeCapError, connected_components, vertices_of
 
 # Full-subset enumeration is exponential: the 2^24 subsets of wheel:24 take
-# 14-16 s and a 16 MiB flag table (2-core Xeon, Python 3.11).
+# 110-140 ms and two 2 MiB bit tables, 25 MB peak RSS for the whole process
+# (16 MB after import; 2-core Xeon, Python 3.11.7).
 DEFAULT_ENUMERATION_CAP = 24
 CAP_ENV_VAR = "ZFPOLY_MAX_N"
 
-# Per-subset flags of the shared table: the subset forces every vertex, and
-# the subset is closed (no force applies).
-ZF = 1
-CLOSED = 2
+# Chunk width of the flag table: the 2^k masks that share their high n - k
+# bits are one 2^k-bit int, and each force acts on a whole chunk at once.
+_CHUNK_BITS = 12
 
 
 def enumeration_cap() -> int:
@@ -131,37 +132,106 @@ def multiply(p: ZfPolynomial, q: ZfPolynomial) -> ZfPolynomial:
     return ZfPolynomial(p.n + q.n, tuple(out))
 
 
-def _closure_tally(adj: Sequence[int], n: int) -> tuple[bytearray, list[int]]:
-    """One flag byte per subset (ZF, CLOSED), and per size the count of
-    subsets that force every vertex (the polynomial's coefficients).
+@cache
+def _chunk_constants(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(all ones, planes, levels) of a 2^k-bit chunk: bit m of plane i is set
+    iff m has bit i, and bit m of level j iff m has j bits."""
+    ones = (1 << (1 << k)) - 1
+    planes = []
+    for i in range(k):
+        run = 1 << i
+        # runs of 2^i zeros then 2^i ones: the quotient has one bit per pair
+        planes.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    levels = [1]
+    for i in range(k):
+        levels = [a | b << (1 << i) for a, b in zip(levels + [0], [0] + levels)]
+    return ones, tuple(planes), tuple(levels)
 
-    Masks are visited in decreasing order.  A mask with an applicable force
-    has the closure of the larger mask it forces into (the rule is
-    confluent), so it forces every vertex iff that larger mask does; a mask
-    with no applicable force is its own closure.  Every byte starts as ZF,
-    the common case, and only the exceptions are written.
+
+def _join_chunks(chunks: list[int], width: int) -> int:
+    """One int from chunks of width bytes each, chunk 0 lowest."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in chunks), "little")
+
+
+def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
+    """The flag table as two 2^n-bit ints, and the coefficients.
+
+    Returns (zf, closed, coeffs): bit m of zf is set iff mask m forces every
+    vertex, bit m of closed iff no force applies at m, and coeffs[i] counts
+    the zero forcing sets of size i.
+
+    The low k = min(n, _CHUNK_BITS) vertices index the bits of a chunk and
+    the high n - k its number h, visited in decreasing order.  A force
+    v -> w applies at the masks that hold v and N(v) - w and miss w: within
+    a chunk, a fixed low-bit pattern gated by a test of h.  The rule is
+    confluent, so a mask with an applicable force forces every vertex iff
+    the mask it forces into does: a force into a high w copies bits of the
+    finished chunk h | w, and the chunk is closed under the forces into low
+    w until nothing changes.
     """
-    full = (1 << n) - 1
-    flags = bytearray((ZF,)) * (full + 1)
-    flags[full] = ZF | CLOSED
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    for mask in range(full - 1, -1, -1):
-        out = full ^ mask
-        rem = mask
+    k = min(n, _CHUNK_BITS)
+    ones, planes, levels = _chunk_constants(k)
+    low = (1 << k) - 1
+    into_high = []  # (gate, need, target's chunk bit, pattern)
+    into_low = [[] for _ in range(k)]  # per low target: (need, pattern)
+    for v in range(n):
+        nbrs = adj[v]
+        held = nbrs | 1 << v
+        need = held >> k
+        # the chunk's masks that hold v and its low neighbors; shifted down
+        # by 2^w, the masks that hold all of them but a low w and miss w
+        full_nbhd = ones
+        bits = held & low
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            full_nbhd &= planes[b.bit_length() - 1]
+        rem = nbrs
         while rem:
             b = rem & -rem
             rem ^= b
-            unc = adj[b.bit_length() - 1] & out
-            if unc.bit_count() == 1:
-                if flags[mask | unc] & ZF:
-                    coeffs[mask.bit_count()] += 1
-                else:
-                    flags[mask] = 0
+            w = b.bit_length() - 1
+            if w < k:
+                into_low[w].append((need, full_nbhd >> (1 << w)))
+            else:
+                into_high.append((need, need ^ b >> k, b >> k, full_nbhd))
+    into_low = [(1 << w, forces) for w, forces in enumerate(into_low) if forces]
+
+    top = (1 << (n - k)) - 1
+    zf = [0] * (top + 1)
+    closed = [0] * (top + 1)
+    coeffs = [0] * (n + 1)
+    for h in range(top, -1, -1):
+        z = 1 << low if h == top else 0  # V forces every vertex
+        union = 0
+        for gate, need, target, pattern in into_high:
+            if h & gate == need:
+                union |= pattern
+                z |= pattern & zf[h | target]
+        moves = []
+        for shift, forces in into_low:
+            f = 0
+            for need, pattern in forces:
+                if h & need == need:
+                    f |= pattern
+            if f:
+                union |= f
+                moves.append((shift, f))
+        while True:
+            before = z
+            for shift, f in moves:
+                z |= f & z >> shift
+            if z == before:
                 break
-        else:
-            flags[mask] = CLOSED
-    return flags, coeffs
+        zf[h] = z
+        closed[h] = ones ^ union
+        base = h.bit_count()
+        for j, level in enumerate(levels):
+            coeffs[base + j] += (z & level).bit_count()
+    if not top:
+        return zf[0], closed[0], coeffs
+    width = 1 << (k - 3)  # bytes per chunk; several chunks only when k = _CHUNK_BITS
+    return _join_chunks(zf, width), _join_chunks(closed, width), coeffs
 
 
 def _coeffs_by_sweep(adj: tuple[int, ...], n: int) -> list[int]:
@@ -176,8 +246,9 @@ def _coeffs_by_sweep(adj: tuple[int, ...], n: int) -> list[int]:
 def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
     """Exact coefficients by enumerating all 2^n subsets.
 
-    ``engine="table"`` shares forcing work across subsets through one flag
-    byte per subset, at every order up to the enumeration cap.
+    ``engine="table"`` shares forcing work across subsets through two flag
+    bits per subset, 2^12 subsets per big-int operation, at every order up
+    to the enumeration cap.
     ``engine="sweep"`` runs an independent sweep closure per subset; it is
     the differential oracle for the table (exact agreement is tested).
     """
@@ -189,7 +260,7 @@ def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
     if n > cap:
         raise SizeCapError(f"enumeration over {n} vertices exceeds cap {cap}")
     if engine == "table":
-        _, coeffs = _closure_tally(g.adj, n)
+        coeffs = _closure_tally(g.adj, n)[2]
     elif engine == "sweep":
         coeffs = _coeffs_by_sweep(g.adj, n)
     else:

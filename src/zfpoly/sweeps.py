@@ -52,7 +52,7 @@ from .graphs import (
     wheel,
 )
 from .parallel import parallel_map
-from .polynomial import ZF, ZfPolynomial, _closure_tally, induced_subgraph, multiply, zf_polynomial
+from .polynomial import ZfPolynomial, _closure_tally, induced_subgraph, multiply, zf_polynomial
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -129,7 +129,7 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     ctx = _context(n)
     full = ctx.full
     adj = _edge_mask_adj(ctx.pairs, n, emask)
-    flags, coeffs = _closure_tally(adj, n)
+    zf, closed, coeffs = _closure_tally(adj, n)
     poly = ZfPolynomial(n, tuple(coeffs))
     z = poly.zero_forcing_number()
     bad: list[tuple[str, str]] = []
@@ -164,14 +164,14 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
             product = ZfPolynomial(0, (1,))
             for comp in comps:
                 sub = induced_subgraph(g, comp)
-                sub_coeffs = _closure_tally(sub.adj, sub.n)[1]
+                sub_coeffs = _closure_tally(sub.adj, sub.n)[2]
                 product = multiply(product, ZfPolynomial(sub.n, tuple(sub_coeffs)))
             if product != poly:
                 bad.append(("multiplicativity", "component product differs from direct enumeration"))
 
     forts: list[int] | None = None
     if checks & {"fort-transversal", "fort-count-bound", "ip"}:
-        forts = _forts_from_table(flags, n)
+        forts = _forts_from_table(closed, n)
         # Complements of proper closed sets are avoided by no zero forcing
         # set (closure is monotone), so every fort theorem rests on each
         # derived set being a fort; check that against the definition.
@@ -222,13 +222,13 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
 
     if "reversal" in checks:
         for mask in _masks_of_size(n, z):
-            if not flags[mask] & ZF:
+            if not zf >> mask & 1:
                 continue
             forcers = 0
             for u, _ in _chronological_forces(adj, n, mask)[0]:
                 forcers |= 1 << u
             tails = full & ~forcers  # chain terminals: colored vertices that never force
-            if not flags[tails] & ZF:
+            if not zf >> tails & 1:
                 bad.append(("reversal", f"reversed chains of {mask:#x} do not force"))
                 break
 
@@ -346,11 +346,11 @@ def _threshold_string_worker(b: str) -> list[tuple[str, str]] | tuple[()]:
     (check, detail) pairs, or the shared empty tuple when both hold."""
     bad = []
     g = threshold_from_string(b)
-    flags, coeffs = _closure_tally(g.adj, g.n)
+    zf, _, coeffs = _closure_tally(g.adj, g.n)
     if tuple(coeffs) != poly_threshold(b).coeffs:
         bad.append(("threshold-poly", "closed form differs from enumeration"))
-    for mask, flag in enumerate(flags):
-        if threshold_zfs_check(b, mask) != bool(flag & ZF):
+    for mask in range(1 << g.n):
+        if threshold_zfs_check(b, mask) != bool(zf >> mask & 1):
             bad.append(("threshold-zfs-check", f"characterization wrong on mask {mask:#x}"))
             break
     return bad or ()

@@ -81,6 +81,8 @@ def test_poly_closed_rejects_family_without_formula(capsys):
         ("wheel:4", 4),
         ("multipartite:1,3", 4),
         ("star:5", 4),
+        # well formed but past the builder's cap: a mismatch, not a size error
+        ("threshold:10" + "0" * 70 + "1", 4),
         # the builder rejects it too
         ("cycle:2", 2),
         ("threshold:1x11", 2),

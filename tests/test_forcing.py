@@ -12,6 +12,7 @@ from zfpoly import (
     closure_table,
     complete,
     cycle,
+    enumerate_forts,
     forcing_chains,
     from_edge_list,
     graph_from_edge_mask,
@@ -19,9 +20,12 @@ from zfpoly import (
     mask_of,
     path,
     vertices_of,
+    wheel,
     zf_polynomial,
 )
-from zfpoly.polynomial import CLOSED, ZF, _closure_tally
+from zfpoly import polynomial
+from zfpoly.forts import _forts_from_table
+from zfpoly.polynomial import _closure_tally
 
 graph_and_set = st.integers(1, 7).flatmap(
     lambda n: st.tuples(
@@ -77,15 +81,58 @@ def test_closure_table_matches_per_subset_closure(gs):
         assert table[mask] == closure(g, mask)
 
 
+def _assert_bits_match_the_closure_table(g):
+    table = closure_table(g)
+    zf, closed, coeffs = _closure_tally(g.adj, g.n)
+    assert len(table) == 1 << g.n
+    assert zf >> (1 << g.n) == closed >> (1 << g.n) == 0
+    for m, c in enumerate(table):
+        assert zf >> m & 1 == (c == g.vertex_mask), m
+        assert closed >> m & 1 == (c == m), m
+    return table, closed, coeffs
+
+
 def test_flags_match_the_closure_table_exhaustively():
     for n in range(7):
         for g in all_labeled_graphs(n):
-            table = closure_table(g)
-            flags = _closure_tally(g.adj, n)[0]
-            assert len(flags) == len(table) == 1 << n
-            for m, c in enumerate(table):
-                assert bool(flags[m] & ZF) == (c == g.vertex_mask)
-                assert bool(flags[m] & CLOSED) == (c == m)
+            _assert_bits_match_the_closure_table(g)
+
+
+def _assert_table_matches_closures(g):
+    # the bits against the list table, the coefficients against the sweep
+    # engine, and the forts (ascending) against the table's proper closed sets
+    table, closed, coeffs = _assert_bits_match_the_closure_table(g)
+    assert tuple(coeffs) == zf_polynomial(g, engine="sweep").coeffs
+    proper_closed = [m for m, c in enumerate(table) if c == m != g.vertex_mask]
+    forts = sorted(g.vertex_mask ^ m for m in proper_closed)
+    assert _forts_from_table(closed, g.n) == forts
+    assert sorted(enumerate_forts(g).forts) == forts
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_chunked_table_matches_the_closure_table(n):
+    # past _CHUNK_BITS = 12 vertices the table spans 2^(n-12) chunks, so
+    # forces into the high vertices read earlier chunks
+    rng = random.Random(n)
+    graphs = [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(2)]
+    for g in (path(n), cycle(n), wheel(n)):
+        perm = rng.sample(range(n), n)
+        graphs.append(from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    for g in graphs:
+        _assert_table_matches_closures(g)
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_narrow_chunks_match_the_closure_table(monkeypatch, width):
+    # narrower chunks put every order above the width through the chunked path
+    monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
+    for n in range(7):
+        for g in all_labeled_graphs(n) if n <= 5 else [path(n), cycle(n), wheel(n)]:
+            _assert_table_matches_closures(g)
+    rng = random.Random(width)
+    for n in (7, 8, 9):
+        for _ in range(5):
+            _assert_table_matches_closures(graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
 
 
 @settings(max_examples=60, deadline=None)

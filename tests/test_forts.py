@@ -24,7 +24,7 @@ from zfpoly import (
 )
 from zfpoly import sweeps
 from zfpoly.forts import _cover_within, _forts_from_table
-from zfpoly.polynomial import CLOSED, _closure_tally
+from zfpoly.polynomial import _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
 
@@ -59,15 +59,15 @@ def test_sweep_kernel_checks_every_derived_fort(monkeypatch):
     # the sets the sweep kernel derives are forts by the definition ...
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
-            derived = _forts_from_table(_closure_tally(g.adj, n)[0], n)
+            derived = _forts_from_table(_closure_tally(g.adj, n)[1], n)
             assert derived and all(is_fort(g, f) for f in derived)
     assert exhaustive_sweep({"fort-transversal"}, max_n=5)[1] == []
 
-    # ... and a set that is not (a corrupted flag) is reported
+    # ... and a set that is not (a corrupted closed bit) is reported
     def corrupted(adj, n):
-        flags, coeffs = _closure_tally(adj, n)
-        flags[0b001] |= CLOSED  # {0} forces the whole 3-path; claim it is closed
-        return flags, coeffs
+        zf, closed, coeffs = _closure_tally(adj, n)
+        closed |= 1 << 0b001  # {0} forces the whole 3-path; claim it is closed
+        return zf, closed, coeffs
 
     monkeypatch.setattr(sweeps, "_closure_tally", corrupted)
     path3 = 0b101  # edges (0, 1) and (1, 2) in edge_pair_order(3)
@@ -82,10 +82,10 @@ def test_ip_check_reports_a_shifted_zero_forcing_number(monkeypatch):
     # nonzero coefficient up breaks the second, moving it down the first
     def shifted(step):
         def tally(adj, n):
-            flags, coeffs = _closure_tally(adj, n)
+            zf, closed, coeffs = _closure_tally(adj, n)
             z = next(i for i, c in enumerate(coeffs) if c)
             coeffs[z + step], coeffs[z] = coeffs[z], 0
-            return flags, coeffs
+            return zf, closed, coeffs
         return tally
 
     specs = [(3, 0b101), (4, 0b111111)]  # the 3-path (Z = 1) and K4 (Z = 3)

@@ -27,6 +27,7 @@ from zfpoly import (
     multiply,
     path,
     poly_cycle,
+    poly_wheel,
     star,
     threshold_from_string,
     wheel,
@@ -74,9 +75,12 @@ def test_engines_agree_on_random_graphs(seed):
 
 
 def test_table_engine_runs_past_order_twenty():
-    # the table serves every order up to the cap; the n = 21 cycle meets its
-    # closed form, and the sweep oracle agrees on a relabelled graph of each family
+    # the table serves every order up to the cap; the n = 21 and 22 cycles
+    # and the wheel at the cap meet their closed forms, and the sweep oracle
+    # agrees on a relabelled graph of each family
     assert zf_polynomial(cycle(21)) == poly_cycle(21)
+    assert zf_polynomial(cycle(22)) == poly_cycle(22)
+    assert zf_polynomial(wheel(24)) == poly_wheel(24)
     rng = random.Random(2121)
     for g in (path(8), cycle(8), complete(8), empty(8), star(8), wheel(8),
               complete_multipartite([3, 3, 2]), threshold_from_string("11010011"),

@@ -79,10 +79,10 @@ def test_parallel_sweep_is_deterministic(pool_starts):
 
 
 def _tally_with_z_one_lower(adj, n):
-    flags, coeffs = _closure_tally(adj, n)
+    zf, closed, coeffs = _closure_tally(adj, n)
     z = next(i for i, c in enumerate(coeffs) if c)
     coeffs[z - 1], coeffs[z] = coeffs[z], 0
-    return flags, coeffs
+    return zf, closed, coeffs
 
 
 @needs_fork
@@ -146,9 +146,9 @@ def _emask(g):
 
 
 def _tally_above_the_path(adj, n):
-    flags, coeffs = _closure_tally(adj, n)
+    zf, closed, coeffs = _closure_tally(adj, n)
     coeffs[n] += 1  # every graph now has more zero forcing sets of size n than the path
-    return flags, coeffs
+    return zf, closed, coeffs
 
 
 def test_ham_bound_reports_a_hamiltonian_graph_above_the_path_bound(monkeypatch):
