@@ -17,6 +17,7 @@ import time
 from collections import Counter
 
 from zfpoly import graph_from_edge_mask, poly_path, zf_polynomial
+from zfpoly.polynomial import CAP_ENV_VAR, enumeration_cap
 from zfpoly.sweeps import CONJECTURE_CHECKS, random_graph_specs, random_sweep
 
 
@@ -32,6 +33,13 @@ def main() -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         parser.error(f"--jobs must be between 1 and the {cpus} available CPUs, got {args.jobs}")
+    if args.count < 1:
+        parser.error(f"--count must be at least 1, got {args.count}")
+    if not 1 <= args.min_n <= args.max_n:
+        parser.error(f"need 1 <= --min-n <= --max-n, got --min-n {args.min_n} --max-n {args.max_n}")
+    cap = enumeration_cap()
+    if args.max_n > cap:
+        parser.error(f"--max-n {args.max_n} exceeds the enumeration cap {cap} ({CAP_ENV_VAR})")
 
     specs = random_graph_specs(args.count, args.min_n, args.max_n, args.seed)
     sizes = Counter(n for n, _ in specs)

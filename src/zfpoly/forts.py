@@ -3,16 +3,18 @@
 A fort is a nonempty vertex set F such that no vertex outside F has exactly
 one neighbor in F.  Every zero forcing set meets every fort, and the minimum
 fort transversal has size Z(G).  That integer program is answered by one
-exact decision search: is there a fort cover within a given budget?
+table: the forts closed upward, read for the largest fort-free mask.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
+from . import polynomial
 from .closed_forms import binom
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import ZfPolynomial, _closure_tally, enumeration_cap
+from .polynomial import ZfPolynomial, _chunk_constants, _closure_tally, enumeration_cap
 
 
 @dataclass(frozen=True)
@@ -63,63 +65,65 @@ def _forts_from_table(closed: int, n: int) -> list[int]:
     return forts
 
 
-def _coeffs_and_forts(g: Graph) -> tuple[list[int], list[int]]:
-    """(coefficients, forts) of g, from one flag table."""
+def _flag_table(g: Graph) -> tuple[int, int, list[int]]:
+    """(zf, closed, coeffs) of g, within the enumeration cap."""
     cap = enumeration_cap()
     if g.n > cap:
         raise SizeCapError(f"fort enumeration over {g.n} vertices exceeds cap {cap}")
-    _, closed, coeffs = _closure_tally(g.adj, g.n)
-    return coeffs, _forts_from_table(closed, g.n)
+    return _closure_tally(g.adj, g.n)
 
 
 def enumerate_forts(g: Graph) -> FortFamily:
     """All forts, as the complements of the proper closed sets, at every
     order up to the enumeration cap."""
-    forts = _coeffs_and_forts(g)[1]
+    forts = _forts_from_table(_flag_table(g)[1], g.n)
     forts.sort(key=lambda m: (m.bit_count(), m))
     return FortFamily(g.n, tuple(forts))
 
 
 # ---------------------------------------------------------------------------
-# Fort-cover decision search
+# Minimum fort cover, read off the fort table closed upward
+
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _packing_bound(uncovered: Sequence[int], allowed: int) -> int:
-    """Count of pairwise-disjoint uncovered forts, restricted to allowed vertices."""
-    taken = 0
-    count = 0
-    for f in uncovered:
-        cand = f & allowed
-        if cand and not (cand & taken):
-            taken |= cand
-            count += 1
-    return count
+def _fort_bits(closed: int, n: int) -> int:
+    """The forts as one 2^n-bit int: bit F is set iff F is a fort, so iff
+    V - F is a proper closed set (see _forts_from_table)."""
+    size = 1 << n
+    raw = closed.to_bytes(max(1, size >> 3), "big").translate(_REVERSED_BYTE)
+    return int.from_bytes(raw, "little") >> max(0, 8 - size) & ~1
 
 
-def _cover_within(forts: Sequence[int], budget: int, excluded: int = 0) -> int | None:
-    """A set of at most budget vertices, none in excluded, meeting every fort.
+def _cover_table(fort_bits: int, n: int) -> tuple[int, int, list[int]]:
+    """(size, k, holders): the fort table closed upward, in chunks of 2^k
+    bits with the flag table's chunk width k, so that bit t of holders[h] is
+    set iff the mask h << k | t holds a fort; and the fewest vertices that
+    meet every fort, n minus the largest mask that holds none."""
+    k = min(n, polynomial._CHUNK_BITS)
+    _, planes, levels = _chunk_constants(k)
+    width = max(1, 1 << k >> 3)  # bytes per chunk
+    raw = fort_bits.to_bytes(width << (n - k), "little")
+    holders = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    for i, plane in enumerate(planes):  # masks without i move onto their unions with i
+        holders = [c | c << (1 << i) & plane for c in holders]
+    for j in range(n - k):
+        for h in range(len(holders)):
+            if h >> j & 1:
+                holders[h] |= holders[h ^ 1 << j]
+    free = 0  # the empty mask holds no fort
+    for h, c in enumerate(holders):
+        base = h.bit_count()
+        for j in range(k, free - base, -1):
+            if c & levels[j] != levels[j]:
+                free = base + j
+                break
+    return n - free, k, holders
 
-    Returns None when no such set exists.  Fail-first branching: branch on the
-    fort with fewest candidate vertices (a fort down to one candidate forces
-    it), and exclude each tried candidate from its later siblings, so the
-    search is exact.  Disjoint forts each need their own vertex, which prunes.
-    """
-    if budget < 0:
-        return None
-    if not forts:
-        return 0
-    allowed = ~excluded
-    if _packing_bound(forts, allowed) > budget:
-        return None
-    pivot = min((f & allowed for f in forts), key=int.bit_count)
-    while pivot:
-        bit = pivot & -pivot
-        pivot ^= bit
-        rest = _cover_within([f for f in forts if not f & bit], budget - 1, excluded)
-        if rest is not None:
-            return rest | bit
-        excluded |= bit
-    return None  # a fort with no candidate left, or every branch failed
+
+def _cover_size(fort_bits: int, n: int) -> int:
+    """The fewest vertices meeting every fort (S meets them all iff V - S holds none)."""
+    return _cover_table(fort_bits, n)[0]
 
 
 def min_fort_cover(g: Graph) -> tuple[int, int]:
@@ -128,27 +132,21 @@ def min_fort_cover(g: Graph) -> tuple[int, int]:
     Among optimal witnesses, the one whose sorted vertex list is
     lexicographically smallest is returned.
     """
-    forts = enumerate_forts(g).forts
-    size = g.n  # V meets every fort
-    while (cover := _cover_within(forts, size - 1)) is not None:
-        size = cover.bit_count()
-    chosen = 0
-    excluded = 0
-    for v in range(g.n):
-        if chosen.bit_count() == size:
+    n = g.n
+    size, k, holders = _cover_table(_fort_bits(_flag_table(g)[1], n), n)
+    full = (1 << n) - 1
+    for combo in combinations(range(n), size):  # lexicographic order
+        cover = sum(1 << v for v in combo)
+        rest = full ^ cover
+        if not holders[rest >> k] >> (rest & ((1 << k) - 1)) & 1:
             break
-        trial = chosen | 1 << v
-        if _cover_within([f for f in forts if not f & trial], size - trial.bit_count(), excluded) is not None:
-            chosen = trial
-        else:
-            excluded |= 1 << v
-    return size, chosen
+    return size, cover
 
 
 def fort_count_bound_holds(g: Graph) -> tuple[int, int, bool]:
     """Compare the fort count against 2^n minus the number of zero forcing sets."""
-    coeffs, forts = _coeffs_and_forts(g)
-    lhs = len(forts)
+    _, closed, coeffs = _flag_table(g)
+    lhs = len(_forts_from_table(closed, g.n))
     rhs = (1 << g.n) - sum(coeffs)
     return lhs, rhs, lhs <= rhs
 
@@ -159,7 +157,8 @@ def small_fort_coefficient_bound(g: Graph) -> list[tuple[int, int, int, bool]] |
     Applies when some fort has size at most Z(G)+1; returns None otherwise.
     Rows are (i, coefficient, bound, holds).
     """
-    coeffs, forts = _coeffs_and_forts(g)
+    _, closed, coeffs = _flag_table(g)
+    forts = _forts_from_table(closed, g.n)
     if g.n == 0 or not forts:
         return None
     z = ZfPolynomial(g.n, tuple(coeffs)).zero_forcing_number()

@@ -30,7 +30,7 @@ from .closed_forms import (
     threshold_zfs_check,
 )
 from .forcing import _chronological_forces
-from .forts import _cover_within, _forts_from_table, _is_fort
+from .forts import _cover_size, _fort_bits, _forts_from_table, _is_fort
 from .graphs import (
     LABELED_ENUM_MAX,
     Graph,
@@ -185,9 +185,10 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
             bad.append(("fort-count-bound", f"{len(forts)} forts > 2^n - {sum(coeffs)}"))
 
     if "ip" in checks:
-        if _cover_within(forts, z) is None:
+        size = _cover_size(_fort_bits(closed, n), n)
+        if size > z:
             bad.append(("ip", f"no fort cover of size {z}, the zero forcing number"))
-        elif _cover_within(forts, z - 1) is not None:
+        elif size < z:
             bad.append(("ip", f"a fort cover smaller than the zero forcing number {z}"))
 
     if "ham-bound" in checks:

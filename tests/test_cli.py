@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -215,6 +216,29 @@ def test_conjecture_scan_rejects_jobs_out_of_range_before_any_pool(capsys, monke
         scan.main()
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--count", "-2"], "--count"),
+        (["--count", "0"], "--count"),
+        (["--min-n", "9", "--max-n", "8"], "--min-n"),
+        (["--min-n", "0", "--max-n", "3"], "--min-n"),
+        (["--count", "1", "--min-n", "11", "--max-n", "11"], "--max-n"),
+    ],
+)
+def test_conjecture_scan_rejects_bad_parameters_before_any_work(argv, flag):
+    # the cap is lowered to 10, so a scan that got past the checks would
+    # run only small graphs, and report exit 0 or a traceback
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), ZFPOLY_MAX_N="10")
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "conjecture_scan.py"), *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert flag in proc.stderr and not proc.stdout
 
 
 def test_check_rejects_unknown_suite(capsys):

@@ -22,8 +22,8 @@ from zfpoly import (
     vertices_of,
     zf_polynomial,
 )
-from zfpoly import sweeps
-from zfpoly.forts import _cover_within, _forts_from_table
+from zfpoly import polynomial, sweeps
+from zfpoly.forts import _cover_size, _fort_bits, _forts_from_table
 from zfpoly.polynomial import _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
@@ -96,27 +96,60 @@ def test_ip_check_reports_a_shifted_zero_forcing_number(monkeypatch):
         assert [(r["check"], r["n"]) for r in records] == [("ip", 3), ("ip", 4)], step
 
 
-def test_cover_within_matches_brute_force_hitting_sets():
+def test_ip_check_reports_missing_forts(monkeypatch):
+    # every set of two or more vertices is a fort of K4; hiding the three
+    # pairs through vertex 0 lets two of 1, 2, 3 meet every fort left
+    def hidden(adj, n):
+        zf, closed, coeffs = _closure_tally(adj, n)
+        for pair in (0b0011, 0b0101, 0b1001):
+            closed &= ~(1 << (0b1111 ^ pair))
+        return zf, closed, coeffs
+
+    monkeypatch.setattr(sweeps, "_closure_tally", hidden)
+    _, records = random_sweep({"ip"}, [(4, 0b111111)])
+    assert [(r["check"], r["detail"]) for r in records] == [
+        ("ip", "a fort cover smaller than the zero forcing number 3")
+    ]
+
+
+@pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
+def test_cover_size_matches_brute_force_hitting_sets(monkeypatch, width):
+    # at width 3 every family with n > 3 spans several chunks, so the
+    # up-closure also runs across chunks
+    monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
     rng = random.Random(8128)
     for _ in range(300):
         n = rng.randint(1, 8)
-        sets = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]  # arbitrary masks, the empty one too
-        excluded = rng.getrandbits(n) & rng.getrandbits(n)
-        allowed = [v for v in range(n) if v not in vertices_of(excluded)]
+        sets = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, 8))]
         members = [set(vertices_of(s)) for s in sets]
-        for budget in range(-1, n + 1):
-            exists = any(
-                all(m & set(combo) for m in members)
-                for size in range(budget + 1)
-                for combo in itertools.combinations(allowed, size)
-            )
-            got = _cover_within(sets, budget, excluded)
-            if not exists:
-                assert got is None, (sets, budget, excluded)
-            else:
-                assert got is not None, (sets, budget, excluded)
-                assert got.bit_count() <= budget and not got & excluded
-                assert all(got & s for s in sets)
+        smallest = next(
+            size
+            for size in range(n + 1)
+            for combo in itertools.combinations(range(n), size)
+            if all(m & set(combo) for m in members)
+        )
+        assert _cover_size(sum(1 << s for s in set(sets)), n) == smallest, (n, sets)
+
+
+def test_cover_size_is_the_zero_forcing_number_past_one_chunk():
+    rng = random.Random(1314)
+    graphs = [path(13), cycle(14)]
+    graphs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (13, 13, 14, 14)]
+    for g in graphs:
+        n = g.n
+        closed = _closure_tally(g.adj, n)[1]
+        assert _cover_size(_fort_bits(closed, n), n) == zf_polynomial(g).zero_forcing_number()
+
+
+def test_fort_bits_match_the_fort_list():
+    # the ip check reads _fort_bits and the is_fort witness _forts_from_table:
+    # both must see the same forts
+    graphs = [g for n in range(1, 7) for g in all_labeled_graphs(n)]
+    rng = random.Random(1313)
+    graphs += [graph_from_edge_mask(13, rng.getrandbits(78)) for _ in range(3)]
+    for g in graphs:
+        closed = _closure_tally(g.adj, g.n)[1]
+        assert _fort_bits(closed, g.n) == sum(1 << f for f in _forts_from_table(closed, g.n))
 
 
 def test_fort_family_sorted_by_size_then_mask():
