@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import closed_forms, sweeps
-from .forts import enumerate_forts, min_fort_cover
+from .forts import _flag_table, _fort_family, _min_cover
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -150,10 +150,10 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_forts(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    family = enumerate_forts(g)
-    payload = family.to_json_dict()
+    closed = _flag_table(g)[1]  # one table for the forts and the cover
+    payload = _fort_family(closed, g.n).to_json_dict()
     if args.min_cover:
-        size, witness = min_fort_cover(g)
+        size, witness = _min_cover(closed, g.n)
         payload["min_cover"] = {"size": size, "witness": vertices_of(witness)}
     print(json.dumps(payload))
     return EXIT_OK

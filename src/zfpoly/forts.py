@@ -2,8 +2,11 @@
 
 A fort is a nonempty vertex set F such that no vertex outside F has exactly
 one neighbor in F.  Every zero forcing set meets every fort, and the minimum
-fort transversal has size Z(G).  That integer program is answered by one
-table: the forts closed upward, read for the largest fort-free mask.
+fort transversal has size Z(G).  The forts are read off the flag table's
+closed bits as one 2^n-bit int; a second table built from the definition
+alone, in the subsets' own space, lets the sweeps check that reading in both
+directions.  The cover program is answered by one more table: the forts
+closed upward, read for the largest fort-free mask.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from typing import Sequence
 from . import polynomial
 from .closed_forms import binom
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import ZfPolynomial, _chunk_constants, _closure_tally, enumeration_cap
+from .polynomial import ZfPolynomial, _chunk_constants, _closure_tally, _join_chunks, enumeration_cap
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,16 @@ def _flag_table(g: Graph) -> tuple[int, int, list[int]]:
     return _closure_tally(g.adj, g.n)
 
 
+def _fort_family(closed: int, n: int) -> FortFamily:
+    forts = _forts_from_table(closed, n)
+    forts.sort(key=lambda m: (m.bit_count(), m))
+    return FortFamily(n, tuple(forts))
+
+
 def enumerate_forts(g: Graph) -> FortFamily:
     """All forts, as the complements of the proper closed sets, at every
     order up to the enumeration cap."""
-    forts = _forts_from_table(_flag_table(g)[1], g.n)
-    forts.sort(key=lambda m: (m.bit_count(), m))
-    return FortFamily(g.n, tuple(forts))
+    return _fort_family(_flag_table(g)[1], g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +100,55 @@ def _fort_bits(closed: int, n: int) -> int:
     size = 1 << n
     raw = closed.to_bytes(max(1, size >> 3), "big").translate(_REVERSED_BYTE)
     return int.from_bytes(raw, "little") >> max(0, 8 - size) & ~1
+
+
+def _fort_definition_bits(adj: Sequence[int], n: int) -> int:
+    """The forts as one 2^n-bit int, from the definition alone: bit F is set
+    iff F is nonempty and no vertex outside F has exactly one neighbor in F.
+
+    Independent of the flag table, whose closed bits _fort_bits reads: this
+    works in F space, where plane u holds the masks that contain u.  "At
+    least one" and "at least two" accumulators over the low planes of N(v)
+    give the masks outside v that see exactly one or no low neighbor of v.
+    Within chunk h a high vertex's plane is all ones or all zeros by a bit
+    of h, so only the number of v's high neighbors in h matters: with none
+    the first set is ruled out, with one the second, with two or more none.
+    """
+    k = min(n, polynomial._CHUNK_BITS)
+    ones, planes, _ = _chunk_constants(k)
+    low = (1 << k) - 1
+    everywhere = 0  # the masks ruled out alike in every chunk
+    rows = []  # per other v: (high neighbors, v's chunk bit, exactly one low, no low)
+    for v in range(n):
+        one = two = 0
+        rem = adj[v] & low
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            plane = planes[b.bit_length() - 1]
+            two |= one & plane
+            one |= plane
+        high = adj[v] >> k
+        outside = ones ^ planes[v] if v < k else ones
+        if v < k and not high:
+            everywhere |= (one ^ two) & outside
+        else:
+            rows.append((high, 1 << v >> k, (one ^ two) & outside, (ones ^ one) & outside))
+    chunks = []
+    for h in range(1 << (n - k)):
+        bad = everywhere if h else everywhere | 1  # the empty mask is no fort
+        for high, gate, exactly_one, none in rows:
+            if h & gate:
+                continue
+            seen = h & high
+            if not seen:
+                bad |= exactly_one
+            elif not seen & (seen - 1):
+                bad |= none
+        chunks.append(ones ^ bad)
+    if len(chunks) == 1:
+        return chunks[0]
+    return _join_chunks(chunks, 1 << (k - 3))
 
 
 def _cover_table(fort_bits: int, n: int) -> tuple[int, int, list[int]]:
@@ -126,14 +182,8 @@ def _cover_size(fort_bits: int, n: int) -> int:
     return _cover_table(fort_bits, n)[0]
 
 
-def min_fort_cover(g: Graph) -> tuple[int, int]:
-    """Minimum-size transversal of all forts: (size, witness mask).
-
-    Among optimal witnesses, the one whose sorted vertex list is
-    lexicographically smallest is returned.
-    """
-    n = g.n
-    size, k, holders = _cover_table(_fort_bits(_flag_table(g)[1], n), n)
+def _min_cover(closed: int, n: int) -> tuple[int, int]:
+    size, k, holders = _cover_table(_fort_bits(closed, n), n)
     full = (1 << n) - 1
     for combo in combinations(range(n), size):  # lexicographic order
         cover = sum(1 << v for v in combo)
@@ -143,10 +193,19 @@ def min_fort_cover(g: Graph) -> tuple[int, int]:
     return size, cover
 
 
+def min_fort_cover(g: Graph) -> tuple[int, int]:
+    """Minimum-size transversal of all forts: (size, witness mask).
+
+    Among optimal witnesses, the one whose sorted vertex list is
+    lexicographically smallest is returned.
+    """
+    return _min_cover(_flag_table(g)[1], g.n)
+
+
 def fort_count_bound_holds(g: Graph) -> tuple[int, int, bool]:
     """Compare the fort count against 2^n minus the number of zero forcing sets."""
     _, closed, coeffs = _flag_table(g)
-    lhs = len(_forts_from_table(closed, g.n))
+    lhs = _fort_bits(closed, g.n).bit_count()
     rhs = (1 << g.n) - sum(coeffs)
     return lhs, rhs, lhs <= rhs
 

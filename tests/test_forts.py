@@ -23,7 +23,7 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import polynomial, sweeps
-from zfpoly.forts import _cover_size, _fort_bits, _forts_from_table
+from zfpoly.forts import _cover_size, _fort_bits, _fort_definition_bits, _forts_from_table
 from zfpoly.polynomial import _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
@@ -108,8 +108,43 @@ def test_ip_check_reports_missing_forts(monkeypatch):
     monkeypatch.setattr(sweeps, "_closure_tally", hidden)
     _, records = random_sweep({"ip"}, [(4, 0b111111)])
     assert [(r["check"], r["detail"]) for r in records] == [
-        ("ip", "a fort cover smaller than the zero forcing number 3")
+        ("fort-transversal", "fort 0x3 is missing from the table"),
+        ("ip", "a fort cover smaller than the zero forcing number 3"),
     ]
+
+
+@pytest.mark.parametrize(
+    "flipped, detail",
+    [
+        ((0b1100, 0b0110), "fort 0x6 is missing from the table"),
+        ((0b0100, 0b0010), "derived set 0x2 is not a fort"),
+        ((0b0110, 0b0100), "derived set 0x4 is not a fort"),
+    ],
+    ids=["missing-forts", "derived-non-forts", "both"],
+)
+def test_fort_check_names_the_lowest_differing_mask(monkeypatch, flipped, detail):
+    # every set of two or more vertices of K4 is a fort and no single vertex
+    # is; flipping the closed bit of V - F removes F from the table's forts
+    # or adds it
+    def corrupted(adj, n):
+        zf, closed, coeffs = _closure_tally(adj, n)
+        for f in flipped:
+            closed ^= 1 << (0b1111 ^ f)
+        return zf, closed, coeffs
+
+    monkeypatch.setattr(sweeps, "_closure_tally", corrupted)
+    assert sweeps._check_one(frozenset({"fort-transversal"}), 4, 0b111111) == [("fort-transversal", detail)]
+
+
+@pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
+def test_fort_definition_bits_match_the_naive_forts(monkeypatch, width):
+    # at width 3 every order above 3 runs through the chunked path
+    monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
+    graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+    rng = random.Random(width)
+    graphs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (7, 8, 9) for _ in range(5)]
+    for g in graphs:
+        assert _fort_definition_bits(g.adj, g.n) == sum(1 << mask_of(f) for f in naive_forts(g))
 
 
 @pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
@@ -142,14 +177,17 @@ def test_cover_size_is_the_zero_forcing_number_past_one_chunk():
 
 
 def test_fort_bits_match_the_fort_list():
-    # the ip check reads _fort_bits and the is_fort witness _forts_from_table:
-    # both must see the same forts
+    # the sweep reads _fort_bits, enumerate_forts _forts_from_table: both
+    # must see the same forts, and the definition table too, also past one
+    # chunk at n = 13 and 14
     graphs = [g for n in range(1, 7) for g in all_labeled_graphs(n)]
     rng = random.Random(1313)
-    graphs += [graph_from_edge_mask(13, rng.getrandbits(78)) for _ in range(3)]
+    graphs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (13, 13, 13, 14, 14)]
     for g in graphs:
         closed = _closure_tally(g.adj, g.n)[1]
-        assert _fort_bits(closed, g.n) == sum(1 << f for f in _forts_from_table(closed, g.n))
+        fort_bits = _fort_bits(closed, g.n)
+        assert fort_bits == sum(1 << f for f in _forts_from_table(closed, g.n))
+        assert fort_bits == _fort_definition_bits(g.adj, g.n)
 
 
 def test_fort_family_sorted_by_size_then_mask():
