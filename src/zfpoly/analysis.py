@@ -137,20 +137,12 @@ def cycle_polynomial_class(n: int) -> list[Graph]:
     pairs = edge_pair_order(n)
     target = list(poly_cycle(n).coeffs)
     reps: list[Graph] = []
-    fingerprints: list[tuple] = []
     for emask in range(1 << (n * (n - 1) // 2)):
         if not _has_cycle_polynomial(n, pairs, target, emask):
             continue
         g = graph_from_edge_mask(n, emask)
-        fp = tuple(sorted(g.degrees()))
-        new = True
-        for rep, rep_fp in zip(reps, fingerprints):
-            if fp == rep_fp and is_isomorphic(g, rep):
-                new = False
-                break
-        if new:
+        if not any(is_isomorphic(g, rep) for rep in reps):  # rejects on degrees first
             reps.append(g)
-            fingerprints.append(fp)
     return reps
 
 

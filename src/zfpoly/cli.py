@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import closed_forms, sweeps
-from .forts import _flag_table, _fort_family, _min_cover
+from .forts import _flag_table, _fort_bits, _fort_family, _min_cover
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -150,10 +150,11 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_forts(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    closed = _flag_table(g)[1]  # one table for the forts and the cover
-    payload = _fort_family(closed, g.n).to_json_dict()
+    zf, closed, _ = _flag_table(g)  # one table for the forts and the cover
+    fort_bits = _fort_bits(closed, g.n)
+    payload = _fort_family(fort_bits, g.n).to_json_dict()
     if args.min_cover:
-        size, witness = _min_cover(closed, g.n)
+        size, witness = _min_cover(zf, fort_bits, g.n)
         payload["min_cover"] = {"size": size, "witness": vertices_of(witness)}
     print(json.dumps(payload))
     return EXIT_OK

@@ -1,12 +1,19 @@
 """Forts and the fort-cover formulation of the zero forcing number.
 
 A fort is a nonempty vertex set F such that no vertex outside F has exactly
-one neighbor in F.  Every zero forcing set meets every fort, and the minimum
-fort transversal has size Z(G).  The forts are read off the flag table's
-closed bits as one 2^n-bit int; a second table built from the definition
-alone, in the subsets' own space, lets the sweeps check that reading in both
-directions.  The cover program is answered by one more table: the forts
-closed upward, read for the largest fort-free mask.
+one neighbor in F.  A vertex of V - F can force iff it has exactly one
+neighbor in F, so F is a fort iff V - F is a proper closed set, and
+
+    S meets every fort iff S is a zero forcing set:
+
+if S does not force, V minus its closure is a fort that S misses; if S
+misses a fort F, S lies in the closed set V - F.  So the minimum fort
+transversal has size Z(G), and each fort question is read off the flag
+table: the forts from its closed bits (_fort_bits), the transversals from
+its zero forcing bits.  Two tables of their own check that reading: the
+forts from the definition alone, which the sweeps compare with _fort_bits
+in both directions, and the forts closed upward, whose largest fort-free
+mask gives the cover size without the zero forcing bits.
 """
 from __future__ import annotations
 
@@ -51,23 +58,6 @@ def is_fort(g: Graph, mask: int) -> bool:
     return _is_fort(g.adj, g.n, mask)
 
 
-def _forts_from_table(closed: int, n: int) -> list[int]:
-    """Every fort, ascending by mask, read off the closed bits of the table.
-
-    A vertex of V - F can force iff it has exactly one neighbor in F, so F is
-    a fort iff V - F is a proper closed set: the forts are the complements of
-    the masks m != V whose closed bit is set.  Written out from bit V down,
-    the digit at index p is the bit of mask V - p, whose complement is p.
-    """
-    digits = format(closed, f"0{1 << n}b")
-    forts = []
-    p = digits.find("1", 1)
-    while p > 0:
-        forts.append(p)
-        p = digits.find("1", p + 1)
-    return forts
-
-
 def _flag_table(g: Graph) -> tuple[int, int, list[int]]:
     """(zf, closed, coeffs) of g, within the enumeration cap."""
     cap = enumeration_cap()
@@ -76,30 +66,37 @@ def _flag_table(g: Graph) -> tuple[int, int, list[int]]:
     return _closure_tally(g.adj, g.n)
 
 
-def _fort_family(closed: int, n: int) -> FortFamily:
-    forts = _forts_from_table(closed, n)
-    forts.sort(key=lambda m: (m.bit_count(), m))
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _fort_bits(closed: int, n: int) -> int:
+    """The forts as one 2^n-bit int: bit F is set iff V - F is a proper
+    closed set.  Bit m of closed becomes bit V - m, a reversal of the whole
+    table, and the empty mask, the complement of V, is cleared."""
+    size = 1 << n
+    raw = closed.to_bytes(max(1, size >> 3), "big").translate(_REVERSED_BYTE)
+    return int.from_bytes(raw, "little") >> max(0, 8 - size) & ~1
+
+
+def _fort_family(fort_bits: int, n: int) -> FortFamily:
+    digits = format(fort_bits, "b")[::-1]  # digit f is bit f
+    forts = []
+    f = digits.find("1")
+    while f >= 0:
+        forts.append(f)
+        f = digits.find("1", f + 1)
+    forts.sort(key=int.bit_count)  # stable: ascending masks within a size
     return FortFamily(n, tuple(forts))
 
 
 def enumerate_forts(g: Graph) -> FortFamily:
     """All forts, as the complements of the proper closed sets, at every
     order up to the enumeration cap."""
-    return _fort_family(_flag_table(g)[1], g.n)
+    return _fort_family(_fort_bits(_flag_table(g)[1], g.n), g.n)
 
 
 # ---------------------------------------------------------------------------
-# Minimum fort cover, read off the fort table closed upward
-
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _fort_bits(closed: int, n: int) -> int:
-    """The forts as one 2^n-bit int: bit F is set iff F is a fort, so iff
-    V - F is a proper closed set (see _forts_from_table)."""
-    size = 1 << n
-    raw = closed.to_bytes(max(1, size >> 3), "big").translate(_REVERSED_BYTE)
-    return int.from_bytes(raw, "little") >> max(0, 8 - size) & ~1
+# The fort table's two checks: the definition, and the forts closed upward
 
 
 def _fort_definition_bits(adj: Sequence[int], n: int) -> int:
@@ -151,11 +148,14 @@ def _fort_definition_bits(adj: Sequence[int], n: int) -> int:
     return _join_chunks(chunks, 1 << (k - 3))
 
 
-def _cover_table(fort_bits: int, n: int) -> tuple[int, int, list[int]]:
-    """(size, k, holders): the fort table closed upward, in chunks of 2^k
-    bits with the flag table's chunk width k, so that bit t of holders[h] is
-    set iff the mask h << k | t holds a fort; and the fewest vertices that
-    meet every fort, n minus the largest mask that holds none."""
+def _cover_size(fort_bits: int, n: int) -> int:
+    """The fewest vertices meeting every fort: n minus the largest mask that
+    holds none (S meets them all iff V - S holds none).
+
+    The fort table is closed upward in chunks of 2^k bits, with the flag
+    table's chunk width k, so that bit t of holders[h] is set iff the mask
+    h << k | t holds a fort.
+    """
     k = min(n, polynomial._CHUNK_BITS)
     _, planes, levels = _chunk_constants(k)
     width = max(1, 1 << k >> 3)  # bytes per chunk
@@ -174,38 +174,35 @@ def _cover_table(fort_bits: int, n: int) -> tuple[int, int, list[int]]:
             if c & levels[j] != levels[j]:
                 free = base + j
                 break
-    return n - free, k, holders
+    return n - free
 
 
-def _cover_size(fort_bits: int, n: int) -> int:
-    """The fewest vertices meeting every fort (S meets them all iff V - S holds none)."""
-    return _cover_table(fort_bits, n)[0]
-
-
-def _min_cover(closed: int, n: int) -> tuple[int, int]:
-    size, k, holders = _cover_table(_fort_bits(closed, n), n)
-    full = (1 << n) - 1
+def _min_cover(zf: int, fort_bits: int, n: int) -> tuple[int, int]:
+    size = _cover_size(fort_bits, n)
+    table = zf.to_bytes(max(1, 1 << n >> 3), "little")
     for combo in combinations(range(n), size):  # lexicographic order
         cover = sum(1 << v for v in combo)
-        rest = full ^ cover
-        if not holders[rest >> k] >> (rest & ((1 << k) - 1)) & 1:
-            break
-    return size, cover
+        if table[cover >> 3] >> (cover & 7) & 1:  # it meets every fort iff it forces
+            return size, cover
+    raise RuntimeError(f"no zero forcing set of the minimum fort cover size {size}: "
+                       "the fort and flag tables disagree")
 
 
 def min_fort_cover(g: Graph) -> tuple[int, int]:
     """Minimum-size transversal of all forts: (size, witness mask).
 
-    Among optimal witnesses, the one whose sorted vertex list is
-    lexicographically smallest is returned.
+    The size comes from the fort table alone; the witness is the zero
+    forcing set of that size whose sorted vertex list is lexicographically
+    smallest, which is the lexicographically smallest optimal transversal.
     """
-    return _min_cover(_flag_table(g)[1], g.n)
+    zf, closed, _ = _flag_table(g)
+    return _min_cover(zf, _fort_bits(closed, g.n), g.n)
 
 
 def fort_count_bound_holds(g: Graph) -> tuple[int, int, bool]:
     """Compare the fort count against 2^n minus the number of zero forcing sets."""
     _, closed, coeffs = _flag_table(g)
-    lhs = _fort_bits(closed, g.n).bit_count()
+    lhs = closed.bit_count() - 1  # the proper closed sets, one per fort
     rhs = (1 << g.n) - sum(coeffs)
     return lhs, rhs, lhs <= rhs
 
@@ -216,16 +213,18 @@ def small_fort_coefficient_bound(g: Graph) -> list[tuple[int, int, int, bool]] |
     Applies when some fort has size at most Z(G)+1; returns None otherwise.
     Rows are (i, coefficient, bound, holds).
     """
-    _, closed, coeffs = _flag_table(g)
-    forts = _forts_from_table(closed, g.n)
-    if g.n == 0 or not forts:
-        return None
-    z = ZfPolynomial(g.n, tuple(coeffs)).zero_forcing_number()
-    smallest = min(f.bit_count() for f in forts)
+    n = g.n
+    coeffs = _flag_table(g)[2]
+    if n == 0:
+        return None  # the empty graph has no fort
+    # a largest set that does not force is closed, so its complement is a
+    # smallest fort
+    smallest = n - max(i for i in range(n + 1) if coeffs[i] < binom(n, i))
+    z = ZfPolynomial(n, tuple(coeffs)).zero_forcing_number()
     if smallest > z + 1:
         return None
     rows = []
-    for i in range(1, g.n + 1):
-        bound = binom(g.n, i) - binom(g.n - i - 1, i)
+    for i in range(1, n + 1):
+        bound = binom(n, i) - binom(n - i - 1, i)
         rows.append((i, coeffs[i], bound, coeffs[i] <= bound))
     return rows

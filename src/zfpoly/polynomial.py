@@ -234,23 +234,15 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
     return _join_chunks(zf, width), _join_chunks(closed, width), coeffs
 
 
-def _coeffs_by_sweep(adj: tuple[int, ...], n: int) -> list[int]:
-    full = (1 << n) - 1
-    coeffs = [0] * (n + 1)
-    for mask in range(full + 1):
-        if _sweep_closure(adj, mask) == full:
-            coeffs[mask.bit_count()] += 1
-    return coeffs
-
-
 def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
     """Exact coefficients by enumerating all 2^n subsets.
 
     ``engine="table"`` shares forcing work across subsets through two flag
     bits per subset, 2^12 subsets per big-int operation, at every order up
     to the enumeration cap.
-    ``engine="sweep"`` runs an independent sweep closure per subset; it is
-    the differential oracle for the table (exact agreement is tested).
+    ``engine="sweep"`` counts each size with count_zfs, an independent sweep
+    closure per subset; it is the differential oracle for the table (exact
+    agreement is tested).
     """
     n = g.n
     if n == 0:
@@ -262,7 +254,7 @@ def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
     if engine == "table":
         coeffs = _closure_tally(g.adj, n)[2]
     elif engine == "sweep":
-        coeffs = _coeffs_by_sweep(g.adj, n)
+        coeffs = [count_zfs(g, i) for i in range(n + 1)]
     else:
         raise ValueError(f"unknown engine {engine!r}")
     return ZfPolynomial(n, tuple(coeffs))

@@ -196,20 +196,21 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
         elif size < z:
             bad.append(("ip", f"a fort cover smaller than the zero forcing number {z}"))
 
-    if "ham-bound" in checks:
-        # Both conclusions first: the antecedent (a Hamiltonian path) is
-        # the costly part and matters only when one of them fails.
+    if checks & {"ham-bound", "recognizability", "path-bound"}:
         pathc = ctx.path_coeffs
         exceeds = any(coeffs[i] > pathc[i] for i in range(n + 1))
-        wrong_equality = (poly.coeffs == pathc) != _is_path_graph(adj, n)
-        if (exceeds or wrong_equality) and _has_hamiltonian_path(adj, n):
-            if exceeds:
-                bad.append(("ham-bound", "Hamiltonian-path graph exceeds the path bound"))
-            if wrong_equality:
-                bad.append(("ham-bound", "path-bound equality profile does not single out the path"))
+        wrong_path_equality = (poly.coeffs == pathc) != _is_path_graph(adj, n)
+
+    # Both conclusions first: the antecedent (a Hamiltonian path) is the
+    # costly part and matters only when one of them fails.
+    if "ham-bound" in checks and (exceeds or wrong_path_equality) and _has_hamiltonian_path(adj, n):
+        if exceeds:
+            bad.append(("ham-bound", "Hamiltonian-path graph exceeds the path bound"))
+        if wrong_path_equality:
+            bad.append(("ham-bound", "path-bound equality profile does not single out the path"))
 
     if "recognizability" in checks:
-        if (poly.coeffs == ctx.path_coeffs) != _is_path_graph(adj, n):
+        if wrong_path_equality:
             bad.append(("recognizability", "path polynomial does not characterize paths"))
         if (poly.coeffs == ctx.complete_coeffs) != (emask == ctx.full_edges):
             bad.append(("recognizability", "complete polynomial does not characterize complete graphs"))
@@ -221,10 +222,8 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     if "unimodality" in checks and not poly.is_unimodal():
         bad.append(("unimodality", f"coefficients {coeffs} are not unimodal"))
 
-    if "path-bound" in checks:
-        pathc = ctx.path_coeffs
-        if any(coeffs[i] > pathc[i] for i in range(n + 1)):
-            bad.append(("path-bound", f"coefficients {coeffs} exceed the path's"))
+    if "path-bound" in checks and exceeds:
+        bad.append(("path-bound", f"coefficients {coeffs} exceed the path's"))
 
     if "reversal" in checks:
         for mask in _masks_of_size(n, z):
@@ -294,6 +293,10 @@ def random_graph_specs(count: int, n_lo: int, n_hi: int, seed: int) -> list[tupl
 def random_sweep(checks, specs: list[tuple[int, int]], jobs: int = 1) -> tuple[int, list[dict]]:
     """Run checks on an explicit list of (n, edge mask) graphs."""
     checks = _check_names(checks)
+    for spec in specs:
+        n, emask = spec
+        if n < 1 or emask >> comb(n, 2):  # a negative mask shifts to -1
+            raise ValueError(f"graph spec {spec!r} needs n >= 1 and an edge mask in [0, 2^C(n,2))")
     records: list[dict] = []
     for (n, emask), bad in zip(specs, parallel_map(partial(_check_spec, checks), specs, jobs)):
         for check, detail in bad:
@@ -340,10 +343,6 @@ def _partitions_min2(max_total: int) -> list[list[int]]:
 
     rec(max_total, max_total, [])
     return results
-
-
-def _brute_coeffs(g: Graph) -> tuple[int, ...]:
-    return zf_polynomial(g).coeffs
 
 
 def _threshold_string_worker(b: str) -> list[tuple[str, str]] | tuple[()]:
@@ -396,11 +395,11 @@ def run_closed_forms_suite(max_n: int = 12, jobs: int = 1) -> tuple[int, list[di
     ):
         for n in range(first, max_n + 1):
             checked += 1
-            if form(n).coeffs != _brute_coeffs(build(n)):
+            if form(n).coeffs != zf_polynomial(build(n)).coeffs:
                 fail(f"family-{label}", n, f"{label}:{n}", "closed form differs from enumeration")
     for parts in _partitions_min2(max_n):
         checked += 1
-        if poly_multipartite(parts).coeffs != _brute_coeffs(complete_multipartite(parts)):
+        if poly_multipartite(parts).coeffs != zf_polynomial(complete_multipartite(parts)).coeffs:
             fail("family-multipartite", sum(parts), f"multipartite:{parts}",
                  "closed form differs from enumeration")
 
@@ -422,7 +421,7 @@ def run_closed_forms_suite(max_n: int = 12, jobs: int = 1) -> tuple[int, list[di
             for j in range(n):
                 if i < j and (j - i) % n not in (1, n - 1):
                     checked += 1
-                    if _brute_coeffs(cycle_plus_chord(n, i, j)) != target:
+                    if zf_polynomial(cycle_plus_chord(n, i, j)).coeffs != target:
                         fail("chord-invariance", n, f"cycle-chord:{n}:{i}:{j}",
                              "chorded cycle polynomial differs from the cycle's")
 
@@ -471,7 +470,7 @@ def verify_cycle_class(n: int) -> list[dict]:
     """
     target = poly_cycle(n).coeffs
     return [_record("cycle-class", n, f"n={n}", f"listed graph with edges {g.edges()} lacks the cycle polynomial")
-            for g in expected_cycle_class(n) if _brute_coeffs(g) != target]
+            for g in expected_cycle_class(n) if zf_polynomial(g).coeffs != target]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import polynomial
-from zfpoly.forts import _forts_from_table
+from zfpoly.forts import _fort_bits
 from zfpoly.polynomial import _closure_tally
 
 graph_and_set = st.integers(1, 7).flatmap(
@@ -100,12 +100,12 @@ def test_flags_match_the_closure_table_exhaustively():
 
 def _assert_table_matches_closures(g):
     # the bits against the list table, the coefficients against the sweep
-    # engine, and the forts (ascending) against the table's proper closed sets
+    # engine, and the forts against the table's proper closed sets
     table, closed, coeffs = _assert_bits_match_the_closure_table(g)
     assert tuple(coeffs) == zf_polynomial(g, engine="sweep").coeffs
     proper_closed = [m for m, c in enumerate(table) if c == m != g.vertex_mask]
     forts = sorted(g.vertex_mask ^ m for m in proper_closed)
-    assert _forts_from_table(closed, g.n) == forts
+    assert _fort_bits(closed, g.n) == sum(1 << f for f in forts)
     assert sorted(enumerate_forts(g).forts) == forts
 
 

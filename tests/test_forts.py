@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -22,8 +23,8 @@ from zfpoly import (
     vertices_of,
     zf_polynomial,
 )
-from zfpoly import polynomial, sweeps
-from zfpoly.forts import _cover_size, _fort_bits, _fort_definition_bits, _forts_from_table
+from zfpoly import forts, polynomial, sweeps
+from zfpoly.forts import _cover_size, _fort_bits, _fort_definition_bits, _fort_family
 from zfpoly.polynomial import _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
@@ -59,7 +60,8 @@ def test_sweep_kernel_checks_every_derived_fort(monkeypatch):
     # the sets the sweep kernel derives are forts by the definition ...
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
-            derived = _forts_from_table(_closure_tally(g.adj, n)[1], n)
+            fort_bits = _fort_bits(_closure_tally(g.adj, n)[1], n)
+            derived = [f for f in range(1 << n) if fort_bits >> f & 1]
             assert derived and all(is_fort(g, f) for f in derived)
     assert exhaustive_sweep({"fort-transversal"}, max_n=5)[1] == []
 
@@ -177,16 +179,18 @@ def test_cover_size_is_the_zero_forcing_number_past_one_chunk():
 
 
 def test_fort_bits_match_the_fort_list():
-    # the sweep reads _fort_bits, enumerate_forts _forts_from_table: both
-    # must see the same forts, and the definition table too, also past one
-    # chunk at n = 13 and 14
+    # the sweep reads _fort_bits and enumerate_forts lists its set bits:
+    # the list must hold exactly those bits, in (size, mask) order, and the
+    # bits must be the definition table's, also past one chunk at n = 13
+    # and 14
     graphs = [g for n in range(1, 7) for g in all_labeled_graphs(n)]
     rng = random.Random(1313)
     graphs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (13, 13, 13, 14, 14)]
     for g in graphs:
-        closed = _closure_tally(g.adj, g.n)[1]
-        fort_bits = _fort_bits(closed, g.n)
-        assert fort_bits == sum(1 << f for f in _forts_from_table(closed, g.n))
+        fort_bits = _fort_bits(_closure_tally(g.adj, g.n)[1], g.n)
+        listed = _fort_family(fort_bits, g.n).forts
+        assert sum(1 << f for f in listed) == fort_bits
+        assert list(listed) == sorted(listed, key=lambda f: (f.bit_count(), f))
         assert fort_bits == _fort_definition_bits(g.adj, g.n)
 
 
@@ -229,6 +233,23 @@ def test_min_fort_cover_witness_is_lex_min():
             ]
             best = min(candidates, key=lambda m: vertices_of(m))
             assert witness == best
+
+
+def test_min_fort_cover_refuses_a_witness_that_does_not_force(monkeypatch):
+    # the cover size comes from the fort table and the witness from the zf
+    # bits; hiding every zero forcing set of size Z makes the two disagree
+    def no_minimum_sets(adj, n):
+        zf, closed, coeffs = _closure_tally(adj, n)
+        z = next(i for i, c in enumerate(coeffs) if c)
+        for mask in range(1 << n):
+            if mask.bit_count() == z:
+                zf &= ~(1 << mask)
+        return zf, closed, coeffs
+
+    monkeypatch.setattr(forts, "_closure_tally", no_minimum_sets)
+    for g in (path(4), cycle(5), complete(4), star(5), graph_from_edge_mask(6, 0b101101011010110)):
+        with pytest.raises(RuntimeError, match="tables disagree"):
+            min_fort_cover(g)
 
 
 def test_min_cover_size_equals_zero_forcing_number_exhaustive():
@@ -283,3 +304,40 @@ def test_small_fort_coefficient_bound_applicable():
 def test_small_fort_coefficient_bound_not_applicable():
     # every fort of the 4-path has size 3 while Z + 1 = 2
     assert small_fort_coefficient_bound(path(4)) is None
+
+
+def _small_fort_rows(g, fort_sizes):
+    """The bound's rows with the smallest fort taken from an explicit fort list."""
+    if not fort_sizes:
+        return None
+    coeffs = zf_polynomial(g).coeffs
+    z = next(i for i, c in enumerate(coeffs) if c)
+    if min(fort_sizes) > z + 1:
+        return None
+    n = g.n
+    rows = []
+    for i in range(1, n + 1):
+        bound = comb(n, i) - (comb(n - i - 1, i) if i < n else 0)
+        rows.append((i, coeffs[i], bound, coeffs[i] <= bound))
+    return rows
+
+
+def test_small_fort_coefficient_bound_matches_the_fort_lists():
+    # the smallest fort is read off the coefficients; the reference takes it
+    # from naive_forts for every labeled graph with n <= 5, and from
+    # enumerate_forts on seeded graphs with n = 6-9
+    outcomes = set()
+    assert small_fort_coefficient_bound(empty(0)) is None
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            rows = small_fort_coefficient_bound(g)
+            assert rows == _small_fort_rows(g, [len(f) for f in naive_forts(g)]), g.edges()
+            outcomes.add(rows is None)
+    rng = random.Random(6789)
+    for _ in range(60):
+        n = rng.randint(6, 9)
+        g = graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+        rows = small_fort_coefficient_bound(g)
+        assert rows == _small_fort_rows(g, [f.bit_count() for f in enumerate_forts(g).forts]), (n, g.edges())
+        outcomes.add(rows is None)
+    assert outcomes == {True, False}

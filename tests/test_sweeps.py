@@ -1,4 +1,5 @@
 import multiprocessing
+import re
 
 import pytest
 
@@ -37,6 +38,22 @@ def test_exhaustive_sweep_rejects_unknown_check():
 def test_random_sweep_rejects_unknown_check():
     with pytest.raises(ValueError):
         random_sweep({"spectral"}, [(5, 3)])
+
+
+@pytest.mark.parametrize("spec", [(3, 8), (3, -1), (0, 0), (-2, 0)],
+                         ids=["mask-past-the-pairs", "negative-mask", "no-vertices", "negative-order"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_random_sweep_rejects_a_bad_spec_before_any_work(pool_starts, spec, jobs):
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        random_sweep(CHECK_KEYS, [(3, 7), spec], jobs=jobs)
+    assert pool_starts == []
+
+
+def test_random_sweep_specs_need_no_enumeration_cap(monkeypatch):
+    # the sweep kernel reads raw adjacency, so `check --suite ip` runs its
+    # n = 8-14 specs under any ZFPOLY_MAX_N
+    monkeypatch.setenv("ZFPOLY_MAX_N", "1")
+    assert random_sweep({"ip"}, [(1, 0), (3, 7), (9, (1 << 36) - 1)]) == (3, [])
 
 
 def test_exhaustive_sweep_rejects_large_order():
