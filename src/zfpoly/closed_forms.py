@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from math import comb
 
+from . import polynomial
 from .graphs import BlockPartition, _require_binary, block_partition
-from .polynomial import ZfPolynomial
+from .polynomial import ZfPolynomial, _chunk_constants, _join_chunks
 
 
 def binom(a: int, b: int) -> int:
@@ -192,31 +193,62 @@ def poly_threshold(b: str) -> ZfPolynomial:
     return ZfPolynomial(n, tuple(coeffs))
 
 
+def _threshold_lanes(b: str, ones: int, planes) -> int:
+    """threshold_zfs_check on one set per lane: bit m of ``planes[i]`` is set
+    iff set m includes position i, ``ones`` has every lane set, and bit m of
+    the result is set iff set m passes.  One pass over the string; a new
+    block starts wherever the symbol changes.
+    """
+    bad = 0
+    block = 0  # the current block already excludes a vertex
+    blocked = 0  # an excluded 1-vertex with no included 0-vertex since
+    prev = ""
+    for c, plane in zip(b, planes):
+        out = ones ^ plane
+        if c != prev:
+            prev = c
+            block = 0
+        if c == "1":
+            bad |= out & (block | blocked)
+            blocked |= out
+        else:
+            bad |= out & block
+            blocked &= out
+        block |= out
+    return ones ^ bad
+
+
 def threshold_zfs_check(b: str, included: int) -> bool:
     """Direct zero-forcing-set test on a threshold graph's generating string.
 
     ``included`` is a bitmask over string positions.  True iff the set
     excludes at most one vertex per block and, between any two excluded
-    1-vertices, some 0-vertex is included.  One pass over the string; a new
-    block starts wherever the symbol changes.
+    1-vertices, some 0-vertex is included.  It is the one-lane run of the
+    pass that ``_threshold_zfs_bits`` runs on every subset at once.
     """
     _require_usable(b)
-    if included >> len(b):
+    if included >> len(b):  # a negative mask shifts to -1
         raise ValueError("included mask has bits outside the string")
-    block_excludes = False  # the current block already excludes a vertex
-    blocked = False  # an excluded 1-vertex with no included 0-vertex since
-    prev = ""
-    for c in b:
-        if c != prev:
-            prev = c
-            block_excludes = False
-        if included & 1:
-            if c == "0":
-                blocked = False
-        elif block_excludes or (blocked and c == "1"):
-            return False
-        else:
-            block_excludes = True
-            blocked = blocked or c == "1"
-        included >>= 1
-    return True
+    return bool(_threshold_lanes(b, 1, [included >> i & 1 for i in range(len(b))]))
+
+
+def _threshold_zfs_bits(b: str) -> int:
+    """The characterization on every subset at once, as one 2^n-bit int:
+    bit m is set iff ``threshold_zfs_check(b, m)``.
+
+    Built from the string alone, never from the graph's flag table, so the
+    two stay independent computations of the zero forcing sets.  Past
+    ``_CHUNK_BITS`` positions it runs chunk by chunk: in chunk h a high
+    position's plane is all ones or all zeros by a bit of h.
+    """
+    _require_usable(b)
+    n = len(b)
+    k = min(n, polynomial._CHUNK_BITS)
+    ones, planes, _ = _chunk_constants(k)
+    if n == k:
+        return _threshold_lanes(b, ones, planes)
+    chunks = [
+        _threshold_lanes(b, ones, planes + tuple(ones if h >> j & 1 else 0 for j in range(n - k)))
+        for h in range(1 << (n - k))
+    ]
+    return _join_chunks(chunks, 1 << (k - 3))

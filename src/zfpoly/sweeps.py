@@ -20,6 +20,7 @@ from .analysis import (
     same_poly_threshold_family,
 )
 from .closed_forms import (
+    _threshold_zfs_bits,
     count_consecutive_selections,
     poly_complete,
     poly_cycle,
@@ -27,7 +28,6 @@ from .closed_forms import (
     poly_path,
     poly_threshold,
     poly_wheel,
-    threshold_zfs_check,
 )
 from .forcing import _chronological_forces
 from .forts import _cover_size, _fort_bits, _fort_definition_bits
@@ -52,7 +52,7 @@ from .graphs import (
     wheel,
 )
 from .parallel import parallel_map
-from .polynomial import ZfPolynomial, _closure_tally, induced_subgraph, multiply, zf_polynomial
+from .polynomial import ZfPolynomial, _chunk_constants, _closure_tally, induced_subgraph, multiply, zf_polynomial
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -311,22 +311,21 @@ def random_sweep(checks, specs: list[tuple[int, int]], jobs: int = 1) -> tuple[i
 def _count_consecutive_direct(n: int, m: int) -> dict[int, int]:
     """Direct tally, by subset size, of n-cycle subsets with an m-run.
 
-    Independent of the alternating-sum formula: a rotate-and-AND detects a
-    circular run of m chosen vertices.
+    Independent of the alternating-sum formula: every subset of the cycle is
+    a lane of one 2^n-bit int, the AND of m cyclically consecutive planes
+    marks the subsets that hold the run from one start, and the OR over the
+    n starts is tallied by size.
     """
-    full = (1 << n) - 1
-    tallies = {k: 0 for k in range(n + 1)}
     if m > n:
-        return tallies
-    for mask in range(full + 1):
-        run = mask
-        for s in range(1, m):
-            run &= ((mask >> s) | (mask << (n - s))) & full
-            if not run:
-                break
-        if run:
-            tallies[mask.bit_count()] += 1
-    return tallies
+        return {k: 0 for k in range(n + 1)}
+    ones, planes, levels = _chunk_constants(n)
+    hit = 0
+    for start in range(n):
+        run = ones
+        for s in range(start, start + m):
+            run &= planes[s % n]
+        hit |= run
+    return {k: (hit & level).bit_count() for k, level in enumerate(levels)}
 
 
 def _partitions_min2(max_total: int) -> list[list[int]]:
@@ -354,10 +353,10 @@ def _threshold_string_worker(b: str) -> list[tuple[str, str]] | tuple[()]:
     zf, _, coeffs = _closure_tally(g.adj, g.n)
     if tuple(coeffs) != poly_threshold(b).coeffs:
         bad.append(("threshold-poly", "closed form differs from enumeration"))
-    for mask in range(1 << g.n):
-        if threshold_zfs_check(b, mask) != bool(zf >> mask & 1):
-            bad.append(("threshold-zfs-check", f"characterization wrong on mask {mask:#x}"))
-            break
+    diff = _threshold_zfs_bits(b) ^ zf
+    if diff:
+        mask = (diff & -diff).bit_length() - 1
+        bad.append(("threshold-zfs-check", f"characterization wrong on mask {mask:#x}"))
     return bad or ()
 
 
@@ -378,6 +377,12 @@ def canonical_connected_strings(length: int) -> list[str]:
 
 def run_closed_forms_suite(max_n: int = 12, jobs: int = 1) -> tuple[int, list[dict]]:
     """Closed forms against brute-force enumeration for every admissible size.
+
+    The threshold strings are checked against the flag table twice: the
+    block-index expansion against its coefficients, and the characterization
+    table ``_threshold_zfs_bits``, built from the string alone, against its
+    zero forcing bits in one compare.  The consecutive-run formula is checked
+    against ``_count_consecutive_direct`` on the cycle's own planes.
 
     Returns (instances checked, failure records).
     """

@@ -84,3 +84,8 @@ def naive_consecutive_count(n: int, k: int, m: int) -> int:
         if any(all((start + off) % n in chosen for off in range(m)) for start in range(n)):
             count += 1
     return count
+
+
+def naive_consecutive_counts(n: int, m: int) -> dict[int, int]:
+    """naive_consecutive_count for every subset size k = 0..n."""
+    return {k: naive_consecutive_count(n, k, m) for k in range(n + 1)}

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,9 @@ from zfpoly import (
     wheel,
     zf_polynomial,
 )
+from zfpoly import polynomial
+from zfpoly.closed_forms import _threshold_zfs_bits
+from zfpoly.polynomial import _closure_tally
 from zfpoly.sweeps import canonical_connected_strings
 
 
@@ -169,7 +173,8 @@ def test_threshold_zfs_check_examples():
 
 
 @pytest.mark.parametrize(
-    "b,mask", [("", 0), ("1", 1), ("0", 0), ("011", 0b111), ("1100", 0b1111), ("1x11", 0b1111), ("0011", 1 << 4)]
+    "b,mask",
+    [("", 0), ("1", 1), ("0", 0), ("011", 0b111), ("1100", 0b1111), ("1x11", 0b1111), ("0011", 1 << 4), ("0011", -1)],
 )
 def test_threshold_zfs_check_preconditions(b, mask):
     with pytest.raises(ValueError):
@@ -182,6 +187,25 @@ def test_threshold_zfs_check_agrees_with_forcing():
             g = threshold_from_string(b)
             for mask in range(1 << length):
                 assert threshold_zfs_check(b, mask) == is_zero_forcing_set(g, mask)
+
+
+@pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
+def test_threshold_zfs_bits_match_the_flag_table(monkeypatch, width):
+    # at width 3 every string longer than 3 runs through the chunked path
+    monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
+    for length in range(2, 11):
+        for b in canonical_connected_strings(length):
+            g = threshold_from_string(b)
+            assert _threshold_zfs_bits(b) == _closure_tally(g.adj, g.n)[0], b
+
+
+def test_threshold_zfs_bits_match_the_flag_table_past_one_chunk():
+    rng = random.Random(1314)
+    for length in (13, 13, 13, 14, 14, 14):
+        first = rng.choice("01")
+        b = first + first + "".join(rng.choice("01") for _ in range(length - 3)) + "1"
+        g = threshold_from_string(b)
+        assert _threshold_zfs_bits(b) == _closure_tally(g.adj, g.n)[0], b
 
 
 @settings(max_examples=50, deadline=None)

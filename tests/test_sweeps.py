@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from oracles import naive_is_zfs
+from oracles import naive_consecutive_counts, naive_is_zfs
 from zfpoly import analysis, parallel, sweeps
 from zfpoly.closed_forms import poly_cycle
 from zfpoly.graphs import cycle, edge_pair_order, graph_from_edge_mask, is_isomorphic, path, star
@@ -118,14 +118,45 @@ def test_random_sweep_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
 
 @needs_fork
 def test_closed_forms_suite_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
-    real_check = sweeps.threshold_zfs_check
-    # the characterization negated on every string of odd length
-    monkeypatch.setattr(sweeps, "threshold_zfs_check", lambda b, mask: real_check(b, mask) != len(b) % 2)
+    real_bits = sweeps._threshold_zfs_bits
+
+    def negated_on_odd_lengths(b):
+        bits = real_bits(b)
+        return bits ^ (1 << (1 << len(b))) - 1 if len(b) % 2 else bits
+
+    monkeypatch.setattr(sweeps, "_threshold_zfs_bits", negated_on_odd_lengths)
     solo = run_closed_forms_suite(max_n=7, jobs=1)
     duo = run_closed_forms_suite(max_n=7, jobs=2)
     assert len(pool_starts) == 1
     assert len(solo[1]) == 2 + 8 + 32  # the strings of length 3, 5 and 7
+    assert {r["detail"] for r in solo[1]} == {"characterization wrong on mask 0x0"}
     assert solo == duo
+
+
+@pytest.mark.parametrize(
+    "flipped, detail",
+    [((0b1100,), "0xc"), ((0b1001,), "0x9"), ((0b1100, 0b0110), "0x6")],
+    ids=["added", "dropped", "both"],
+)
+def test_threshold_check_names_the_lowest_differing_mask(monkeypatch, flipped, detail):
+    # 0011 generates K4 minus the edge 01: its zero forcing sets are the sets
+    # of two or more vertices other than {0, 1} and {2, 3}
+    def corrupted(adj, n):
+        zf, closed, coeffs = _closure_tally(adj, n)
+        for mask in flipped:
+            zf ^= 1 << mask
+        return zf, closed, coeffs
+
+    monkeypatch.setattr(sweeps, "_closure_tally", corrupted)
+    assert sweeps._threshold_string_worker("0011") == [
+        ("threshold-zfs-check", f"characterization wrong on mask {detail}")
+    ]
+
+
+def test_count_consecutive_direct_matches_the_naive_counts():
+    for n in range(1, 11):
+        for m in (3, 4, 5):  # m > n included
+            assert sweeps._count_consecutive_direct(n, m) == naive_consecutive_counts(n, m)
 
 
 def test_multiplicativity_check_ignores_enumeration_cap(monkeypatch):
