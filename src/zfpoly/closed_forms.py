@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from math import comb
 
-from . import polynomial
 from .graphs import BlockPartition, _require_binary, block_partition
-from .polynomial import ZfPolynomial, _chunk_constants, _join_chunks
+from .polynomial import ZfPolynomial, _join_lanes, _lane_chunks
 
 
 def binom(a: int, b: int) -> int:
@@ -237,18 +236,9 @@ def _threshold_zfs_bits(b: str) -> int:
     bit m is set iff ``threshold_zfs_check(b, m)``.
 
     Built from the string alone, never from the graph's flag table, so the
-    two stay independent computations of the zero forcing sets.  Past
-    ``_CHUNK_BITS`` positions it runs chunk by chunk: in chunk h a high
-    position's plane is all ones or all zeros by a bit of h.
+    two stay independent computations of the zero forcing sets.  It runs
+    once per chunk of the lane layout (see polynomial._lane_chunks).
     """
     _require_usable(b)
     n = len(b)
-    k = min(n, polynomial._CHUNK_BITS)
-    ones, planes, _ = _chunk_constants(k)
-    if n == k:
-        return _threshold_lanes(b, ones, planes)
-    chunks = [
-        _threshold_lanes(b, ones, planes + tuple(ones if h >> j & 1 else 0 for j in range(n - k)))
-        for h in range(1 << (n - k))
-    ]
-    return _join_chunks(chunks, 1 << (k - 3))
+    return _join_lanes([_threshold_lanes(b, ones, planes) for ones, planes in _lane_chunks(n)], n)

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from . import polynomial
 from .closed_forms import binom
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import ZfPolynomial, _chunk_constants, _closure_tally, _join_chunks, enumeration_cap
+from .polynomial import (ZfPolynomial, _chunk_constants, _closure_tally, _join_lanes, _lane_chunks,
+                         _lane_width, _split_lanes, enumeration_cap)
 
 
 @dataclass(frozen=True)
@@ -104,63 +104,38 @@ def _fort_definition_bits(adj: Sequence[int], n: int) -> int:
     iff F is nonempty and no vertex outside F has exactly one neighbor in F.
 
     Independent of the flag table, whose closed bits _fort_bits reads: this
-    works in F space, where plane u holds the masks that contain u.  "At
-    least one" and "at least two" accumulators over the low planes of N(v)
-    give the masks outside v that see exactly one or no low neighbor of v.
-    Within chunk h a high vertex's plane is all ones or all zeros by a bit
-    of h, so only the number of v's high neighbors in h matters: with none
-    the first set is ruled out, with one the second, with two or more none.
+    works in F space, chunk by chunk of the lane layout, where plane u holds
+    the masks that contain u.  For each v, "at least one" and "at least two"
+    accumulators over the planes of N(v) give the masks that see exactly
+    one neighbor of v, which rule F out when F misses v.
     """
-    k = min(n, polynomial._CHUNK_BITS)
-    ones, planes, _ = _chunk_constants(k)
-    low = (1 << k) - 1
-    everywhere = 0  # the masks ruled out alike in every chunk
-    rows = []  # per other v: (high neighbors, v's chunk bit, exactly one low, no low)
-    for v in range(n):
-        one = two = 0
-        rem = adj[v] & low
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            plane = planes[b.bit_length() - 1]
-            two |= one & plane
-            one |= plane
-        high = adj[v] >> k
-        outside = ones ^ planes[v] if v < k else ones
-        if v < k and not high:
-            everywhere |= (one ^ two) & outside
-        else:
-            rows.append((high, 1 << v >> k, (one ^ two) & outside, (ones ^ one) & outside))
     chunks = []
-    for h in range(1 << (n - k)):
-        bad = everywhere if h else everywhere | 1  # the empty mask is no fort
-        for high, gate, exactly_one, none in rows:
-            if h & gate:
-                continue
-            seen = h & high
-            if not seen:
-                bad |= exactly_one
-            elif not seen & (seen - 1):
-                bad |= none
+    for ones, planes in _lane_chunks(n):
+        bad = 0
+        for v in range(n):
+            one = two = 0
+            rem = adj[v]
+            while rem:
+                b = rem & -rem
+                rem ^= b
+                plane = planes[b.bit_length() - 1]
+                two |= one & plane
+                one |= plane
+            bad |= (one ^ two) & (ones ^ planes[v])
         chunks.append(ones ^ bad)
-    if len(chunks) == 1:
-        return chunks[0]
-    return _join_chunks(chunks, 1 << (k - 3))
+    return _join_lanes(chunks, n) & ~1  # the empty mask is no fort
 
 
 def _cover_size(fort_bits: int, n: int) -> int:
     """The fewest vertices meeting every fort: n minus the largest mask that
     holds none (S meets them all iff V - S holds none).
 
-    The fort table is closed upward in chunks of 2^k bits, with the flag
-    table's chunk width k, so that bit t of holders[h] is set iff the mask
-    h << k | t holds a fort.
+    The fort table is closed upward chunk by chunk of the lane layout, so
+    that bit t of holders[h] is set iff the mask h << k | t holds a fort.
     """
-    k = min(n, polynomial._CHUNK_BITS)
+    k = _lane_width(n)
     _, planes, levels = _chunk_constants(k)
-    width = max(1, 1 << k >> 3)  # bytes per chunk
-    raw = fort_bits.to_bytes(width << (n - k), "little")
-    holders = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    holders = _split_lanes(fort_bits, n)
     for i, plane in enumerate(planes):  # masks without i move onto their unions with i
         holders = [c | c << (1 << i) & plane for c in holders]
     for j in range(n - k):

@@ -23,8 +23,10 @@ from .graphs import Graph, SizeCapError, connected_components, vertices_of
 DEFAULT_ENUMERATION_CAP = 24
 CAP_ENV_VAR = "ZFPOLY_MAX_N"
 
-# Chunk width of the flag table: the 2^k masks that share their high n - k
-# bits are one 2^k-bit int, and each force acts on a whole chunk at once.
+# The one lane-table layout: a 2^n-bit table, one subset per bit, is held as
+# chunks of 2^k bits, one int each, so that each operation acts on a whole
+# chunk.  The low k = _lane_width(n) vertices index the bits of a chunk and
+# the high n - k its number h, chunk 0 lowest.
 _CHUNK_BITS = 12
 
 
@@ -148,9 +150,39 @@ def _chunk_constants(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return ones, tuple(planes), tuple(levels)
 
 
-def _join_chunks(chunks: list[int], width: int) -> int:
-    """One int from chunks of width bytes each, chunk 0 lowest."""
+def _lane_width(n: int) -> int:
+    """The k low vertices that index the bits of one chunk."""
+    return min(n, _CHUNK_BITS)
+
+
+def _lane_chunks(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Per chunk h, (all ones, planes): bit t of planes[v] is set iff the
+    mask h << k | t holds v, so a high vertex's plane is all ones or zero
+    by a bit of h.  Not cached: the width is read on every call."""
+    k = _lane_width(n)
+    ones, low, _ = _chunk_constants(k)
+    if k == n:
+        return [(ones, low)]
+    return [(ones, low + tuple(ones if h >> j & 1 else 0 for j in range(n - k)))
+            for h in range(1 << (n - k))]
+
+
+def _join_lanes(chunks: Sequence[int], n: int) -> int:
+    """The 2^n-bit table from its chunks."""
+    if len(chunks) == 1:
+        return chunks[0]
+    width = 1 << (_lane_width(n) - 3)  # bytes per chunk
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in chunks), "little")
+
+
+def _split_lanes(table: int, n: int) -> list[int]:
+    """The chunks of a 2^n-bit table; the inverse of _join_lanes."""
+    k = _lane_width(n)
+    if k == n:
+        return [table]
+    width = 1 << (k - 3)
+    raw = table.to_bytes(width << (n - k), "little")
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
@@ -160,16 +192,16 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
     vertex, bit m of closed iff no force applies at m, and coeffs[i] counts
     the zero forcing sets of size i.
 
-    The low k = min(n, _CHUNK_BITS) vertices index the bits of a chunk and
-    the high n - k its number h, visited in decreasing order.  A force
-    v -> w applies at the masks that hold v and N(v) - w and miss w: within
-    a chunk, a fixed low-bit pattern gated by a test of h.  The rule is
-    confluent, so a mask with an applicable force forces every vertex iff
-    the mask it forces into does: a force into a high w copies bits of the
-    finished chunk h | w, and the chunk is closed under the forces into low
-    w until nothing changes.
+    The chunks take the layout of _lane_chunks and are visited in
+    decreasing order of their number h.  A force v -> w applies at the
+    masks that hold v and N(v) - w and miss w: within a chunk, a fixed
+    low-bit pattern gated by a test of h.  The rule is confluent, so a mask
+    with an applicable force forces every vertex iff the mask it forces
+    into does: a force into a high w copies bits of the finished chunk
+    h | w, and the chunk is closed under the forces into low w until
+    nothing changes.
     """
-    k = min(n, _CHUNK_BITS)
+    k = _lane_width(n)
     ones, planes, levels = _chunk_constants(k)
     low = (1 << k) - 1
     into_high = []  # (gate, need, target's chunk bit, pattern)
@@ -228,10 +260,7 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
         base = h.bit_count()
         for j, level in enumerate(levels):
             coeffs[base + j] += (z & level).bit_count()
-    if not top:
-        return zf[0], closed[0], coeffs
-    width = 1 << (k - 3)  # bytes per chunk; several chunks only when k = _CHUNK_BITS
-    return _join_chunks(zf, width), _join_chunks(closed, width), coeffs
+    return _join_lanes(zf, n), _join_lanes(closed, n), coeffs
 
 
 def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:

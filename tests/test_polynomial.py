@@ -34,6 +34,8 @@ from zfpoly import (
     zf_polynomial,
     zf_polynomial_by_components,
 )
+from zfpoly import polynomial
+from zfpoly.polynomial import _chunk_constants, _join_lanes, _lane_chunks, _lane_width, _split_lanes
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
 
@@ -72,6 +74,21 @@ def test_engines_agree_on_random_graphs(seed):
             zf_polynomial(g, engine="sweep").coeffs
             == zf_polynomial(g, engine="table").coeffs
         )
+
+
+@pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
+def test_lane_layout(monkeypatch, width):
+    # every lane table shares this layout; the width is read on each call,
+    # so a narrower width takes effect at once
+    monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
+    rng = random.Random(width)
+    for n in range(15):
+        t = rng.getrandbits(1 << n)
+        assert _join_lanes(_split_lanes(t, n), n) == t
+        chunks = _lane_chunks(n)
+        assert len(chunks) == 1 << (n - _lane_width(n))
+        for j in range(n):
+            assert _join_lanes([planes[j] for _, planes in chunks], n) == _chunk_constants(n)[1][j]
 
 
 def test_table_engine_runs_past_order_twenty():
