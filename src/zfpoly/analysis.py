@@ -17,7 +17,6 @@ from .graphs import (
     _connected_components,
     _edge_mask_adj,
     edge_pair_order,
-    graph_from_edge_mask,
     is_isomorphic,
 )
 from .polynomial import ZfPolynomial, _closure_tally, zf_polynomial
@@ -117,18 +116,6 @@ def recognizes_complete(p: ZfPolynomial) -> bool:
 # Graphs sharing a cycle's polynomial
 
 
-def _has_cycle_polynomial(n: int, pairs: list[tuple[int, int]], target: list[int], emask: int) -> bool:
-    """Whether the labeled graph with this edge mask has target, the n-cycle's
-    coefficients."""
-    adj = _edge_mask_adj(pairs, n, emask)
-    # cheap rejects first: the top three coefficients are structural
-    if any(not a for a in adj):
-        return False  # an isolated vertex forces coefficient n-1 below n
-    if _extremal_coefficients(adj, n)[2] != target[n - 2]:
-        return False
-    return _closure_tally(adj, n)[2] == target
-
-
 def cycle_polynomial_class(n: int) -> list[Graph]:
     """Isomorphism-class representatives of all n-vertex graphs whose
     polynomial equals the n-cycle's, by exhaustive labeled sweep."""
@@ -138,9 +125,14 @@ def cycle_polynomial_class(n: int) -> list[Graph]:
     target = list(poly_cycle(n).coeffs)
     reps: list[Graph] = []
     for emask in range(1 << (n * (n - 1) // 2)):
-        if not _has_cycle_polynomial(n, pairs, target, emask):
+        adj = _edge_mask_adj(pairs, n, emask)
+        # cheap rejects first: an isolated vertex forces coefficient n-1 below
+        # n, and coefficient n-2 is structural
+        if not all(adj) or _extremal_coefficients(adj, n)[2] != target[n - 2]:
             continue
-        g = graph_from_edge_mask(n, emask)
+        if _closure_tally(adj, n)[2] != target:
+            continue
+        g = Graph(n, tuple(adj))
         if not any(is_isomorphic(g, rep) for rep in reps):  # rejects on degrees first
             reps.append(g)
     return reps

@@ -56,34 +56,34 @@ from .polynomial import ZfPolynomial, _chunk_constants, _closure_tally, induced_
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
-# Individual per-graph checks; suites select subsets of these.
-CHECK_KEYS = (
-    "extremal",          # the four characterized coefficients match enumeration
-    "zero-range",        # coefficients vanish exactly below the first nonzero one
-    "all-min-sets",      # every minimum-size set forces iff complete or empty
-    "hall",              # coefficient monotonicity below n/2
-    "multiplicativity",  # polynomial is the product over connected components
-    "fort-transversal",  # the table's forts are the definition's, both ways; no zero forcing set avoids one
-    "fort-count-bound",  # fort count at most 2^n minus the zero forcing set count
-    "ip",                # minimum fort cover size equals the zero forcing number
-    "ham-bound",         # Hamiltonian-path graphs obey the path bound (path DP runs only if it fails)
-    "recognizability",   # path, complete and cycle-class polynomials characterize their graphs
-    "unimodality",       # conjecture: coefficients rise then fall
-    "path-bound",        # conjecture: coefficients at most the path's
-    "reversal",          # reversing the chains of a minimum set forces again
-)
+# Every per-graph check, in record order, and the sweep suite that runs it.
+# "all" runs every check, so a check mapped to "all" runs nowhere else.  The
+# views below are derived from this table.
+CHECK_SUITES = {
+    "extremal": "extremal",                  # the four characterized coefficients match enumeration
+    "zero-range": "extremal",                # coefficients vanish exactly below the first nonzero one
+    "all-min-sets": "extremal",              # every minimum-size set forces iff complete or empty
+    "hall": "hall",                          # coefficient monotonicity below n/2
+    "multiplicativity": "multiplicativity",  # polynomial is the product over connected components
+    "fort-transversal": "forts",             # the table's forts are the definition's, both ways; no zero forcing set avoids one
+    "fort-count-bound": "forts",             # fort count at most 2^n minus the zero forcing set count
+    "ip": "ip",                              # minimum fort cover size equals the zero forcing number
+    "ham-bound": "forts",                    # Hamiltonian-path graphs obey the path bound (path DP runs only if it fails)
+    "recognizability": "recognizability",    # path, complete and cycle-class polynomials characterize their graphs
+    "unimodality": "conjectures",            # conjecture: coefficients rise then fall
+    "path-bound": "conjectures",             # conjecture: coefficients at most the path's
+    "reversal": "all",                       # reversing the chains of a minimum set forces again
+}
 
-CONJECTURE_CHECKS = frozenset({"unimodality", "path-bound"})
+CHECK_KEYS = tuple(CHECK_SUITES)
 
 SWEEP_SUITE_CHECKS = {
-    "extremal": frozenset({"extremal", "zero-range", "all-min-sets"}),
-    "hall": frozenset({"hall"}),
-    "multiplicativity": frozenset({"multiplicativity"}),
-    "forts": frozenset({"fort-transversal", "fort-count-bound", "ham-bound"}),
-    "ip": frozenset({"ip"}),
-    "recognizability": frozenset({"recognizability"}),
-    "conjectures": CONJECTURE_CHECKS,
+    suite: frozenset(check for check in CHECK_KEYS if CHECK_SUITES[check] == suite)
+    for suite in dict.fromkeys(CHECK_SUITES.values()) if suite != "all"
 }
+
+# Conjecture counterexamples are warnings; every other record is a failure.
+CONJECTURE_CHECKS = SWEEP_SUITE_CHECKS["conjectures"]
 
 SUITES = tuple(sorted(SWEEP_SUITE_CHECKS)) + ("closed-forms", "all")
 
@@ -500,53 +500,35 @@ def run_suite(
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     forms_max = 12 if max_n is None else max_n
     t0 = perf_counter()
-    failures: list[dict] = []
-    warnings: list[dict] = []
-    checked = 0
-
-    def classify(records):
-        for rec in records:
-            (warnings if rec["check"] in CONJECTURE_CHECKS else failures).append(rec)
+    passes: list[tuple[int, list[dict]]] = []  # (items checked, records), in run order
 
     if suite == "closed-forms":
         max_n = forms_max
-        count, records = run_closed_forms_suite(max_n=max_n, jobs=jobs)
-        checked += count
-        classify(records)
+        passes.append(run_closed_forms_suite(max_n=max_n, jobs=jobs))
     else:
         max_n = EXHAUSTIVE_MAX_N if max_n is None else min(max_n, EXHAUSTIVE_MAX_N)
-        if suite == "all":
-            checks = frozenset(CHECK_KEYS)
-        else:
-            checks = SWEEP_SUITE_CHECKS[suite]
-        count, records = exhaustive_sweep(checks, max_n, jobs=jobs)
-        checked += count
-        classify(records)
+        checks = SWEEP_SUITE_CHECKS.get(suite, frozenset(CHECK_KEYS))
+        passes.append(exhaustive_sweep(checks, max_n, jobs=jobs))
         if "ip" in checks:
             specs = random_graph_specs(IP_RANDOM_COUNT, *RANDOM_N_RANGE, seed)
-            count, records = random_sweep({"ip"}, specs, jobs=jobs)
-            checked += count
-            classify(records)
+            passes.append(random_sweep({"ip"}, specs, jobs=jobs))
         if checks & CONJECTURE_CHECKS:
             specs = random_graph_specs(CONJECTURE_RANDOM_COUNT, *RANDOM_N_RANGE, seed + 1)
-            count, records = random_sweep(checks & CONJECTURE_CHECKS, specs, jobs=jobs)
-            checked += count
-            classify(records)
-        if suite in ("recognizability", "all"):
-            for n in range(3, max_n + 1):
-                checked += 1
-                classify(verify_cycle_class(n))
+            passes.append(random_sweep(checks & CONJECTURE_CHECKS, specs, jobs=jobs))
+        if "recognizability" in checks:
+            passes.extend((1, verify_cycle_class(n)) for n in range(3, max_n + 1))
         if suite == "all":
-            count, records = run_closed_forms_suite(max_n=min(forms_max, 12), jobs=jobs)
-            checked += count
-            classify(records)
+            passes.append(run_closed_forms_suite(max_n=min(forms_max, 12), jobs=jobs))
 
+    records = [rec for _, recs in passes for rec in recs]
+    failures = [rec for rec in records if rec["check"] not in CONJECTURE_CHECKS]
+    warnings = [rec for rec in records if rec["check"] in CONJECTURE_CHECKS]
     return {
         "suite": suite,
         "max_n": max_n,
         "seed": seed,
         "jobs": jobs,
-        "graphs_checked": checked,
+        "graphs_checked": sum(count for count, _ in passes),
         "failures": failures,
         "warnings": warnings,
         "passed": not failures,

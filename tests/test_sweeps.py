@@ -11,6 +11,7 @@ from zfpoly.parallel import parallel_map
 from zfpoly.polynomial import _closure_tally, zf_polynomial
 from zfpoly.sweeps import (
     CHECK_KEYS,
+    CONJECTURE_CHECKS,
     SUITES,
     SWEEP_SUITE_CHECKS,
     canonical_connected_strings,
@@ -206,6 +207,14 @@ def test_ham_bound_reports_a_hamiltonian_graph_above_the_path_bound(monkeypatch)
         ("ham-bound", "Hamiltonian-path graph exceeds the path bound")]
 
 
+def test_one_graph_records_come_in_check_order(monkeypatch):
+    monkeypatch.setattr(sweeps, "_closure_tally", _tally_above_the_path)
+    records = random_sweep(CHECK_KEYS, [(4, _emask(path(4)))])[1]
+    checks = [r["check"] for r in records]
+    assert len(set(checks)) >= 3
+    assert checks == sorted(checks, key=CHECK_KEYS.index)
+
+
 def test_ham_bound_consults_the_path_dp_before_reporting(monkeypatch):
     # the star K_{1,3} has no Hamiltonian path, so the failed conclusion is vacuous
     calls = []
@@ -329,9 +338,54 @@ def test_each_sweep_suite_passes_at_small_order(suite):
     assert report["warnings"] == []
 
 
+def test_run_suite_files_every_pass_in_order_as_failures_or_warnings(monkeypatch):
+    passes = []
+
+    def mixed_records(name):
+        passes.append(name)
+        return [sweeps._record(check, len(passes), name, "planted")
+                for check in ("extremal", "unimodality", "ip", "path-bound")]
+
+    monkeypatch.setattr(sweeps, "exhaustive_sweep", lambda checks, max_n, jobs: (1000, mixed_records("exhaustive")))
+    monkeypatch.setattr(sweeps, "random_sweep",
+                        lambda checks, specs, jobs: (len(specs), mixed_records("random:" + ",".join(sorted(checks)))))
+    monkeypatch.setattr(sweeps, "verify_cycle_class", lambda n: mixed_records(f"cycle-class:{n}"))
+    monkeypatch.setattr(sweeps, "run_closed_forms_suite", lambda max_n, jobs: (7, mixed_records("closed-forms")))
+    report = run_suite("all", max_n=4, seed=1)
+    assert passes == ["exhaustive", "random:ip", "random:path-bound,unimodality",
+                      "cycle-class:3", "cycle-class:4", "closed-forms"]
+    assert report["graphs_checked"] == 1000 + sweeps.IP_RANDOM_COUNT + sweeps.CONJECTURE_RANDOM_COUNT + 2 + 7
+    order = [(r["n"], r["check"]) for r in report["failures"]]
+    assert order == [(k, check) for k in range(1, 7) for check in ("extremal", "ip")]
+    order = [(r["n"], r["check"]) for r in report["warnings"]]
+    assert order == [(k, check) for k in range(1, 7) for check in ("unimodality", "path-bound")]
+    assert not report["passed"]
+
+
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def test_check_table_views_are_pinned():
+    # the record order, the suites that run each check, and which checks
+    # only warn; moving a check to another suite must fail here
+    assert CHECK_KEYS == (
+        "extremal", "zero-range", "all-min-sets", "hall", "multiplicativity", "fort-transversal",
+        "fort-count-bound", "ip", "ham-bound", "recognizability", "unimodality", "path-bound", "reversal",
+    )
+    assert list(SWEEP_SUITE_CHECKS.items()) == [
+        ("extremal", frozenset({"extremal", "zero-range", "all-min-sets"})),
+        ("hall", frozenset({"hall"})),
+        ("multiplicativity", frozenset({"multiplicativity"})),
+        ("forts", frozenset({"fort-transversal", "fort-count-bound", "ham-bound"})),
+        ("ip", frozenset({"ip"})),
+        ("recognizability", frozenset({"recognizability"})),
+        ("conjectures", frozenset({"unimodality", "path-bound"})),
+    ]
+    assert CONJECTURE_CHECKS == frozenset({"unimodality", "path-bound"})
+    assert SUITES == ("conjectures", "extremal", "forts", "hall", "ip", "multiplicativity", "recognizability",
+                      "closed-forms", "all")
 
 
 def test_suite_names_stable():
