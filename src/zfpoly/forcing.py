@@ -102,6 +102,35 @@ def _chronological_forces(adj: Sequence[int], n: int, colored: int) -> tuple[lis
     return forces, state
 
 
+def _forcers(adj: Sequence[int], n: int, colored: int) -> int:
+    """The vertices that force in one chronological list of forces from
+    colored.
+
+    Sweeps the colored vertices that have not forced, in vertex order, and
+    performs each force as soon as it applies, so the forces performed form
+    a chronological list.  A vertex with no uncolored neighbor never forces
+    again and leaves the sweep.
+    """
+    state = active = colored
+    forcers = 0
+    while True:
+        before = state
+        rem = active
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            unc = adj[b.bit_length() - 1] & ~state
+            if unc & (unc - 1):
+                continue  # two or more uncolored neighbors: not yet
+            active ^= b
+            if unc:
+                forcers |= b
+                state |= unc
+                active |= unc
+        if state == before:
+            return forcers
+
+
 def chronological_forces(g: Graph, colored: int) -> ForceRecord:
     """Deterministic force list reaching the closure.
 

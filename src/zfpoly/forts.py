@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .closed_forms import binom
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import (ZfPolynomial, _chunk_constants, _closure_tally, _join_lanes, _lane_chunks,
-                         _lane_width, _split_lanes, enumeration_cap)
+from .polynomial import (ZfPolynomial, _chunk_constants, _closure_tally, _join_lanes, _lane_width, _split_lanes,
+                         enumeration_cap)
 
 
 @dataclass(frozen=True)
@@ -106,22 +106,42 @@ def _fort_definition_bits(adj: Sequence[int], n: int) -> int:
     Independent of the flag table, whose closed bits _fort_bits reads: this
     works in F space, chunk by chunk of the lane layout, where plane u holds
     the masks that contain u.  For each v, "at least one" and "at least two"
-    accumulators over the planes of N(v) give the masks that see exactly
-    one neighbor of v, which rule F out when F misses v.
+    accumulators over the planes of v's low neighbors give the masks that
+    see exactly one or none of them, once for every chunk; in chunk h, the
+    count of v's high neighbors in h selects which, if any, rule F out when
+    F misses v.
     """
+    k = _lane_width(n)
+    ones, planes, _ = _chunk_constants(k)
+    bad = 0  # one chunk: the masks that some v outside them rules out
+    rules = []  # more: per v, (high neighbors, chunk bit of v, masks that see exactly one / none of the low ones)
+    for v in range(n):
+        one = two = 0
+        rem = adj[v] & ((1 << k) - 1)
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            plane = planes[b.bit_length() - 1]
+            two |= one & plane
+            one |= plane
+        outside = ones ^ planes[v] if v < k else ones
+        if k == n:
+            bad |= (one ^ two) & outside
+        else:
+            rules.append((adj[v] >> k, 1 << v >> k, (one ^ two) & outside, (ones ^ one) & outside))
+    if k == n:
+        return (ones ^ bad) & ~1  # the empty mask is no fort
     chunks = []
-    for ones, planes in _lane_chunks(n):
+    for h in range(1 << (n - k)):
         bad = 0
-        for v in range(n):
-            one = two = 0
-            rem = adj[v]
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                plane = planes[b.bit_length() - 1]
-                two |= one & plane
-                one |= plane
-            bad |= (one ^ two) & (ones ^ planes[v])
+        for high, own, exactly_one, none in rules:
+            if h & own:
+                continue
+            seen = (h & high).bit_count()
+            if seen == 0:
+                bad |= exactly_one
+            elif seen == 1:
+                bad |= none
         chunks.append(ones ^ bad)
     return _join_lanes(chunks, n) & ~1  # the empty mask is no fort
 

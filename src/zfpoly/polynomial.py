@@ -178,11 +178,29 @@ def _join_lanes(chunks: Sequence[int], n: int) -> int:
 def _split_lanes(table: int, n: int) -> list[int]:
     """The chunks of a 2^n-bit table; the inverse of _join_lanes."""
     k = _lane_width(n)
-    if k == n:
+    return _blocks(table, k, n - k)
+
+
+def _blocks(table: int, k: int, c: int) -> list[int]:
+    """The 2^c blocks of 2^k bits of a 2^(k+c)-bit table, lowest first;
+    k >= 3 unless c = 0."""
+    if not c:
         return [table]
-    width = 1 << (k - 3)
-    raw = table.to_bytes(width << (n - k), "little")
+    width = 1 << (k - 3)  # bytes per block
+    raw = table.to_bytes(width << c, "little")
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _close_up(z: int, moves: Sequence[tuple[int, int]]) -> int:
+    """The least superset of z closed under z |= f & z >> shift for each
+    (shift, f) in moves: a lane where a force into w applies is set once the
+    lane 2^w up, the mask it forces into, is."""
+    while True:
+        before = z
+        for shift, f in moves:
+            z |= f & z >> shift
+        if z == before:
+            return z
 
 
 def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
@@ -249,18 +267,55 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
             if f:
                 union |= f
                 moves.append((shift, f))
-        while True:
-            before = z
-            for shift, f in moves:
-                z |= f & z >> shift
-            if z == before:
-                break
-        zf[h] = z
+        zf[h] = z = _close_up(z, moves)
         closed[h] = ones ^ union
         base = h.bit_count()
         for j, level in enumerate(levels):
             coeffs[base + j] += (z & level).bit_count()
     return _join_lanes(zf, n), _join_lanes(closed, n), coeffs
+
+
+def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> list[tuple[int, int, list[int]]]:
+    """The flag tables of the 2^b labeled graphs with edge masks base + g,
+    for base a multiple of 2^b: entry g is _closure_tally(_edge_mask_adj(
+    pairs, n, base + g), n).  Needs n >= 3 if b > 0, so tables fill bytes.
+
+    The tables are the blocks of one 2^(n+b)-bit int, lane g << n | m for
+    graph g at mask m, so each big-int operation acts on the whole batch.
+    Of the planes of _chunk_constants(n + b), plane x < n holds the masks
+    with x and plane n + i the graphs with edge i < b; the other edges are
+    all ones or zero by a bit of base.  A force v -> w applies where the
+    mask holds v and misses w, and an "at least two" accumulator over v's
+    neighbors outside the mask rules out any other.  A lane with a force
+    into w reads zf 2^w lanes up, in its own block, as in _closure_tally.
+    """
+    ones, planes, _ = _chunk_constants(n + b)
+    edge = [ones if base >> i & 1 else 0 for i in range(len(pairs))]
+    edge[:b] = planes[n:]
+    nbrs = [[] for _ in range(n)]  # per v: (w, the lanes with edge vw whose mask misses w)
+    for e, (u, v) in zip(edge, pairs):
+        if e:
+            nbrs[u].append((v, e & ~planes[v]))
+            nbrs[v].append((u, e & ~planes[u]))
+    moves = [0] * n  # per w: the lanes where some force into w applies
+    for v in range(n):
+        one = two = 0
+        for _, missed in nbrs[v]:
+            two |= one & missed
+            one |= missed
+        alone = planes[v] & ~two  # lanes where v holds and misses at most one neighbor
+        for w, missed in nbrs[v]:
+            moves[w] |= alone & missed
+    union = 0
+    for f in moves:
+        union |= f
+    z = ones
+    for plane in planes[:n]:
+        z &= plane  # V forces every vertex
+    z = _close_up(z, [(1 << w, f) for w, f in enumerate(moves) if f])
+    levels = _chunk_constants(n)[2]
+    return [(zf, closed, [(zf & level).bit_count() for level in levels])
+            for zf, closed in zip(_blocks(z, n, b), _blocks(ones ^ union, n, b))]
 
 
 def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from functools import cache, partial
-from itertools import combinations
 from math import comb
 from time import perf_counter
 
@@ -29,7 +28,7 @@ from .closed_forms import (
     poly_threshold,
     poly_wheel,
 )
-from .forcing import _chronological_forces
+from .forcing import _forcers
 from .forts import _cover_size, _fort_bits, _fort_definition_bits
 from .graphs import (
     LABELED_ENUM_MAX,
@@ -52,9 +51,15 @@ from .graphs import (
     wheel,
 )
 from .parallel import parallel_map
-from .polynomial import ZfPolynomial, _chunk_constants, _closure_tally, induced_subgraph, multiply, zf_polynomial
+from .polynomial import (ZfPolynomial, _batch_tally, _chunk_constants, _closure_tally, induced_subgraph, multiply,
+                         zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
+
+# The exhaustive sweep builds the flag tables of up to 2^BATCH_BITS graphs
+# at once, but keeps at least 2^6 batches per order, so that from order 4
+# up each process of a pool gets its batches.
+BATCH_BITS = 10
 
 # Every per-graph check, in record order, and the sweep suite that runs it.
 # "all" runs every check, so a check mapped to "all" runs nowhere else.  The
@@ -105,6 +110,8 @@ class _GraphContext:
         self.pairs = edge_pair_order(n)
         self.full = (1 << n) - 1
         self.full_edges = (1 << len(self.pairs)) - 1
+        self.batch_bits = max(0, min(BATCH_BITS, len(self.pairs) - 6))
+        self.levels = _chunk_constants(n)[2]
         self.path_coeffs = tuple(poly_path(n).coeffs)
         self.complete_coeffs = tuple(poly_complete(n).coeffs)
         # The cycle class list is verified only at the enumerable orders.
@@ -117,19 +124,30 @@ def _context(n: int) -> _GraphContext:
     return _GraphContext(n)
 
 
-@cache
-def _masks_of_size(n: int, k: int) -> tuple[int, ...]:
-    """The n-bit masks with k bits set, built on first use per (n, k)."""
-    return tuple(sum(1 << v for v in combo) for combo in combinations(range(n), k))
-
-
 def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] | tuple[()]:
     """Run the requested checks on one labeled graph; returns (check, detail)
     pairs, or the shared empty tuple when every check passes."""
+    adj = _edge_mask_adj(_context(n).pairs, n, emask)
+    return _check_table(checks, n, emask, adj, *_closure_tally(adj, n))
+
+
+def _check_batch(checks: frozenset, n: int, base: int) -> list[tuple[int, list[tuple[str, str]]]]:
+    """Run the requested checks on the graphs of one batch, edge masks base
+    on; returns (edge mask, (check, detail) pairs) of each graph that fails."""
+    ctx = _context(n)
+    failed = []
+    for emask, table in enumerate(_batch_tally(ctx.pairs, n, base, ctx.batch_bits), base):
+        bad = _check_table(checks, n, emask, _edge_mask_adj(ctx.pairs, n, emask), *table)
+        if bad:
+            failed.append((emask, bad))
+    return failed
+
+
+def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int, closed: int,
+                 coeffs: list[int]) -> list[tuple[str, str]] | tuple[()]:
+    """The checks of one labeled graph, given its adjacency and flag table."""
     ctx = _context(n)
     full = ctx.full
-    adj = _edge_mask_adj(ctx.pairs, n, emask)
-    zf, closed, coeffs = _closure_tally(adj, n)
     poly = ZfPolynomial(n, tuple(coeffs))
     z = poly.zero_forcing_number()
     bad: list[tuple[str, str]] = []
@@ -226,13 +244,12 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
         bad.append(("path-bound", f"coefficients {coeffs} exceed the path's"))
 
     if "reversal" in checks:
-        for mask in _masks_of_size(n, z):
-            if not zf >> mask & 1:
-                continue
-            forcers = 0
-            for u, _ in _chronological_forces(adj, n, mask)[0]:
-                forcers |= 1 << u
-            tails = full & ~forcers  # chain terminals: colored vertices that never force
+        minimum = zf & ctx.levels[z]  # the minimum zero forcing sets
+        while minimum:
+            low = minimum & -minimum
+            minimum ^= low
+            mask = low.bit_length() - 1
+            tails = full & ~_forcers(adj, n, mask)  # chain terminals: colored vertices that never force
             if not zf >> tails & 1:
                 bad.append(("reversal", f"reversed chains of {mask:#x} do not force"))
                 break
@@ -267,11 +284,12 @@ def exhaustive_sweep(checks, max_n: int, jobs: int = 1) -> tuple[int, list[dict]
     total_graphs = 0
     records: list[dict] = []
     for n in range(1, max_n + 1):
-        emasks = range(1 << (n * (n - 1) // 2))
-        for emask, bad in zip(emasks, parallel_map(partial(_check_one, checks, n), emasks, jobs)):
-            for check, detail in bad:
-                records.append(_record(check, n, emask, detail))
-        total_graphs += len(emasks)
+        bases = range(0, 1 << comb(n, 2), 1 << _context(n).batch_bits)
+        for failed in parallel_map(partial(_check_batch, checks, n), bases, jobs):
+            for emask, bad in failed:
+                for check, detail in bad:
+                    records.append(_record(check, n, emask, detail))
+        total_graphs += 1 << comb(n, 2)
     return total_graphs, records
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_closure
+from oracles import naive_closure, naive_is_zfs
 from zfpoly import (
     all_labeled_graphs,
     chronological_forces,
@@ -24,6 +24,7 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import polynomial
+from zfpoly.forcing import _forcers
 from zfpoly.forts import _fort_bits
 from zfpoly.polynomial import _closure_tally
 
@@ -263,6 +264,19 @@ def test_reversal_of_minimum_sets_exhaustive_small():
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
             assert _reversal_holds(g)
+
+
+def test_forcers_of_a_zero_forcing_set_leave_terminals_that_force():
+    # a chronological list from S has n - |S| forces, one per forcer, and
+    # its terminals V - forcers force again (the reversal theorem)
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            for mask in range(1 << n):
+                if not naive_is_zfs(g, set(vertices_of(mask))):
+                    continue
+                forcers = _forcers(g.adj, n, mask)
+                assert forcers.bit_count() == n - mask.bit_count()
+                assert naive_is_zfs(g, set(vertices_of(g.vertex_mask & ~forcers)))
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -34,8 +34,10 @@ from zfpoly import (
     zf_polynomial,
     zf_polynomial_by_components,
 )
-from zfpoly import polynomial
-from zfpoly.polynomial import _chunk_constants, _join_lanes, _lane_chunks, _lane_width, _split_lanes
+from zfpoly import polynomial, sweeps
+from zfpoly.graphs import _edge_mask_adj, edge_pair_order
+from zfpoly.polynomial import (_batch_tally, _chunk_constants, _closure_tally, _join_lanes, _lane_chunks, _lane_width,
+                               _split_lanes)
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
 
@@ -89,6 +91,28 @@ def test_lane_layout(monkeypatch, width):
         assert len(chunks) == 1 << (n - _lane_width(n))
         for j in range(n):
             assert _join_lanes([planes[j] for _, planes in chunks], n) == _chunk_constants(n)[1][j]
+
+
+def _tallies(pairs, n, emasks):
+    return [_closure_tally(_edge_mask_adj(pairs, n, e), n) for e in emasks]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_batch_tally_matches_the_closure_tally_on_every_graph(n):
+    # each width puts graphs in other blocks and other edges in the planes
+    pairs = edge_pair_order(n)
+    want = _tallies(pairs, n, range(1 << len(pairs)))
+    for b in sorted({0, 1, 3, sweeps._context(n).batch_bits}):
+        got = [t for base in range(0, len(want), 1 << b) for t in _batch_tally(pairs, n, base, b)]
+        assert got == want, b
+
+
+def test_batch_tally_matches_the_closure_tally_at_order_seven():
+    n, b = 7, sweeps._context(7).batch_bits
+    pairs = edge_pair_order(n)
+    rng = random.Random(77)
+    for base in [rng.randrange(0, 1 << 21, 1 << b) for _ in range(2)] + [(1 << 21) - (1 << b)]:
+        assert _batch_tally(pairs, n, base, b) == _tallies(pairs, n, range(base, base + (1 << b))), base
 
 
 def test_table_engine_runs_past_order_twenty():

@@ -1,5 +1,6 @@
 import multiprocessing
 import re
+from math import comb
 
 import pytest
 
@@ -96,6 +97,52 @@ def test_parallel_sweep_is_deterministic(pool_starts):
     assert solo == duo
 
 
+def test_exhaustive_sweep_reports_a_fault_in_the_batch_tally(monkeypatch):
+    # in the batch of the 5-path 0-1-2-3-4: {0} forces along the path, so
+    # clearing the zf bit of its chain terminal {4} fails reversal, and
+    # clearing the closed bit of the empty set drops the fort V
+    target = _emask(path(5))
+
+    def corrupted(table):
+        zf, closed, coeffs = table
+        return zf ^ 1 << 0b10000, closed ^ 1, coeffs
+
+    real_batch = sweeps._batch_tally
+
+    def faulty_batch(pairs, n, base, b):
+        tables = real_batch(pairs, n, base, b)
+        if n == 5 and base <= target < base + (1 << b):
+            tables[target - base] = corrupted(tables[target - base])
+        return tables
+
+    monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
+    _, records = exhaustive_sweep(CHECK_KEYS, max_n=5)
+    monkeypatch.setattr(sweeps, "_closure_tally", lambda adj, n: corrupted(_closure_tally(adj, n)))
+    bad = sweeps._check_one(frozenset(CHECK_KEYS), 5, target)
+    assert [check for check, _ in bad] == ["fort-transversal", "reversal"]
+    assert records == [sweeps._record(check, 5, target, detail) for check, detail in bad]
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+def test_exhaustive_sweep_equals_a_loop_over_single_graphs(monkeypatch, pool_starts, jobs):
+    # a fault in a per-graph kernel: the definition drops its lowest fort on
+    # every seventh graph, which fort-transversal and maybe ip report
+    real_bits = sweeps._fort_definition_bits
+
+    def dropping(adj, n):
+        bits = real_bits(adj, n)
+        emask = sum(1 << i for i, (u, v) in enumerate(edge_pair_order(n)) if adj[u] >> v & 1)
+        return bits & (bits - 1) if emask % 7 == 0 else bits
+
+    monkeypatch.setattr(sweeps, "_fort_definition_bits", dropping)
+    graphs = [(n, emask) for n in range(1, 6) for emask in range(1 << comb(n, 2))]
+    looped = [sweeps._record(check, n, emask, detail) for n, emask in graphs
+              for check, detail in sweeps._check_one(frozenset(CHECK_KEYS), n, emask)]
+    assert len(looped) >= len(graphs) // 7
+    assert exhaustive_sweep(CHECK_KEYS, max_n=5, jobs=jobs) == (len(graphs), looped)
+    assert len(pool_starts) == (2 if jobs == 2 else 0)  # orders 4 and 5
+
+
 def _tally_with_z_one_lower(adj, n):
     zf, closed, coeffs = _closure_tally(adj, n)
     z = next(i for i, c in enumerate(coeffs) if c)
@@ -185,7 +232,7 @@ def test_random_sweep_conjectures_clean():
 def test_reversal_reports_terminals_that_do_not_force(monkeypatch):
     # claim that every vertex forces: the chain terminals are then the empty
     # set, which is closed and forces nothing on the 3-path
-    monkeypatch.setattr(sweeps, "_chronological_forces", lambda adj, n, mask: ([(u, u) for u in range(n)], mask))
+    monkeypatch.setattr(sweeps, "_forcers", lambda adj, n, mask: (1 << n) - 1)
     _, records = random_sweep({"reversal"}, [(3, 0b101)])
     assert [r["check"] for r in records] == ["reversal"]
 
@@ -235,13 +282,13 @@ def test_ham_bound_skips_the_path_dp_when_both_conclusions_hold(monkeypatch):
 
 def test_reversal_visits_exactly_the_minimum_zero_forcing_sets(monkeypatch):
     seen = {}
-    real_forces = sweeps._chronological_forces
+    real_forcers = sweeps._forcers
 
     def spy(adj, n, mask):
         seen.setdefault((n, tuple(adj)), []).append(mask)
-        return real_forces(adj, n, mask)
+        return real_forcers(adj, n, mask)
 
-    monkeypatch.setattr(sweeps, "_chronological_forces", spy)
+    monkeypatch.setattr(sweeps, "_forcers", spy)
     specs = [(n, e) for n in range(1, 6) for e in range(1 << (n * (n - 1) // 2))]
     assert random_sweep({"reversal"}, specs)[1] == []
     for n, emask in specs:
