@@ -102,7 +102,7 @@ def _chronological_forces(adj: Sequence[int], n: int, colored: int) -> tuple[lis
     return forces, state
 
 
-def _forcers(adj: Sequence[int], n: int, colored: int) -> int:
+def _forcers(adj: Sequence[int], colored: int) -> int:
     """The vertices that force in one chronological list of forces from
     colored.
 

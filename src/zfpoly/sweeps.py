@@ -111,7 +111,6 @@ class _GraphContext:
         self.full = (1 << n) - 1
         self.full_edges = (1 << len(self.pairs)) - 1
         self.batch_bits = max(0, min(BATCH_BITS, len(self.pairs) - 6))
-        self.levels = _chunk_constants(n)[2]
         self.path_coeffs = tuple(poly_path(n).coeffs)
         self.complete_coeffs = tuple(poly_complete(n).coeffs)
         # The cycle class list is verified only at the enumerable orders.
@@ -244,12 +243,12 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
         bad.append(("path-bound", f"coefficients {coeffs} exceed the path's"))
 
     if "reversal" in checks:
-        minimum = zf & ctx.levels[z]  # the minimum zero forcing sets
+        minimum = zf & _chunk_constants(n)[2][z]  # the minimum zero forcing sets
         while minimum:
             low = minimum & -minimum
             minimum ^= low
             mask = low.bit_length() - 1
-            tails = full & ~_forcers(adj, n, mask)  # chain terminals: colored vertices that never force
+            tails = full & ~_forcers(adj, mask)  # chain terminals: colored vertices that never force
             if not zf >> tails & 1:
                 bad.append(("reversal", f"reversed chains of {mask:#x} do not force"))
                 break

@@ -274,7 +274,7 @@ def test_forcers_of_a_zero_forcing_set_leave_terminals_that_force():
             for mask in range(1 << n):
                 if not naive_is_zfs(g, set(vertices_of(mask))):
                     continue
-                forcers = _forcers(g.adj, n, mask)
+                forcers = _forcers(g.adj, mask)
                 assert forcers.bit_count() == n - mask.bit_count()
                 assert naive_is_zfs(g, set(vertices_of(g.vertex_mask & ~forcers)))
 

@@ -232,7 +232,7 @@ def test_random_sweep_conjectures_clean():
 def test_reversal_reports_terminals_that_do_not_force(monkeypatch):
     # claim that every vertex forces: the chain terminals are then the empty
     # set, which is closed and forces nothing on the 3-path
-    monkeypatch.setattr(sweeps, "_forcers", lambda adj, n, mask: (1 << n) - 1)
+    monkeypatch.setattr(sweeps, "_forcers", lambda adj, mask: (1 << len(adj)) - 1)
     _, records = random_sweep({"reversal"}, [(3, 0b101)])
     assert [r["check"] for r in records] == ["reversal"]
 
@@ -284,9 +284,9 @@ def test_reversal_visits_exactly_the_minimum_zero_forcing_sets(monkeypatch):
     seen = {}
     real_forcers = sweeps._forcers
 
-    def spy(adj, n, mask):
-        seen.setdefault((n, tuple(adj)), []).append(mask)
-        return real_forcers(adj, n, mask)
+    def spy(adj, mask):
+        seen.setdefault((len(adj), tuple(adj)), []).append(mask)
+        return real_forcers(adj, mask)
 
     monkeypatch.setattr(sweeps, "_forcers", spy)
     specs = [(n, e) for n in range(1, 6) for e in range(1 << (n * (n - 1) // 2))]
