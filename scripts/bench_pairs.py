@@ -22,10 +22,12 @@ from pathlib import Path
 from statistics import median, quantiles
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+COMMAND = "bench/run.py --workload {workload} --seed {seed} --seconds 10 --trace 0"
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """The full record of one benchmark run, or the error it ended with."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, *COMMAND.format(workload=workload, seed=seed).split()]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -63,7 +65,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="one seed per pair, as LO-HI")
-    parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -73,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            pair[side] = run_once(getattr(args, side), args.workload, seed)
         pairs.append(pair)
         print(json.dumps({"workload": args.workload, "seed": seed, "failed": {
             side: pair[side].get("failed", pair[side].get("error")) for side in order}}), file=sys.stderr)
@@ -85,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
                         "python": rec["python"]})
             break
     doc["workloads"][args.workload] = {
-        "command": f"bench/run.py --workload {args.workload} --seed SEED --seconds {args.seconds} --trace 0",
+        "command": COMMAND.format(workload=args.workload, seed="SEED"),
         "summary": summarize(pairs, spec["end_to_end"]),
         "pairs": pairs,
     }

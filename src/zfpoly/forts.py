@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .closed_forms import binom
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import (ZfPolynomial, _chunk_constants, _closure_tally, _join_lanes, _lane_width, _split_lanes,
-                         enumeration_cap)
+from .polynomial import (ZfPolynomial, _chunk_constants, _chunk_planes, _closure_tally, _join_lanes, _lane_width,
+                         _split_lanes, enumeration_cap)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _fort_definition_bits(adj: Sequence[int], n: int) -> int:
     F misses v.
     """
     k = _lane_width(n)
-    ones, planes, _ = _chunk_constants(k)
+    ones, planes = _chunk_planes(k)
     bad = 0  # one chunk: the masks that some v outside them rules out
     rules = []  # more: per v, (high neighbors, chunk bit of v, masks that see exactly one / none of the low ones)
     for v in range(n):

@@ -135,19 +135,27 @@ def multiply(p: ZfPolynomial, q: ZfPolynomial) -> ZfPolynomial:
 
 
 @cache
-def _chunk_constants(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(all ones, planes, levels) of a 2^k-bit chunk: bit m of plane i is set
-    iff m has bit i, and bit m of level j iff m has j bits."""
+def _chunk_planes(k: int) -> tuple[int, tuple[int, ...]]:
+    """(all ones, planes) of a 2^k-bit chunk: bit m of plane i is set iff m
+    has bit i."""
     ones = (1 << (1 << k)) - 1
     planes = []
     for i in range(k):
         run = 1 << i
         # runs of 2^i zeros then 2^i ones: the quotient has one bit per pair
         planes.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    return ones, tuple(planes)
+
+
+@cache
+def _chunk_constants(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(all ones, planes, levels) of a 2^k-bit chunk: the planes as in
+    _chunk_planes, and bit m of level j is set iff m has j bits."""
+    ones, planes = _chunk_planes(k)
     levels = [1]
     for i in range(k):
         levels = [a | b << (1 << i) for a, b in zip(levels + [0], [0] + levels)]
-    return ones, tuple(planes), tuple(levels)
+    return ones, planes, tuple(levels)
 
 
 def _lane_width(n: int) -> int:
@@ -160,7 +168,7 @@ def _lane_chunks(n: int) -> list[tuple[int, tuple[int, ...]]]:
     mask h << k | t holds v, so a high vertex's plane is all ones or zero
     by a bit of h.  Not cached: the width is read on every call."""
     k = _lane_width(n)
-    ones, low, _ = _chunk_constants(k)
+    ones, low = _chunk_planes(k)
     if k == n:
         return [(ones, low)]
     return [(ones, low + tuple(ones if h >> j & 1 else 0 for j in range(n - k)))
@@ -282,14 +290,14 @@ def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) ->
 
     The tables are the blocks of one 2^(n+b)-bit int, lane g << n | m for
     graph g at mask m, so each big-int operation acts on the whole batch.
-    Of the planes of _chunk_constants(n + b), plane x < n holds the masks
+    Of the planes of _chunk_planes(n + b), plane x < n holds the masks
     with x and plane n + i the graphs with edge i < b; the other edges are
     all ones or zero by a bit of base.  A force v -> w applies where the
     mask holds v and misses w, and an "at least two" accumulator over v's
     neighbors outside the mask rules out any other.  A lane with a force
     into w reads zf 2^w lanes up, in its own block, as in _closure_tally.
     """
-    ones, planes, _ = _chunk_constants(n + b)
+    ones, planes = _chunk_planes(n + b)
     edge = [ones if base >> i & 1 else 0 for i in range(len(pairs))]
     edge[:b] = planes[n:]
     nbrs = [[] for _ in range(n)]  # per v: (w, the lanes with edge vw whose mask misses w)

@@ -50,15 +50,14 @@ from .graphs import (
     threshold_from_string,
     wheel,
 )
-from .parallel import parallel_map
+from .parallel import BATCHES_PER_JOB, parallel_map
 from .polynomial import (ZfPolynomial, _batch_tally, _chunk_constants, _closure_tally, induced_subgraph, multiply,
                          zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
 # The exhaustive sweep builds the flag tables of up to 2^BATCH_BITS graphs
-# at once, but keeps at least 2^6 batches per order, so that from order 4
-# up each process of a pool gets its batches.
+# at once; _batch_bits leaves enough batches per order for the pool.
 BATCH_BITS = 10
 
 # Every per-graph check, in record order, and the sweep suite that runs it.
@@ -110,7 +109,6 @@ class _GraphContext:
         self.pairs = edge_pair_order(n)
         self.full = (1 << n) - 1
         self.full_edges = (1 << len(self.pairs)) - 1
-        self.batch_bits = max(0, min(BATCH_BITS, len(self.pairs) - 6))
         self.path_coeffs = tuple(poly_path(n).coeffs)
         self.complete_coeffs = tuple(poly_complete(n).coeffs)
         # The cycle class list is verified only at the enumerable orders.
@@ -130,12 +128,22 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     return _check_table(checks, n, emask, adj, *_closure_tally(adj, n))
 
 
-def _check_batch(checks: frozenset, n: int, base: int) -> list[tuple[int, list[tuple[str, str]]]]:
-    """Run the requested checks on the graphs of one batch, edge masks base
-    on; returns (edge mask, (check, detail) pairs) of each graph that fails."""
+def _batch_bits(n: int, jobs: int) -> int:
+    """The log2 of the graphs per batch at order n: up to BATCH_BITS, but
+    leaving at least 2^6 batches, and BATCHES_PER_JOB for each of jobs
+    processes, so that from order 4 up each process of a pool gets its
+    batches."""
+    spare = max(6, (jobs * BATCHES_PER_JOB - 1).bit_length())
+    return max(0, min(BATCH_BITS, comb(n, 2) - spare))
+
+
+def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int, list[tuple[str, str]]]]:
+    """Run the requested checks on the 2^b graphs of one batch, edge masks
+    base on; returns (edge mask, (check, detail) pairs) of each graph that
+    fails."""
     ctx = _context(n)
     failed = []
-    for emask, table in enumerate(_batch_tally(ctx.pairs, n, base, ctx.batch_bits), base):
+    for emask, table in enumerate(_batch_tally(ctx.pairs, n, base, b), base):
         bad = _check_table(checks, n, emask, _edge_mask_adj(ctx.pairs, n, emask), *table)
         if bad:
             failed.append((emask, bad))
@@ -283,8 +291,9 @@ def exhaustive_sweep(checks, max_n: int, jobs: int = 1) -> tuple[int, list[dict]
     total_graphs = 0
     records: list[dict] = []
     for n in range(1, max_n + 1):
-        bases = range(0, 1 << comb(n, 2), 1 << _context(n).batch_bits)
-        for failed in parallel_map(partial(_check_batch, checks, n), bases, jobs):
+        b = _batch_bits(n, jobs)
+        bases = range(0, 1 << comb(n, 2), 1 << b)
+        for failed in parallel_map(partial(_check_batch, checks, n, b), bases, jobs):
             for emask, bad in failed:
                 for check, detail in bad:
                     records.append(_record(check, n, emask, detail))

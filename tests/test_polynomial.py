@@ -102,13 +102,13 @@ def test_batch_tally_matches_the_closure_tally_on_every_graph(n):
     # each width puts graphs in other blocks and other edges in the planes
     pairs = edge_pair_order(n)
     want = _tallies(pairs, n, range(1 << len(pairs)))
-    for b in sorted({0, 1, 3, sweeps._context(n).batch_bits}):
+    for b in sorted({0, 1, 3, sweeps._batch_bits(n, 2), sweeps._batch_bits(n, 8)}):
         got = [t for base in range(0, len(want), 1 << b) for t in _batch_tally(pairs, n, base, b)]
         assert got == want, b
 
 
 def test_batch_tally_matches_the_closure_tally_at_order_seven():
-    n, b = 7, sweeps._context(7).batch_bits
+    n, b = 7, sweeps._batch_bits(7, 2)
     pairs = edge_pair_order(n)
     rng = random.Random(77)
     for base in [rng.randrange(0, 1 << 21, 1 << b) for _ in range(2)] + [(1 << 21) - (1 << b)]:

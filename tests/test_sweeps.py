@@ -97,6 +97,34 @@ def test_parallel_sweep_is_deterministic(pool_starts):
     assert solo == duo
 
 
+def test_wide_pools_still_start_at_orders_five_and_six(monkeypatch):
+    # more processes get narrower batches, so each still receives
+    # BATCHES_PER_JOB of them; a pool that maps here records the starts
+    # without forking eight processes
+    starts = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            starts.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, worker, items, chunksize):
+            return map(worker, items)
+
+    monkeypatch.setattr(parallel, "Pool", SerialPool)
+    assert exhaustive_sweep({"extremal"}, max_n=6, jobs=8) == exhaustive_sweep({"extremal"}, max_n=6, jobs=1)
+    assert starts == [8, 8]  # order 4 has 64 graphs, under 8 * 16
+    for jobs in range(1, 65):
+        for n in range(1, sweeps.EXHAUSTIVE_MAX_N + 1):
+            batches = 1 << comb(n, 2) - sweeps._batch_bits(n, jobs)
+            assert batches >= min(1 << comb(n, 2), 64, jobs * parallel.BATCHES_PER_JOB), (jobs, n)
+
+
 def test_exhaustive_sweep_reports_a_fault_in_the_batch_tally(monkeypatch):
     # in the batch of the 5-path 0-1-2-3-4: {0} forces along the path, so
     # clearing the zf bit of its chain terminal {4} fails reversal, and
