@@ -83,7 +83,7 @@ def all_min_sets_forcing(g: Graph) -> bool:
     return poly.coeffs[z] == comb(g.n, z)
 
 
-def _hall_ok(coeffs: tuple[int, ...], n: int) -> bool:
+def _hall_ok(coeffs: Sequence[int], n: int) -> bool:
     return all(coeffs[i] <= coeffs[i + 1] for i in range(1, (n - 1) // 2 + 1) if 2 * i < n)
 
 

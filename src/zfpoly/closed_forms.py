@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import comb
 
 from .graphs import BlockPartition, _require_binary, block_partition
-from .polynomial import ZfPolynomial, _join_lanes, _lane_chunks
+from .polynomial import ZfPolynomial, _chunk_planes
 
 
 def binom(a: int, b: int) -> int:
@@ -236,9 +236,9 @@ def _threshold_zfs_bits(b: str) -> int:
     bit m is set iff ``threshold_zfs_check(b, m)``.
 
     Built from the string alone, never from the graph's flag table, so the
-    two stay independent computations of the zero forcing sets.  It runs
-    once per chunk of the lane layout (see polynomial._lane_chunks).
+    two stay independent computations of the zero forcing sets.  One pass
+    over the planes of _chunk_planes(n): this oracle runs only at orders
+    small enough for a flat table.
     """
     _require_usable(b)
-    n = len(b)
-    return _join_lanes([_threshold_lanes(b, ones, planes) for ones, planes in _lane_chunks(n)], n)
+    return _threshold_lanes(b, *_chunk_planes(len(b)))

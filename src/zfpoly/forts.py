@@ -13,7 +13,9 @@ table: the forts from its closed bits (_fort_bits), the transversals from
 its zero forcing bits.  Two tables of their own check that reading: the
 forts from the definition alone, which the sweeps compare with _fort_bits
 in both directions, and the forts closed upward, whose largest fort-free
-mask gives the cover size without the zero forcing bits.
+mask gives the cover size without the zero forcing bits.  The definition
+table is one flat 2^n-bit int; the up-closure runs up to the enumeration
+cap, so it alone here keeps the lane layout's chunks, to bound its memory.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ from typing import Sequence
 
 from .closed_forms import binom
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import (ZfPolynomial, _chunk_constants, _chunk_planes, _closure_tally, _join_lanes, _lane_width,
-                         _split_lanes, enumeration_cap)
+from .polynomial import (_chunk_constants, _chunk_planes, _closure_tally, _lane_width, _split_lanes,
+                         _zero_forcing_number, enumeration_cap)
 
 
 @dataclass(frozen=True)
@@ -104,46 +106,24 @@ def _fort_definition_bits(adj: Sequence[int], n: int) -> int:
     iff F is nonempty and no vertex outside F has exactly one neighbor in F.
 
     Independent of the flag table, whose closed bits _fort_bits reads: this
-    works in F space, chunk by chunk of the lane layout, where plane u holds
-    the masks that contain u.  For each v, "at least one" and "at least two"
-    accumulators over the planes of v's low neighbors give the masks that
-    see exactly one or none of them, once for every chunk; in chunk h, the
-    count of v's high neighbors in h selects which, if any, rule F out when
-    F misses v.
+    works in F space over the planes of _chunk_planes(n), where plane u
+    holds the masks that contain u.  For each v, "at least one" and "at
+    least two" accumulators over the planes of v's neighbors give the masks
+    that see exactly one of them, which rule F out when F misses v.
     """
-    k = _lane_width(n)
-    ones, planes = _chunk_planes(k)
-    bad = 0  # one chunk: the masks that some v outside them rules out
-    rules = []  # more: per v, (high neighbors, chunk bit of v, masks that see exactly one / none of the low ones)
+    ones, planes = _chunk_planes(n)
+    bad = 0  # the masks that some v outside them rules out
     for v in range(n):
         one = two = 0
-        rem = adj[v] & ((1 << k) - 1)
+        rem = adj[v]
         while rem:
             b = rem & -rem
             rem ^= b
             plane = planes[b.bit_length() - 1]
             two |= one & plane
             one |= plane
-        outside = ones ^ planes[v] if v < k else ones
-        if k == n:
-            bad |= (one ^ two) & outside
-        else:
-            rules.append((adj[v] >> k, 1 << v >> k, (one ^ two) & outside, (ones ^ one) & outside))
-    if k == n:
-        return (ones ^ bad) & ~1  # the empty mask is no fort
-    chunks = []
-    for h in range(1 << (n - k)):
-        bad = 0
-        for high, own, exactly_one, none in rules:
-            if h & own:
-                continue
-            seen = (h & high).bit_count()
-            if seen == 0:
-                bad |= exactly_one
-            elif seen == 1:
-                bad |= none
-        chunks.append(ones ^ bad)
-    return _join_lanes(chunks, n) & ~1  # the empty mask is no fort
+        bad |= (one ^ two) & ~planes[v]
+    return (ones ^ bad) & ~1  # the empty mask is no fort
 
 
 def _cover_size(fort_bits: int, n: int) -> int:
@@ -215,7 +195,7 @@ def small_fort_coefficient_bound(g: Graph) -> list[tuple[int, int, int, bool]] |
     # a largest set that does not force is closed, so its complement is a
     # smallest fort
     smallest = n - max(i for i in range(n + 1) if coeffs[i] < binom(n, i))
-    z = ZfPolynomial(n, tuple(coeffs)).zero_forcing_number()
+    z = _zero_forcing_number(coeffs)
     if smallest > z + 1:
         return None
     rows = []

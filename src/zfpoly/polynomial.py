@@ -26,7 +26,10 @@ CAP_ENV_VAR = "ZFPOLY_MAX_N"
 # The one lane-table layout: a 2^n-bit table, one subset per bit, is held as
 # chunks of 2^k bits, one int each, so that each operation acts on a whole
 # chunk.  The low k = _lane_width(n) vertices index the bits of a chunk and
-# the high n - k its number h, chunk 0 lowest.
+# the high n - k its number h, chunk 0 lowest.  Only the two kernels that
+# run up to the enumeration cap chunk, to bound their memory there:
+# _closure_tally and forts._cover_size.  Every other table is one 2^n-bit
+# int over _chunk_planes(n).
 _CHUNK_BITS = 12
 
 
@@ -69,23 +72,11 @@ class ZfPolynomial:
 
     def zero_forcing_number(self) -> int:
         """Index of the first nonzero coefficient."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise ValueError("all coefficients are zero")
+        return _zero_forcing_number(self.coeffs)
 
     def is_unimodal(self) -> bool:
         """True iff the nonzero coefficient segment weakly rises then weakly falls."""
-        support = [i for i, c in enumerate(self.coeffs) if c]
-        if not support:
-            return True
-        seg = self.coeffs[support[0]:support[-1] + 1]
-        i = 0
-        while i + 1 < len(seg) and seg[i + 1] >= seg[i]:
-            i += 1
-        while i + 1 < len(seg) and seg[i + 1] <= seg[i]:
-            i += 1
-        return i == len(seg) - 1
+        return _is_unimodal(self.coeffs)
 
     def pretty(self) -> str:
         """Human form such as '8x^3 + 5x^4 + x^5' (ascending powers)."""
@@ -122,29 +113,51 @@ class ZfPolynomial:
         return multiply(self, other)
 
 
+# The polynomial's readings on a bare coefficient sequence, for kernels that
+# build no ZfPolynomial.
+
+def _zero_forcing_number(coeffs: Sequence[int]) -> int:
+    for i, c in enumerate(coeffs):
+        if c:
+            return i
+    raise ValueError("all coefficients are zero")
+
+
+def _is_unimodal(coeffs: Sequence[int]) -> bool:
+    # no rise after a fall; the coefficients are nonnegative, so zeros
+    # outside the nonzero segment add only rises before it and falls after
+    steps = [b > a for a, b in zip(coeffs, coeffs[1:]) if a != b]
+    return steps == sorted(steps, reverse=True)
+
+
+def _convolve(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def multiply(p: ZfPolynomial, q: ZfPolynomial) -> ZfPolynomial:
     """Coefficient convolution; the result has order p.n + q.n."""
-    out = [0] * (p.n + q.n + 1)
-    for i, a in enumerate(p.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(q.coeffs):
-            if b:
-                out[i + j] += a * b
-    return ZfPolynomial(p.n + q.n, tuple(out))
+    return ZfPolynomial(p.n + q.n, tuple(_convolve(p.coeffs, q.coeffs)))
 
 
 @cache
 def _chunk_planes(k: int) -> tuple[int, tuple[int, ...]]:
     """(all ones, planes) of a 2^k-bit chunk: bit m of plane i is set iff m
     has bit i."""
-    ones = (1 << (1 << k)) - 1
+    size = 1 << k
     planes = []
     for i in range(k):
         run = 1 << i
-        # runs of 2^i zeros then 2^i ones: the quotient has one bit per pair
-        planes.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
-    return ones, tuple(planes)
+        plane = ((1 << run) - 1) << run  # 2^i zeros then 2^i ones
+        width = 2 * run
+        while width < size:  # doubling: linear in the chunk size
+            plane |= plane << width
+            width *= 2
+        planes.append(plane)
+    return (1 << size) - 1, tuple(planes)
 
 
 @cache
@@ -161,18 +174,6 @@ def _chunk_constants(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 def _lane_width(n: int) -> int:
     """The k low vertices that index the bits of one chunk."""
     return min(n, _CHUNK_BITS)
-
-
-def _lane_chunks(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Per chunk h, (all ones, planes): bit t of planes[v] is set iff the
-    mask h << k | t holds v, so a high vertex's plane is all ones or zero
-    by a bit of h.  Not cached: the width is read on every call."""
-    k = _lane_width(n)
-    ones, low = _chunk_planes(k)
-    if k == n:
-        return [(ones, low)]
-    return [(ones, low + tuple(ones if h >> j & 1 else 0 for j in range(n - k)))
-            for h in range(1 << (n - k))]
 
 
 def _join_lanes(chunks: Sequence[int], n: int) -> int:
@@ -218,8 +219,8 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
     vertex, bit m of closed iff no force applies at m, and coeffs[i] counts
     the zero forcing sets of size i.
 
-    The chunks take the layout of _lane_chunks and are visited in
-    decreasing order of their number h.  A force v -> w applies at the
+    The chunks take the lane layout, bit t of chunk h for mask h << k | t,
+    and are visited in decreasing order of h.  A force v -> w applies at the
     masks that hold v and N(v) - w and miss w: within a chunk, a fixed
     low-bit pattern gated by a test of h.  The rule is confluent, so a mask
     with an applicable force forces every vertex iff the mask it forces
@@ -373,18 +374,15 @@ def count_zfs(g: Graph, size: int) -> int:
     return count
 
 
+def _induced_adj(adj: Sequence[int], mask: int) -> list[int]:
+    verts = vertices_of(mask)
+    return [sum(1 << i for i, u in enumerate(verts) if adj[v] >> u & 1) for v in verts]
+
+
 def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Subgraph induced by a vertex mask, relabeled to 0..k-1 in vertex order."""
-    verts = vertices_of(mask)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for v in verts:
-        rem = g.adj[v] & mask
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            adj[index[v]] |= 1 << index[b.bit_length() - 1]
-    return Graph(len(verts), tuple(adj))
+    adj = _induced_adj(g.adj, mask)
+    return Graph(len(adj), tuple(adj))
 
 
 def zf_polynomial_by_components(g: Graph) -> ZfPolynomial:

@@ -51,8 +51,8 @@ from .graphs import (
     wheel,
 )
 from .parallel import BATCHES_PER_JOB, parallel_map
-from .polynomial import (ZfPolynomial, _batch_tally, _chunk_constants, _closure_tally, induced_subgraph, multiply,
-                         zf_polynomial)
+from .polynomial import (_batch_tally, _chunk_constants, _closure_tally, _convolve, _induced_adj, _is_unimodal,
+                         _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -109,10 +109,10 @@ class _GraphContext:
         self.pairs = edge_pair_order(n)
         self.full = (1 << n) - 1
         self.full_edges = (1 << len(self.pairs)) - 1
-        self.path_coeffs = tuple(poly_path(n).coeffs)
-        self.complete_coeffs = tuple(poly_complete(n).coeffs)
+        self.path_coeffs = list(poly_path(n).coeffs)  # lists, like the kernel's coefficients
+        self.complete_coeffs = list(poly_complete(n).coeffs)
         # The cycle class list is verified only at the enumerable orders.
-        self.cycle_coeffs = tuple(poly_cycle(n).coeffs) if 3 <= n <= EXHAUSTIVE_MAX_N else None
+        self.cycle_coeffs = list(poly_cycle(n).coeffs) if 3 <= n <= EXHAUSTIVE_MAX_N else None
         self.cycle_class = expected_cycle_class(n) if self.cycle_coeffs else []
 
 
@@ -155,8 +155,7 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
     """The checks of one labeled graph, given its adjacency and flag table."""
     ctx = _context(n)
     full = ctx.full
-    poly = ZfPolynomial(n, tuple(coeffs))
-    z = poly.zero_forcing_number()
+    z = _zero_forcing_number(coeffs)
     bad: list[tuple[str, str]] = []
 
     if "extremal" in checks:
@@ -179,19 +178,17 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
         if every_min_forces != extreme:
             bad.append(("all-min-sets", f"all-minimum-sets {every_min_forces} vs complete/empty {extreme}"))
 
-    if "hall" in checks and not _hall_ok(poly.coeffs, n):
+    if "hall" in checks and not _hall_ok(coeffs, n):
         bad.append(("hall", f"coefficients {coeffs} decrease somewhere below n/2"))
 
     if "multiplicativity" in checks:
         comps = _connected_components(adj, n)
         if len(comps) > 1:
-            g = Graph(n, tuple(adj))
-            product = ZfPolynomial(0, (1,))
+            product = [1]
             for comp in comps:
-                sub = induced_subgraph(g, comp)
-                sub_coeffs = _closure_tally(sub.adj, sub.n)[2]
-                product = multiply(product, ZfPolynomial(sub.n, tuple(sub_coeffs)))
-            if product != poly:
+                sub = _induced_adj(adj, comp)
+                product = _convolve(product, _closure_tally(sub, len(sub))[2])
+            if product != coeffs:
                 bad.append(("multiplicativity", "component product differs from direct enumeration"))
 
     if checks & {"fort-transversal", "fort-count-bound", "ip"}:
@@ -224,7 +221,7 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
     if checks & {"ham-bound", "recognizability", "path-bound"}:
         pathc = ctx.path_coeffs
         exceeds = any(coeffs[i] > pathc[i] for i in range(n + 1))
-        wrong_path_equality = (poly.coeffs == pathc) != _is_path_graph(adj, n)
+        wrong_path_equality = (coeffs == pathc) != _is_path_graph(adj, n)
 
     # Both conclusions first: the antecedent (a Hamiltonian path) is the
     # costly part and matters only when one of them fails.
@@ -237,14 +234,14 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
     if "recognizability" in checks:
         if wrong_path_equality:
             bad.append(("recognizability", "path polynomial does not characterize paths"))
-        if (poly.coeffs == ctx.complete_coeffs) != (emask == ctx.full_edges):
+        if (coeffs == ctx.complete_coeffs) != (emask == ctx.full_edges):
             bad.append(("recognizability", "complete polynomial does not characterize complete graphs"))
-        if poly.coeffs == ctx.cycle_coeffs:
+        if coeffs == ctx.cycle_coeffs:
             g = Graph(n, tuple(adj))
             if not any(is_isomorphic(g, h) for h in ctx.cycle_class):
                 bad.append(("recognizability", "cycle polynomial outside the listed cycle class"))
 
-    if "unimodality" in checks and not poly.is_unimodal():
+    if "unimodality" in checks and not _is_unimodal(coeffs):
         bad.append(("unimodality", f"coefficients {coeffs} are not unimodal"))
 
     if "path-bound" in checks and exceeds:
@@ -286,8 +283,8 @@ def exhaustive_sweep(checks, max_n: int, jobs: int = 1) -> tuple[int, list[dict]
     Returns (graphs checked, failure records ordered by (n, graph)).
     """
     checks = _check_names(checks)
-    if max_n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive sweep capped at {EXHAUSTIVE_MAX_N} vertices")
+    if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive sweep needs 1 <= max_n <= {EXHAUSTIVE_MAX_N}, got {max_n}")
     total_graphs = 0
     records: list[dict] = []
     for n in range(1, max_n + 1):

@@ -191,7 +191,8 @@ def test_threshold_zfs_check_agrees_with_forcing():
 
 @pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
 def test_threshold_zfs_bits_match_the_flag_table(monkeypatch, width):
-    # at width 3 every string longer than 3 runs through the chunked path
+    # the characterization table is flat; at width 3 the flag table it is
+    # checked against runs through the chunked path
     monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
     for length in range(2, 11):
         for b in canonical_connected_strings(length):

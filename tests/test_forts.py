@@ -140,7 +140,8 @@ def test_fort_check_names_the_lowest_differing_mask(monkeypatch, flipped, detail
 
 @pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
 def test_fort_definition_bits_match_the_naive_forts(monkeypatch, width):
-    # at width 3 every order above 3 runs through the chunked path
+    # the definition table is flat at every order, so the lane width must
+    # not change it
     monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
     graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
     rng = random.Random(width)
@@ -181,11 +182,11 @@ def test_cover_size_is_the_zero_forcing_number_past_one_chunk():
 def test_fort_bits_match_the_fort_list():
     # the sweep reads _fort_bits and enumerate_forts lists its set bits:
     # the list must hold exactly those bits, in (size, mask) order, and the
-    # bits must be the definition table's, also past one chunk at n = 13
-    # and 14
+    # bits must be the flat definition table's, also where the flag table
+    # spans several chunks, at n = 13 to 16
     graphs = [g for n in range(1, 7) for g in all_labeled_graphs(n)]
     rng = random.Random(1313)
-    graphs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (13, 13, 13, 14, 14)]
+    graphs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (13, 13, 13, 14, 14, 15, 15, 16, 16)]
     for g in graphs:
         fort_bits = _fort_bits(_closure_tally(g.adj, g.n)[1], g.n)
         listed = _fort_family(fort_bits, g.n).forts

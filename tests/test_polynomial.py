@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -36,8 +37,7 @@ from zfpoly import (
 )
 from zfpoly import polynomial, sweeps
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
-from zfpoly.polynomial import (_batch_tally, _chunk_constants, _closure_tally, _join_lanes, _lane_chunks, _lane_width,
-                               _split_lanes)
+from zfpoly.polynomial import (_batch_tally, _chunk_planes, _closure_tally, _join_lanes, _lane_width, _split_lanes)
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
 
@@ -80,17 +80,40 @@ def test_engines_agree_on_random_graphs(seed):
 
 @pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
 def test_lane_layout(monkeypatch, width):
-    # every lane table shares this layout; the width is read on each call,
-    # so a narrower width takes effect at once
+    # both chunked kernels share this layout; the width is read on each
+    # call, so a narrower width takes effect at once
     monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
     rng = random.Random(width)
     for n in range(15):
         t = rng.getrandbits(1 << n)
-        assert _join_lanes(_split_lanes(t, n), n) == t
-        chunks = _lane_chunks(n)
-        assert len(chunks) == 1 << (n - _lane_width(n))
-        for j in range(n):
-            assert _join_lanes([planes[j] for _, planes in chunks], n) == _chunk_constants(n)[1][j]
+        k = _lane_width(n)
+        chunks = _split_lanes(t, n)
+        assert len(chunks) == 1 << (n - k) and _join_lanes(chunks, n) == t
+        # bit t of chunk h is mask h << k | t: a low vertex's plane is the
+        # chunk's own plane in every chunk, a high vertex's all ones or zero
+        ones, low = _chunk_planes(k)
+        for j, plane in enumerate(_chunk_planes(n)[1]):
+            want = [low[j] if j < k else ones * (h >> (j - k) & 1) for h in range(1 << (n - k))]
+            assert _split_lanes(plane, n) == want
+
+
+def test_chunk_planes_match_the_definition():
+    for k in range(11):
+        ones, planes = _chunk_planes(k)
+        assert ones == (1 << (1 << k)) - 1 and len(planes) == k
+        for i, plane in enumerate(planes):
+            assert plane == sum(1 << m for m in range(1 << k) if m >> i & 1), (k, i)
+    for k in (16, 20):
+        size = 1 << k
+        ones, planes = _chunk_planes(k)
+        assert ones.bit_length() == ones.bit_count() == size
+        for i, plane in enumerate(planes):
+            run = 1 << i
+            # 2^(k-1) masks hold i; the first period is 2^i zeros then 2^i
+            # ones, and the plane repeats with period 2^(i+1)
+            assert plane.bit_count() == size >> 1
+            assert plane & ((1 << 2 * run) - 1) == ((1 << run) - 1) << run
+            assert plane >> 2 * run == plane & ((1 << (size - 2 * run)) - 1)
 
 
 def _tallies(pairs, n, emasks):
@@ -283,6 +306,17 @@ def test_zero_forcing_number_rejects_zero_polynomial():
 )
 def test_is_unimodal(coeffs, expected):
     assert ZfPolynomial(len(coeffs) - 1, coeffs).is_unimodal() is expected
+
+
+def test_is_unimodal_matches_the_segment_definition():
+    # the nonzero segment rises weakly to some peak p, then falls weakly
+    for length in range(1, 7):
+        for coeffs in itertools.product(range(3), repeat=length):
+            support = [i for i, c in enumerate(coeffs) if c]
+            seg = coeffs[support[0]:support[-1] + 1] if support else (0,)
+            want = any(all(a <= b for a, b in zip(seg[:p], seg[1:p + 1]))
+                       and all(a >= b for a, b in zip(seg[p:], seg[p + 1:])) for p in range(len(seg)))
+            assert ZfPolynomial(length - 1, coeffs).is_unimodal() is want, coeffs
 
 
 def test_json_roundtrip_preserves_big_integers():

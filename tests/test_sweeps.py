@@ -63,6 +63,12 @@ def test_exhaustive_sweep_rejects_large_order():
         exhaustive_sweep({"hall"}, max_n=8)
 
 
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_exhaustive_sweep_rejects_order_below_one(max_n):
+    with pytest.raises(ValueError, match=f"got {max_n}"):
+        exhaustive_sweep({"hall"}, max_n=max_n)
+
+
 def test_parallel_map_rejects_jobs_below_one():
     with pytest.raises(ValueError):
         list(parallel_map(abs, [1, 2], 0))
