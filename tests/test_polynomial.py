@@ -37,7 +37,7 @@ from zfpoly import (
 )
 from zfpoly import polynomial, sweeps
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
-from zfpoly.polynomial import (_batch_tally, _chunk_planes, _closure_tally, _join_lanes, _lane_width, _split_lanes)
+from zfpoly.polynomial import _batch_tally, _chunk_planes, _closure_tally, _join_lanes, _lane_width, _split_lanes
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
 
