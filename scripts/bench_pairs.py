@@ -2,6 +2,8 @@
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload check-all-n6 --seeds 501-510 --out BENCH_19.json
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --criterion-4 --pairs 3 --out BENCH_21.json
 
 Each pair runs ``bench/run.py --workload W --seed S --seconds 10 --trace 0``
 in both checkouts, parent first on odd pairs and change first on even ones,
@@ -10,12 +12,21 @@ per workload, so several calls fill one file: the pairs, and per end-to-end
 metric of BENCHMARK.json each side's median and quartiles and the number of
 pairs the change won (ties count for neither side).  The host, ``nproc``,
 the Python version and both commits come from the records themselves.
+
+``--criterion-4`` times the acceptance suite's criterion-4 sweep instead:
+each run is a fresh process in the checkout that calls
+``exhaustive_sweep(CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS, 7, jobs=min(2,
+os.cpu_count()))``, with the check set imported from
+``tests/test_acceptance.py``, and records the sweep's wall time, the peak
+RSS of the process and of its largest pool child, and ``graphs_checked``.
+The pairs and their summary go under the workload name ``criterion-4``.
 Standard library only.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +34,28 @@ from statistics import median, quantiles
 
 
 COMMAND = "bench/run.py --workload {workload} --seed {seed} --seconds 10 --trace 0"
+
+CRITERION_4 = """\
+import json, os, platform, resource, sys, time
+sys.path[:0] = ["src", "tests"]
+from test_acceptance import CRITERION_4_CHECKS, EXTRA_SWEEP_CHECKS
+from zfpoly.sweeps import exhaustive_sweep
+jobs = min(2, os.cpu_count())
+t0 = time.perf_counter()
+count, records = exhaustive_sweep(CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS, 7, jobs=jobs)
+wall = time.perf_counter() - t0
+rss = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who.upper())).ru_maxrss / 1024
+       for who in ("self", "children")}  # kB on Linux
+print(json.dumps({"python": platform.python_version(), "nproc": os.cpu_count(), "jobs": jobs,
+                  "graphs_checked": count, "failed": len(records), "metrics": {
+                      "wall_s": {"value": wall, "unit": "s"},
+                      "peak_rss_self_mb": {"value": rss["self"], "unit": "MB"},
+                      "peak_rss_children_mb": {"value": rss["children"], "unit": "MB"}}}))
+"""
+
+CRITERION_4_METRICS = [{"name": name, "unit": unit, "better": "lower", "bound": None}
+                       for name, unit in (("wall_s", "s"), ("peak_rss_self_mb", "MB"),
+                                          ("peak_rss_children_mb", "MB"))]
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -33,6 +66,27 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     return json.loads(lines[-2])["record"]
+
+
+def run_criterion_4(tree: Path) -> dict:
+    """The record of one criterion-4 sweep in a fresh process, or the error
+    it ended with."""
+    proc = subprocess.run([sys.executable, "-c", CRITERION_4], cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
+    return {**json.loads(proc.stdout), "cpu": cpu_model(), "git_sha": sha.stdout.strip() or None}
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.machine()
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
@@ -63,20 +117,34 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seed_range, required=True, help="one seed per pair, as LO-HI")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload")
+    mode.add_argument("--criterion-4", action="store_true", help="time the criterion-4 sweep in fresh processes")
+    parser.add_argument("--seeds", type=seed_range, help="one seed per pair, as LO-HI (with --workload)")
+    parser.add_argument("--pairs", type=int, help="the number of pairs (with --criterion-4)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.criterion_4:
+        if args.pairs is None or args.pairs < 1 or args.seeds is not None:
+            parser.error("--criterion-4 needs --pairs N with N >= 1 and takes no --seeds")
+        name, runs, metrics = "criterion-4", [None] * args.pairs, CRITERION_4_METRICS
+        command = "python3 -c CRITERION_4 (see scripts/bench_pairs.py)"
+    else:
+        if args.seeds is None or args.pairs is not None:
+            parser.error("--workload needs --seeds and takes no --pairs")
+        name, runs = args.workload, args.seeds
+        metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+        command = COMMAND.format(workload=args.workload, seed="SEED")
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     pairs = []
-    for i, seed in enumerate(args.seeds):
+    for i, seed in enumerate(runs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed)
+            tree = getattr(args, side)
+            pair[side] = run_criterion_4(tree) if args.criterion_4 else run_once(tree, args.workload, seed)
         pairs.append(pair)
-        print(json.dumps({"workload": args.workload, "seed": seed, "failed": {
+        print(json.dumps({"workload": name, "seed": seed, "failed": {
             side: pair[side].get("failed", pair[side].get("error")) for side in order}}), file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {"workloads": {}}
@@ -85,11 +153,7 @@ def main(argv: list[str] | None = None) -> int:
             doc.update({f"{side}_sha": rec["git_sha"], "cpu": rec["cpu"], "nproc": rec["nproc"],
                         "python": rec["python"]})
             break
-    doc["workloads"][args.workload] = {
-        "command": COMMAND.format(workload=args.workload, seed="SEED"),
-        "summary": summarize(pairs, spec["end_to_end"]),
-        "pairs": pairs,
-    }
+    doc["workloads"][name] = {"command": command, "summary": summarize(pairs, metrics), "pairs": pairs}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

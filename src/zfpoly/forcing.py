@@ -131,6 +131,38 @@ def _forcers(adj: Sequence[int], colored: int) -> int:
             return forcers
 
 
+def _lane_forcers(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[int, int]]]) -> bytearray:
+    """_forcers from every lane at once, for n = len(nbrs) <= 8: lane L is
+    colored at v iff bit L of planes[v] is set, nbrs[v] lists (w, the lanes
+    with the edge vw), and byte L of the result is lane L's forcer set."""
+    uncolored = [ones ^ p for p in planes[:len(nbrs)]]
+    forcers = [0] * len(nbrs)
+    moved = True
+    while moved:  # a lane that stopped cannot change again
+        moved = False
+        # a round visits, in vertex order, the vertices colored at its start:
+        # one that left _forcers' active set has no uncolored neighbor left
+        start = uncolored[:]
+        for v, edges in enumerate(nbrs):
+            one = two = 0
+            unc = [(w, e & uncolored[w]) for w, e in edges]
+            for _, u in unc:
+                two |= one & u
+                one |= u
+            forcing = (one ^ two) & ~start[v]  # colored at the start, one uncolored neighbor
+            if forcing:
+                moved = True
+                forcers[v] |= forcing
+                for w, u in unc:
+                    uncolored[w] ^= forcing & u
+    size = max(1, ones.bit_length() >> 3)
+    spaced = int.from_bytes(b"\1" * size, "little")  # bit 0 of each byte
+    table = bytearray(8 * size)
+    for j in range(8):  # lanes 8i + j
+        table[j::8] = sum((lanes >> j & spaced) << v for v, lanes in enumerate(forcers)).to_bytes(size, "little")
+    return table
+
+
 def chronological_forces(g: Graph, colored: int) -> ForceRecord:
     """Deterministic force list reaching the closure.
 

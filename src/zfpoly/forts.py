@@ -13,9 +13,10 @@ table: the forts from its closed bits (_fort_bits), the transversals from
 its zero forcing bits.  Two tables of their own check that reading: the
 forts from the definition alone, which the sweeps compare with _fort_bits
 in both directions, and the forts closed upward, whose largest fort-free
-mask gives the cover size without the zero forcing bits.  The definition
-table is one flat 2^n-bit int; the up-closure runs up to the enumeration
-cap, so it alone here keeps the lane layout's chunks, to bound its memory.
+mask gives the cover size without the zero forcing bits.  Per graph, the
+definition is one flat 2^n-bit int and the up-closure keeps the lane
+layout's chunks, to bound its memory up to the enumeration cap; they are the
+oracles of the sweep's batch tables, one 2^(n+b)-bit int for 2^b graphs.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from .closed_forms import binom
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import (_chunk_constants, _chunk_planes, _closure_tally, _lane_width, _split_lanes,
+from .polynomial import (_blocks, _chunk_constants, _chunk_planes, _closure_tally, _lane_width, _split_lanes,
                          _zero_forcing_number, enumeration_cap)
 
 
@@ -124,6 +125,30 @@ def _fort_definition_bits(adj: Sequence[int], n: int) -> int:
             one |= plane
         bad |= (one ^ two) & ~planes[v]
     return (ones ^ bad) & ~1  # the empty mask is no fort
+
+
+def _batch_fort_definition(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[int, int]]]) -> int:
+    """_fort_definition_bits of each graph of a batch at once: bit g << n | F
+    over the lanes of polynomial._batch_edges is set iff F is a fort of g."""
+    bad = nonempty = 0
+    for v, edges in enumerate(nbrs):
+        one = two = 0
+        for w, e in edges:
+            seen = e & planes[w]
+            two |= one & seen
+            one |= seen
+        bad |= (one ^ two) & ~planes[v]
+        nonempty |= planes[v]
+    return (ones ^ bad) & nonempty
+
+
+def _batch_cover_sizes(forts: int, planes: Sequence[int], n: int, b: int) -> list[int]:
+    """_cover_size of each block of forts laid out as by
+    _batch_fort_definition, all closed upward at once."""
+    for i, plane in enumerate(planes[:n]):  # a shift by 2^i that lands on plane i stays in its block
+        forts |= forts << (1 << i) & plane
+    levels = _chunk_constants(n)[2]  # the empty mask holds no fort, so each block has a free level
+    return [n - next(j for j in range(n, -1, -1) if c & levels[j] != levels[j]) for c in _blocks(forts, n, b)]
 
 
 def _cover_size(fort_bits: int, n: int) -> int:

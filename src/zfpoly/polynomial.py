@@ -29,7 +29,7 @@ CAP_ENV_VAR = "ZFPOLY_MAX_N"
 # the high n - k its number h, chunk 0 lowest.  Only the two kernels that
 # run up to the enumeration cap chunk, to bound their memory there:
 # _closure_tally and forts._cover_size.  Every other table is one 2^n-bit
-# int over _chunk_planes(n).
+# int over _chunk_planes(n), or one 2^(n+b)-bit int for 2^b graphs (_batch_edges).
 _CHUNK_BITS = 12
 
 
@@ -284,37 +284,43 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
     return _join_lanes(zf, n), _join_lanes(closed, n), coeffs
 
 
-def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> list[tuple[int, int, list[int]]]:
-    """The flag tables of the 2^b labeled graphs with edge masks base + g,
-    for base a multiple of 2^b: entry g is _closure_tally(_edge_mask_adj(
-    pairs, n, base + g), n).  Needs n >= 3 if b > 0, so tables fill bytes.
-
-    The tables are the blocks of one 2^(n+b)-bit int, lane g << n | m for
-    graph g at mask m, so each big-int operation acts on the whole batch.
-    Of the planes of _chunk_planes(n + b), plane x < n holds the masks
-    with x and plane n + i the graphs with edge i < b; the other edges are
-    all ones or zero by a bit of base.  A force v -> w applies where the
-    mask holds v and misses w, and an "at least two" accumulator over v's
-    neighbors outside the mask rules out any other.  A lane with a force
-    into w reads zf 2^w lanes up, in its own block, as in _closure_tally.
+def _batch_edges(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> tuple:
+    """(all ones, planes, nbrs) of the batch of graphs with edge masks
+    base + g, g < 2^b, for base a multiple of 2^b: lane g << n | m of a
+    2^(n+b)-bit int is graph g at mask m.  Of the planes of _chunk_planes(
+    n + b), plane x < n holds the masks with x and plane n + i the graphs
+    with edge i < b; nbrs[v] lists (w, the lanes whose graph has edge vw).
     """
     ones, planes = _chunk_planes(n + b)
     edge = [ones if base >> i & 1 else 0 for i in range(len(pairs))]
     edge[:b] = planes[n:]
-    nbrs = [[] for _ in range(n)]  # per v: (w, the lanes with edge vw whose mask misses w)
+    nbrs = [[] for _ in range(n)]
     for e, (u, v) in zip(edge, pairs):
         if e:
-            nbrs[u].append((v, e & ~planes[v]))
-            nbrs[v].append((u, e & ~planes[u]))
+            nbrs[u].append((v, e))
+            nbrs[v].append((u, e))
+    return ones, planes, nbrs
+
+
+def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> list[tuple[int, int, list[int]]]:
+    """The flag tables of a batch of _batch_edges, for n >= 3 if b > 0 so
+    that tables fill bytes: entry g is _closure_tally(_edge_mask_adj(pairs,
+    n, base + g), n).  A force v -> w applies where the mask holds v and
+    misses w, and an "at least two" accumulator over v's neighbors outside
+    the mask rules out any other; a lane with a force into w reads zf 2^w
+    lanes up, in its own block, as in _closure_tally.
+    """
+    ones, planes, nbrs = _batch_edges(pairs, n, base, b)
     moves = [0] * n  # per w: the lanes where some force into w applies
     for v in range(n):
+        missed = [(w, e & ~planes[w]) for w, e in nbrs[v]]  # lanes with edge vw whose mask misses w
         one = two = 0
-        for _, missed in nbrs[v]:
-            two |= one & missed
-            one |= missed
+        for _, m in missed:
+            two |= one & m
+            one |= m
         alone = planes[v] & ~two  # lanes where v holds and misses at most one neighbor
-        for w, missed in nbrs[v]:
-            moves[w] |= alone & missed
+        for w, m in missed:
+            moves[w] |= alone & m
     union = 0
     for f in moves:
         union |= f

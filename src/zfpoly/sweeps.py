@@ -28,8 +28,8 @@ from .closed_forms import (
     poly_threshold,
     poly_wheel,
 )
-from .forcing import _forcers
-from .forts import _cover_size, _fort_bits, _fort_definition_bits
+from .forcing import _forcers, _lane_forcers
+from .forts import _batch_cover_sizes, _batch_fort_definition, _cover_size, _fort_bits, _fort_definition_bits
 from .graphs import (
     LABELED_ENUM_MAX,
     Graph,
@@ -51,8 +51,8 @@ from .graphs import (
     wheel,
 )
 from .parallel import BATCHES_PER_JOB, parallel_map
-from .polynomial import (_batch_tally, _chunk_constants, _closure_tally, _convolve, _induced_adj, _is_unimodal,
-                         _zero_forcing_number, zf_polynomial)
+from .polynomial import (_batch_edges, _batch_tally, _blocks, _chunk_constants, _closure_tally, _convolve,
+                         _induced_adj, _is_unimodal, _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -80,6 +80,8 @@ CHECK_SUITES = {
 }
 
 CHECK_KEYS = tuple(CHECK_SUITES)
+
+FORT_CHECKS = frozenset({"fort-transversal", "fort-count-bound", "ip"})
 
 SWEEP_SUITE_CHECKS = {
     suite: frozenset(check for check in CHECK_KEYS if CHECK_SUITES[check] == suite)
@@ -122,10 +124,12 @@ def _context(n: int) -> _GraphContext:
 
 
 def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] | tuple[()]:
-    """Run the requested checks on one labeled graph; returns (check, detail)
-    pairs, or the shared empty tuple when every check passes."""
+    """Run the requested checks on one labeled graph, through the per-graph
+    kernels that are _check_batch's oracles; returns (check, detail) pairs,
+    or the shared empty tuple when every check passes."""
     adj = _edge_mask_adj(_context(n).pairs, n, emask)
-    return _check_table(checks, n, emask, adj, *_closure_tally(adj, n))
+    definition = _fort_definition_bits(adj, n) if checks & FORT_CHECKS else 0
+    return _check_table(checks, n, emask, adj, *_closure_tally(adj, n), definition, None, partial(_forcers, adj))
 
 
 def _batch_bits(n: int, jobs: int) -> int:
@@ -140,19 +144,31 @@ def _batch_bits(n: int, jobs: int) -> int:
 def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int, list[tuple[str, str]]]]:
     """Run the requested checks on the 2^b graphs of one batch, edge masks
     base on; returns (edge mask, (check, detail) pairs) of each graph that
-    fails."""
+    fails.  The flag tables, forts and forcers are built for the batch."""
     ctx = _context(n)
+    tables = _batch_tally(ctx.pairs, n, base, b)
+    edges = _batch_edges(ctx.pairs, n, base, b)
+    definitions = sizes = [None] * len(tables)
+    if checks & FORT_CHECKS:
+        forts = _batch_fort_definition(*edges)
+        definitions = _blocks(forts, n, b)
+        sizes = _batch_cover_sizes(forts, edges[1], n, b) if "ip" in checks else sizes
+    forcers = _lane_forcers(*edges) if "reversal" in checks else b""
     failed = []
-    for emask, table in enumerate(_batch_tally(ctx.pairs, n, base, b), base):
-        bad = _check_table(checks, n, emask, _edge_mask_adj(ctx.pairs, n, emask), *table)
+    for g, (table, definition, size) in enumerate(zip(tables, definitions, sizes)):
+        emask = base + g
+        bad = _check_table(checks, n, emask, _edge_mask_adj(ctx.pairs, n, emask), *table, definition, size,
+                           forcers[g << n:g + 1 << n].__getitem__)
         if bad:
             failed.append((emask, bad))
     return failed
 
 
-def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int, closed: int,
-                 coeffs: list[int]) -> list[tuple[str, str]] | tuple[()]:
-    """The checks of one labeled graph, given its adjacency and flag table."""
+def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int, closed: int, coeffs: list[int],
+                 definition: int, size: int | None, forcers) -> list[tuple[str, str]] | tuple[()]:
+    """The checks of one labeled graph, given its adjacency, flag table, the
+    forts by definition, a cover size of those forts or None, and forcers(mask),
+    the forcers of a chronological list from mask."""
     ctx = _context(n)
     full = ctx.full
     z = _zero_forcing_number(coeffs)
@@ -191,14 +207,14 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
             if product != coeffs:
                 bad.append(("multiplicativity", "component product differs from direct enumeration"))
 
-    if checks & {"fort-transversal", "fort-count-bound", "ip"}:
+    if checks & FORT_CHECKS:
         fort_bits = _fort_bits(closed, n)
         # Complements of proper closed sets are avoided by no zero forcing
         # set (closure is monotone), so the fort theorems hold of the forts
         # only if the table derives exactly them: every fort and nothing
         # else.  Check both directions against a table built from the
         # definition alone.
-        diff = fort_bits ^ _fort_definition_bits(adj, n)
+        diff = fort_bits ^ definition
         if diff:
             f = (diff & -diff).bit_length() - 1
             if fort_bits >> f & 1:
@@ -212,7 +228,8 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
             bad.append(("fort-count-bound", f"{count} forts > 2^n - {sum(coeffs)}"))
 
     if "ip" in checks:
-        size = _cover_size(fort_bits, n)
+        if size is None or diff:  # the definition's cover is the table's only where their forts agree
+            size = _cover_size(fort_bits, n)
         if size > z:
             bad.append(("ip", f"no fort cover of size {z}, the zero forcing number"))
         elif size < z:
@@ -253,7 +270,7 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
             low = minimum & -minimum
             minimum ^= low
             mask = low.bit_length() - 1
-            tails = full & ~_forcers(adj, mask)  # chain terminals: colored vertices that never force
+            tails = full & ~forcers(mask)  # chain terminals: colored vertices that never force
             if not zf >> tails & 1:
                 bad.append(("reversal", f"reversed chains of {mask:#x} do not force"))
                 break

@@ -24,9 +24,10 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import polynomial
-from zfpoly.forcing import _forcers
+from zfpoly.forcing import _forcers, _lane_forcers
+from zfpoly.graphs import _edge_mask_adj, edge_pair_order
 from zfpoly.forts import _fort_bits
-from zfpoly.polynomial import _closure_tally
+from zfpoly.polynomial import _batch_edges, _closure_tally
 
 graph_and_set = st.integers(1, 7).flatmap(
     lambda n: st.tuples(
@@ -277,6 +278,21 @@ def test_forcers_of_a_zero_forcing_set_leave_terminals_that_force():
                 forcers = _forcers(g.adj, mask)
                 assert forcers.bit_count() == n - mask.bit_count()
                 assert naive_is_zfs(g, set(vertices_of(g.vertex_mask & ~forcers)))
+
+
+def test_lane_forcers_match_the_forcers_of_each_graph():
+    # every mask of every labeled graph with n <= 5, in batches of 2^3 and
+    # one graph at a time, and every mask of seeded batches at n = 6 and 7
+    batches = [(n, base, b) for n in range(1, 6) for b in ({0, 3} if n >= 3 else {0})
+               for base in range(0, 1 << n * (n - 1) // 2, 1 << b)]
+    rng = random.Random(6767)
+    batches += [(n, rng.randrange(0, 1 << n * (n - 1) // 2, 1 << b), b) for n, b in [(6, 9), (7, 10)]]
+    for n, base, b in batches:
+        pairs = edge_pair_order(n)
+        got = _lane_forcers(*_batch_edges(pairs, n, base, b))
+        for g in range(1 << b):
+            adj = _edge_mask_adj(pairs, n, base + g)
+            assert list(got[g << n:g + 1 << n]) == [_forcers(adj, mask) for mask in range(1 << n)], (n, base + g)
 
 
 @pytest.mark.parametrize("n", [6, 7])

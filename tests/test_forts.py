@@ -24,8 +24,10 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import forts, polynomial, sweeps
-from zfpoly.forts import _cover_size, _fort_bits, _fort_definition_bits, _fort_family
-from zfpoly.polynomial import _closure_tally
+from zfpoly.forts import (_batch_cover_sizes, _batch_fort_definition, _cover_size, _fort_bits, _fort_definition_bits,
+                          _fort_family)
+from zfpoly.graphs import edge_pair_order
+from zfpoly.polynomial import _batch_edges, _blocks, _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
 
@@ -138,16 +140,56 @@ def test_fort_check_names_the_lowest_differing_mask(monkeypatch, flipped, detail
     assert sweeps._check_one(frozenset({"fort-transversal"}), 4, 0b111111) == [("fort-transversal", detail)]
 
 
-@pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
-def test_fort_definition_bits_match_the_naive_forts(monkeypatch, width):
-    # the definition table is flat at every order, so the lane width must
-    # not change it
-    monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
-    graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
-    rng = random.Random(width)
-    graphs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (7, 8, 9) for _ in range(5)]
-    for g in graphs:
-        assert _fort_definition_bits(g.adj, g.n) == sum(1 << mask_of(f) for f in naive_forts(g))
+def _naive_fort_bits(g):
+    return sum(1 << mask_of(f) for f in naive_forts(g))
+
+
+def _batch_definitions(n, base, b):
+    """The batched definition table of one batch, split into its graphs'."""
+    return _blocks(_batch_fort_definition(*_batch_edges(edge_pair_order(n), n, base, b)), n, b)
+
+
+@pytest.mark.parametrize("width", [None, 3], ids=["real-width", "width-3"])
+def test_fort_definition_bits_match_the_naive_forts(width):
+    # one graph per table, and at width 3 the batched table of 2^3 graphs
+    # with consecutive edge masks, read block by block
+    rng = random.Random(width or polynomial._CHUNK_BITS)
+    specs = [(n, emask) for n in range(1, 6) for emask in range(1 << comb(n, 2))]
+    specs += [(n, rng.getrandbits(comb(n, 2))) for n in (7, 8, 9) for _ in range(5)]
+    for n, emask in specs:
+        g = graph_from_edge_mask(n, emask)
+        if width is None or n < 3:
+            assert _fort_definition_bits(g.adj, n) == _naive_fort_bits(g)
+        else:
+            base = emask >> width << width
+            assert _batch_definitions(n, base, width)[emask - base] == _naive_fort_bits(g), (n, emask)
+
+
+def test_batch_fort_definition_matches_the_naive_forts_on_every_graph():
+    # every labeled graph with 3 <= n <= 6 at the sweep's widths, and
+    # seeded batches of 2^10 graphs at n = 7
+    batches = [(n, base, sweeps._batch_bits(n, 1)) for n in range(3, 7)
+               for base in range(0, 1 << comb(n, 2), 1 << sweeps._batch_bits(n, 1))]
+    rng = random.Random(707)
+    batches += [(7, rng.randrange(0, 1 << 21, 1 << 10), 10) for _ in range(2)]
+    for n, base, b in batches:
+        got = _batch_definitions(n, base, b)
+        assert got == [_naive_fort_bits(graph_from_edge_mask(n, base + g)) for g in range(1 << b)], (n, base)
+
+
+def test_batch_cover_sizes_match_the_cover_size():
+    # on the forts of whole batches, and on random families, which need not
+    # be forts of anything; no block holds its empty mask
+    rng = random.Random(2718)
+    for n, b in [(3, 2), (4, 3), (5, 4), (6, 9), (7, 10)]:
+        pairs = edge_pair_order(n)
+        base = rng.randrange(0, 1 << len(pairs), 1 << b)
+        ones, planes, nbrs = _batch_edges(pairs, n, base, b)
+        forts = _batch_fort_definition(ones, planes, nbrs)
+        families = [forts] + [rng.getrandbits(1 << n + b) & planes[rng.randrange(n)] for _ in range(3)]
+        for family in families:
+            want = [_cover_size(block, n) for block in _blocks(family, n, b)]
+            assert _batch_cover_sizes(family, planes, n, b) == want, (n, base)
 
 
 @pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])

@@ -7,7 +7,7 @@ import pytest
 from oracles import naive_consecutive_counts, naive_is_zfs
 from zfpoly import analysis, parallel, sweeps
 from zfpoly.closed_forms import poly_cycle
-from zfpoly.graphs import cycle, edge_pair_order, graph_from_edge_mask, is_isomorphic, path, star
+from zfpoly.graphs import complete, cycle, edge_pair_order, empty, graph_from_edge_mask, is_isomorphic, path, star
 from zfpoly.parallel import parallel_map
 from zfpoly.polynomial import _closure_tally, zf_polynomial
 from zfpoly.sweeps import (
@@ -103,10 +103,33 @@ def test_parallel_sweep_is_deterministic(pool_starts):
     assert solo == duo
 
 
-def test_wide_pools_still_start_at_orders_five_and_six(monkeypatch):
+@pytest.fixture
+def flipped_closed_bits(monkeypatch):
+    """A fault in the flag table that both producers hand on: every seventh
+    graph flips the closed bit of one proper mask, so its table gains or
+    loses a fort, which fort-transversal and maybe ip and the count report."""
+    def flipped(n, emask, table):
+        zf, closed, coeffs = table
+        return (zf, closed ^ 1 << emask % ((1 << n) - 1), coeffs) if emask % 7 == 0 else table
+
+    real_batch = sweeps._batch_tally
+
+    def faulty_batch(pairs, n, base, b):
+        return [flipped(n, base + g, t) for g, t in enumerate(real_batch(pairs, n, base, b))]
+
+    def faulty_tally(adj, n):
+        emask = sum(1 << i for i, (u, v) in enumerate(edge_pair_order(n)) if adj[u] >> v & 1)
+        return flipped(n, emask, _closure_tally(adj, n))
+
+    monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
+    monkeypatch.setattr(sweeps, "_closure_tally", faulty_tally)
+
+
+def test_wide_pools_still_start_at_orders_five_and_six(monkeypatch, flipped_closed_bits):
     # more processes get narrower batches, so each still receives
     # BATCHES_PER_JOB of them; a pool that maps here records the starts
-    # without forking eight processes
+    # without forking eight processes, and the records of a planted fault
+    # do not depend on the batch width
     starts = []
 
     class SerialPool:
@@ -123,7 +146,10 @@ def test_wide_pools_still_start_at_orders_five_and_six(monkeypatch):
             return map(worker, items)
 
     monkeypatch.setattr(parallel, "Pool", SerialPool)
-    assert exhaustive_sweep({"extremal"}, max_n=6, jobs=8) == exhaustive_sweep({"extremal"}, max_n=6, jobs=1)
+    assert sweeps._batch_bits(6, 8) == 8 and sweeps._batch_bits(6, 1) == 9
+    wide = exhaustive_sweep(CHECK_KEYS, max_n=6, jobs=8)
+    assert len(wide[1]) >= (1 << 15) // 7
+    assert wide == exhaustive_sweep(CHECK_KEYS, max_n=6, jobs=1)
     assert starts == [8, 8]  # order 4 has 64 graphs, under 8 * 16
     for jobs in range(1, 65):
         for n in range(1, sweeps.EXHAUSTIVE_MAX_N + 1):
@@ -158,23 +184,80 @@ def test_exhaustive_sweep_reports_a_fault_in_the_batch_tally(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
-def test_exhaustive_sweep_equals_a_loop_over_single_graphs(monkeypatch, pool_starts, jobs):
-    # a fault in a per-graph kernel: the definition drops its lowest fort on
-    # every seventh graph, which fort-transversal and maybe ip report
-    real_bits = sweeps._fort_definition_bits
-
-    def dropping(adj, n):
-        bits = real_bits(adj, n)
-        emask = sum(1 << i for i, (u, v) in enumerate(edge_pair_order(n)) if adj[u] >> v & 1)
-        return bits & (bits - 1) if emask % 7 == 0 else bits
-
-    monkeypatch.setattr(sweeps, "_fort_definition_bits", dropping)
+def test_exhaustive_sweep_equals_a_loop_over_single_graphs(pool_starts, flipped_closed_bits, jobs):
     graphs = [(n, emask) for n in range(1, 6) for emask in range(1 << comb(n, 2))]
     looped = [sweeps._record(check, n, emask, detail) for n, emask in graphs
               for check, detail in sweeps._check_one(frozenset(CHECK_KEYS), n, emask)]
     assert len(looped) >= len(graphs) // 7
     assert exhaustive_sweep(CHECK_KEYS, max_n=5, jobs=jobs) == (len(graphs), looped)
     assert len(pool_starts) == (2 if jobs == 2 else 0)  # orders 4 and 5
+
+
+def _flipped(mask):
+    return lambda zf, closed, coeffs: (zf, closed ^ 1 << mask, coeffs)
+
+
+def _one_more_set(zf, closed, coeffs):
+    return zf, closed, coeffs[:-1] + [coeffs[-1] + 1]
+
+
+def _z_one_lower(zf, closed, coeffs):
+    z = next(i for i, c in enumerate(coeffs) if c)
+    return zf, closed, coeffs[:z - 1] + [coeffs[z], 0] + coeffs[z + 1:]
+
+
+# One planted fault per check whose batch path differs from the per-graph
+# one: a graph, a corruption of its flag table and the records it must give.
+PLANTED_FAULTS = {
+    # every pair of K4 is a fort; a closed bit of V - {1, 2} flipped off hides one
+    "fort-transversal": (complete(4), _flipped(0b1001), [("fort-transversal", "fort 0x6 is missing from the table")]),
+    # the empty graph meets the bound exactly, 2^4 - 1 forts and as many
+    # sets that do not force; one more zero forcing set makes one fort too many
+    "fort-count-bound": (empty(4), _one_more_set, [("fort-count-bound", "15 forts > 2^n - 2")]),
+    "ip": (cycle(5), _z_one_lower, [("ip", "no fort cover of size 1, the zero forcing number")]),
+    # {0} forces along the 5-path, whose chain terminal {4} then does not force
+    "reversal": (path(5), lambda zf, closed, coeffs: (zf ^ 1 << 0b10000, closed, coeffs),
+                 [("reversal", "reversed chains of 0x1 do not force")]),
+}
+
+
+@pytest.mark.parametrize("check", sorted(PLANTED_FAULTS))
+def test_a_planted_fault_gives_the_same_records_on_both_paths(monkeypatch, check):
+    g, corrupt, expected = PLANTED_FAULTS[check]
+    n, target = g.n, _emask(g)
+    real_batch = sweeps._batch_tally
+
+    def faulty_batch(pairs, order, base, b):
+        tables = real_batch(pairs, order, base, b)
+        tables[target - base] = corrupt(*tables[target - base])
+        return tables
+
+    monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
+    monkeypatch.setattr(sweeps, "_closure_tally", lambda adj, order: corrupt(*_closure_tally(adj, order)))
+    checks = frozenset({check})
+    assert sweeps._check_one(checks, n, target) == expected
+    b = 3
+    assert sweeps._check_batch(checks, n, b, target >> b << b) == [(target, expected)]
+
+
+def _without_the_last_minimum_set(zf, closed, coeffs):
+    z = next(i for i, c in enumerate(coeffs) if c)
+    minimum = [m for m in range(zf.bit_length()) if zf >> m & 1 and m.bit_count() == z]
+    return (zf ^ 1 << minimum[-1] if len(minimum) > 1 else zf), closed, coeffs
+
+
+def test_batched_reversal_fails_on_the_masks_of_the_per_graph_path(monkeypatch):
+    # with its last minimum zero forcing set taken out of the zf bits, a
+    # graph fails reversal from the first minimum set whose chains end there
+    real_batch = sweeps._batch_tally
+    monkeypatch.setattr(sweeps, "_batch_tally", lambda pairs, n, base, b: [
+        _without_the_last_minimum_set(*t) for t in real_batch(pairs, n, base, b)])
+    monkeypatch.setattr(sweeps, "_closure_tally", lambda adj, n: _without_the_last_minimum_set(*_closure_tally(adj, n)))
+    graphs = [(n, emask) for n in range(1, 7) for emask in range(1 << comb(n, 2))]
+    looped = [sweeps._record(check, n, emask, detail) for n, emask in graphs
+              for check, detail in sweeps._check_one(frozenset({"reversal"}), n, emask)]
+    assert len(looped) > 1000
+    assert exhaustive_sweep({"reversal"}, max_n=6) == (len(graphs), looped)
 
 
 def _tally_with_z_one_lower(adj, n):
