@@ -261,10 +261,7 @@ def test_batched_reversal_fails_on_the_masks_of_the_per_graph_path(monkeypatch):
 
 
 def _tally_with_z_one_lower(adj, n):
-    zf, closed, coeffs = _closure_tally(adj, n)
-    z = next(i for i, c in enumerate(coeffs) if c)
-    coeffs[z - 1], coeffs[z] = coeffs[z], 0
-    return zf, closed, coeffs
+    return _z_one_lower(*_closure_tally(adj, n))
 
 
 @needs_fork
