@@ -10,7 +10,9 @@ in both checkouts, parent first on odd pairs and change first on even ones,
 and keeps the full record each run prints.  The output file gains one entry
 per workload, so several calls fill one file: the pairs, and per end-to-end
 metric of BENCHMARK.json each side's median and quartiles and the number of
-pairs the change won (ties count for neither side).  The host, ``nproc``,
+pairs the change won (ties count for neither side).  Where the records carry
+them, the unscaled ``raw_graphs_per_s`` and the host's ``host_speed`` are
+summarized the same way, with no bound.  The host, ``nproc``,
 the Python version and both commits come from the records themselves.
 
 ``--criterion-4`` times the acceptance suite's criterion-4 sweep instead:
@@ -57,6 +59,12 @@ CRITERION_4_METRICS = [{"name": name, "unit": unit, "better": "lower", "bound": 
                        for name, unit in (("wall_s", "s"), ("peak_rss_self_mb", "MB"),
                                           ("peak_rss_children_mb", "MB"))]
 
+# Summarized beside the host-scaled metrics when the records carry them: the
+# unscaled throughput and the host's mean scale factor, which tell a change in
+# the code from a drift of the host.
+RAW_METRICS = [{"name": "raw_graphs_per_s", "unit": "1/s", "better": "higher", "bound": None},
+               {"name": "host_speed", "unit": "ratio", "better": "higher", "bound": None}]
+
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     """The full record of one benchmark run, or the error it ended with."""
@@ -90,21 +98,25 @@ def cpu_model() -> str:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric, each side's median and quartiles and the pairs the change
+    won; a run that ended in an error, or lacks the metric, is skipped, and
+    a metric that no run carries gets no row."""
     out = {}
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
-        values = {side: [p[side]["metrics"][name]["value"] for p in pairs if "metrics" in p[side]]
+        values = {side: [p[side].get("metrics", {}).get(name, {}).get("value") for p in pairs]
                   for side in ("parent", "change")}
         row = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
         for side, vals in values.items():
+            vals = [v for v in vals if v is not None]
             if vals:
                 q1, _, q3 = quantiles(vals, n=4, method="inclusive") if len(vals) > 1 else (vals[0],) * 3
                 row[side] = {"median": median(vals), "q1": q1, "q3": q3}
-        both = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
-        row["change_better_pairs"] = sum(
-            sign * (p["change"]["metrics"][name]["value"] - p["parent"]["metrics"][name]["value"]) > 0 for p in both)
-        row["pairs"] = len(both)
-        out[name] = row
+        both = [(a, b) for a, b in zip(values["parent"], values["change"]) if a is not None and b is not None]
+        if "parent" in row or "change" in row:
+            row["change_better_pairs"] = sum(sign * (b - a) > 0 for a, b in both)
+            row["pairs"] = len(both)
+            out[name] = row
     return out
 
 
@@ -133,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seeds is None or args.pairs is not None:
             parser.error("--workload needs --seeds and takes no --pairs")
         name, runs = args.workload, args.seeds
-        metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+        metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"] + RAW_METRICS
         command = COMMAND.format(workload=args.workload, seed="SEED")
 
     pairs = []

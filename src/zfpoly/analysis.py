@@ -19,7 +19,7 @@ from .graphs import (
     edge_pair_order,
     is_isomorphic,
 )
-from .polynomial import ZfPolynomial, _closure_tally, zf_polynomial
+from .polynomial import BATCH_BITS, ZfPolynomial, _batch_tally, zf_polynomial
 
 
 def _is_path_graph(adj: Sequence[int], n: int) -> bool:
@@ -118,23 +118,20 @@ def recognizes_complete(p: ZfPolynomial) -> bool:
 
 def cycle_polynomial_class(n: int) -> list[Graph]:
     """Isomorphism-class representatives of all n-vertex graphs whose
-    polynomial equals the n-cycle's, by exhaustive labeled sweep."""
+    polynomial equals the n-cycle's, the first of each class in edge-mask
+    order, read off the batched flag tables of every labeled graph."""
     if not 3 <= n <= LABELED_ENUM_MAX:
         raise ValueError(f"cycle polynomial class sweep supports 3 <= n <= {LABELED_ENUM_MAX}")
     pairs = edge_pair_order(n)
     target = list(poly_cycle(n).coeffs)
+    b = min(BATCH_BITS, len(pairs))
     reps: list[Graph] = []
-    for emask in range(1 << (n * (n - 1) // 2)):
-        adj = _edge_mask_adj(pairs, n, emask)
-        # cheap rejects first: an isolated vertex forces coefficient n-1 below
-        # n, and coefficient n-2 is structural
-        if not all(adj) or _extremal_coefficients(adj, n)[2] != target[n - 2]:
-            continue
-        if _closure_tally(adj, n)[2] != target:
-            continue
-        g = Graph(n, tuple(adj))
-        if not any(is_isomorphic(g, rep) for rep in reps):  # rejects on degrees first
-            reps.append(g)
+    for base in range(0, 1 << len(pairs), 1 << b):
+        for g, (_, _, coeffs) in enumerate(_batch_tally(pairs, n, base, b)):
+            if coeffs == target:
+                h = Graph(n, tuple(_edge_mask_adj(pairs, n, base + g)))
+                if not any(is_isomorphic(h, rep) for rep in reps):  # rejects on degrees first
+                    reps.append(h)
     return reps
 
 

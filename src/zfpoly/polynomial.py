@@ -284,6 +284,10 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
     return _join_lanes(zf, n), _join_lanes(closed, n), coeffs
 
 
+# The widest batch: the flag tables of up to 2^BATCH_BITS graphs at once.
+BATCH_BITS = 10
+
+
 def _batch_edges(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> tuple:
     """(all ones, planes, nbrs) of the batch of graphs with edge masks
     base + g, g < 2^b, for base a multiple of 2^b: lane g << n | m of a

@@ -51,14 +51,10 @@ from .graphs import (
     wheel,
 )
 from .parallel import BATCHES_PER_JOB, parallel_map
-from .polynomial import (_batch_edges, _batch_tally, _blocks, _chunk_constants, _closure_tally, _convolve,
+from .polynomial import (BATCH_BITS, _batch_edges, _batch_tally, _blocks, _chunk_constants, _closure_tally, _convolve,
                          _induced_adj, _is_unimodal, _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
-
-# The exhaustive sweep builds the flag tables of up to 2^BATCH_BITS graphs
-# at once; _batch_bits leaves enough batches per order for the pool.
-BATCH_BITS = 10
 
 # Every per-graph check, in record order, and the sweep suite that runs it.
 # "all" runs every check, so a check mapped to "all" runs nowhere else.  The

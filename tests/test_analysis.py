@@ -111,7 +111,7 @@ def test_recognizers_are_exact_at_n5():
         assert recognizes_complete(poly) == (g.edge_count() == 10)
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 8))
 def test_cycle_class_matches_the_list(n):
     reps = cycle_polynomial_class(n)
     expected = expected_cycle_class(n)

@@ -6,8 +6,9 @@ import pytest
 
 from oracles import naive_consecutive_counts, naive_is_zfs
 from zfpoly import analysis, parallel, sweeps
-from zfpoly.closed_forms import poly_cycle
-from zfpoly.graphs import complete, cycle, edge_pair_order, empty, graph_from_edge_mask, is_isomorphic, path, star
+from zfpoly.closed_forms import poly_complete, poly_cycle, poly_path
+from zfpoly.graphs import (complete, cycle, edge_pair_order, empty, from_edge_list, graph_from_edge_mask, is_isomorphic,
+                           path, star)
 from zfpoly.parallel import parallel_map
 from zfpoly.polynomial import _closure_tally, zf_polynomial
 from zfpoly.sweeps import (
@@ -206,9 +207,27 @@ def _z_one_lower(zf, closed, coeffs):
     return zf, closed, coeffs[:z - 1] + [coeffs[z], 0] + coeffs[z + 1:]
 
 
-# One planted fault per check whose batch path differs from the per-graph
-# one: a graph, a corruption of its flag table and the records it must give.
+def _planted(coeffs):
+    return lambda zf, closed, _: (zf, closed, list(coeffs))
+
+
+# One planted fault per check that a one-line weakening could otherwise
+# switch off unnoticed: a graph, a corruption of its flag table and the
+# records it must give, on the per-graph and on the batch path.
 PLANTED_FAULTS = {
+    # the corrupted tally also gives each component one more top set: 2 * 2
+    # against 2; the batch's other graphs join 0 to 1, 2 or 3, so only this one splits
+    "multiplicativity": (from_edge_list(5, [(0, 4), (1, 2), (2, 3)]), _one_more_set,
+                         [("multiplicativity", "component product differs from direct enumeration")]),
+    # n = 5 compares coefficients 1-2 and 2-3 (the 5-cycle has 0, 0, 5, 10, 5, 1);
+    # only the top pair decreases
+    "hall": (cycle(5), _planted([0, 0, 11, 10, 5, 1]),
+             [("hall", "coefficients [0, 0, 11, 10, 5, 1] decrease somewhere below n/2")]),
+    # the path's coefficients do not exceed the path bound, but a cycle is no path
+    "ham-bound": (cycle(5), _planted(poly_path(5).coeffs),
+                  [("ham-bound", "path-bound equality profile does not single out the path")]),
+    "recognizability": (cycle(4), _planted(poly_complete(4).coeffs),
+                        [("recognizability", "complete polynomial does not characterize complete graphs")]),
     # every pair of K4 is a fort; a closed bit of V - {1, 2} flipped off hides one
     "fort-transversal": (complete(4), _flipped(0b1001), [("fort-transversal", "fort 0x6 is missing from the table")]),
     # the empty graph meets the bound exactly, 2^4 - 1 forts and as many
