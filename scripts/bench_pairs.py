@@ -15,6 +15,12 @@ them, the unscaled ``raw_graphs_per_s`` and the host's ``host_speed`` are
 summarized the same way, with no bound.  The host, ``nproc``,
 the Python version and both commits come from the records themselves.
 
+Both sides start from the same bytecode state: before the first pair, each
+checkout's ``src`` and ``bench`` are compiled with ``compileall`` into a
+fresh ``PYTHONPYCACHEPREFIX`` of its own, in a temporary directory, and
+every run of that side reads and writes bytecode there, never in the
+checkout (``PYTHONDONTWRITEBYTECODE`` is dropped from the runs' environment).
+
 ``--criterion-4`` times the acceptance suite's criterion-4 sweep instead:
 each run is a fresh process in the checkout that calls
 ``exhaustive_sweep(CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS, 7, jobs=min(2,
@@ -28,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -66,20 +74,31 @@ RAW_METRICS = [{"name": "raw_graphs_per_s", "unit": "1/s", "better": "higher", "
                {"name": "host_speed", "unit": "ratio", "better": "higher", "bound": None}]
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
+def fresh_bytecode(tree: Path, prefix: Path) -> dict:
+    """The environment of tree's runs: bytecode under prefix, freshly
+    compiled from tree's src and bench, and written there only."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(prefix)
+    root = tree.resolve()  # the benchmark imports from resolved paths, which name the cached files
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src"), str(root / "bench")],
+                   cwd=tree, env=env, capture_output=True, text=True, check=True)
+    return env
+
+
+def run_once(tree: Path, workload: str, seed: int, env: dict) -> dict:
     """The full record of one benchmark run, or the error it ended with."""
     cmd = [sys.executable, *COMMAND.format(workload=workload, seed=seed).split()]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     return json.loads(lines[-2])["record"]
 
 
-def run_criterion_4(tree: Path) -> dict:
+def run_criterion_4(tree: Path, env: dict) -> dict:
     """The record of one criterion-4 sweep in a fresh process, or the error
     it ended with."""
-    proc = subprocess.run([sys.executable, "-c", CRITERION_4], cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", CRITERION_4], cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
@@ -149,15 +168,20 @@ def main(argv: list[str] | None = None) -> int:
         command = COMMAND.format(workload=args.workload, seed="SEED")
 
     pairs = []
-    for i, seed in enumerate(runs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            tree = getattr(args, side)
-            pair[side] = run_criterion_4(tree) if args.criterion_4 else run_once(tree, args.workload, seed)
-        pairs.append(pair)
-        print(json.dumps({"workload": name, "seed": seed, "failed": {
-            side: pair[side].get("failed", pair[side].get("error")) for side in order}}), file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as cache:
+        envs = {side: fresh_bytecode(getattr(args, side), Path(cache, side)) for side in ("parent", "change")}
+        for i, seed in enumerate(runs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                tree, env = getattr(args, side), envs[side]
+                if args.criterion_4:
+                    pair[side] = run_criterion_4(tree, env)
+                else:
+                    pair[side] = run_once(tree, args.workload, seed, env)
+            pairs.append(pair)
+            print(json.dumps({"workload": name, "seed": seed, "failed": {
+                side: pair[side].get("failed", pair[side].get("error")) for side in order}}), file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {"workloads": {}}
     for side in ("parent", "change"):

@@ -150,11 +150,10 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_forts(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    zf, closed, _ = _flag_table(g)  # one table for the forts and the cover
-    fort_bits = _fort_bits(closed, g.n)
-    payload = _fort_family(fort_bits, g.n).to_json_dict()
+    zf, closed, coeffs = _flag_table(g)  # one table for the forts and the cover
+    payload = _fort_family(_fort_bits(closed, g.n), g.n).to_json_dict()
     if args.min_cover:
-        size, witness = _min_cover(zf, fort_bits, g.n)
+        size, witness = _min_cover(zf, coeffs, g.n)
         payload["min_cover"] = {"size": size, "witness": vertices_of(witness)}
     print(json.dumps(payload))
     return EXIT_OK

@@ -10,13 +10,12 @@ if S does not force, V minus its closure is a fort that S misses; if S
 misses a fort F, S lies in the closed set V - F.  So the minimum fort
 transversal has size Z(G), and each fort question is read off the flag
 table: the forts from its closed bits (_fort_bits), the transversals from
-its zero forcing bits.  Two tables of their own check that reading: the
-forts from the definition alone, which the sweeps compare with _fort_bits
-in both directions, and the forts closed upward, whose largest fort-free
-mask gives the cover size without the zero forcing bits.  Per graph, the
-definition is one flat 2^n-bit int and the up-closure keeps the lane
-layout's chunks, to bound its memory up to the enumeration cap; they are the
-oracles of the sweep's batch tables, one 2^(n+b)-bit int for 2^b graphs.
+its zero forcing bits and their size from its coefficients.  Two tables of
+their own check that reading in the sweeps: the forts from the definition
+alone, compared with _fort_bits in both directions, and those forts closed
+upward, whose largest fort-free mask gives the cover size without the zero
+forcing bits.  Each is one flat 2^n-bit int per graph, or one 2^(n+b)-bit
+int for 2^b graphs; the per-graph definition is the batch one's oracle.
 """
 from __future__ import annotations
 
@@ -26,8 +25,7 @@ from typing import Sequence
 
 from .closed_forms import binom
 from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import (_blocks, _chunk_constants, _chunk_planes, _closure_tally, _lane_width, _split_lanes,
-                         _zero_forcing_number, enumeration_cap)
+from .polynomial import _blocks, _chunk_constants, _chunk_planes, _closure_tally, _zero_forcing_number, enumeration_cap
 
 
 @dataclass(frozen=True)
@@ -143,60 +141,37 @@ def _batch_fort_definition(ones: int, planes: Sequence[int], nbrs: Sequence[Sequ
 
 
 def _batch_cover_sizes(forts: int, planes: Sequence[int], n: int, b: int) -> list[int]:
-    """_cover_size of each block of forts laid out as by
-    _batch_fort_definition, all closed upward at once."""
+    """The fewest vertices meeting every fort, for each block of forts laid
+    out as by _batch_fort_definition (at b = 0, one graph's fort table):
+    n minus the largest mask that holds none, as S meets them all iff V - S
+    holds none.  Every block is closed upward at once."""
     for i, plane in enumerate(planes[:n]):  # a shift by 2^i that lands on plane i stays in its block
         forts |= forts << (1 << i) & plane
     levels = _chunk_constants(n)[2]  # the empty mask holds no fort, so each block has a free level
     return [n - next(j for j in range(n, -1, -1) if c & levels[j] != levels[j]) for c in _blocks(forts, n, b)]
 
 
-def _cover_size(fort_bits: int, n: int) -> int:
-    """The fewest vertices meeting every fort: n minus the largest mask that
-    holds none (S meets them all iff V - S holds none).
-
-    The fort table is closed upward chunk by chunk of the lane layout, so
-    that bit t of holders[h] is set iff the mask h << k | t holds a fort.
-    """
-    k = _lane_width(n)
-    _, planes, levels = _chunk_constants(k)
-    holders = _split_lanes(fort_bits, n)
-    for i, plane in enumerate(planes):  # masks without i move onto their unions with i
-        holders = [c | c << (1 << i) & plane for c in holders]
-    for j in range(n - k):
-        for h in range(len(holders)):
-            if h >> j & 1:
-                holders[h] |= holders[h ^ 1 << j]
-    free = 0  # the empty mask holds no fort
-    for h, c in enumerate(holders):
-        base = h.bit_count()
-        for j in range(k, free - base, -1):
-            if c & levels[j] != levels[j]:
-                free = base + j
-                break
-    return n - free
-
-
-def _min_cover(zf: int, fort_bits: int, n: int) -> tuple[int, int]:
-    size = _cover_size(fort_bits, n)
+def _min_cover(zf: int, coeffs: Sequence[int], n: int) -> tuple[int, int]:
+    size = _zero_forcing_number(coeffs)
     table = zf.to_bytes(max(1, 1 << n >> 3), "little")
     for combo in combinations(range(n), size):  # lexicographic order
         cover = sum(1 << v for v in combo)
         if table[cover >> 3] >> (cover & 7) & 1:  # it meets every fort iff it forces
             return size, cover
-    raise RuntimeError(f"no zero forcing set of the minimum fort cover size {size}: "
-                       "the fort and flag tables disagree")
+    raise RuntimeError(f"no zero forcing set of size {size}, the first nonzero coefficient: "
+                       "the zf and coefficient tables disagree")
 
 
 def min_fort_cover(g: Graph) -> tuple[int, int]:
     """Minimum-size transversal of all forts: (size, witness mask).
 
-    The size comes from the fort table alone; the witness is the zero
-    forcing set of that size whose sorted vertex list is lexicographically
-    smallest, which is the lexicographically smallest optimal transversal.
+    By the fort duality the size is Z(G), read off the flag table's
+    coefficients; the witness is the zero forcing set of that size whose
+    sorted vertex list is lexicographically smallest, which is the
+    lexicographically smallest optimal transversal.
     """
-    zf, closed, _ = _flag_table(g)
-    return _min_cover(zf, _fort_bits(closed, g.n), g.n)
+    zf, _, coeffs = _flag_table(g)
+    return _min_cover(zf, coeffs, g.n)
 
 
 def fort_count_bound_holds(g: Graph) -> tuple[int, int, bool]:

@@ -26,10 +26,10 @@ CAP_ENV_VAR = "ZFPOLY_MAX_N"
 # The one lane-table layout: a 2^n-bit table, one subset per bit, is held as
 # chunks of 2^k bits, one int each, so that each operation acts on a whole
 # chunk.  The low k = _lane_width(n) vertices index the bits of a chunk and
-# the high n - k its number h, chunk 0 lowest.  Only the two kernels that
-# run up to the enumeration cap chunk, to bound their memory there:
-# _closure_tally and forts._cover_size.  Every other table is one 2^n-bit
-# int over _chunk_planes(n), or one 2^(n+b)-bit int for 2^b graphs (_batch_edges).
+# the high n - k its number h, chunk 0 lowest.  Only _closure_tally, the one
+# kernel that runs up to the enumeration cap, chunks, to bound its memory
+# there.  Every other table is one 2^n-bit int over _chunk_planes(n), or one
+# 2^(n+b)-bit int for 2^b graphs (_batch_edges).
 _CHUNK_BITS = 12
 
 
@@ -182,12 +182,6 @@ def _join_lanes(chunks: Sequence[int], n: int) -> int:
         return chunks[0]
     width = 1 << (_lane_width(n) - 3)  # bytes per chunk
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in chunks), "little")
-
-
-def _split_lanes(table: int, n: int) -> list[int]:
-    """The chunks of a 2^n-bit table; the inverse of _join_lanes."""
-    k = _lane_width(n)
-    return _blocks(table, k, n - k)
 
 
 def _blocks(table: int, k: int, c: int) -> list[int]:

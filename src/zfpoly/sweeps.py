@@ -29,7 +29,7 @@ from .closed_forms import (
     poly_wheel,
 )
 from .forcing import _forcers, _lane_forcers
-from .forts import _batch_cover_sizes, _batch_fort_definition, _cover_size, _fort_bits, _fort_definition_bits
+from .forts import _batch_cover_sizes, _batch_fort_definition, _fort_bits, _fort_definition_bits
 from .graphs import (
     LABELED_ENUM_MAX,
     Graph,
@@ -51,8 +51,8 @@ from .graphs import (
     wheel,
 )
 from .parallel import BATCHES_PER_JOB, parallel_map
-from .polynomial import (BATCH_BITS, _batch_edges, _batch_tally, _blocks, _chunk_constants, _closure_tally, _convolve,
-                         _induced_adj, _is_unimodal, _zero_forcing_number, zf_polynomial)
+from .polynomial import (BATCH_BITS, _batch_edges, _batch_tally, _blocks, _chunk_constants, _chunk_planes,
+                         _closure_tally, _convolve, _induced_adj, _is_unimodal, _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -225,7 +225,7 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
 
     if "ip" in checks:
         if size is None or diff:  # the definition's cover is the table's only where their forts agree
-            size = _cover_size(fort_bits, n)
+            size = _batch_cover_sizes(fort_bits, _chunk_planes(n)[1], n, 0)[0]
         if size > z:
             bad.append(("ip", f"no fort cover of size {z}, the zero forcing number"))
         elif size < z:

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,38 @@ def test_summarize_counts_no_ties_and_skips_a_run_that_ended_in_an_error(bench_p
     assert (scaled["pairs"], scaled["change_better_pairs"]) == (2, 1)  # one win, one tie
     assert (p50["pairs"], p50["change_better_pairs"]) == (2, 1)  # a tie, then a lower p50
     assert (raw["pairs"], raw["change_better_pairs"], raw["bound"]) == (2, 0, None)  # a tie and a loss
+
+
+def test_each_side_runs_on_its_own_fresh_bytecode_prefix(bench_pairs, monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append((Path(cwd), cmd, env))
+        record = {"metrics": {}, "git_sha": str(cwd), "cpu": "cpu", "nproc": 2, "python": "3"}
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps({"record": record}) + "\n{}\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                      "--workload", "corpus-n7", "--seeds", "1-2", "--out", str(out)])
+
+    prefixes = {}
+    for side, tree in trees.items():
+        runs = [(cmd, env) for cwd, cmd, env in calls if cwd == tree]
+        (compile_cmd, compile_env), *benchmarks = runs
+        assert compile_cmd[1:4] == ["-m", "compileall", "-q"]
+        assert compile_cmd[4:] == [str(tree.resolve() / "src"), str(tree.resolve() / "bench")]
+        assert [cmd[1] for cmd, _ in benchmarks] == ["bench/run.py"] * 2
+        prefix = compile_env["PYTHONPYCACHEPREFIX"]
+        assert all(env["PYTHONPYCACHEPREFIX"] == prefix for _, env in benchmarks)
+        assert all("PYTHONDONTWRITEBYTECODE" not in env for _, env in runs)
+        assert not Path(prefix).is_relative_to(tree)
+        prefixes[side] = prefix
+    assert prefixes["parent"] != prefixes["change"]
+    assert [cwd.name for cwd, _, _ in calls[:2]] == ["parent", "change"]  # both compiled before the first pair
+    assert all(sorted(p.name for p in tree.iterdir()) == ["BENCHMARK.json"] for tree in trees.values())

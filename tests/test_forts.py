@@ -24,10 +24,9 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import forts, polynomial, sweeps
-from zfpoly.forts import (_batch_cover_sizes, _batch_fort_definition, _cover_size, _fort_bits, _fort_definition_bits,
-                          _fort_family)
+from zfpoly.forts import _batch_cover_sizes, _batch_fort_definition, _fort_bits, _fort_definition_bits, _fort_family
 from zfpoly.graphs import edge_pair_order
-from zfpoly.polynomial import _batch_edges, _blocks, _closure_tally
+from zfpoly.polynomial import _batch_edges, _blocks, _chunk_planes, _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
 
@@ -177,9 +176,21 @@ def test_batch_fort_definition_matches_the_naive_forts_on_every_graph():
         assert got == [_naive_fort_bits(graph_from_edge_mask(n, base + g)) for g in range(1 << b)], (n, base)
 
 
+def _cover_of(fort_bits, n):
+    """The flat cover kernel on one graph's 2^n-bit fort table (b = 0)."""
+    return _batch_cover_sizes(fort_bits, _chunk_planes(n)[1], n, 0)[0]
+
+
+def _fewest_meeting_all(n, sets):
+    """Brute force: the fewest vertices that meet every mask in sets."""
+    return next(size for size in range(n + 1) for combo in itertools.combinations(range(n), size)
+                if all(s & sum(1 << v for v in combo) for s in sets))
+
+
 def test_batch_cover_sizes_match_the_cover_size():
     # on the forts of whole batches, and on random families, which need not
-    # be forts of anything; no block holds its empty mask
+    # be forts of anything; no block holds its empty mask.  Every block is
+    # checked against brute-force hitting sets and against the b = 0 call
     rng = random.Random(2718)
     for n, b in [(3, 2), (4, 3), (5, 4), (6, 9), (7, 10)]:
         pairs = edge_pair_order(n)
@@ -188,37 +199,30 @@ def test_batch_cover_sizes_match_the_cover_size():
         forts = _batch_fort_definition(ones, planes, nbrs)
         families = [forts] + [rng.getrandbits(1 << n + b) & planes[rng.randrange(n)] for _ in range(3)]
         for family in families:
-            want = [_cover_size(block, n) for block in _blocks(family, n, b)]
+            blocks = _blocks(family, n, b)
+            want = [_fewest_meeting_all(n, [f for f in range(1 << n) if block >> f & 1]) for block in blocks]
             assert _batch_cover_sizes(family, planes, n, b) == want, (n, base)
+            assert [_cover_of(block, n) for block in blocks] == want, (n, base)
 
 
-@pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
-def test_cover_size_matches_brute_force_hitting_sets(monkeypatch, width):
-    # at width 3 every family with n > 3 spans several chunks, so the
-    # up-closure also runs across chunks
-    monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
+def test_cover_size_matches_brute_force_hitting_sets():
     rng = random.Random(8128)
     for _ in range(300):
         n = rng.randint(1, 8)
         sets = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, 8))]
-        members = [set(vertices_of(s)) for s in sets]
-        smallest = next(
-            size
-            for size in range(n + 1)
-            for combo in itertools.combinations(range(n), size)
-            if all(m & set(combo) for m in members)
-        )
-        assert _cover_size(sum(1 << s for s in set(sets)), n) == smallest, (n, sets)
+        assert _cover_of(sum(1 << s for s in set(sets)), n) == _fewest_meeting_all(n, sets), (n, sets)
 
 
 def test_cover_size_is_the_zero_forcing_number_past_one_chunk():
+    # at n = 13-14 the flag table spans several chunks of the lane layout;
+    # the cover of its forts is one flat table
     rng = random.Random(1314)
     graphs = [path(13), cycle(14)]
     graphs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (13, 13, 14, 14)]
     for g in graphs:
         n = g.n
         closed = _closure_tally(g.adj, n)[1]
-        assert _cover_size(_fort_bits(closed, n), n) == zf_polynomial(g).zero_forcing_number()
+        assert _cover_of(_fort_bits(closed, n), n) == zf_polynomial(g).zero_forcing_number()
 
 
 def test_fort_bits_match_the_fort_list():
@@ -304,11 +308,13 @@ def test_min_cover_size_equals_zero_forcing_number_exhaustive():
 
 
 def test_min_cover_size_equals_zero_forcing_number_random():
+    # the size is read off the flag table; the reference is the cover of
+    # the forts built from the definition alone
     rng = random.Random(424242)
     for _ in range(25):
         n = rng.randint(8, 12)
         g = graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
-        assert min_fort_cover(g)[0] == zf_polynomial(g).zero_forcing_number()
+        assert min_fort_cover(g)[0] == _cover_of(_fort_definition_bits(g.adj, n), n)
 
 
 def test_every_zfs_hits_every_fort_small():

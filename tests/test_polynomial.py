@@ -37,7 +37,7 @@ from zfpoly import (
 )
 from zfpoly import polynomial, sweeps
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
-from zfpoly.polynomial import _batch_tally, _chunk_planes, _closure_tally, _join_lanes, _lane_width, _split_lanes
+from zfpoly.polynomial import _batch_tally, _blocks, _chunk_planes, _closure_tally, _join_lanes, _lane_width
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
 
@@ -80,21 +80,21 @@ def test_engines_agree_on_random_graphs(seed):
 
 @pytest.mark.parametrize("width", [polynomial._CHUNK_BITS, 3], ids=["real-width", "width-3"])
 def test_lane_layout(monkeypatch, width):
-    # both chunked kernels share this layout; the width is read on each
-    # call, so a narrower width takes effect at once
+    # the flag table's chunks; the width is read on each call, so a
+    # narrower width takes effect at once
     monkeypatch.setattr(polynomial, "_CHUNK_BITS", width)
     rng = random.Random(width)
     for n in range(15):
         t = rng.getrandbits(1 << n)
         k = _lane_width(n)
-        chunks = _split_lanes(t, n)
+        chunks = _blocks(t, k, n - k)
         assert len(chunks) == 1 << (n - k) and _join_lanes(chunks, n) == t
         # bit t of chunk h is mask h << k | t: a low vertex's plane is the
         # chunk's own plane in every chunk, a high vertex's all ones or zero
         ones, low = _chunk_planes(k)
         for j, plane in enumerate(_chunk_planes(n)[1]):
             want = [low[j] if j < k else ones * (h >> (j - k) & 1) for h in range(1 << (n - k))]
-            assert _split_lanes(plane, n) == want
+            assert _blocks(plane, k, n - k) == want
 
 
 def test_chunk_planes_match_the_definition():

@@ -215,6 +215,15 @@ def _planted(coeffs):
 # switch off unnoticed: a graph, a corruption of its flag table and the
 # records it must give, on the per-graph and on the batch path.
 PLANTED_FAULTS = {
+    # one more set of size n: the 4-path then has two
+    "extremal": (path(4), _one_more_set, [("extremal", "top coefficient 2 != 1")]),
+    # the tally loses V, the one set of size n
+    "zero-range": (cycle(5), lambda zf, closed, coeffs: (zf, closed, coeffs[:-1] + [0]),
+                   [("zero-range", "zero coefficient above the first nonzero index 2")]),
+    # every vertex of the 3-path claimed to force it alone, as only the
+    # complete and the empty graph may
+    "all-min-sets": (path(3), _planted([0, 3, 3, 1]),
+                     [("all-min-sets", "all-minimum-sets True vs complete/empty False")]),
     # the corrupted tally also gives each component one more top set: 2 * 2
     # against 2; the batch's other graphs join 0 to 1, 2 or 3, so only this one splits
     "multiplicativity": (from_edge_list(5, [(0, 4), (1, 2), (2, 3)]), _one_more_set,
@@ -234,6 +243,11 @@ PLANTED_FAULTS = {
     # sets that do not force; one more zero forcing set makes one fort too many
     "fort-count-bound": (empty(4), _one_more_set, [("fort-count-bound", "15 forts > 2^n - 2")]),
     "ip": (cycle(5), _z_one_lower, [("ip", "no fort cover of size 1, the zero forcing number")]),
+    "unimodality": (cycle(5), _planted([0, 0, 5, 3, 5, 1]),
+                    [("unimodality", "coefficients [0, 0, 5, 3, 5, 1] are not unimodal")]),
+    # the empty set claimed to force the 4-cycle: above the path's 0 at size 0 only
+    "path-bound": (cycle(4), _planted([1, 0, 4, 4, 1]),
+                   [("path-bound", "coefficients [1, 0, 4, 4, 1] exceed the path's")]),
     # {0} forces along the 5-path, whose chain terminal {4} then does not force
     "reversal": (path(5), lambda zf, closed, coeffs: (zf ^ 1 << 0b10000, closed, coeffs),
                  [("reversal", "reversed chains of 0x1 do not force")]),
@@ -257,6 +271,10 @@ def test_a_planted_fault_gives_the_same_records_on_both_paths(monkeypatch, check
     assert sweeps._check_one(checks, n, target) == expected
     b = 3
     assert sweeps._check_batch(checks, n, b, target >> b << b) == [(target, expected)]
+
+
+def test_every_check_has_a_planted_fault():
+    assert set(PLANTED_FAULTS) == set(CHECK_KEYS)
 
 
 def _without_the_last_minimum_set(zf, closed, coeffs):
