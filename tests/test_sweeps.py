@@ -211,8 +211,8 @@ def _planted(coeffs):
     return lambda zf, closed, _: (zf, closed, list(coeffs))
 
 
-# One planted fault per check that a one-line weakening could otherwise
-# switch off unnoticed: a graph, a corruption of its flag table and the
+# One planted fault per check, so that no one-line weakening can switch a
+# check off unnoticed: a graph, a corruption of its flag table and the
 # records it must give, on the per-graph and on the batch path.
 PLANTED_FAULTS = {
     # one more set of size n: the 4-path then has two
@@ -220,8 +220,8 @@ PLANTED_FAULTS = {
     # the tally loses V, the one set of size n
     "zero-range": (cycle(5), lambda zf, closed, coeffs: (zf, closed, coeffs[:-1] + [0]),
                    [("zero-range", "zero coefficient above the first nonzero index 2")]),
-    # every vertex of the 3-path claimed to force it alone, as only the
-    # complete and the empty graph may
+    # every single vertex claimed to force the 3-path; every minimum set
+    # forces only in the complete and the empty graph
     "all-min-sets": (path(3), _planted([0, 3, 3, 1]),
                      [("all-min-sets", "all-minimum-sets True vs complete/empty False")]),
     # the corrupted tally also gives each component one more top set: 2 * 2
