@@ -20,6 +20,10 @@ checkout's ``src`` and ``bench`` are compiled with ``compileall`` into a
 fresh ``PYTHONPYCACHEPREFIX`` of its own, in a temporary directory, and
 every run of that side reads and writes bytecode there, never in the
 checkout (``PYTHONDONTWRITEBYTECODE`` is dropped from the runs' environment).
+The interpreter then reads no bytecode from the installation's own caches, so
+one untimed warm-up run per side, ``bench/worker.py --workload W --seed 0
+--setup-only`` or the criterion-4 script's imports, compiles the standard
+library modules the runs import into that prefix before the first pair.
 
 ``--criterion-4`` times the acceptance suite's criterion-4 sweep instead:
 each run is a fresh process in the checkout that calls
@@ -45,11 +49,14 @@ from statistics import median, quantiles
 
 COMMAND = "bench/run.py --workload {workload} --seed {seed} --seconds 10 --trace 0"
 
-CRITERION_4 = """\
+CRITERION_4_IMPORTS = """\
 import json, os, platform, resource, sys, time
 sys.path[:0] = ["src", "tests"]
 from test_acceptance import CRITERION_4_CHECKS, EXTRA_SWEEP_CHECKS
 from zfpoly.sweeps import exhaustive_sweep
+"""
+
+CRITERION_4 = CRITERION_4_IMPORTS + """\
 jobs = min(2, os.cpu_count())
 t0 = time.perf_counter()
 count, records = exhaustive_sweep(CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS, 7, jobs=jobs)
@@ -83,6 +90,16 @@ def fresh_bytecode(tree: Path, prefix: Path) -> dict:
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src"), str(root / "bench")],
                    cwd=tree, env=env, capture_output=True, text=True, check=True)
     return env
+
+
+def warm_up(tree: Path, workload: str | None, env: dict) -> None:
+    """One untimed run of tree's imports under env: a set-up-only benchmark
+    worker of workload, or with workload None the criterion-4 imports."""
+    if workload is None:
+        code = ["-c", CRITERION_4_IMPORTS]
+    else:
+        code = ["bench/worker.py", "--workload", workload, "--seed", "0", "--setup-only"]
+    subprocess.run([sys.executable, *code], cwd=tree, env=env, capture_output=True, text=True)
 
 
 def run_once(tree: Path, workload: str, seed: int, env: dict) -> dict:
@@ -170,6 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as cache:
         envs = {side: fresh_bytecode(getattr(args, side), Path(cache, side)) for side in ("parent", "change")}
+        for side, env in envs.items():
+            warm_up(getattr(args, side), args.workload, env)
         for i, seed in enumerate(runs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}

@@ -19,7 +19,7 @@ from .graphs import (
     edge_pair_order,
     is_isomorphic,
 )
-from .polynomial import BATCH_BITS, ZfPolynomial, _batch_tally, zf_polynomial
+from .polynomial import BATCH_BITS, ZfPolynomial, _batch_tally, _chunk_planes, zf_polynomial
 
 
 def _is_path_graph(adj: Sequence[int], n: int) -> bool:
@@ -58,6 +58,52 @@ def _extremal_coefficients(adj: Sequence[int], n: int) -> tuple[int, int, int, i
     else:
         z1 = 0
     return 1, second, third, z1
+
+
+def _batch_structure(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> list[tuple[int, int, int, int]]:
+    """Per graph of the batch of edge masks base + g, g < 2^b, as in
+    polynomial._batch_edges: (non-isolated vertices, non-twin pairs of them,
+    is a path, is connected), the flags 0 or 1, as _extremal_coefficients,
+    _is_path_graph and _connected_components give them.  Graph g is byte g
+    of each counter and bit 0 of a byte its indicator, so the counts are
+    sums of indicators with no carry between graphs (n <= 22)."""
+    ones, planes = _chunk_planes(b + 3)
+    low = ones & ~(planes[0] | planes[1] | planes[2])  # bit 0 of every byte
+    edge = [low if base >> i & 1 else 0 for i in range(len(pairs))]
+    edge[:b] = [plane & low for plane in planes[3:]]
+    links = [(e, u, v) for e, (u, v) in zip(edge, pairs) if e]
+    nbr = [[0] * n for _ in range(n)]  # nbr[u][v]: the graphs with edge uv
+    for e, u, v in links:
+        nbr[u][v] = nbr[v][u] = e
+    active = []  # per v: the graphs where v has a neighbor
+    second = many = ends = 0  # many: a vertex of degree >= 3; ends: one of degree <= 1
+    for row in nbr:
+        one = two = three = 0
+        for e in row:
+            three |= two & e
+            two |= one & e
+            one |= e
+        active.append(one)
+        second += one
+        many |= three
+        ends |= low & ~two
+    third = 0
+    for u, v in itertools.combinations(range(n), 2):
+        differ = 0
+        for w in range(n):
+            if w != u and w != v:
+                differ |= nbr[u][w] ^ nbr[v][w]
+        third += active[u] & active[v] & differ
+    reach = [low] + [0] * (n - 1)  # the graphs where v is reachable from vertex 0
+    for _ in range(n - 1):
+        for e, u, v in links:
+            reach[v] |= reach[u] & e
+            reach[u] |= reach[v] & e
+    connected = low
+    for r in reach:
+        connected &= r
+    path = connected & ends & ~many  # connected, degrees at most 2, not a cycle
+    return list(zip(*(c.to_bytes(1 << b, "little") for c in (second, third, path, connected))))
 
 
 def extremal_coefficients(g: Graph) -> tuple[int, int, int, int]:

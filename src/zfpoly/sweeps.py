@@ -13,6 +13,7 @@ from math import comb
 from time import perf_counter
 
 from .analysis import (
+    _batch_structure,
     _extremal_coefficients,
     _hall_ok,
     _is_path_graph,
@@ -79,6 +80,9 @@ CHECK_KEYS = tuple(CHECK_SUITES)
 
 FORT_CHECKS = frozenset({"fort-transversal", "fort-count-bound", "ip"})
 
+# The checks that read a graph's structure: (non-isolated vertices, non-twin pairs of them, is a path, is connected).
+STRUCTURE_CHECKS = frozenset({"extremal", "multiplicativity", "ham-bound", "recognizability"})
+
 SWEEP_SUITE_CHECKS = {
     suite: frozenset(check for check in CHECK_KEYS if CHECK_SUITES[check] == suite)
     for suite in dict.fromkeys(CHECK_SUITES.values()) if suite != "all"
@@ -124,8 +128,11 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     kernels that are _check_batch's oracles; returns (check, detail) pairs,
     or the shared empty tuple when every check passes."""
     adj = _edge_mask_adj(_context(n).pairs, n, emask)
+    structure = (*_extremal_coefficients(adj, n)[1:3], _is_path_graph(adj, n),
+                 len(_connected_components(adj, n)) == 1) if checks & STRUCTURE_CHECKS else None
     definition = _fort_definition_bits(adj, n) if checks & FORT_CHECKS else 0
-    return _check_table(checks, n, emask, adj, *_closure_tally(adj, n), definition, None, partial(_forcers, adj))
+    return _check_table(checks, n, emask, *_closure_tally(adj, n), structure, definition, None,
+                        partial(_forcers, adj), {})
 
 
 def _batch_bits(n: int, jobs: int) -> int:
@@ -140,40 +147,49 @@ def _batch_bits(n: int, jobs: int) -> int:
 def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int, list[tuple[str, str]]]]:
     """Run the requested checks on the 2^b graphs of one batch, edge masks
     base on; returns (edge mask, (check, detail) pairs) of each graph that
-    fails.  The flag tables, forts and forcers are built for the batch."""
+    fails.  The flag tables, structures, forts and forcers are built for the
+    batch, and each distinct component is tallied once per call."""
     ctx = _context(n)
     tables = _batch_tally(ctx.pairs, n, base, b)
     edges = _batch_edges(ctx.pairs, n, base, b)
     definitions = sizes = [None] * len(tables)
+    structures = _batch_structure(ctx.pairs, n, base, b) if checks & STRUCTURE_CHECKS else sizes
     if checks & FORT_CHECKS:
         forts = _batch_fort_definition(*edges)
         definitions = _blocks(forts, n, b)
         sizes = _batch_cover_sizes(forts, edges[1], n, b) if "ip" in checks else sizes
     forcers = _lane_forcers(*edges) if "reversal" in checks else b""
+    tallies: dict = {}
     failed = []
-    for g, (table, definition, size) in enumerate(zip(tables, definitions, sizes)):
+    for g, (table, structure, definition, size) in enumerate(zip(tables, structures, definitions, sizes)):
         emask = base + g
-        bad = _check_table(checks, n, emask, _edge_mask_adj(ctx.pairs, n, emask), *table, definition, size,
-                           forcers[g << n:g + 1 << n].__getitem__)
+        bad = _check_table(checks, n, emask, *table, structure, definition, size,
+                           forcers[g << n:g + 1 << n].__getitem__, tallies)
         if bad:
             failed.append((emask, bad))
     return failed
 
 
-def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int, closed: int, coeffs: list[int],
-                 definition: int, size: int | None, forcers) -> list[tuple[str, str]] | tuple[()]:
-    """The checks of one labeled graph, given its adjacency, flag table, the
-    forts by definition, a cover size of those forts or None, and forcers(mask),
-    the forcers of a chronological list from mask."""
+def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, coeffs: list[int],
+                 structure: tuple | None, definition: int, size: int | None, forcers,
+                 tallies: dict) -> list[tuple[str, str]] | tuple[()]:
+    """The checks of one labeled graph, given its flag table, its structure
+    (None unless a check of STRUCTURE_CHECKS runs), the forts by definition,
+    a cover size of those forts or None, forcers(mask), the forcers of a
+    chronological list from mask, and tallies, the coefficients of the
+    components met so far by adjacency.  Only the checks that read the
+    adjacency build it, from emask."""
     ctx = _context(n)
     full = ctx.full
     z = _zero_forcing_number(coeffs)
     bad: list[tuple[str, str]] = []
+    adj = None
 
     if "extremal" in checks:
-        top, second, third, z1 = _extremal_coefficients(adj, n)
-        if coeffs[n] != top:
-            bad.append(("extremal", f"top coefficient {coeffs[n]} != {top}"))
+        second, third, is_path, _ = structure
+        z1 = 1 if n == 1 else 2 * is_path
+        if coeffs[n] != 1:
+            bad.append(("extremal", f"top coefficient {coeffs[n]} != 1"))
         if coeffs[n - 1] != second:
             bad.append(("extremal", f"size n-1: {coeffs[n - 1]} != {second}"))
         if n >= 2 and coeffs[n - 2] != third:
@@ -193,15 +209,16 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
     if "hall" in checks and not _hall_ok(coeffs, n):
         bad.append(("hall", f"coefficients {coeffs} decrease somewhere below n/2"))
 
-    if "multiplicativity" in checks:
-        comps = _connected_components(adj, n)
-        if len(comps) > 1:
-            product = [1]
-            for comp in comps:
-                sub = _induced_adj(adj, comp)
-                product = _convolve(product, _closure_tally(sub, len(sub))[2])
-            if product != coeffs:
-                bad.append(("multiplicativity", "component product differs from direct enumeration"))
+    if "multiplicativity" in checks and not structure[3]:
+        adj = _edge_mask_adj(ctx.pairs, n, emask)
+        product = [1]
+        for comp in _connected_components(adj, n):
+            sub = tuple(_induced_adj(adj, comp))
+            if sub not in tallies:
+                tallies[sub] = _closure_tally(sub, len(sub))[2]
+            product = _convolve(product, tallies[sub])
+        if product != coeffs:
+            bad.append(("multiplicativity", "component product differs from direct enumeration"))
 
     if checks & FORT_CHECKS:
         fort_bits = _fort_bits(closed, n)
@@ -234,11 +251,13 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
     if checks & {"ham-bound", "recognizability", "path-bound"}:
         pathc = ctx.path_coeffs
         exceeds = any(coeffs[i] > pathc[i] for i in range(n + 1))
-        wrong_path_equality = (coeffs == pathc) != _is_path_graph(adj, n)
+    if checks & {"ham-bound", "recognizability"}:
+        wrong_path_equality = (coeffs == pathc) != structure[2]
 
     # Both conclusions first: the antecedent (a Hamiltonian path) is the
     # costly part and matters only when one of them fails.
-    if "ham-bound" in checks and (exceeds or wrong_path_equality) and _has_hamiltonian_path(adj, n):
+    if "ham-bound" in checks and (exceeds or wrong_path_equality) and _has_hamiltonian_path(
+            adj or _edge_mask_adj(ctx.pairs, n, emask), n):
         if exceeds:
             bad.append(("ham-bound", "Hamiltonian-path graph exceeds the path bound"))
         if wrong_path_equality:
@@ -250,7 +269,7 @@ def _check_table(checks: frozenset, n: int, emask: int, adj: list[int], zf: int,
         if (coeffs == ctx.complete_coeffs) != (emask == ctx.full_edges):
             bad.append(("recognizability", "complete polynomial does not characterize complete graphs"))
         if coeffs == ctx.cycle_coeffs:
-            g = Graph(n, tuple(adj))
+            g = Graph(n, tuple(adj or _edge_mask_adj(ctx.pairs, n, emask)))
             if not any(is_isomorphic(g, h) for h in ctx.cycle_class):
                 bad.append(("recognizability", "cycle polynomial outside the listed cycle class"))
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+from math import comb
 
 import pytest
 
@@ -29,6 +31,9 @@ from zfpoly import (
     wheel,
     zf_polynomial,
 )
+from zfpoly import sweeps
+from zfpoly.analysis import _batch_structure, _extremal_coefficients, _is_path_graph
+from zfpoly.graphs import _connected_components, _edge_mask_adj, edge_pair_order
 from zfpoly.sweeps import expected_cycle_class
 
 
@@ -70,6 +75,26 @@ def test_extremal_matches_enumeration_exhaustively():
             if n >= 2:
                 assert coeffs[n - 2] == third
             assert coeffs[1] == z1
+
+
+def _structure(pairs, n, emask):
+    """The per-graph kernels' answers to what _batch_structure gives."""
+    adj = _edge_mask_adj(pairs, n, emask)
+    _, second, third, _ = _extremal_coefficients(adj, n)
+    return second, third, _is_path_graph(adj, n), len(_connected_components(adj, n)) == 1
+
+
+def test_batch_structure_matches_the_per_graph_kernels():
+    # every labeled graph with 3 <= n <= 6 at the sweep's widths for one
+    # and for eight processes, and seeded batches of 2^10 graphs at n = 7
+    batches = [(n, base, b) for n in range(3, 7) for b in {sweeps._batch_bits(n, 1), sweeps._batch_bits(n, 8)}
+               for base in range(0, 1 << comb(n, 2), 1 << b)]
+    rng = random.Random(2424)
+    batches += [(7, rng.randrange(0, 1 << 21, 1 << 10), 10) for _ in range(2)]
+    for n, base, b in batches:
+        pairs = edge_pair_order(n)
+        got = _batch_structure(pairs, n, base, b)
+        assert got == [_structure(pairs, n, base + g) for g in range(1 << b)], (n, base, b)
 
 
 def test_all_min_sets_forcing_examples():

@@ -277,6 +277,22 @@ def test_every_check_has_a_planted_fault():
     assert set(PLANTED_FAULTS) == set(CHECK_KEYS)
 
 
+def test_the_batch_path_reads_the_structure_kernel(monkeypatch):
+    # one more non-isolated vertex in every graph: each graph then fails
+    # the size n-1 coefficient, so a batch path that stops reading the
+    # kernel fails here
+    real_structure = sweeps._batch_structure
+
+    def one_more_active(pairs, n, base, b):
+        return [(second + 1, *rest) for second, *rest in real_structure(pairs, n, base, b)]
+
+    monkeypatch.setattr(sweeps, "_batch_structure", one_more_active)
+    count, records = exhaustive_sweep({"extremal"}, 5)
+    failed = [(r["n"], r["graph"]) for r in records if r["detail"].startswith("size n-1: ")]
+    assert failed == [(n, emask) for n in range(1, 6) for emask in range(1 << comb(n, 2))]
+    assert len(failed) == count
+
+
 def _without_the_last_minimum_set(zf, closed, coeffs):
     z = next(i for i, c in enumerate(coeffs) if c)
     minimum = [m for m in range(zf.bit_length()) if zf >> m & 1 and m.bit_count() == z]
