@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import closed_forms, sweeps
-from .forts import _flag_table, _fort_bits, _fort_family, _min_cover
+from .forts import _fort_bits, _fort_family, _min_cover
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -34,7 +34,7 @@ from .graphs import (
     vertices_of,
     wheel,
 )
-from .polynomial import zf_polynomial, zf_polynomial_by_components
+from .polynomial import _flag_table, zf_polynomial, zf_polynomial_by_components
 
 EXIT_OK = 0
 EXIT_FAILURE = 1

@@ -24,8 +24,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .closed_forms import binom
-from .graphs import Graph, SizeCapError, vertices_of
-from .polynomial import _blocks, _chunk_constants, _chunk_planes, _closure_tally, _zero_forcing_number, enumeration_cap
+from .graphs import Graph, vertices_of
+from .polynomial import _blocks, _chunk_constants, _chunk_planes, _flag_table, _zero_forcing_number
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,6 @@ def is_fort(g: Graph, mask: int) -> bool:
     if mask & ~g.vertex_mask:
         raise ValueError("fort candidate has vertices outside the graph")
     return _is_fort(g.adj, g.n, mask)
-
-
-def _flag_table(g: Graph) -> tuple[int, int, list[int]]:
-    """(zf, closed, coeffs) of g, within the enumeration cap."""
-    cap = enumeration_cap()
-    if g.n > cap:
-        raise SizeCapError(f"fort enumeration over {g.n} vertices exceeds cap {cap}")
-    return _closure_tally(g.adj, g.n)
 
 
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))

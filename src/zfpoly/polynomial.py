@@ -15,7 +15,7 @@ from math import comb
 from typing import Sequence
 
 from .forcing import _sweep_closure
-from .graphs import Graph, SizeCapError, connected_components, vertices_of
+from .graphs import Graph, SizeCapError, _connected_components, vertices_of
 
 # Full-subset enumeration is exponential: the 2^24 subsets of wheel:24 take
 # 110-140 ms and two 2 MiB bit tables, 25 MB peak RSS for the whole process
@@ -339,22 +339,23 @@ def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
     to the enumeration cap.
     ``engine="sweep"`` counts each size with count_zfs, an independent sweep
     closure per subset; it is the differential oracle for the table (exact
-    agreement is tested).
+    agreement is tested).  Both give the empty graph 1 (local convention).
     """
-    n = g.n
-    if n == 0:
-        # the empty set forces the empty graph; local convention, see README
-        return ZfPolynomial(0, (1,))
-    cap = enumeration_cap()
-    if n > cap:
-        raise SizeCapError(f"enumeration over {n} vertices exceeds cap {cap}")
     if engine == "table":
-        coeffs = _closure_tally(g.adj, n)[2]
+        coeffs = _flag_table(g)[2]
     elif engine == "sweep":
-        coeffs = [count_zfs(g, i) for i in range(n + 1)]
+        coeffs = [count_zfs(g, i) for i in range(g.n + 1)]
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    return ZfPolynomial(n, tuple(coeffs))
+    return ZfPolynomial(g.n, tuple(coeffs))
+
+
+def _flag_table(g: Graph) -> tuple[int, int, list[int]]:
+    """_closure_tally of a public graph, within the enumeration cap."""
+    cap = enumeration_cap()
+    if g.n > cap:
+        raise SizeCapError(f"enumeration over {g.n} vertices exceeds cap {cap}")
+    return _closure_tally(g.adj, g.n)
 
 
 def count_zfs(g: Graph, size: int) -> int:
@@ -365,8 +366,6 @@ def count_zfs(g: Graph, size: int) -> int:
     cap = enumeration_cap()
     if n > cap:
         raise SizeCapError(f"enumeration over {n} vertices exceeds cap {cap}")
-    if n == 0:
-        return 1
     full = (1 << n) - 1
     count = 0
     for combo in itertools.combinations(range(n), size):
@@ -389,9 +388,17 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
     return Graph(len(adj), tuple(adj))
 
 
+def _component_product(adj: Sequence[int], n: int, tally) -> list[int]:
+    """The convolution of tally(component adjacency tuple) over the connected
+    components: the graph's coefficients if tally gives each component's."""
+    product = [1]
+    for comp in _connected_components(adj, n):
+        product = _convolve(product, tally(tuple(_induced_adj(adj, comp))))
+    return product
+
+
 def zf_polynomial_by_components(g: Graph) -> ZfPolynomial:
-    """Product of the per-component polynomials; equals zf_polynomial(g)."""
-    result = ZfPolynomial(0, (1,))
-    for comp in connected_components(g):
-        result = multiply(result, zf_polynomial(induced_subgraph(g, comp)))
-    return result
+    """Product of the per-component polynomials; equals zf_polynomial(g).
+    Each component, not g, must be within the enumeration cap."""
+    return ZfPolynomial(g.n, tuple(_component_product(
+        g.adj, g.n, lambda sub: zf_polynomial(Graph(len(sub), sub)).coeffs)))

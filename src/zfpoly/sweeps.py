@@ -16,7 +16,6 @@ from .analysis import (
     _batch_structure,
     _extremal_coefficients,
     _hall_ok,
-    _is_path_graph,
     same_poly_threshold_family,
 )
 from .closed_forms import (
@@ -53,7 +52,7 @@ from .graphs import (
 )
 from .parallel import BATCHES_PER_JOB, parallel_map
 from .polynomial import (BATCH_BITS, _batch_edges, _batch_tally, _blocks, _chunk_constants, _chunk_planes,
-                         _closure_tally, _convolve, _induced_adj, _is_unimodal, _zero_forcing_number, zf_polynomial)
+                         _closure_tally, _component_product, _is_unimodal, _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -128,11 +127,14 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     kernels that are _check_batch's oracles; returns (check, detail) pairs,
     or the shared empty tuple when every check passes."""
     adj = _edge_mask_adj(_context(n).pairs, n, emask)
-    structure = (*_extremal_coefficients(adj, n)[1:3], _is_path_graph(adj, n),
-                 len(_connected_components(adj, n)) == 1) if checks & STRUCTURE_CHECKS else None
+    structure = None
+    if checks & STRUCTURE_CHECKS:
+        _, second, third, z1 = _extremal_coefficients(adj, n)
+        structure = (second, third, z1 > 0, len(_connected_components(adj, n)) == 1)  # z(G;1) > 0 iff a path
     definition = _fort_definition_bits(adj, n) if checks & FORT_CHECKS else 0
-    return _check_table(checks, n, emask, *_closure_tally(adj, n), structure, definition, None,
-                        partial(_forcers, adj), {})
+    size = _batch_cover_sizes(definition, _chunk_planes(n)[1], n, 0)[0] if "ip" in checks else None
+    return _check_table(checks, n, emask, *_closure_tally(adj, n), structure, definition, size,
+                        partial(_forcers, adj), _component_tally, adj)
 
 
 def _batch_bits(n: int, jobs: int) -> int:
@@ -159,31 +161,34 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
         definitions = _blocks(forts, n, b)
         sizes = _batch_cover_sizes(forts, edges[1], n, b) if "ip" in checks else sizes
     forcers = _lane_forcers(*edges) if "reversal" in checks else b""
-    tallies: dict = {}
+    tally = cache(_component_tally)  # each distinct component once per call
     failed = []
     for g, (table, structure, definition, size) in enumerate(zip(tables, structures, definitions, sizes)):
         emask = base + g
         bad = _check_table(checks, n, emask, *table, structure, definition, size,
-                           forcers[g << n:g + 1 << n].__getitem__, tallies)
+                           forcers[g << n:g + 1 << n].__getitem__, tally)
         if bad:
             failed.append((emask, bad))
     return failed
 
 
+def _component_tally(sub: tuple) -> list[int]:
+    return _closure_tally(sub, len(sub))[2]
+
+
 def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, coeffs: list[int],
                  structure: tuple | None, definition: int, size: int | None, forcers,
-                 tallies: dict) -> list[tuple[str, str]] | tuple[()]:
+                 tally, adj: list[int] | None = None) -> list[tuple[str, str]] | tuple[()]:
     """The checks of one labeled graph, given its flag table, its structure
     (None unless a check of STRUCTURE_CHECKS runs), the forts by definition,
-    a cover size of those forts or None, forcers(mask), the forcers of a
-    chronological list from mask, and tallies, the coefficients of the
-    components met so far by adjacency.  Only the checks that read the
-    adjacency build it, from emask."""
+    size, their cover size when ip runs, forcers(mask), the forcers of a
+    chronological list from mask, tally(component adjacency), its
+    coefficients, and adj, the caller's adjacency or None, in which case
+    only the checks that read the adjacency build it, from emask."""
     ctx = _context(n)
     full = ctx.full
     z = _zero_forcing_number(coeffs)
     bad: list[tuple[str, str]] = []
-    adj = None
 
     if "extremal" in checks:
         second, third, is_path, _ = structure
@@ -210,14 +215,9 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
         bad.append(("hall", f"coefficients {coeffs} decrease somewhere below n/2"))
 
     if "multiplicativity" in checks and not structure[3]:
-        adj = _edge_mask_adj(ctx.pairs, n, emask)
-        product = [1]
-        for comp in _connected_components(adj, n):
-            sub = tuple(_induced_adj(adj, comp))
-            if sub not in tallies:
-                tallies[sub] = _closure_tally(sub, len(sub))[2]
-            product = _convolve(product, tallies[sub])
-        if product != coeffs:
+        adj = adj or _edge_mask_adj(ctx.pairs, n, emask)
+        # the components' product against the whole graph's own table
+        if _component_product(adj, n, tally) != coeffs:
             bad.append(("multiplicativity", "component product differs from direct enumeration"))
 
     if checks & FORT_CHECKS:
@@ -241,7 +241,7 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
             bad.append(("fort-count-bound", f"{count} forts > 2^n - {sum(coeffs)}"))
 
     if "ip" in checks:
-        if size is None or diff:  # the definition's cover is the table's only where their forts agree
+        if diff:  # the definition's cover is the table's only where their forts agree
             size = _batch_cover_sizes(fort_bits, _chunk_planes(n)[1], n, 0)[0]
         if size > z:
             bad.append(("ip", f"no fort cover of size {z}, the zero forcing number"))

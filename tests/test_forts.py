@@ -23,7 +23,7 @@ from zfpoly import (
     vertices_of,
     zf_polynomial,
 )
-from zfpoly import forts, polynomial, sweeps
+from zfpoly import polynomial, sweeps
 from zfpoly.forts import _batch_cover_sizes, _batch_fort_definition, _fort_bits, _fort_definition_bits, _fort_family
 from zfpoly.graphs import edge_pair_order
 from zfpoly.polynomial import _batch_edges, _blocks, _chunk_planes, _closure_tally
@@ -293,7 +293,7 @@ def test_min_fort_cover_refuses_a_witness_that_does_not_force(monkeypatch):
                 zf &= ~(1 << mask)
         return zf, closed, coeffs
 
-    monkeypatch.setattr(forts, "_closure_tally", no_minimum_sets)
+    monkeypatch.setattr(polynomial, "_closure_tally", no_minimum_sets)
     for g in (path(4), cycle(5), complete(4), star(5), graph_from_edge_mask(6, 0b101101011010110)):
         with pytest.raises(RuntimeError, match="tables disagree"):
             min_fort_cover(g)

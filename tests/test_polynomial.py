@@ -28,6 +28,7 @@ from zfpoly import (
     multiply,
     path,
     poly_cycle,
+    poly_path,
     poly_wheel,
     star,
     threshold_from_string,
@@ -155,8 +156,10 @@ def test_table_engine_runs_past_order_twenty():
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        zf_polynomial(path(3), engine="psychic")
+    # before the empty graph's shortcut and before the enumeration cap
+    for g in (path(3), empty(0), path(30)):
+        with pytest.raises(ValueError, match="unknown engine 'psychic'"):
+            zf_polynomial(g, engine="psychic")
 
 
 def test_enumeration_cap_env(monkeypatch):
@@ -232,6 +235,14 @@ def test_by_components_two_edges():
 def test_by_components_connected_graph():
     g = cycle(5)
     assert zf_polynomial_by_components(g) == zf_polynomial(g)
+
+
+def test_by_components_needs_only_each_component_within_the_cap(monkeypatch):
+    monkeypatch.delenv("ZFPOLY_MAX_N", raising=False)
+    g = disjoint_union(path(15), cycle(14))  # 29 vertices, past the cap of 24
+    with pytest.raises(SizeCapError):
+        zf_polynomial(g)
+    assert zf_polynomial_by_components(g) == poly_path(15) * poly_cycle(14)
 
 
 def test_by_components_isolated_vertices():

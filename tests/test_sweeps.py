@@ -7,8 +7,8 @@ import pytest
 from oracles import naive_consecutive_counts, naive_is_zfs
 from zfpoly import analysis, parallel, sweeps
 from zfpoly.closed_forms import poly_complete, poly_cycle, poly_path
-from zfpoly.graphs import (complete, cycle, edge_pair_order, empty, from_edge_list, graph_from_edge_mask, is_isomorphic,
-                           path, star)
+from zfpoly.graphs import (complete, cycle, disjoint_union, edge_pair_order, empty, from_edge_list, graph_from_edge_mask,
+                           is_isomorphic, path, star)
 from zfpoly.parallel import parallel_map
 from zfpoly.polynomial import _closure_tally, zf_polynomial
 from zfpoly.sweeps import (
@@ -104,6 +104,34 @@ def test_parallel_sweep_is_deterministic(pool_starts):
     assert solo == duo
 
 
+def _plant(monkeypatch, corrupt):
+    """Plants one fault in both producers of flag tables, sweeps._batch_tally
+    and sweeps._closure_tally: corrupt(n, emask, table) gives the table that
+    each hands on for the graph of edge mask emask on n vertices."""
+    real_batch = sweeps._batch_tally
+
+    def faulty_batch(pairs, n, base, b):
+        return [corrupt(n, base + g, t) for g, t in enumerate(real_batch(pairs, n, base, b))]
+
+    def faulty_tally(adj, n):
+        emask = sum(1 << i for i, (u, v) in enumerate(edge_pair_order(n)) if adj[u] >> v & 1)
+        return corrupt(n, emask, _closure_tally(adj, n))
+
+    monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
+    monkeypatch.setattr(sweeps, "_closure_tally", faulty_tally)
+
+
+def _everywhere(corrupt):
+    """corrupt(zf, closed, coeffs) on every graph's table."""
+    return lambda n, emask, table: corrupt(*table)
+
+
+def _only_at(g, corrupt):
+    """corrupt(zf, closed, coeffs) on the table of g alone."""
+    target = (g.n, _emask(g))
+    return lambda n, emask, table: corrupt(*table) if (n, emask) == target else table
+
+
 @pytest.fixture
 def flipped_closed_bits(monkeypatch):
     """A fault in the flag table that both producers hand on: every seventh
@@ -113,17 +141,7 @@ def flipped_closed_bits(monkeypatch):
         zf, closed, coeffs = table
         return (zf, closed ^ 1 << emask % ((1 << n) - 1), coeffs) if emask % 7 == 0 else table
 
-    real_batch = sweeps._batch_tally
-
-    def faulty_batch(pairs, n, base, b):
-        return [flipped(n, base + g, t) for g, t in enumerate(real_batch(pairs, n, base, b))]
-
-    def faulty_tally(adj, n):
-        emask = sum(1 << i for i, (u, v) in enumerate(edge_pair_order(n)) if adj[u] >> v & 1)
-        return flipped(n, emask, _closure_tally(adj, n))
-
-    monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
-    monkeypatch.setattr(sweeps, "_closure_tally", faulty_tally)
+    _plant(monkeypatch, flipped)
 
 
 def test_wide_pools_still_start_at_orders_five_and_six(monkeypatch, flipped_closed_bits):
@@ -163,22 +181,8 @@ def test_exhaustive_sweep_reports_a_fault_in_the_batch_tally(monkeypatch):
     # clearing the zf bit of its chain terminal {4} fails reversal, and
     # clearing the closed bit of the empty set drops the fort V
     target = _emask(path(5))
-
-    def corrupted(table):
-        zf, closed, coeffs = table
-        return zf ^ 1 << 0b10000, closed ^ 1, coeffs
-
-    real_batch = sweeps._batch_tally
-
-    def faulty_batch(pairs, n, base, b):
-        tables = real_batch(pairs, n, base, b)
-        if n == 5 and base <= target < base + (1 << b):
-            tables[target - base] = corrupted(tables[target - base])
-        return tables
-
-    monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
+    _plant(monkeypatch, _only_at(path(5), lambda zf, closed, coeffs: (zf ^ 1 << 0b10000, closed ^ 1, coeffs)))
     _, records = exhaustive_sweep(CHECK_KEYS, max_n=5)
-    monkeypatch.setattr(sweeps, "_closure_tally", lambda adj, n: corrupted(_closure_tally(adj, n)))
     bad = sweeps._check_one(frozenset(CHECK_KEYS), 5, target)
     assert [check for check, _ in bad] == ["fort-transversal", "reversal"]
     assert records == [sweeps._record(check, 5, target, detail) for check, detail in bad]
@@ -224,8 +228,7 @@ PLANTED_FAULTS = {
     # forces only in the complete and the empty graph
     "all-min-sets": (path(3), _planted([0, 3, 3, 1]),
                      [("all-min-sets", "all-minimum-sets True vs complete/empty False")]),
-    # the corrupted tally also gives each component one more top set: 2 * 2
-    # against 2; the batch's other graphs join 0 to 1, 2 or 3, so only this one splits
+    # the graph's own table gains a top set: 2 against its components' 1 * 1
     "multiplicativity": (from_edge_list(5, [(0, 4), (1, 2), (2, 3)]), _one_more_set,
                          [("multiplicativity", "component product differs from direct enumeration")]),
     # n = 5 compares coefficients 1-2 and 2-3 (the 5-cycle has 0, 0, 5, 10, 5, 1);
@@ -258,15 +261,7 @@ PLANTED_FAULTS = {
 def test_a_planted_fault_gives_the_same_records_on_both_paths(monkeypatch, check):
     g, corrupt, expected = PLANTED_FAULTS[check]
     n, target = g.n, _emask(g)
-    real_batch = sweeps._batch_tally
-
-    def faulty_batch(pairs, order, base, b):
-        tables = real_batch(pairs, order, base, b)
-        tables[target - base] = corrupt(*tables[target - base])
-        return tables
-
-    monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
-    monkeypatch.setattr(sweeps, "_closure_tally", lambda adj, order: corrupt(*_closure_tally(adj, order)))
+    _plant(monkeypatch, _only_at(g, corrupt))
     checks = frozenset({check})
     assert sweeps._check_one(checks, n, target) == expected
     b = 3
@@ -293,6 +288,34 @@ def test_the_batch_path_reads_the_structure_kernel(monkeypatch):
     assert len(failed) == count
 
 
+def test_check_one_tests_for_a_path_once(monkeypatch):
+    # the path flag is read off the z(G;1) of _extremal_coefficients
+    calls = []
+    real_test = analysis._is_path_graph
+
+    def spy(adj, n):
+        calls.append(n)
+        return real_test(adj, n)
+
+    monkeypatch.setattr(analysis, "_is_path_graph", spy)
+    monkeypatch.setattr(sweeps, "_is_path_graph", spy, raising=False)
+    for emask in (0, _emask(path(7)), _emask(cycle(7)), (1 << 21) - 1, 0b101101011010110100101):
+        calls.clear()
+        assert sweeps._check_one(frozenset(CHECK_KEYS), 7, emask) == ()
+        assert calls == [7]
+
+
+def test_check_one_builds_the_adjacency_once_on_a_disconnected_graph(monkeypatch):
+    # multiplicativity reads the adjacency _check_one has built
+    calls = []
+    real_build = sweeps._edge_mask_adj
+    monkeypatch.setattr(sweeps, "_edge_mask_adj", lambda pairs, n, emask: calls.append(emask) or real_build(pairs, n, emask))
+    for g in (empty(5), from_edge_list(5, [(0, 4), (1, 2), (2, 3)]), disjoint_union(path(3), cycle(4))):
+        calls.clear()
+        assert sweeps._check_one(frozenset(CHECK_KEYS), g.n, _emask(g)) == ()
+        assert calls == [_emask(g)]
+
+
 def _without_the_last_minimum_set(zf, closed, coeffs):
     z = next(i for i, c in enumerate(coeffs) if c)
     minimum = [m for m in range(zf.bit_length()) if zf >> m & 1 and m.bit_count() == z]
@@ -302,10 +325,7 @@ def _without_the_last_minimum_set(zf, closed, coeffs):
 def test_batched_reversal_fails_on_the_masks_of_the_per_graph_path(monkeypatch):
     # with its last minimum zero forcing set taken out of the zf bits, a
     # graph fails reversal from the first minimum set whose chains end there
-    real_batch = sweeps._batch_tally
-    monkeypatch.setattr(sweeps, "_batch_tally", lambda pairs, n, base, b: [
-        _without_the_last_minimum_set(*t) for t in real_batch(pairs, n, base, b)])
-    monkeypatch.setattr(sweeps, "_closure_tally", lambda adj, n: _without_the_last_minimum_set(*_closure_tally(adj, n)))
+    _plant(monkeypatch, _everywhere(_without_the_last_minimum_set))
     graphs = [(n, emask) for n in range(1, 7) for emask in range(1 << comb(n, 2))]
     looped = [sweeps._record(check, n, emask, detail) for n, emask in graphs
               for check, detail in sweeps._check_one(frozenset({"reversal"}), n, emask)]
@@ -313,15 +333,11 @@ def test_batched_reversal_fails_on_the_masks_of_the_per_graph_path(monkeypatch):
     assert exhaustive_sweep({"reversal"}, max_n=6) == (len(graphs), looped)
 
 
-def _tally_with_z_one_lower(adj, n):
-    return _z_one_lower(*_closure_tally(adj, n))
-
-
 @needs_fork
 def test_random_sweep_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
     # every graph fails zero-range and ip, some extremal too, so the
     # comparison covers the order of records within and across graphs
-    monkeypatch.setattr(sweeps, "_closure_tally", _tally_with_z_one_lower)
+    _plant(monkeypatch, _everywhere(_z_one_lower))
     specs = random_graph_specs(40, 5, 8, seed=4)
     checks = {"extremal", "zero-range", "ip"}
     solo = random_sweep(checks, specs, jobs=1)
@@ -408,21 +424,15 @@ def _emask(g):
     return sum(1 << b for b, (u, v) in enumerate(edge_pair_order(g.n)) if g.has_edge(u, v))
 
 
-def _tally_above_the_path(adj, n):
-    zf, closed, coeffs = _closure_tally(adj, n)
-    coeffs[n] += 1  # every graph now has more zero forcing sets of size n than the path
-    return zf, closed, coeffs
-
-
 def test_ham_bound_reports_a_hamiltonian_graph_above_the_path_bound(monkeypatch):
-    monkeypatch.setattr(sweeps, "_closure_tally", _tally_above_the_path)
+    _plant(monkeypatch, _everywhere(_one_more_set))  # every graph above the path at size n
     _, records = random_sweep({"ham-bound"}, [(4, _emask(cycle(4)))])
     assert [(r["check"], r["detail"]) for r in records] == [
         ("ham-bound", "Hamiltonian-path graph exceeds the path bound")]
 
 
 def test_one_graph_records_come_in_check_order(monkeypatch):
-    monkeypatch.setattr(sweeps, "_closure_tally", _tally_above_the_path)
+    _plant(monkeypatch, _everywhere(_one_more_set))
     records = random_sweep(CHECK_KEYS, [(4, _emask(path(4)))])[1]
     checks = [r["check"] for r in records]
     assert len(set(checks)) >= 3
@@ -434,7 +444,7 @@ def test_ham_bound_consults_the_path_dp_before_reporting(monkeypatch):
     calls = []
     real_dp = sweeps._has_hamiltonian_path
     monkeypatch.setattr(sweeps, "_has_hamiltonian_path", lambda adj, n: calls.append(n) or real_dp(adj, n))
-    monkeypatch.setattr(sweeps, "_closure_tally", _tally_above_the_path)
+    _plant(monkeypatch, _everywhere(_one_more_set))
     assert random_sweep({"ham-bound"}, [(4, _emask(star(4)))])[1] == []
     assert calls == [4]
 
