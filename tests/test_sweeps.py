@@ -7,8 +7,8 @@ import pytest
 from oracles import naive_consecutive_counts, naive_is_zfs
 from zfpoly import analysis, parallel, sweeps
 from zfpoly.closed_forms import poly_complete, poly_cycle, poly_path
-from zfpoly.graphs import (complete, cycle, disjoint_union, edge_pair_order, empty, from_edge_list, graph_from_edge_mask,
-                           is_isomorphic, path, star)
+from zfpoly.graphs import (complete, cycle, disjoint_union, edge_pair_order, empty, from_edge_list,
+                           graph_from_edge_mask, is_isomorphic, path, star)
 from zfpoly.parallel import parallel_map
 from zfpoly.polynomial import _closure_tally, zf_polynomial
 from zfpoly.sweeps import (
@@ -291,25 +291,19 @@ def test_the_batch_path_reads_the_structure_kernel(monkeypatch):
 def test_check_one_tests_for_a_path_once(monkeypatch):
     # the path flag is read off the z(G;1) of _extremal_coefficients
     calls = []
-    real_test = analysis._is_path_graph
-
-    def spy(adj, n):
-        calls.append(n)
-        return real_test(adj, n)
-
-    monkeypatch.setattr(analysis, "_is_path_graph", spy)
-    monkeypatch.setattr(sweeps, "_is_path_graph", spy, raising=False)
+    real = analysis._is_path_graph
+    for module in (analysis, sweeps):  # a sweeps copy, if any, is called directly
+        monkeypatch.setattr(module, "_is_path_graph", lambda adj, n: calls.append(n) or real(adj, n), raising=False)
     for emask in (0, _emask(path(7)), _emask(cycle(7)), (1 << 21) - 1, 0b101101011010110100101):
-        calls.clear()
         assert sweeps._check_one(frozenset(CHECK_KEYS), 7, emask) == ()
-        assert calls == [7]
+    assert calls == [7] * 5
 
 
 def test_check_one_builds_the_adjacency_once_on_a_disconnected_graph(monkeypatch):
     # multiplicativity reads the adjacency _check_one has built
     calls = []
-    real_build = sweeps._edge_mask_adj
-    monkeypatch.setattr(sweeps, "_edge_mask_adj", lambda pairs, n, emask: calls.append(emask) or real_build(pairs, n, emask))
+    real = sweeps._edge_mask_adj
+    monkeypatch.setattr(sweeps, "_edge_mask_adj", lambda pairs, n, e: calls.append(e) or real(pairs, n, e))
     for g in (empty(5), from_edge_list(5, [(0, 4), (1, 2), (2, 3)]), disjoint_union(path(3), cycle(4))):
         calls.clear()
         assert sweeps._check_one(frozenset(CHECK_KEYS), g.n, _emask(g)) == ()
@@ -372,13 +366,8 @@ def test_closed_forms_suite_records_do_not_depend_on_jobs(monkeypatch, pool_star
 def test_threshold_check_names_the_lowest_differing_mask(monkeypatch, flipped, detail):
     # 0011 generates K4 minus the edge 01: its zero forcing sets are the sets
     # of two or more vertices other than {0, 1} and {2, 3}
-    def corrupted(adj, n):
-        zf, closed, coeffs = _closure_tally(adj, n)
-        for mask in flipped:
-            zf ^= 1 << mask
-        return zf, closed, coeffs
-
-    monkeypatch.setattr(sweeps, "_closure_tally", corrupted)
+    flips = sum(1 << mask for mask in flipped)
+    _plant(monkeypatch, _everywhere(lambda zf, closed, coeffs: (zf ^ flips, closed, coeffs)))
     assert sweeps._threshold_string_worker("0011") == [
         ("threshold-zfs-check", f"characterization wrong on mask {detail}")
     ]
