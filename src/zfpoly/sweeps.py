@@ -82,6 +82,10 @@ FORT_CHECKS = frozenset({"fort-transversal", "fort-count-bound", "ip"})
 # The checks that read a graph's structure: (non-isolated vertices, non-twin pairs of them, is a path, is connected).
 STRUCTURE_CHECKS = frozenset({"extremal", "multiplicativity", "ham-bound", "recognizability"})
 
+# The checks that read nothing of a graph but n and its coefficients; a sweep
+# batch runs them once per distinct coefficient vector (_coefficient_facts).
+COEFFICIENT_CHECKS = frozenset({"zero-range", "hall", "unimodality", "path-bound"})
+
 SWEEP_SUITE_CHECKS = {
     suite: frozenset(check for check in CHECK_KEYS if CHECK_SUITES[check] == suite)
     for suite in dict.fromkeys(CHECK_SUITES.values()) if suite != "all"
@@ -110,10 +114,10 @@ class _GraphContext:
         self.pairs = edge_pair_order(n)
         self.full = (1 << n) - 1
         self.full_edges = (1 << len(self.pairs)) - 1
-        self.path_coeffs = list(poly_path(n).coeffs)  # lists, like the kernel's coefficients
-        self.complete_coeffs = list(poly_complete(n).coeffs)
+        self.path_coeffs = poly_path(n).coeffs  # tuples, like _coefficient_facts's key
+        self.complete_coeffs = poly_complete(n).coeffs
         # The cycle class list is verified only at the enumerable orders.
-        self.cycle_coeffs = list(poly_cycle(n).coeffs) if 3 <= n <= EXHAUSTIVE_MAX_N else None
+        self.cycle_coeffs = poly_cycle(n).coeffs if 3 <= n <= EXHAUSTIVE_MAX_N else None
         self.cycle_class = expected_cycle_class(n) if self.cycle_coeffs else []
 
 
@@ -134,7 +138,7 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     definition = _fort_definition_bits(adj, n) if checks & FORT_CHECKS else 0
     size = _batch_cover_sizes(definition, _chunk_planes(n)[1], n, 0)[0] if "ip" in checks else None
     return _check_table(checks, n, emask, *_closure_tally(adj, n), structure, definition, size,
-                        partial(_forcers, adj), _component_tally, adj)
+                        partial(_forcers, adj), _component_tally, _coefficient_facts, adj)
 
 
 def _batch_bits(n: int, jobs: int) -> int:
@@ -150,7 +154,8 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
     """Run the requested checks on the 2^b graphs of one batch, edge masks
     base on; returns (edge mask, (check, detail) pairs) of each graph that
     fails.  The flag tables, structures, forts and forcers are built for the
-    batch, and each distinct component is tallied once per call."""
+    batch, and each distinct component is tallied, and each distinct
+    coefficient vector's facts are found, once per call."""
     ctx = _context(n)
     tables = _batch_tally(ctx.pairs, n, base, b)
     edges = _batch_edges(ctx.pairs, n, base, b)
@@ -161,12 +166,12 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
         definitions = _blocks(forts, n, b)
         sizes = _batch_cover_sizes(forts, edges[1], n, b) if "ip" in checks else sizes
     forcers = _lane_forcers(*edges) if "reversal" in checks else b""
-    tally = cache(_component_tally)  # each distinct component once per call
+    tally, facts = cache(_component_tally), cache(_coefficient_facts)  # memos of this call alone
     failed = []
     for g, (table, structure, definition, size) in enumerate(zip(tables, structures, definitions, sizes)):
         emask = base + g
         bad = _check_table(checks, n, emask, *table, structure, definition, size,
-                           forcers[g << n:g + 1 << n].__getitem__, tally)
+                           forcers[g << n:g + 1 << n].__getitem__, tally, facts)
         if bad:
             failed.append((emask, bad))
     return failed
@@ -176,19 +181,45 @@ def _component_tally(sub: tuple) -> list[int]:
     return _closure_tally(sub, len(sub))[2]
 
 
+def _coefficient_facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
+    """What the checks read of one coefficient vector alone: z, the records
+    of the COEFFICIENT_CHECKS among checks, whether a coefficient exceeds
+    the path's, whether every minimum set forces, the count of zero forcing
+    sets, and equality with the path's, the complete graph's and the cycle's
+    coefficients."""
+    ctx = _context(n)
+    checks &= COEFFICIENT_CHECKS
+    z = _zero_forcing_number(coeffs)
+    exceeds = any(c > p for c, p in zip(coeffs, ctx.path_coeffs))
+    shown = list(coeffs)
+    bad = []
+    if "zero-range" in checks and 0 in coeffs[z:n + 1]:
+        bad.append(("zero-range", f"zero coefficient above the first nonzero index {z}"))
+    if "hall" in checks and not _hall_ok(coeffs, n):
+        bad.append(("hall", f"coefficients {shown} decrease somewhere below n/2"))
+    if "unimodality" in checks and not _is_unimodal(coeffs):
+        bad.append(("unimodality", f"coefficients {shown} are not unimodal"))
+    if "path-bound" in checks and exceeds:
+        bad.append(("path-bound", f"coefficients {shown} exceed the path's"))
+    return (z, tuple(bad), exceeds, coeffs[z] == comb(n, z), sum(coeffs),
+            coeffs == ctx.path_coeffs, coeffs == ctx.complete_coeffs, coeffs == ctx.cycle_coeffs)
+
+
 def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, coeffs: list[int],
                  structure: tuple | None, definition: int, size: int | None, forcers,
-                 tally, adj: list[int] | None = None) -> list[tuple[str, str]] | tuple[()]:
+                 tally, facts, adj: list[int] | None = None) -> list[tuple[str, str]] | tuple[()]:
     """The checks of one labeled graph, given its flag table, its structure
     (None unless a check of STRUCTURE_CHECKS runs), the forts by definition,
     size, their cover size when ip runs, forcers(mask), the forcers of a
     chronological list from mask, tally(component adjacency), its
-    coefficients, and adj, the caller's adjacency or None, in which case
-    only the checks that read the adjacency build it, from emask."""
+    coefficients, facts, _coefficient_facts or a memo of it, and adj, the
+    caller's adjacency or None, in which case only the checks that read the
+    adjacency build it, from emask.  Records come in CHECK_KEYS order."""
     ctx = _context(n)
     full = ctx.full
-    z = _zero_forcing_number(coeffs)
-    bad: list[tuple[str, str]] = []
+    z, coefficient_bad, exceeds, every_min_forces, zfs_count, is_pathc, is_completec, is_cyclec = facts(
+        checks, n, tuple(coeffs))
+    bad = list(coefficient_bad)
 
     if "extremal" in checks:
         second, third, is_path, _ = structure
@@ -202,17 +233,10 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
         if coeffs[1] != z1:
             bad.append(("extremal", f"size 1: {coeffs[1]} != {z1}"))
 
-    if "zero-range" in checks and any(coeffs[i] == 0 for i in range(z, n + 1)):
-        bad.append(("zero-range", f"zero coefficient above the first nonzero index {z}"))
-
     if "all-min-sets" in checks:
-        every_min_forces = coeffs[z] == comb(n, z)
         extreme = emask == 0 or emask == ctx.full_edges
         if every_min_forces != extreme:
             bad.append(("all-min-sets", f"all-minimum-sets {every_min_forces} vs complete/empty {extreme}"))
-
-    if "hall" in checks and not _hall_ok(coeffs, n):
-        bad.append(("hall", f"coefficients {coeffs} decrease somewhere below n/2"))
 
     if "multiplicativity" in checks and not structure[3]:
         adj = adj or _edge_mask_adj(ctx.pairs, n, emask)
@@ -237,8 +261,8 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
 
     if "fort-count-bound" in checks:
         count = fort_bits.bit_count()
-        if count > (full + 1) - sum(coeffs):
-            bad.append(("fort-count-bound", f"{count} forts > 2^n - {sum(coeffs)}"))
+        if count > (full + 1) - zfs_count:
+            bad.append(("fort-count-bound", f"{count} forts > 2^n - {zfs_count}"))
 
     if "ip" in checks:
         if diff:  # the definition's cover is the table's only where their forts agree
@@ -248,11 +272,8 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
         elif size < z:
             bad.append(("ip", f"a fort cover smaller than the zero forcing number {z}"))
 
-    if checks & {"ham-bound", "recognizability", "path-bound"}:
-        pathc = ctx.path_coeffs
-        exceeds = any(coeffs[i] > pathc[i] for i in range(n + 1))
     if checks & {"ham-bound", "recognizability"}:
-        wrong_path_equality = (coeffs == pathc) != structure[2]
+        wrong_path_equality = is_pathc != structure[2]
 
     # Both conclusions first: the antecedent (a Hamiltonian path) is the
     # costly part and matters only when one of them fails.
@@ -266,18 +287,12 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
     if "recognizability" in checks:
         if wrong_path_equality:
             bad.append(("recognizability", "path polynomial does not characterize paths"))
-        if (coeffs == ctx.complete_coeffs) != (emask == ctx.full_edges):
+        if is_completec != (emask == ctx.full_edges):
             bad.append(("recognizability", "complete polynomial does not characterize complete graphs"))
-        if coeffs == ctx.cycle_coeffs:
+        if is_cyclec:
             g = Graph(n, tuple(adj or _edge_mask_adj(ctx.pairs, n, emask)))
             if not any(is_isomorphic(g, h) for h in ctx.cycle_class):
                 bad.append(("recognizability", "cycle polynomial outside the listed cycle class"))
-
-    if "unimodality" in checks and not _is_unimodal(coeffs):
-        bad.append(("unimodality", f"coefficients {coeffs} are not unimodal"))
-
-    if "path-bound" in checks and exceeds:
-        bad.append(("path-bound", f"coefficients {coeffs} exceed the path's"))
 
     if "reversal" in checks:
         minimum = zf & _chunk_constants(n)[2][z]  # the minimum zero forcing sets
@@ -290,7 +305,7 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
                 bad.append(("reversal", f"reversed chains of {mask:#x} do not force"))
                 break
 
-    return bad or ()
+    return sorted(bad, key=lambda record: CHECK_KEYS.index(record[0])) if bad else ()
 
 
 def _check_spec(checks: frozenset, spec: tuple[int, int]) -> list[tuple[str, str]] | tuple[()]:

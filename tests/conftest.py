@@ -1,0 +1,45 @@
+"""The tests' one seam for planted faults: a corruption of the flag tables
+that both of the sweep's producers hand on, on the per-graph path and on
+the batch path alike."""
+import pytest
+
+from zfpoly import sweeps
+from zfpoly.graphs import edge_pair_order
+from zfpoly.polynomial import _batch_tally, _closure_tally
+
+
+def edge_mask(g):
+    """The edge mask of g, one bit per pair of edge_pair_order(g.n)."""
+    return sum(1 << b for b, (u, v) in enumerate(edge_pair_order(g.n)) if g.has_edge(u, v))
+
+
+def everywhere(corrupt):
+    """corrupt(zf, closed, coeffs) on every graph's table."""
+    return lambda n, emask, table: corrupt(*table)
+
+
+def only_at(g, corrupt):
+    """corrupt(zf, closed, coeffs) on the table of g alone."""
+    target = (g.n, edge_mask(g))
+    return lambda n, emask, table: corrupt(*table) if (n, emask) == target else table
+
+
+@pytest.fixture
+def plant(monkeypatch):
+    """plant(corrupt) plants one fault in both producers of flag tables,
+    sweeps._batch_tally and sweeps._closure_tally: corrupt(n, emask, table)
+    gives the table that each hands on for the graph of edge mask emask on n
+    vertices.  Each plant wraps the real producers, so a later one replaces
+    an earlier one."""
+    def plant(corrupt):
+        def faulty_batch(pairs, n, base, b):
+            return [corrupt(n, base + g, t) for g, t in enumerate(_batch_tally(pairs, n, base, b))]
+
+        def faulty_tally(adj, n):
+            emask = sum(1 << i for i, (u, v) in enumerate(edge_pair_order(n)) if adj[u] >> v & 1)
+            return corrupt(n, emask, _closure_tally(adj, n))
+
+        monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
+        monkeypatch.setattr(sweeps, "_closure_tally", faulty_tally)
+
+    return plant

@@ -1,18 +1,34 @@
 import importlib.util
 import json
 import subprocess
+import sys
+from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from test_acceptance import CRITERION_4_CHECKS, EXTRA_SWEEP_CHECKS
+from zfpoly.sweeps import CHECK_KEYS
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _script("bench_pairs")
+
+
+@pytest.fixture(scope="module")
+def ab_layers():
+    return _script("ab_layers")
 
 
 def _run(**values):
@@ -97,3 +113,58 @@ def test_criterion_4_warms_each_side_with_the_sweep_imports(bench_pairs, monkeyp
         # each sweep, then git naming its commit
         assert [cmd[1:] for cmd, _ in timed] == [["-c", bench_pairs.CRITERION_4], ["rev-parse", "HEAD"]] * 2
     assert [(cwd.name, cmd[1]) for cwd, cmd, _ in calls[2:4]] == [("parent", "-c"), ("change", "-c")]
+
+
+def test_sign_test_matches_hand_computed_values(ab_layers):
+    assert ab_layers.sign_test_p(9, 1) == ab_layers.sign_test_p(1, 9) == 2 * (1 + 10) / 2 ** 10
+    assert ab_layers.sign_test_p(10, 0) == 2 / 2 ** 10
+    assert ab_layers.sign_test_p(60, 4) == 2 * (1 + 64 + 2016 + 41664 + 635376) / 2 ** 64
+    assert ab_layers.sign_test_p(60, 4) == 2 * sum(comb(64, k) for k in range(5)) / 2 ** 64
+    assert ab_layers.sign_test_p(5, 5) == ab_layers.sign_test_p(3, 2) == ab_layers.sign_test_p(0, 0) == 1.0
+    row = ab_layers.summarize([0.5, 1.0, 0.8, 1.2])  # a tie counts for neither side
+    assert row == {"median_ratio": 0.9, "change_wins": 2, "calls": 4, "sign_test_p": 1.0}
+
+
+def test_ab_layers_times_the_criterion_4_set():
+    # the kernel named criterion-4 runs the checks of the acceptance suite's sweep
+    assert _script("ab_layers").kernels(CHECK_KEYS)["criterion-4"] == CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS
+
+
+@pytest.mark.parametrize("planted, status", [([], 0), ([(5, [("hall", "planted")])], 1)], ids=["equal", "differ"])
+def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch, tmp_path, planted, status):
+    # stub checkouts: the change reports planted records on every batch with checks
+    calls = []
+
+    def fake_sweeps(records):
+        def check_batch(checks, n, b, base):
+            calls.append((n, b, base))
+            return records if checks else []
+        return SimpleNamespace(CHECK_KEYS=("hall", "reversal"), _batch_bits=lambda n, jobs: 9,
+                               _check_batch=check_batch)
+
+    sides = {"zfpoly_parent": fake_sweeps([]), "zfpoly_change": fake_sweeps(planted)}
+    monkeypatch.setattr(ab_layers, "load_sweeps", lambda tree, name: sides[name])
+    monkeypatch.setattr(ab_layers, "git_sha", lambda tree: None)
+    out = tmp_path / "layers.json"
+    out.write_text('{"workloads": {}}')
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--batches", "2", "--out", str(out)]
+    assert ab_layers.main(argv) == status
+    doc = json.loads(out.read_text())
+    # 4 batches, each under the two kernels with checks
+    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == 8 * status
+    assert {name: row["calls"] for name, row in doc["layers"]["kernels"].items()} == {
+        f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in ("none", "criterion-4", "all")}
+    # one untimed call per side and order, then both sides on 2 sweep batches at n = 6 and 2 of 2^10 at n = 7
+    assert calls[:4] == [(6, 0, 0)] * 2 + [(7, 0, 0)] * 2
+    assert [(n, b, base) for n, b, base in calls[4:] if n == 6] == [(6, 9, 0)] * 6 + [(6, 9, 512)] * 6
+    assert all(b == 10 and base % 1024 == 0 for n, b, base in calls[4:] if n == 7)
+
+
+def test_ab_layers_loads_each_checkout_as_its_own_package(ab_layers, tmp_path):
+    # the same checkout on both sides: two copies of the package, equal records
+    assert ab_layers.main(["--parent", str(REPO), "--change", str(REPO), "--batches", "1",
+                           "--out", str(tmp_path / "layers.json")]) == 0
+    assert sys.modules["zfpoly_parent.sweeps"] is not sys.modules["zfpoly_change.sweeps"]
+    assert sys.modules["zfpoly_change.sweeps"].__file__ == str(REPO / "src" / "zfpoly" / "sweeps.py")
+    layers = json.loads((tmp_path / "layers.json").read_text())["layers"]
+    assert layers["records_differ"] == 0 and len(layers["kernels"]) == 6

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from conftest import edge_mask, only_at
 from oracles import naive_forts, naive_min_cover_size
 from zfpoly import (
     all_labeled_graphs,
@@ -57,7 +58,14 @@ def test_enumerate_forts_matches_naive_oracle():
         assert got == naive_forts(g)
 
 
-def test_sweep_kernel_checks_every_derived_fort(monkeypatch):
+def _on_the_batch_path(checks, g):
+    """The records of a b = 3 batch around g, in which only g's table is
+    planted: [(g's edge mask, its records)], or [] when it passes."""
+    b, target = 3, edge_mask(g)
+    return sweeps._check_batch(frozenset(checks), g.n, b, target >> b << b)
+
+
+def test_sweep_kernel_checks_every_derived_fort(plant):
     # the sets the sweep kernel derives are forts by the definition ...
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
@@ -66,54 +74,54 @@ def test_sweep_kernel_checks_every_derived_fort(monkeypatch):
             assert derived and all(is_fort(g, f) for f in derived)
     assert exhaustive_sweep({"fort-transversal"}, max_n=5)[1] == []
 
-    # ... and a set that is not (a corrupted closed bit) is reported
-    def corrupted(adj, n):
-        zf, closed, coeffs = _closure_tally(adj, n)
-        closed |= 1 << 0b001  # {0} forces the whole 3-path; claim it is closed
-        return zf, closed, coeffs
-
-    monkeypatch.setattr(sweeps, "_closure_tally", corrupted)
+    # ... and a set that is not (a corrupted closed bit) is reported:
+    # {0} forces the whole 3-path; claim it is closed
+    plant(only_at(path(3), lambda zf, closed, coeffs: (zf, closed | 1 << 0b001, coeffs)))
     path3 = 0b101  # edges (0, 1) and (1, 2) in edge_pair_order(3)
     for checks in ({"fort-transversal"}, {"fort-count-bound"}, {"ip"}):
         _, records = random_sweep(checks, [(3, path3)])
         assert records and records[0]["check"] == "fort-transversal", checks
         assert "0x6" in records[0]["detail"]
+        assert _on_the_batch_path(checks, path(3)) == [(path3, [(r["check"], r["detail"]) for r in records])]
 
 
-def test_ip_check_reports_a_shifted_zero_forcing_number(monkeypatch):
+def test_ip_check_reports_a_shifted_zero_forcing_number(plant):
     # a cover of size z must exist and none of size z - 1; moving the first
     # nonzero coefficient up breaks the second, moving it down the first
     def shifted(step):
-        def tally(adj, n):
-            zf, closed, coeffs = _closure_tally(adj, n)
+        def corrupt(zf, closed, coeffs):
             z = next(i for i, c in enumerate(coeffs) if c)
             coeffs[z + step], coeffs[z] = coeffs[z], 0
             return zf, closed, coeffs
-        return tally
+        return corrupt
 
-    specs = [(3, 0b101), (4, 0b111111)]  # the 3-path (Z = 1) and K4 (Z = 3)
+    graphs = [path(3), complete(4)]  # Z = 1 and Z = 3
+    specs = [(g.n, edge_mask(g)) for g in graphs]
     assert random_sweep({"ip"}, specs)[1] == []
     for step in (1, -1):
-        monkeypatch.setattr(sweeps, "_closure_tally", shifted(step))
+        plant(lambda n, emask, table: shifted(step)(*table) if (n, emask) in specs else table)
         _, records = random_sweep({"ip"}, specs)
         assert [(r["check"], r["n"]) for r in records] == [("ip", 3), ("ip", 4)], step
+        for g, r in zip(graphs, records):
+            assert _on_the_batch_path({"ip"}, g) == [(edge_mask(g), [(r["check"], r["detail"])])], step
 
 
-def test_ip_check_reports_missing_forts(monkeypatch):
+def test_ip_check_reports_missing_forts(plant):
     # every set of two or more vertices is a fort of K4; hiding the three
     # pairs through vertex 0 lets two of 1, 2, 3 meet every fort left
-    def hidden(adj, n):
-        zf, closed, coeffs = _closure_tally(adj, n)
+    def hidden(zf, closed, coeffs):
         for pair in (0b0011, 0b0101, 0b1001):
             closed &= ~(1 << (0b1111 ^ pair))
         return zf, closed, coeffs
 
-    monkeypatch.setattr(sweeps, "_closure_tally", hidden)
+    plant(only_at(complete(4), hidden))
     _, records = random_sweep({"ip"}, [(4, 0b111111)])
-    assert [(r["check"], r["detail"]) for r in records] == [
+    expected = [
         ("fort-transversal", "fort 0x3 is missing from the table"),
         ("ip", "a fort cover smaller than the zero forcing number 3"),
     ]
+    assert [(r["check"], r["detail"]) for r in records] == expected
+    assert _on_the_batch_path({"ip"}, complete(4)) == [(0b111111, expected)]
 
 
 @pytest.mark.parametrize(
@@ -125,18 +133,19 @@ def test_ip_check_reports_missing_forts(monkeypatch):
     ],
     ids=["missing-forts", "derived-non-forts", "both"],
 )
-def test_fort_check_names_the_lowest_differing_mask(monkeypatch, flipped, detail):
+def test_fort_check_names_the_lowest_differing_mask(plant, flipped, detail):
     # every set of two or more vertices of K4 is a fort and no single vertex
     # is; flipping the closed bit of V - F removes F from the table's forts
     # or adds it
-    def corrupted(adj, n):
-        zf, closed, coeffs = _closure_tally(adj, n)
+    def corrupted(zf, closed, coeffs):
         for f in flipped:
             closed ^= 1 << (0b1111 ^ f)
         return zf, closed, coeffs
 
-    monkeypatch.setattr(sweeps, "_closure_tally", corrupted)
-    assert sweeps._check_one(frozenset({"fort-transversal"}), 4, 0b111111) == [("fort-transversal", detail)]
+    plant(only_at(complete(4), corrupted))
+    expected = [("fort-transversal", detail)]
+    assert sweeps._check_one(frozenset({"fort-transversal"}), 4, 0b111111) == expected
+    assert _on_the_batch_path({"fort-transversal"}, complete(4)) == [(0b111111, expected)]
 
 
 def _naive_fort_bits(g):

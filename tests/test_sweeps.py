@@ -1,18 +1,21 @@
+import itertools
 import multiprocessing
 import re
 from math import comb
 
 import pytest
 
+from conftest import edge_mask, everywhere, only_at
 from oracles import naive_consecutive_counts, naive_is_zfs
 from zfpoly import analysis, parallel, sweeps
 from zfpoly.closed_forms import poly_complete, poly_cycle, poly_path
-from zfpoly.graphs import (complete, cycle, disjoint_union, edge_pair_order, empty, from_edge_list,
-                           graph_from_edge_mask, is_isomorphic, path, star)
+from zfpoly.graphs import (complete, cycle, disjoint_union, empty, from_edge_list, graph_from_edge_mask,
+                           is_isomorphic, path, star)
 from zfpoly.parallel import parallel_map
 from zfpoly.polynomial import _closure_tally, zf_polynomial
 from zfpoly.sweeps import (
     CHECK_KEYS,
+    COEFFICIENT_CHECKS,
     CONJECTURE_CHECKS,
     SUITES,
     SWEEP_SUITE_CHECKS,
@@ -104,36 +107,8 @@ def test_parallel_sweep_is_deterministic(pool_starts):
     assert solo == duo
 
 
-def _plant(monkeypatch, corrupt):
-    """Plants one fault in both producers of flag tables, sweeps._batch_tally
-    and sweeps._closure_tally: corrupt(n, emask, table) gives the table that
-    each hands on for the graph of edge mask emask on n vertices."""
-    real_batch = sweeps._batch_tally
-
-    def faulty_batch(pairs, n, base, b):
-        return [corrupt(n, base + g, t) for g, t in enumerate(real_batch(pairs, n, base, b))]
-
-    def faulty_tally(adj, n):
-        emask = sum(1 << i for i, (u, v) in enumerate(edge_pair_order(n)) if adj[u] >> v & 1)
-        return corrupt(n, emask, _closure_tally(adj, n))
-
-    monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
-    monkeypatch.setattr(sweeps, "_closure_tally", faulty_tally)
-
-
-def _everywhere(corrupt):
-    """corrupt(zf, closed, coeffs) on every graph's table."""
-    return lambda n, emask, table: corrupt(*table)
-
-
-def _only_at(g, corrupt):
-    """corrupt(zf, closed, coeffs) on the table of g alone."""
-    target = (g.n, _emask(g))
-    return lambda n, emask, table: corrupt(*table) if (n, emask) == target else table
-
-
 @pytest.fixture
-def flipped_closed_bits(monkeypatch):
+def flipped_closed_bits(plant):
     """A fault in the flag table that both producers hand on: every seventh
     graph flips the closed bit of one proper mask, so its table gains or
     loses a fort, which fort-transversal and maybe ip and the count report."""
@@ -141,7 +116,7 @@ def flipped_closed_bits(monkeypatch):
         zf, closed, coeffs = table
         return (zf, closed ^ 1 << emask % ((1 << n) - 1), coeffs) if emask % 7 == 0 else table
 
-    _plant(monkeypatch, flipped)
+    plant(flipped)
 
 
 def test_wide_pools_still_start_at_orders_five_and_six(monkeypatch, flipped_closed_bits):
@@ -176,12 +151,12 @@ def test_wide_pools_still_start_at_orders_five_and_six(monkeypatch, flipped_clos
             assert batches >= min(1 << comb(n, 2), 64, jobs * parallel.BATCHES_PER_JOB), (jobs, n)
 
 
-def test_exhaustive_sweep_reports_a_fault_in_the_batch_tally(monkeypatch):
+def test_exhaustive_sweep_reports_a_fault_in_the_batch_tally(plant):
     # in the batch of the 5-path 0-1-2-3-4: {0} forces along the path, so
     # clearing the zf bit of its chain terminal {4} fails reversal, and
     # clearing the closed bit of the empty set drops the fort V
-    target = _emask(path(5))
-    _plant(monkeypatch, _only_at(path(5), lambda zf, closed, coeffs: (zf ^ 1 << 0b10000, closed ^ 1, coeffs)))
+    target = edge_mask(path(5))
+    plant(only_at(path(5), lambda zf, closed, coeffs: (zf ^ 1 << 0b10000, closed ^ 1, coeffs)))
     _, records = exhaustive_sweep(CHECK_KEYS, max_n=5)
     bad = sweeps._check_one(frozenset(CHECK_KEYS), 5, target)
     assert [check for check, _ in bad] == ["fort-transversal", "reversal"]
@@ -258,10 +233,10 @@ PLANTED_FAULTS = {
 
 
 @pytest.mark.parametrize("check", sorted(PLANTED_FAULTS))
-def test_a_planted_fault_gives_the_same_records_on_both_paths(monkeypatch, check):
+def test_a_planted_fault_gives_the_same_records_on_both_paths(plant, check):
     g, corrupt, expected = PLANTED_FAULTS[check]
-    n, target = g.n, _emask(g)
-    _plant(monkeypatch, _only_at(g, corrupt))
+    n, target = g.n, edge_mask(g)
+    plant(only_at(g, corrupt))
     checks = frozenset({check})
     assert sweeps._check_one(checks, n, target) == expected
     b = 3
@@ -270,6 +245,51 @@ def test_a_planted_fault_gives_the_same_records_on_both_paths(monkeypatch, check
 
 def test_every_check_has_a_planted_fault():
     assert set(PLANTED_FAULTS) == set(CHECK_KEYS)
+
+
+@pytest.mark.parametrize("check", sorted(PLANTED_FAULTS))
+def test_a_planted_fault_changes_no_other_graph_of_its_batch(plant, check):
+    # the fault sits on a labeling of the row's graph whose batch of 2^3
+    # graphs also holds a graph with its true coefficients (the complete
+    # and the empty graph have no other labeling and no such graph), and
+    # still gives records there; the batch path, which memoizes facts by
+    # coefficient vector, must give every graph the per-graph path's records
+    g, corrupt, _ = PLANTED_FAULTS[check]
+    n, b, every = g.n, 3, frozenset(CHECK_KEYS)
+    labelings = sorted({edge_mask(from_edge_list(n, [(p[u], p[v]) for u, v in g.edges()]))
+                        for p in itertools.permutations(range(n))})
+    for target in labelings:
+        masks = range(target >> b << b, (target >> b << b) + (1 << b))
+        true = {e: _closure_tally(graph_from_edge_mask(n, e).adj, n)[2] for e in masks}
+        twins = [e for e in masks if e != target and true[e] == true[target]]
+        plant(only_at(graph_from_edge_mask(n, target), corrupt))
+        looped = [(e, bad) for e in masks if (bad := sweeps._check_one(every, n, e))]
+        if twins and target in dict(looped):
+            break
+    assert twins or len(labelings) == 1
+    assert target in dict(looped)
+    assert sweeps._check_batch(every, n, b, masks.start) == looped
+
+
+def test_coefficient_checks_read_only_the_coefficients(plant):
+    # one coefficient vector beside the 5-cycle's own table, then beside
+    # garbage in every other argument: the coefficient-only checks give the
+    # same records, and each other check, run with them, tells the two calls
+    # apart, so adding a check that reads the graph to COEFFICIENT_CHECKS
+    # fails here
+    coeffs = [0, 0, 11, 0, 5, 1]  # a zero above z = 2, a fall below n/2 and then a rise, above the path's 9
+    g = cycle(5)
+    n, emask = g.n, edge_mask(g)
+    plant(only_at(g, _planted(coeffs)))
+    records = sweeps._check_one(COEFFICIENT_CHECKS, n, emask)
+    assert [check for check, _ in records] == ["zero-range", "hall", "unimodality", "path-bound"]
+    every_set = (1 << (1 << n)) - 1
+    garbage = (sweeps._context(n).full_edges, every_set ^ 1 << (1 << n) - 1, every_set, coeffs,
+               (0, 0, True, False), 0, 0, lambda mask: 0, lambda sub: [2], sweeps._coefficient_facts)
+    assert sweeps._check_table(COEFFICIENT_CHECKS, n, *garbage) == records
+    for check in sorted(set(CHECK_KEYS) - COEFFICIENT_CHECKS):
+        checks = COEFFICIENT_CHECKS | {check}
+        assert sweeps._check_table(checks, n, *garbage) != sweeps._check_one(checks, n, emask), check
 
 
 def test_the_batch_path_reads_the_structure_kernel(monkeypatch):
@@ -294,7 +314,7 @@ def test_check_one_tests_for_a_path_once(monkeypatch):
     real = analysis._is_path_graph
     for module in (analysis, sweeps):  # a sweeps copy, if any, is called directly
         monkeypatch.setattr(module, "_is_path_graph", lambda adj, n: calls.append(n) or real(adj, n), raising=False)
-    for emask in (0, _emask(path(7)), _emask(cycle(7)), (1 << 21) - 1, 0b101101011010110100101):
+    for emask in (0, edge_mask(path(7)), edge_mask(cycle(7)), (1 << 21) - 1, 0b101101011010110100101):
         assert sweeps._check_one(frozenset(CHECK_KEYS), 7, emask) == ()
     assert calls == [7] * 5
 
@@ -306,8 +326,8 @@ def test_check_one_builds_the_adjacency_once_on_a_disconnected_graph(monkeypatch
     monkeypatch.setattr(sweeps, "_edge_mask_adj", lambda pairs, n, e: calls.append(e) or real(pairs, n, e))
     for g in (empty(5), from_edge_list(5, [(0, 4), (1, 2), (2, 3)]), disjoint_union(path(3), cycle(4))):
         calls.clear()
-        assert sweeps._check_one(frozenset(CHECK_KEYS), g.n, _emask(g)) == ()
-        assert calls == [_emask(g)]
+        assert sweeps._check_one(frozenset(CHECK_KEYS), g.n, edge_mask(g)) == ()
+        assert calls == [edge_mask(g)]
 
 
 def _without_the_last_minimum_set(zf, closed, coeffs):
@@ -316,10 +336,10 @@ def _without_the_last_minimum_set(zf, closed, coeffs):
     return (zf ^ 1 << minimum[-1] if len(minimum) > 1 else zf), closed, coeffs
 
 
-def test_batched_reversal_fails_on_the_masks_of_the_per_graph_path(monkeypatch):
+def test_batched_reversal_fails_on_the_masks_of_the_per_graph_path(plant):
     # with its last minimum zero forcing set taken out of the zf bits, a
     # graph fails reversal from the first minimum set whose chains end there
-    _plant(monkeypatch, _everywhere(_without_the_last_minimum_set))
+    plant(everywhere(_without_the_last_minimum_set))
     graphs = [(n, emask) for n in range(1, 7) for emask in range(1 << comb(n, 2))]
     looped = [sweeps._record(check, n, emask, detail) for n, emask in graphs
               for check, detail in sweeps._check_one(frozenset({"reversal"}), n, emask)]
@@ -328,10 +348,10 @@ def test_batched_reversal_fails_on_the_masks_of_the_per_graph_path(monkeypatch):
 
 
 @needs_fork
-def test_random_sweep_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
+def test_random_sweep_records_do_not_depend_on_jobs(plant, pool_starts):
     # every graph fails zero-range and ip, some extremal too, so the
     # comparison covers the order of records within and across graphs
-    _plant(monkeypatch, _everywhere(_z_one_lower))
+    plant(everywhere(_z_one_lower))
     specs = random_graph_specs(40, 5, 8, seed=4)
     checks = {"extremal", "zero-range", "ip"}
     solo = random_sweep(checks, specs, jobs=1)
@@ -363,11 +383,11 @@ def test_closed_forms_suite_records_do_not_depend_on_jobs(monkeypatch, pool_star
     [((0b1100,), "0xc"), ((0b1001,), "0x9"), ((0b1100, 0b0110), "0x6")],
     ids=["added", "dropped", "both"],
 )
-def test_threshold_check_names_the_lowest_differing_mask(monkeypatch, flipped, detail):
+def test_threshold_check_names_the_lowest_differing_mask(plant, flipped, detail):
     # 0011 generates K4 minus the edge 01: its zero forcing sets are the sets
     # of two or more vertices other than {0, 1} and {2, 3}
     flips = sum(1 << mask for mask in flipped)
-    _plant(monkeypatch, _everywhere(lambda zf, closed, coeffs: (zf ^ flips, closed, coeffs)))
+    plant(everywhere(lambda zf, closed, coeffs: (zf ^ flips, closed, coeffs)))
     assert sweeps._threshold_string_worker("0011") == [
         ("threshold-zfs-check", f"characterization wrong on mask {detail}")
     ]
@@ -409,32 +429,28 @@ def test_reversal_reports_terminals_that_do_not_force(monkeypatch):
     assert [r["check"] for r in records] == ["reversal"]
 
 
-def _emask(g):
-    return sum(1 << b for b, (u, v) in enumerate(edge_pair_order(g.n)) if g.has_edge(u, v))
-
-
-def test_ham_bound_reports_a_hamiltonian_graph_above_the_path_bound(monkeypatch):
-    _plant(monkeypatch, _everywhere(_one_more_set))  # every graph above the path at size n
-    _, records = random_sweep({"ham-bound"}, [(4, _emask(cycle(4)))])
+def test_ham_bound_reports_a_hamiltonian_graph_above_the_path_bound(plant):
+    plant(everywhere(_one_more_set))  # every graph above the path at size n
+    _, records = random_sweep({"ham-bound"}, [(4, edge_mask(cycle(4)))])
     assert [(r["check"], r["detail"]) for r in records] == [
         ("ham-bound", "Hamiltonian-path graph exceeds the path bound")]
 
 
-def test_one_graph_records_come_in_check_order(monkeypatch):
-    _plant(monkeypatch, _everywhere(_one_more_set))
-    records = random_sweep(CHECK_KEYS, [(4, _emask(path(4)))])[1]
+def test_one_graph_records_come_in_check_order(plant):
+    plant(everywhere(_one_more_set))
+    records = random_sweep(CHECK_KEYS, [(4, edge_mask(path(4)))])[1]
     checks = [r["check"] for r in records]
     assert len(set(checks)) >= 3
     assert checks == sorted(checks, key=CHECK_KEYS.index)
 
 
-def test_ham_bound_consults_the_path_dp_before_reporting(monkeypatch):
+def test_ham_bound_consults_the_path_dp_before_reporting(monkeypatch, plant):
     # the star K_{1,3} has no Hamiltonian path, so the failed conclusion is vacuous
     calls = []
     real_dp = sweeps._has_hamiltonian_path
     monkeypatch.setattr(sweeps, "_has_hamiltonian_path", lambda adj, n: calls.append(n) or real_dp(adj, n))
-    _plant(monkeypatch, _everywhere(_one_more_set))
-    assert random_sweep({"ham-bound"}, [(4, _emask(star(4)))])[1] == []
+    plant(everywhere(_one_more_set))
+    assert random_sweep({"ham-bound"}, [(4, edge_mask(star(4)))])[1] == []
     assert calls == [4]
 
 
