@@ -127,7 +127,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, row in summary.items():
         print(f"{name:40} ratio {row['median_ratio']:.3f}  won {row['change_wins']}/{row['calls']}"
               f"  p {row['sign_test_p']:.2g}", file=sys.stderr)
-    entry = {"command": "python3 scripts/ab_layers.py " + " ".join(argv if argv is not None else sys.argv[1:]),
+    entry = {"command": f"python3 scripts/ab_layers.py --parent PARENT --change CHANGE --batches {args.batches} "
+                        f"--seed {args.seed}",
              "python": platform.python_version(), "nproc": os.cpu_count(),
              "machine": platform.machine(), "parent_sha": git_sha(args.parent),
              "change_sha": git_sha(args.change), "seed": args.seed, "records_differ": mismatches,

@@ -125,9 +125,9 @@ def test_sign_test_matches_hand_computed_values(ab_layers):
     assert row == {"median_ratio": 0.9, "change_wins": 2, "calls": 4, "sign_test_p": 1.0}
 
 
-def test_ab_layers_times_the_criterion_4_set():
+def test_ab_layers_times_the_criterion_4_set(ab_layers):
     # the kernel named criterion-4 runs the checks of the acceptance suite's sweep
-    assert _script("ab_layers").kernels(CHECK_KEYS)["criterion-4"] == CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS
+    assert ab_layers.kernels(CHECK_KEYS)["criterion-4"] == CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS
 
 
 @pytest.mark.parametrize("planted, status", [([], 0), ([(5, [("hall", "planted")])], 1)], ids=["equal", "differ"])

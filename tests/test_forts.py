@@ -59,8 +59,8 @@ def test_enumerate_forts_matches_naive_oracle():
 
 
 def _on_the_batch_path(checks, g):
-    """The records of a b = 3 batch around g, in which only g's table is
-    planted: [(g's edge mask, its records)], or [] when it passes."""
+    """The batch path's records of the 2^3 graphs around g: with a fault
+    planted at g alone, [(g's edge mask, its records)]."""
     b, target = 3, edge_mask(g)
     return sweeps._check_batch(frozenset(checks), g.n, b, target >> b << b)
 

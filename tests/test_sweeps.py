@@ -284,6 +284,8 @@ def test_coefficient_checks_read_only_the_coefficients(plant):
     records = sweeps._check_one(COEFFICIENT_CHECKS, n, emask)
     assert [check for check, _ in records] == ["zero-range", "hall", "unimodality", "path-bound"]
     every_set = (1 << (1 << n)) - 1
+    # K5's edges, every set but V forcing, every set closed, no fort by the
+    # definition, a cover of size 0, no forcers and every component [2]
     garbage = (sweeps._context(n).full_edges, every_set ^ 1 << (1 << n) - 1, every_set, coeffs,
                (0, 0, True, False), 0, 0, lambda mask: 0, lambda sub: [2], sweeps._coefficient_facts)
     assert sweeps._check_table(COEFFICIENT_CHECKS, n, *garbage) == records
