@@ -86,6 +86,9 @@ STRUCTURE_CHECKS = frozenset({"extremal", "multiplicativity", "ham-bound", "reco
 # batch runs them once per distinct coefficient vector (_coefficient_facts).
 COEFFICIENT_CHECKS = frozenset({"zero-range", "hall", "unimodality", "path-bound"})
 
+# The checks that read none of _coefficient_facts; run alone, they skip finding them.
+FACT_FREE_CHECKS = frozenset({"extremal", "multiplicativity", "fort-transversal"})
+
 SWEEP_SUITE_CHECKS = {
     suite: frozenset(check for check in CHECK_KEYS if CHECK_SUITES[check] == suite)
     for suite in dict.fromkeys(CHECK_SUITES.values()) if suite != "all"
@@ -212,13 +215,14 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
     (None unless a check of STRUCTURE_CHECKS runs), the forts by definition,
     size, their cover size when ip runs, forcers(mask), the forcers of a
     chronological list from mask, tally(component adjacency), its
-    coefficients, facts, _coefficient_facts or a memo of it, and adj, the
-    caller's adjacency or None, in which case only the checks that read the
-    adjacency build it, from emask.  Records come in CHECK_KEYS order."""
+    coefficients, facts, _coefficient_facts or a memo of it (not called when
+    every check is in FACT_FREE_CHECKS), and adj, the caller's adjacency or
+    None, in which case only the checks that read the adjacency build it,
+    from emask.  Records come in CHECK_KEYS order."""
     ctx = _context(n)
     full = ctx.full
-    z, coefficient_bad, exceeds, every_min_forces, zfs_count, is_pathc, is_completec, is_cyclec = facts(
-        checks, n, tuple(coeffs))
+    z, coefficient_bad, exceeds, every_min_forces, zfs_count, is_pathc, is_completec, is_cyclec = (
+        (None, ()) + (None,) * 6 if checks <= FACT_FREE_CHECKS else facts(checks, n, tuple(coeffs)))
     bad = list(coefficient_bad)
 
     if "extremal" in checks:

@@ -17,6 +17,7 @@ from zfpoly.sweeps import (
     CHECK_KEYS,
     COEFFICIENT_CHECKS,
     CONJECTURE_CHECKS,
+    FACT_FREE_CHECKS,
     SUITES,
     SWEEP_SUITE_CHECKS,
     canonical_connected_strings,
@@ -292,6 +293,30 @@ def test_coefficient_checks_read_only_the_coefficients(plant):
     for check in sorted(set(CHECK_KEYS) - COEFFICIENT_CHECKS):
         checks = COEFFICIENT_CHECKS | {check}
         assert sweeps._check_table(checks, n, *garbage) != sweeps._check_one(checks, n, emask), check
+
+
+@pytest.mark.parametrize("check", CHECK_KEYS)
+def test_only_the_fact_free_checks_ignore_the_coefficient_facts(plant, monkeypatch, check):
+    # each check's planted fault, run beside zero-range so that the facts
+    # are found, under facts that are each wrong: only a check of
+    # FACT_FREE_CHECKS keeps its records, so adding one that reads a fact
+    # there fails here; run alone, a fact-free check never asks for them
+    g, corrupt, expected = PLANTED_FAULTS[check]
+    n, emask = g.n, edge_mask(g)
+    plant(only_at(g, corrupt))
+    real = sweeps._coefficient_facts
+
+    def lying(checks, n, coeffs):
+        z, _, exceeds, every_min_forces, _, *equal = real(checks, n, coeffs)
+        return (z + 1, (), not exceeds, not every_min_forces, 0, *(not e for e in equal))
+
+    monkeypatch.setattr(sweeps, "_coefficient_facts", lying)
+    records = sweeps._check_one(frozenset({check, "zero-range"}), n, emask)
+    assert ([record for record in records if record[0] == check] == expected) == (check in FACT_FREE_CHECKS)
+    if check in FACT_FREE_CHECKS:
+        monkeypatch.setattr(sweeps, "_coefficient_facts", lambda *args: pytest.fail("the facts were found"))
+        assert sweeps._check_one(frozenset({check}), n, emask) == expected
+        assert sweeps._check_batch(frozenset({check}), n, 3, emask >> 3 << 3) == [(emask, expected)]
 
 
 def test_the_batch_path_reads_the_structure_kernel(monkeypatch):
