@@ -9,10 +9,18 @@ the same host speed phase.  Per batch, each kernel runs once on each side,
 the side that runs first alternating from batch to batch, and the ratio of
 the change's time to the parent's is kept.  The kernels are
 ``sweeps._check_batch`` with no checks, with the criterion-4 set (the checks
-of the acceptance suite's criterion-4 sweep: every check but reversal) and
-with every check.  The batches are the sweep's own batches at n = 6 and
-batches of 2^10 graphs at n = 7 drawn with the fixed seed N7_SEED;
-``--batches N`` keeps the first N of each.
+of the acceptance suite's criterion-4 sweep: every check but reversal),
+with every check, and with reversal or multiplicativity alone.  The batches
+are the sweep's own batches at n = 6 and batches of 2^10 graphs at n = 7
+drawn with the fixed seed N7_SEED; ``--batches N`` keeps the first N of
+each.  Each side's process memos (``sweeps._tallies``, where the side has
+it) are emptied before every timed call, so that no call reads what an
+earlier one left there.
+
+``sweep.n6`` then times SWEEP_PASSES whole passes of every check over the
+n = 6 batches, each side from emptied memos and the side that runs first
+alternating from pass to pass: what a memo kept across the batches of a
+sweep saves.
 
 Per kernel and order the summary gives the median ratio, the calls the change
 won (ratio below 1), the call count and the exact two-sided sign-test p-value
@@ -24,7 +32,7 @@ test gives p < 0.01 and its median ratio is at most 1 - r.  A p at or above
 0.01 supports no claim either way, and a time is never compared across runs.
 
 The exit status is 1 if the two sides return different records on any
-call, else 0.  Standard library only.
+call or pass, else 0.  Standard library only.
 """
 from __future__ import annotations
 
@@ -44,6 +52,7 @@ from time import perf_counter_ns
 
 N7_BATCH_BITS = 10
 N7_SEED = 2601  # seed of the n = 7 batches
+SWEEP_PASSES = 16
 
 
 def load_sweeps(tree: Path, name: str):
@@ -82,12 +91,34 @@ def batches(sweeps, count: int) -> list[tuple[int, int, int]]:
 
 def kernels(keys) -> dict:
     """The check set of each timed kernel, from the check keys."""
-    return {"none": frozenset(), "criterion-4": frozenset(keys) - {"reversal"}, "all": frozenset(keys)}
+    keys = frozenset(keys)
+    return {"none": frozenset(), "criterion-4": keys - {"reversal"}, "all": keys,
+            **{check: keys & {check} for check in ("reversal", "multiplicativity")}}
+
+
+def clear_memos(sweeps) -> None:
+    """Empty the process memos of sweeps, where it has them."""
+    memo = getattr(sweeps, "_tallies", None)
+    if memo is not None:
+        memo.cache_clear()
+
+
+def timed(sides: dict, order: tuple, call) -> tuple[float, bool]:
+    """The change/parent time ratio of call(sweeps), each side from emptied
+    memos in order, and whether the two sides' results differ."""
+    ns, results = {}, {}
+    for side in order:
+        clear_memos(sides[side])
+        t0 = perf_counter_ns()
+        results[side] = call(sides[side])
+        ns[side] = perf_counter_ns() - t0
+    return ns["change"] / ns["parent"], results["parent"] != results["change"]
 
 
 def run(sides: dict, work: list[tuple[int, int, int]]) -> tuple[dict, int]:
     """Per kernel and order, the change/parent time ratio of each call, and
-    the number of calls whose records differ."""
+    of each pass under sweep.n6, and the number of calls and passes whose
+    records differ."""
     sets = kernels(sides["change"].CHECK_KEYS)
     for n in sorted({n for n, _, _ in work}):  # build each side's per-order constants untimed
         for sweeps in sides.values():
@@ -97,13 +128,15 @@ def run(sides: dict, work: list[tuple[int, int, int]]) -> tuple[dict, int]:
     for i, (n, b, base) in enumerate(work):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for kernel, checks in sets.items():
-            ns, records = {}, {}
-            for side in order:
-                t0 = perf_counter_ns()
-                records[side] = sides[side]._check_batch(checks, n, b, base)
-                ns[side] = perf_counter_ns() - t0
-            mismatches += records["parent"] != records["change"]
-            ratios.setdefault(f"sweeps._check_batch.{kernel}.n{n}", []).append(ns["change"] / ns["parent"])
+            ratio, differ = timed(sides, order, lambda sweeps: sweeps._check_batch(checks, n, b, base))
+            mismatches += differ
+            ratios.setdefault(f"sweeps._check_batch.{kernel}.n{n}", []).append(ratio)
+    sweep = [(n, b, base) for n, b, base in work if n == 6]
+    for i in range(SWEEP_PASSES):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        ratio, differ = timed(sides, order, lambda sweeps: [sweeps._check_batch(sets["all"], *w) for w in sweep])
+        mismatches += differ
+        ratios.setdefault("sweep.n6", []).append(ratio)
     return ratios, mismatches
 
 

@@ -179,16 +179,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps({"record": "failure", **rec}))
     for rec in report["warnings"]:
         print(json.dumps({"record": "warning", **rec}))
-    summary = {
-        "record": "summary",
-        "suite": report["suite"],
-        "max_n": report["max_n"],
-        "graphs_checked": report["graphs_checked"],
-        "failures": len(report["failures"]),
-        "warnings": len(report["warnings"]),
-        "passed": report["passed"],
-        "elapsed_s": report["elapsed_s"],
-    }
+    summary = {"record": "summary", **{k: report[k] for k in ("suite", "max_n", "seed", "jobs", "graphs_checked")},
+               "failures": len(report["failures"]), "warnings": len(report["warnings"]),
+               "passed": report["passed"], "elapsed_s": report["elapsed_s"]}
     print(json.dumps(summary))
     return EXIT_OK if report["passed"] else EXIT_FAILURE
 

@@ -131,10 +131,10 @@ def _forcers(adj: Sequence[int], colored: int) -> int:
             return forcers
 
 
-def _lane_forcers(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[int, int]]]) -> bytearray:
-    """_forcers from every lane at once, for n = len(nbrs) <= 8: lane L is
-    colored at v iff bit L of planes[v] is set, nbrs[v] lists (w, the lanes
-    with the edge vw), and byte L of the result is lane L's forcer set."""
+def _lane_forcers(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """_forcers from every lane at once: lane L is colored at v iff bit L of
+    planes[v] is set, nbrs[v] lists (w, the lanes with the edge vw), and bit
+    L of entry v of the result is set iff v is in lane L's forcer set."""
     uncolored = [ones ^ p for p in planes[:len(nbrs)]]
     forcers = [0] * len(nbrs)
     moved = True
@@ -155,12 +155,28 @@ def _lane_forcers(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tupl
                 forcers[v] |= forcing
                 for w, u in unc:
                     uncolored[w] ^= forcing & u
-    size = max(1, ones.bit_length() >> 3)
-    spaced = int.from_bytes(b"\1" * size, "little")  # bit 0 of each byte
-    table = bytearray(8 * size)
-    for j in range(8):  # lanes 8i + j
-        table[j::8] = sum((lanes >> j & spaced) << v for v, lanes in enumerate(forcers)).to_bytes(size, "little")
-    return table
+    return forcers
+
+
+def _lane_reversals(zf: int, ones: int, forcers: Sequence[int]) -> int:
+    """Bit L is set iff zf, a table of the lanes of forcers (from _lane_forcers
+    on n = len(forcers) vertices), holds bit V - (L's forcer set) of L's block
+    of 2^n lanes.  A multiplexer: leaf t spreads bit t of each block over the
+    block, and level v picks between leaves by the lanes where v is terminal."""
+    width = 1 << len(forcers)
+    spaced = ones // ((1 << width) - 1)  # bit 0 of each block
+    top = spaced << (width - 1)  # the top bit of each block
+    terminal = [ones ^ lanes for lanes in forcers]
+    picked = []  # depth first, like a binary counter: entry v picks among 2^v leaves
+    for t in range(width):
+        leaf = top - (zf >> t & spaced)  # bit t spread over each block, xor top, which the picks keep
+        v = 0
+        while t >> v & 1:
+            low = picked.pop()
+            leaf = low ^ ((low ^ leaf) & terminal[v])
+            v += 1
+        picked.append(leaf)
+    return picked[0] ^ top
 
 
 def chronological_forces(g: Graph, colored: int) -> ForceRecord:

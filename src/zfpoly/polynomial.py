@@ -176,14 +176,6 @@ def _lane_width(n: int) -> int:
     return min(n, _CHUNK_BITS)
 
 
-def _join_lanes(chunks: Sequence[int], n: int) -> int:
-    """The 2^n-bit table from its chunks."""
-    if len(chunks) == 1:
-        return chunks[0]
-    width = 1 << (_lane_width(n) - 3)  # bytes per chunk
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in chunks), "little")
-
-
 def _blocks(table: int, k: int, c: int) -> list[int]:
     """The 2^c blocks of 2^k bits of a 2^(k+c)-bit table, lowest first;
     k >= 3 unless c = 0."""
@@ -192,6 +184,14 @@ def _blocks(table: int, k: int, c: int) -> list[int]:
     width = 1 << (k - 3)  # bytes per block
     raw = table.to_bytes(width << c, "little")
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _unblocks(blocks: Sequence[int], k: int) -> int:
+    """The table whose _blocks of 2^k bits are blocks."""
+    if len(blocks) == 1:
+        return blocks[0]
+    width = 1 << (k - 3)  # bytes per block
+    return int.from_bytes(b"".join(block.to_bytes(width, "little") for block in blocks), "little")
 
 
 def _close_up(z: int, moves: Sequence[tuple[int, int]]) -> int:
@@ -275,7 +275,7 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
         base = h.bit_count()
         for j, level in enumerate(levels):
             coeffs[base + j] += (z & level).bit_count()
-    return _join_lanes(zf, n), _join_lanes(closed, n), coeffs
+    return _unblocks(zf, k), _unblocks(closed, k), coeffs
 
 
 # The widest batch: the flag tables of up to 2^BATCH_BITS graphs at once.

@@ -28,7 +28,7 @@ from .closed_forms import (
     poly_threshold,
     poly_wheel,
 )
-from .forcing import _forcers, _lane_forcers
+from .forcing import _forcers, _lane_forcers, _lane_reversals
 from .forts import _batch_cover_sizes, _batch_fort_definition, _fort_bits, _fort_definition_bits
 from .graphs import (
     LABELED_ENUM_MAX,
@@ -52,7 +52,8 @@ from .graphs import (
 )
 from .parallel import BATCHES_PER_JOB, parallel_map
 from .polynomial import (BATCH_BITS, _batch_edges, _batch_tally, _blocks, _chunk_constants, _chunk_planes,
-                         _closure_tally, _component_product, _is_unimodal, _zero_forcing_number, zf_polynomial)
+                         _closure_tally, _component_product, _is_unimodal, _unblocks, _zero_forcing_number,
+                         zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -115,7 +116,6 @@ class _GraphContext:
     def __init__(self, n: int):
         self.n = n
         self.pairs = edge_pair_order(n)
-        self.full = (1 << n) - 1
         self.full_edges = (1 << len(self.pairs)) - 1
         self.path_coeffs = poly_path(n).coeffs  # tuples, like _coefficient_facts's key
         self.complete_coeffs = poly_complete(n).coeffs
@@ -140,8 +140,20 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
         structure = (second, third, z1 > 0, len(_connected_components(adj, n)) == 1)  # z(G;1) > 0 iff a path
     definition = _fort_definition_bits(adj, n) if checks & FORT_CHECKS else 0
     size = _batch_cover_sizes(definition, _chunk_planes(n)[1], n, 0)[0] if "ip" in checks else None
-    return _check_table(checks, n, emask, *_closure_tally(adj, n), structure, definition, size,
-                        partial(_forcers, adj), _component_tally, _coefficient_facts, adj)
+    table = _closure_tally(adj, n)
+    return _check_table(checks, n, emask, *table, structure, definition, size,
+                        partial(_unreversed, adj, table[0]), _component_tally, _coefficient_facts, adj)
+
+
+def _unreversed(adj: list[int], zf: int, minimum: int) -> int:
+    """The lowest set of minimum (a bit per mask) whose chain terminals, the
+    vertices outside its _forcers, do not force by zf, as a bit, or 0."""
+    while minimum:
+        low = minimum & -minimum
+        minimum ^= low
+        if not zf >> (_forcers(adj, low.bit_length() - 1) ^ (1 << len(adj)) - 1) & 1:
+            return low
+    return 0
 
 
 def _batch_bits(n: int, jobs: int) -> int:
@@ -156,25 +168,28 @@ def _batch_bits(n: int, jobs: int) -> int:
 def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int, list[tuple[str, str]]]]:
     """Run the requested checks on the 2^b graphs of one batch, edge masks
     base on; returns (edge mask, (check, detail) pairs) of each graph that
-    fails.  The flag tables, structures, forts and forcers are built for the
-    batch, and each distinct component is tallied, and each distinct
-    coefficient vector's facts are found, once per call."""
+    fails.  The flag tables, structures, forts and reversals are built for
+    the batch, each distinct coefficient vector's facts are found once per
+    call, and each distinct component is tallied once per process."""
     ctx = _context(n)
     tables = _batch_tally(ctx.pairs, n, base, b)
     edges = _batch_edges(ctx.pairs, n, base, b)
-    definitions = sizes = [None] * len(tables)
+    definitions = sizes = unreversed = [None] * len(tables)
     structures = _batch_structure(ctx.pairs, n, base, b) if checks & STRUCTURE_CHECKS else sizes
     if checks & FORT_CHECKS:
         forts = _batch_fort_definition(*edges)
         definitions = _blocks(forts, n, b)
         sizes = _batch_cover_sizes(forts, edges[1], n, b) if "ip" in checks else sizes
-    forcers = _lane_forcers(*edges) if "reversal" in checks else b""
-    tally, facts = cache(_component_tally), cache(_coefficient_facts)  # memos of this call alone
+    if "reversal" in checks:
+        zf = _unblocks([table[0] for table in tables], n)
+        failing = zf & ~_lane_reversals(zf, edges[0], _lane_forcers(*edges))  # zero forcing lanes that fail
+        unreversed = [block.__and__ for block in (_blocks(failing, n, b) if failing else [0] * len(tables))]
+    facts = cache(_coefficient_facts)  # a memo of this call alone
     failed = []
-    for g, (table, structure, definition, size) in enumerate(zip(tables, structures, definitions, sizes)):
+    rows = zip(tables, structures, definitions, sizes, unreversed)
+    for g, (table, structure, definition, size, unrev) in enumerate(rows):
         emask = base + g
-        bad = _check_table(checks, n, emask, *table, structure, definition, size,
-                           forcers[g << n:g + 1 << n].__getitem__, tally, facts)
+        bad = _check_table(checks, n, emask, *table, structure, definition, size, unrev, _tallies, facts)
         if bad:
             failed.append((emask, bad))
     return failed
@@ -182,6 +197,11 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
 
 def _component_tally(sub: tuple) -> list[int]:
     return _closure_tally(sub, len(sub))[2]
+
+
+# The batch path's component tallies for the life of the process (exhaustive_sweep clears
+# it): at most the 27,476 connected labeled graphs of order below EXHAUSTIVE_MAX_N.
+_tallies = cache(_component_tally)
 
 
 def _coefficient_facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
@@ -209,18 +229,18 @@ def _coefficient_facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
 
 
 def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, coeffs: list[int],
-                 structure: tuple | None, definition: int, size: int | None, forcers,
+                 structure: tuple | None, definition: int, size: int | None, unreversed,
                  tally, facts, adj: list[int] | None = None) -> list[tuple[str, str]] | tuple[()]:
     """The checks of one labeled graph, given its flag table, its structure
     (None unless a check of STRUCTURE_CHECKS runs), the forts by definition,
-    size, their cover size when ip runs, forcers(mask), the forcers of a
-    chronological list from mask, tally(component adjacency), its
-    coefficients, facts, _coefficient_facts or a memo of it (not called when
-    every check is in FACT_FREE_CHECKS), and adj, the caller's adjacency or
-    None, in which case only the checks that read the adjacency build it,
-    from emask.  Records come in CHECK_KEYS order."""
+    size, their cover size when ip runs, unreversed(minimum), the lowest at
+    least of the minimum sets (a bit per mask) whose chain terminals do not
+    force, tally(component adjacency), its coefficients, facts,
+    _coefficient_facts or a memo of it (not called when every check is in
+    FACT_FREE_CHECKS), and adj, the caller's adjacency or None, in which case
+    only the checks that read the adjacency build it, from emask.  Records
+    come in CHECK_KEYS order."""
     ctx = _context(n)
-    full = ctx.full
     z, coefficient_bad, exceeds, every_min_forces, zfs_count, is_pathc, is_completec, is_cyclec = (
         (None, ()) + (None,) * 6 if checks <= FACT_FREE_CHECKS else facts(checks, n, tuple(coeffs)))
     bad = list(coefficient_bad)
@@ -265,7 +285,7 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
 
     if "fort-count-bound" in checks:
         count = fort_bits.bit_count()
-        if count > (full + 1) - zfs_count:
+        if count > (1 << n) - zfs_count:
             bad.append(("fort-count-bound", f"{count} forts > 2^n - {zfs_count}"))
 
     if "ip" in checks:
@@ -299,15 +319,10 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
                 bad.append(("recognizability", "cycle polynomial outside the listed cycle class"))
 
     if "reversal" in checks:
-        minimum = zf & _chunk_constants(n)[2][z]  # the minimum zero forcing sets
-        while minimum:
-            low = minimum & -minimum
-            minimum ^= low
-            mask = low.bit_length() - 1
-            tails = full & ~forcers(mask)  # chain terminals: colored vertices that never force
-            if not zf >> tails & 1:
-                bad.append(("reversal", f"reversed chains of {mask:#x} do not force"))
-                break
+        failing = unreversed(zf & _chunk_constants(n)[2][z])  # of the minimum zero forcing sets
+        if failing:
+            mask = (failing & -failing).bit_length() - 1
+            bad.append(("reversal", f"reversed chains of {mask:#x} do not force"))
 
     return sorted(bad, key=lambda record: CHECK_KEYS.index(record[0])) if bad else ()
 
@@ -336,6 +351,7 @@ def exhaustive_sweep(checks, max_n: int, jobs: int = 1) -> tuple[int, list[dict]
     checks = _check_names(checks)
     if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive sweep needs 1 <= max_n <= {EXHAUSTIVE_MAX_N}, got {max_n}")
+    _tallies.cache_clear()
     total_graphs = 0
     records: list[dict] = []
     for n in range(1, max_n + 1):

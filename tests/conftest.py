@@ -30,7 +30,8 @@ def plant(monkeypatch):
     sweeps._batch_tally and sweeps._closure_tally: corrupt(n, emask, table)
     gives the table that each hands on for the graph of edge mask emask on n
     vertices.  Each plant wraps the real producers, so a later one replaces
-    an earlier one."""
+    an earlier one.  Each plant, and the fixture's teardown, empties the
+    process memo of component tallies, so no tally outlives its fault."""
     def plant(corrupt):
         def faulty_batch(pairs, n, base, b):
             return [corrupt(n, base + g, t) for g, t in enumerate(_batch_tally(pairs, n, base, b))]
@@ -41,5 +42,7 @@ def plant(monkeypatch):
 
         monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
         monkeypatch.setattr(sweeps, "_closure_tally", faulty_tally)
+        sweeps._tallies.cache_clear()
 
-    return plant
+    yield plant
+    sweeps._tallies.cache_clear()

@@ -115,6 +115,37 @@ def test_criterion_4_warms_each_side_with_the_sweep_imports(bench_pairs, monkeyp
     assert [(cwd.name, cmd[1]) for cwd, cmd, _ in calls[2:4]] == [("parent", "-c"), ("change", "-c")]
 
 
+def test_concurrent_criterion_4_alternates_the_side_started_first(bench_pairs, monkeypatch, tmp_path):
+    # stubbed processes: each side's sweep reports the wall and CPU time of
+    # its side, and both of a pair start before either is waited for
+    events = []
+    times = {"parent": (20.0, 10.0), "change": (15.0, 9.0)}
+
+    class FakeSweep:
+        def __init__(self, cmd, cwd, env, **kwargs):
+            assert cmd[1:] == ["-c", bench_pairs.CRITERION_4, "1"]  # jobs=1
+            self.side, self.returncode = Path(cwd).name, 0
+            events.append(("start", self.side))
+
+        def communicate(self):
+            events.append(("wait", self.side))
+            wall, cpu = times[self.side]
+            return json.dumps({"metrics": {"wall_s": {"value": wall}, "cpu_s": {"value": cpu}}, "nproc": 2,
+                               "python": "3"}), ""
+
+    monkeypatch.setattr(bench_pairs.subprocess, "Popen", FakeSweep)
+    _fake_pairs(bench_pairs, monkeypatch, tmp_path, ["--criterion-4", "--concurrent", "--pairs", "4"])
+    starts = [side for event, side in events if event == "start"]
+    assert starts == ["parent", "change", "change", "parent"] * 2
+    assert [event for event, _ in events] == ["start", "start", "wait", "wait"] * 4
+    entry = json.loads((tmp_path / "pairs.json").read_text())["workloads"]["criterion-4-concurrent"]
+    assert [pair["first"] for pair in entry["pairs"]] == starts[::2]
+    assert all(pair["ratio"] == {"wall_s": 0.75, "cpu_s": 0.9} for pair in entry["pairs"])
+    wall = entry["summary"]["wall_s"]
+    assert (wall["median_ratio"], wall["change_better_pairs"], wall["pairs"]) == (0.75, 4, 4)
+    assert entry["summary"]["cpu_s"]["median_ratio"] == 0.9
+
+
 def test_sign_test_matches_hand_computed_values(ab_layers):
     assert ab_layers.sign_test_p(9, 1) == ab_layers.sign_test_p(1, 9) == 2 * (1 + 10) / 2 ** 10
     assert ab_layers.sign_test_p(10, 0) == 2 / 2 ** 10
@@ -130,19 +161,28 @@ def test_ab_layers_times_the_criterion_4_set(ab_layers):
     assert ab_layers.kernels(CHECK_KEYS)["criterion-4"] == CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS
 
 
+def test_ab_layers_times_each_costly_check_alone(ab_layers):
+    sets = ab_layers.kernels(CHECK_KEYS)
+    assert list(sets) == ["none", "criterion-4", "all", "reversal", "multiplicativity"]
+    assert (sets["none"], sets["all"]) == (frozenset(), frozenset(CHECK_KEYS))
+    assert sets["reversal"] == {"reversal"} and sets["multiplicativity"] == {"multiplicativity"}
+
+
 @pytest.mark.parametrize("planted, status", [([], 0), ([(5, [("hall", "planted")])], 1)], ids=["equal", "differ"])
 def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch, tmp_path, planted, status):
-    # stub checkouts: the change reports planted records on every batch with checks
+    # stub checkouts: the change reports planted records on every batch with
+    # checks, and only it has a process memo, which each timed call empties
     calls = []
+    memo = SimpleNamespace(cache_clear=lambda: calls.append("clear"))
 
-    def fake_sweeps(records):
+    def fake_sweeps(records, **memos):
         def check_batch(checks, n, b, base):
             calls.append((n, b, base))
             return records if checks else []
         return SimpleNamespace(CHECK_KEYS=("hall", "reversal"), _batch_bits=lambda n, jobs: 9,
-                               _check_batch=check_batch)
+                               _check_batch=check_batch, **memos)
 
-    sides = {"zfpoly_parent": fake_sweeps([]), "zfpoly_change": fake_sweeps(planted)}
+    sides = {"zfpoly_parent": fake_sweeps([]), "zfpoly_change": fake_sweeps(planted, _tallies=memo)}
     monkeypatch.setattr(ab_layers, "load_sweeps", lambda tree, name: sides[name])
     monkeypatch.setattr(ab_layers, "git_sha", lambda tree: None)
     out = tmp_path / "layers.json"
@@ -150,14 +190,23 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--batches", "2", "--out", str(out)]
     assert ab_layers.main(argv) == status
     doc = json.loads(out.read_text())
-    # 4 batches, each under the two kernels with checks
-    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == 8 * status
+    # 4 batches, each under the three kernels with checks (multiplicativity
+    # is no key of the stubs), and the sweep passes
+    passes = ab_layers.SWEEP_PASSES
+    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + passes) * status
+    kernels = ("none", "criterion-4", "all", "reversal", "multiplicativity")
     assert {name: row["calls"] for name, row in doc["layers"]["kernels"].items()} == {
-        f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in ("none", "criterion-4", "all")}
-    # one untimed call per side and order, then both sides on 2 sweep batches at n = 6 and 2 of 2^10 at n = 7
+        **{f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in kernels}, "sweep.n6": passes}
+    # one untimed call per side and order, then both sides on 2 sweep batches
+    # at n = 6 and 2 of 2^10 at n = 7, then the passes over the 2 at n = 6
     assert calls[:4] == [(6, 0, 0)] * 2 + [(7, 0, 0)] * 2
-    assert [(n, b, base) for n, b, base in calls[4:] if n == 6] == [(6, 9, 0)] * 6 + [(6, 9, 512)] * 6
-    assert all(b == 10 and base % 1024 == 0 for n, b, base in calls[4:] if n == 7)
+    timed, sweep = calls[4:-5 * passes], calls[-5 * passes:]
+    assert timed.count("clear") == 4 * len(kernels)  # before each of the change's timed calls
+    batches = [c for c in timed if c != "clear"]
+    assert [c for c in batches if c[0] == 6] == [(6, 9, 0)] * 10 + [(6, 9, 512)] * 10
+    assert all(b == 10 and base % 1024 == 0 for n, b, base in batches if n == 7)
+    first = [(6, 9, 0), (6, 9, 512), "clear", (6, 9, 0), (6, 9, 512)]  # the parent, then the change from an empty memo
+    assert sweep == (first + ["clear"] + first[:2] + first[3:]) * (passes // 2)
 
 
 def test_ab_layers_loads_each_checkout_as_its_own_package(ab_layers, monkeypatch):

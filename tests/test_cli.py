@@ -158,6 +158,16 @@ def test_check_suite_passes(capsys):
     assert summary["failures"] == 0
 
 
+@pytest.mark.parametrize("jobs", sorted({1, min(2, os.cpu_count() or 1)}))
+def test_check_summary_names_the_seed_and_jobs(capsys, jobs):
+    code, out, _ = run(capsys, "check", "--suite", "conjectures", "--max-n", "3", "--seed", "5", "--jobs", str(jobs))
+    assert code == 0
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert list(summary) == ["record", "suite", "max_n", "seed", "jobs", "graphs_checked", "failures", "warnings",
+                             "passed", "elapsed_s"]
+    assert (summary["seed"], summary["jobs"], summary["max_n"]) == (5, jobs, 3)
+
+
 def _stub_sweep(monkeypatch):
     """Replace the exhaustive sweep by a recorder of the orders it is asked for."""
     orders = []

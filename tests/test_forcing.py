@@ -24,10 +24,10 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import polynomial
-from zfpoly.forcing import _forcers, _lane_forcers
+from zfpoly.forcing import _forcers, _lane_forcers, _lane_reversals
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
 from zfpoly.forts import _fort_bits
-from zfpoly.polynomial import _batch_edges, _closure_tally
+from zfpoly.polynomial import _batch_edges, _closure_tally, _unblocks
 
 graph_and_set = st.integers(1, 7).flatmap(
     lambda n: st.tuples(
@@ -280,19 +280,41 @@ def test_forcers_of_a_zero_forcing_set_leave_terminals_that_force():
                 assert naive_is_zfs(g, set(vertices_of(g.vertex_mask & ~forcers)))
 
 
-def test_lane_forcers_match_the_forcers_of_each_graph():
-    # every mask of every labeled graph with n <= 5, in batches of 2^3 and
-    # one graph at a time, and every mask of seeded batches at n = 6 and 7
+def _lane_batches(seed):
+    """(n, base, b): every labeled graph with n <= 5, in batches of 2^3 and
+    one graph at a time, and seeded batches at n = 6 and 7."""
     batches = [(n, base, b) for n in range(1, 6) for b in ({0, 3} if n >= 3 else {0})
                for base in range(0, 1 << n * (n - 1) // 2, 1 << b)]
-    rng = random.Random(6767)
-    batches += [(n, rng.randrange(0, 1 << n * (n - 1) // 2, 1 << b), b) for n, b in [(6, 9), (7, 10)]]
-    for n, base, b in batches:
+    rng = random.Random(seed)
+    return batches + [(n, rng.randrange(0, 1 << n * (n - 1) // 2, 1 << b), b) for n, b in [(6, 9), (7, 10)]]
+
+
+def test_lane_forcers_match_the_forcers_of_each_graph():
+    # every mask of every graph of the batches
+    for n, base, b in _lane_batches(6767):
         pairs = edge_pair_order(n)
         got = _lane_forcers(*_batch_edges(pairs, n, base, b))
         for g in range(1 << b):
             adj = _edge_mask_adj(pairs, n, base + g)
-            assert list(got[g << n:g + 1 << n]) == [_forcers(adj, mask) for mask in range(1 << n)], (n, base + g)
+            block = [plane >> (g << n) & (1 << (1 << n)) - 1 for plane in got]  # bit m of entry v: v forces from m
+            lanes = [sum((plane >> mask & 1) << v for v, plane in enumerate(block)) for mask in range(1 << n)]
+            assert lanes == [_forcers(adj, mask) for mask in range(1 << n)], (n, base + g)
+
+
+@pytest.mark.parametrize("table", ["flag-table", "random"])
+def test_lane_reversals_match_the_forcers_of_each_graph(table):
+    # every mask of every graph of the batches: bit L is bit V - _forcers
+    # of the graph's table, its own zero forcing bits or random bits
+    rng = random.Random(6868)
+    for n, base, b in _lane_batches(6868):
+        pairs = edge_pair_order(n)
+        ones, planes, nbrs = _batch_edges(pairs, n, base, b)
+        adjs = [_edge_mask_adj(pairs, n, base + g) for g in range(1 << b)]
+        tables = [_closure_tally(adj, n)[0] if table == "flag-table" else rng.getrandbits(1 << n) for adj in adjs]
+        got = _lane_reversals(_unblocks(tables, n), ones, _lane_forcers(ones, planes, nbrs))
+        for g, (adj, zf) in enumerate(zip(adjs, tables)):
+            want = sum((zf >> ((1 << n) - 1 & ~_forcers(adj, mask)) & 1) << mask for mask in range(1 << n))
+            assert got >> (g << n) & (1 << (1 << n)) - 1 == want, (n, base + g)
 
 
 @pytest.mark.parametrize("n", [6, 7])

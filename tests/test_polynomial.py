@@ -38,7 +38,7 @@ from zfpoly import (
 )
 from zfpoly import polynomial, sweeps
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
-from zfpoly.polynomial import _batch_tally, _blocks, _chunk_planes, _closure_tally, _join_lanes, _lane_width
+from zfpoly.polynomial import _batch_tally, _blocks, _chunk_planes, _closure_tally, _lane_width, _unblocks
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
 
@@ -89,7 +89,7 @@ def test_lane_layout(monkeypatch, width):
         t = rng.getrandbits(1 << n)
         k = _lane_width(n)
         chunks = _blocks(t, k, n - k)
-        assert len(chunks) == 1 << (n - k) and _join_lanes(chunks, n) == t
+        assert len(chunks) == 1 << (n - k) and _unblocks(chunks, k) == t
         # bit t of chunk h is mask h << k | t: a low vertex's plane is the
         # chunk's own plane in every chunk, a high vertex's all ones or zero
         ones, low = _chunk_planes(k)

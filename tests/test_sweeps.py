@@ -191,6 +191,10 @@ def _planted(coeffs):
     return lambda zf, closed, _: (zf, closed, list(coeffs))
 
 
+def _x_doubled(zf, closed, coeffs):
+    return zf, closed, [c << i for i, c in enumerate(coeffs)]
+
+
 # One planted fault per check, so that no one-line weakening can switch a
 # check off unnoticed: a graph, a corruption of its flag table and the
 # records it must give, on the per-graph and on the batch path.
@@ -272,6 +276,47 @@ def test_a_planted_fault_changes_no_other_graph_of_its_batch(plant, check):
     assert sweeps._check_batch(every, n, b, masks.start) == looped
 
 
+def test_component_tallies_outlive_one_batch_until_a_sweep_starts():
+    checks = frozenset({"multiplicativity"})
+    sweeps._tallies.cache_clear()
+    sweeps._check_batch(checks, 5, 3, 0)  # edges 3 to 9 absent: disconnected graphs
+    filled = sweeps._tallies.cache_info()
+    assert filled.currsize > 0
+    sweeps._check_batch(checks, 5, 3, 0)
+    assert sweeps._tallies.cache_info().misses == filled.misses  # every component found again
+    assert exhaustive_sweep({"extremal"}, max_n=1) == (1, [])
+    assert sweeps._tallies.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("corrupt", [_one_more_set, _x_doubled], ids=["one-more-set", "x-doubled"])
+def test_a_plant_after_the_component_memo_filled_reaches_the_batch_path(plant, corrupt):
+    # Z(G; 2x) is still the product of its components' Z(H; 2x), so with x
+    # doubled no graph fails multiplicativity, unless a component tally from
+    # before the plant is read
+    checks, n, b = frozenset({"multiplicativity"}), 5, 3
+    bases = range(0, 1 << comb(n, 2), 1 << b)
+    sweeps._tallies.cache_clear()
+    for base in bases:
+        assert sweeps._check_batch(checks, n, b, base) == []
+    assert sweeps._tallies.cache_info().currsize > 0
+    plant(everywhere(corrupt))
+    looped = [(e, bad) for e in range(1 << comb(n, 2)) if (bad := sweeps._check_one(checks, n, e))]
+    assert [failed for base in bases for failed in sweeps._check_batch(checks, n, b, base)] == looped
+    assert bool(looped) == (corrupt is _one_more_set)
+
+
+def test_reversal_names_the_lowest_failing_minimum_set_on_both_paths(plant):
+    # the 5-cycle without the zero forcing bit of {1, 2}: its lowest minimum
+    # set {0, 1} ends its chains at {3, 4} and passes, and {3, 4}, whose
+    # chains end at {1, 2}, fails
+    g = cycle(5)
+    n, target = g.n, edge_mask(g)
+    plant(only_at(g, lambda zf, closed, coeffs: (zf ^ 1 << 0b00110, closed, coeffs)))
+    expected = [("reversal", "reversed chains of 0x18 do not force")]
+    assert sweeps._check_one(frozenset({"reversal"}), n, target) == expected
+    assert sweeps._check_batch(frozenset({"reversal"}), n, 3, target >> 3 << 3) == [(target, expected)]
+
+
 def test_coefficient_checks_read_only_the_coefficients(plant):
     # one coefficient vector beside the 5-cycle's own table, then beside
     # garbage in every other argument: the coefficient-only checks give the
@@ -286,9 +331,10 @@ def test_coefficient_checks_read_only_the_coefficients(plant):
     assert [check for check, _ in records] == ["zero-range", "hall", "unimodality", "path-bound"]
     every_set = (1 << (1 << n)) - 1
     # K5's edges, every set but V forcing, every set closed, no fort by the
-    # definition, a cover of size 0, no forcers and every component [2]
+    # definition, a cover of size 0, no minimum set whose reversal forces and
+    # every component [2]
     garbage = (sweeps._context(n).full_edges, every_set ^ 1 << (1 << n) - 1, every_set, coeffs,
-               (0, 0, True, False), 0, 0, lambda mask: 0, lambda sub: [2], sweeps._coefficient_facts)
+               (0, 0, True, False), 0, 0, lambda minimum: minimum, lambda sub: [2], sweeps._coefficient_facts)
     assert sweeps._check_table(COEFFICIENT_CHECKS, n, *garbage) == records
     for check in sorted(set(CHECK_KEYS) - COEFFICIENT_CHECKS):
         checks = COEFFICIENT_CHECKS | {check}
