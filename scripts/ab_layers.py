@@ -17,10 +17,11 @@ each.  Each side's process memos (``sweeps._tallies``, where the side has
 it) are emptied before every timed call, so that no call reads what an
 earlier one left there.
 
-``sweep.n6`` then times SWEEP_PASSES whole passes of every check over the
-n = 6 batches, each side from emptied memos and the side that runs first
-alternating from pass to pass: what a memo kept across the batches of a
-sweep saves.
+``sweep.n6`` then times SWEEP_PASSES passes of every check over the n = 6
+batches: each pass starts both sides from emptied memos, runs each batch on
+both sides, the side that runs first alternating from batch to batch, and
+keeps the ratio of the sides' totals, which is what a memo kept across the
+batches of a sweep saves.
 
 Per kernel and order the summary gives the median ratio, the calls the change
 won (ratio below 1), the call count and the exact two-sided sign-test p-value
@@ -133,10 +134,16 @@ def run(sides: dict, work: list[tuple[int, int, int]]) -> tuple[dict, int]:
             ratios.setdefault(f"sweeps._check_batch.{kernel}.n{n}", []).append(ratio)
     sweep = [(n, b, base) for n, b, base in work if n == 6]
     for i in range(SWEEP_PASSES):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        ratio, differ = timed(sides, order, lambda sweeps: [sweeps._check_batch(sets["all"], *w) for w in sweep])
-        mismatches += differ
-        ratios.setdefault("sweep.n6", []).append(ratio)
+        for sweeps in sides.values():
+            clear_memos(sweeps)
+        ns, records = dict.fromkeys(sides, 0), {side: [] for side in sides}
+        for j, batch in enumerate(sweep):
+            for side in ("parent", "change") if (i + j) % 2 == 0 else ("change", "parent"):
+                t0 = perf_counter_ns()
+                records[side].append(sides[side]._check_batch(sets["all"], *batch))
+                ns[side] += perf_counter_ns() - t0
+        mismatches += records["parent"] != records["change"]
+        ratios.setdefault("sweep.n6", []).append(ns["change"] / ns["parent"])
     return ratios, mismatches
 
 

@@ -169,7 +169,7 @@ def _lane_reversals(zf: int, ones: int, forcers: Sequence[int]) -> int:
     terminal = [ones ^ lanes for lanes in forcers]
     picked = []  # depth first, like a binary counter: entry v picks among 2^v leaves
     for t in range(width):
-        leaf = top - (zf >> t & spaced)  # bit t spread over each block, xor top, which the picks keep
+        leaf = top - (zf >> t & spaced)  # each block's bit t over the block, xor top (picks commute with it)
         v = 0
         while t >> v & 1:
             low = picked.pop()

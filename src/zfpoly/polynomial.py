@@ -187,7 +187,7 @@ def _blocks(table: int, k: int, c: int) -> list[int]:
 
 
 def _unblocks(blocks: Sequence[int], k: int) -> int:
-    """The table whose _blocks of 2^k bits are blocks."""
+    """The table whose _blocks of 2^k bits are blocks; k >= 3 unless one."""
     if len(blocks) == 1:
         return blocks[0]
     width = 1 << (k - 3)  # bytes per block

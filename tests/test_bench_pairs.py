@@ -198,15 +198,15 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     assert {name: row["calls"] for name, row in doc["layers"]["kernels"].items()} == {
         **{f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in kernels}, "sweep.n6": passes}
     # one untimed call per side and order, then both sides on 2 sweep batches
-    # at n = 6 and 2 of 2^10 at n = 7, then the passes over the 2 at n = 6
+    # at n = 6 and 2 of 2^10 at n = 7, then the passes over the 2 at n = 6,
+    # each from an emptied memo and batch by batch on both sides
     assert calls[:4] == [(6, 0, 0)] * 2 + [(7, 0, 0)] * 2
     timed, sweep = calls[4:-5 * passes], calls[-5 * passes:]
     assert timed.count("clear") == 4 * len(kernels)  # before each of the change's timed calls
     batches = [c for c in timed if c != "clear"]
     assert [c for c in batches if c[0] == 6] == [(6, 9, 0)] * 10 + [(6, 9, 512)] * 10
     assert all(b == 10 and base % 1024 == 0 for n, b, base in batches if n == 7)
-    first = [(6, 9, 0), (6, 9, 512), "clear", (6, 9, 0), (6, 9, 512)]  # the parent, then the change from an empty memo
-    assert sweep == (first + ["clear"] + first[:2] + first[3:]) * (passes // 2)
+    assert sweep == ["clear", (6, 9, 0), (6, 9, 0), (6, 9, 512), (6, 9, 512)] * passes
 
 
 def test_ab_layers_loads_each_checkout_as_its_own_package(ab_layers, monkeypatch):
