@@ -142,14 +142,14 @@ def _lane_forcers(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tupl
         moved = False
         # a round visits, in vertex order, the vertices colored at its start:
         # one that left _forcers' active set has no uncolored neighbor left
-        start = uncolored[:]
+        colored = [ones ^ u for u in uncolored]
         for v, edges in enumerate(nbrs):
             one = two = 0
             unc = [(w, e & uncolored[w]) for w, e in edges]
             for _, u in unc:
                 two |= one & u
                 one |= u
-            forcing = (one ^ two) & ~start[v]  # colored at the start, one uncolored neighbor
+            forcing = (one ^ two) & colored[v]  # colored at the start, one uncolored neighbor
             if forcing:
                 moved = True
                 forcers[v] |= forcing

@@ -195,8 +195,8 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
     return failed
 
 
-def _component_tally(sub: tuple) -> list[int]:
-    return _closure_tally(sub, len(sub))[2]
+def _component_tally(sub: tuple) -> tuple[int, ...]:
+    return tuple(_closure_tally(sub, len(sub))[2])  # immutable, as _tallies hands it to every caller
 
 
 # The batch path's component tallies for the life of the process (exhaustive_sweep clears
