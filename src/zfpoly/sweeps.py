@@ -183,7 +183,8 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
     if "reversal" in checks:
         zf = _unblocks([table[0] for table in tables], n)
         failing = zf & ~_lane_reversals(zf, edges[0], _lane_forcers(*edges))  # zero forcing lanes that fail
-        unreversed = [block.__and__ for block in (_blocks(failing, n, b) if failing else [0] * len(tables))]
+        if failing:
+            unreversed = [block.__and__ for block in _blocks(failing, n, b)]
     facts = cache(_coefficient_facts)  # a memo of this call alone
     failed = []
     rows = zip(tables, structures, definitions, sizes, unreversed)
@@ -235,11 +236,11 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
     (None unless a check of STRUCTURE_CHECKS runs), the forts by definition,
     size, their cover size when ip runs, unreversed(minimum), the lowest at
     least of the minimum sets (a bit per mask) whose chain terminals do not
-    force, tally(component adjacency), its coefficients, facts,
-    _coefficient_facts or a memo of it (not called when every check is in
-    FACT_FREE_CHECKS), and adj, the caller's adjacency or None, in which case
-    only the checks that read the adjacency build it, from emask.  Records
-    come in CHECK_KEYS order."""
+    force, or None when no zero forcing set's fail, tally(component
+    adjacency), its coefficients, facts, _coefficient_facts or a memo of it
+    (not called when every check is in FACT_FREE_CHECKS), and adj, the
+    caller's adjacency or None, in which case only the checks that read the
+    adjacency build it, from emask.  Records come in CHECK_KEYS order."""
     ctx = _context(n)
     z, coefficient_bad, exceeds, every_min_forces, zfs_count, is_pathc, is_completec, is_cyclec = (
         (None, ()) + (None,) * 6 if checks <= FACT_FREE_CHECKS else facts(checks, n, tuple(coeffs)))
@@ -318,7 +319,7 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
             if not any(is_isomorphic(g, h) for h in ctx.cycle_class):
                 bad.append(("recognizability", "cycle polynomial outside the listed cycle class"))
 
-    if "reversal" in checks:
+    if "reversal" in checks and unreversed:
         failing = unreversed(zf & _chunk_constants(n)[2][z])  # of the minimum zero forcing sets
         if failing:
             mask = (failing & -failing).bit_length() - 1
