@@ -236,7 +236,7 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
     (None unless a check of STRUCTURE_CHECKS runs), the forts by definition,
     size, their cover size when ip runs, unreversed(minimum), the lowest at
     least of the minimum sets (a bit per mask) whose chain terminals do not
-    force, or None when no zero forcing set's fail, tally(component
+    force, or None when every zero forcing set's do, tally(component
     adjacency), its coefficients, facts, _coefficient_facts or a memo of it
     (not called when every check is in FACT_FREE_CHECKS), and adj, the
     caller's adjacency or None, in which case only the checks that read the
