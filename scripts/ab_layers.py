@@ -84,7 +84,7 @@ def summarize(ratios: list[float]) -> dict:
 def batches(sweeps, count: int) -> list[tuple[int, int, int]]:
     """(n, b, base) of the first count sweep batches at n = 6, then of count
     seeded 2^10-graph batches at n = 7."""
-    b6 = sweeps._batch_bits(6, 1)
+    b6 = sweeps._batch_bits(6)
     rng = random.Random(N7_SEED)
     return ([(6, b6, base) for base in range(0, 1 << 15, 1 << b6)][:count]
             + [(7, N7_BATCH_BITS, rng.randrange(0, 1 << 21, 1 << N7_BATCH_BITS)) for _ in range(count)])
@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--batches", type=int, default=64, help="batches per order (default 64, all at n = 6)")
+    parser.add_argument("--batches", type=int, default=64, help="batches per order (default 64; n = 6 has 32)")
     parser.add_argument("--out", type=Path, help="JSON file to gain the layers entry")
     args = parser.parse_args(argv)
     if args.batches < 1:

@@ -3,9 +3,7 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload check-all-n6 --seeds 501-510 --out BENCH_19.json
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --criterion-4 --pairs 3 --out BENCH_21.json
-    python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --criterion-4 --concurrent --pairs 10 --out pairs.json
+        --criterion-4 --pairs 10 --out pairs.json
 
 Each pair runs ``bench/run.py --workload W --seed S --seconds 10 --trace 0``
 in both checkouts, parent first on odd pairs and change first on even ones,
@@ -29,25 +27,21 @@ library modules the runs import into that prefix before the first pair.
 
 ``--criterion-4`` times the acceptance suite's criterion-4 sweep instead:
 each run is a fresh process in the checkout that calls
-``exhaustive_sweep(CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS, 7, jobs=min(2,
-os.cpu_count()))``, with the check set imported from
-``tests/test_acceptance.py``, and records the sweep's wall time, the peak
-RSS of the process and of its largest pool child, the CPU time of the
-process and its children, and ``graphs_checked``.  The pairs and their
-summary go under the workload name ``criterion-4``.
-
-``--criterion-4 --concurrent`` starts the two sides of each pair together,
-each at ``jobs=1`` (one per core of a 2-core host), the side started first
-alternating from pair to pair, so that both run in the same speed phase of
-the host.  Each pair also gets the change/parent ratio of the wall and CPU
-times, and the summary their median; the pairs and their summary go under
-``criterion-4-concurrent``.
+``exhaustive_sweep(CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS, 7, jobs=1)``,
+with the check set imported from ``tests/test_acceptance.py``, and records
+the sweep's wall time, the peak RSS of the process and of any pool child,
+the CPU time of the process and its children, and ``graphs_checked``.  The
+two sides of each pair start together, one per core of a 2-core host, the
+side started first alternating from pair to pair, so that both run in the
+same speed phase of the host.  Each pair also gets the change/parent ratio
+of the wall and CPU times, and the summary their median; the pairs and their
+summary go under ``criterion-4-concurrent``.
 
 The rule for a claim: the change is faster when it wins at least 9 of 10
 pairs and its median beats the parent's by more than the spread between the
 parent's quartiles.  Sequential pairs of long runs on a host whose speed
-drifts cannot meet it for a change of a few percent; concurrent pairs and
-``scripts/ab_layers.py`` can.
+drifts cannot meet it for a change of a few percent; the concurrent
+criterion-4 pairs and ``scripts/ab_layers.py`` can.
 Standard library only.
 """
 from __future__ import annotations
@@ -73,14 +67,13 @@ from zfpoly.sweeps import exhaustive_sweep
 """
 
 CRITERION_4 = CRITERION_4_IMPORTS + """\
-jobs = int(sys.argv[1]) if sys.argv[1:] else min(2, os.cpu_count())
 t0, cpu0 = time.perf_counter(), os.times()
-count, records = exhaustive_sweep(CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS, 7, jobs=jobs)
+count, records = exhaustive_sweep(CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS, 7, jobs=1)
 wall = time.perf_counter() - t0
 cpu = sum(os.times()[:4]) - sum(cpu0[:4])  # user and system, of the process and its children
 rss = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who.upper())).ru_maxrss / 1024
        for who in ("self", "children")}  # kB on Linux
-print(json.dumps({"python": platform.python_version(), "nproc": os.cpu_count(), "jobs": jobs,
+print(json.dumps({"python": platform.python_version(), "nproc": os.cpu_count(), "jobs": 1,
                   "graphs_checked": count, "failed": len(records), "metrics": {
                       "wall_s": {"value": wall, "unit": "s"}, "cpu_s": {"value": cpu, "unit": "s"},
                       "peak_rss_self_mb": {"value": rss["self"], "unit": "MB"},
@@ -129,17 +122,10 @@ def run_once(tree: Path, workload: str, seed: int, env: dict) -> dict:
     return json.loads(lines[-2])["record"]
 
 
-def run_criterion_4(tree: Path, env: dict) -> dict:
-    """The record of one criterion-4 sweep in a fresh process, or the error
-    it ended with."""
-    proc = subprocess.run([sys.executable, "-c", CRITERION_4], cwd=tree, env=env, capture_output=True, text=True)
-    return criterion_4_record(tree, proc.returncode, proc.stdout, proc.stderr)
-
-
 def run_criterion_4_together(trees: dict, envs: dict, order: tuple) -> dict:
-    """Per side, the record of one criterion-4 sweep at jobs=1, the sides'
-    processes started together in order, or the error it ended with."""
-    procs = {side: subprocess.Popen([sys.executable, "-c", CRITERION_4, "1"], cwd=trees[side], env=envs[side],
+    """Per side, the record of one criterion-4 sweep, the sides' processes
+    started together in order, or the error it ended with."""
+    procs = {side: subprocess.Popen([sys.executable, "-c", CRITERION_4], cwd=trees[side], env=envs[side],
                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for side in order}
     outputs = {side: proc.communicate() for side, proc in procs.items()}
     return {side: criterion_4_record(trees[side], procs[side].returncode, *outputs[side]) for side in order}
@@ -205,23 +191,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--workload")
-    mode.add_argument("--criterion-4", action="store_true", help="time the criterion-4 sweep in fresh processes")
+    mode.add_argument("--criterion-4", action="store_true",
+                      help="time the criterion-4 sweep, both sides of each pair at once, at jobs=1")
     parser.add_argument("--seeds", type=seed_range, help="one seed per pair, as LO-HI (with --workload)")
     parser.add_argument("--pairs", type=int, help="the number of pairs (with --criterion-4)")
-    parser.add_argument("--concurrent", action="store_true",
-                        help="with --criterion-4: start both sides of each pair together, at jobs=1")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.criterion_4:
         if args.pairs is None or args.pairs < 1 or args.seeds is not None:
             parser.error("--criterion-4 needs --pairs N with N >= 1 and takes no --seeds")
-        name, runs, metrics = "criterion-4", [None] * args.pairs, CRITERION_4_METRICS
-        command = "python3 -c CRITERION_4 (see scripts/bench_pairs.py)"
-        if args.concurrent:
-            name, command = "criterion-4-concurrent", "python3 -c CRITERION_4 1, both sides at once"
+        name, runs, metrics = "criterion-4-concurrent", [None] * args.pairs, CRITERION_4_METRICS
+        command = "python3 -c CRITERION_4 (see scripts/bench_pairs.py), both sides at once"
     else:
-        if args.seeds is None or args.pairs is not None or args.concurrent:
-            parser.error("--workload needs --seeds and takes no --pairs or --concurrent")
+        if args.seeds is None or args.pairs is not None:
+            parser.error("--workload needs --seeds and takes no --pairs")
         name, runs = args.workload, args.seeds
         metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"] + RAW_METRICS
         command = COMMAND.format(workload=args.workload, seed="SEED")
@@ -234,12 +217,9 @@ def main(argv: list[str] | None = None) -> int:
         for i, seed in enumerate(runs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
-            if args.concurrent:
+            if args.criterion_4:
                 pair.update(run_criterion_4_together({side: getattr(args, side) for side in order}, envs, order))
                 pair["ratio"] = ratios(pair, ("wall_s", "cpu_s"))
-            elif args.criterion_4:
-                for side in order:
-                    pair[side] = run_criterion_4(getattr(args, side), envs[side])
             else:
                 for side in order:
                     pair[side] = run_once(getattr(args, side), args.workload, seed, envs[side])

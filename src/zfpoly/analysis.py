@@ -19,7 +19,7 @@ from .graphs import (
     edge_pair_order,
     is_isomorphic,
 )
-from .polynomial import BATCH_BITS, ZfPolynomial, _batch_tally, _chunk_planes, zf_polynomial
+from .polynomial import ZfPolynomial, _batch_bits, _batch_tally, _chunk_planes, zf_polynomial
 
 
 def _is_path_graph(adj: Sequence[int], n: int) -> bool:
@@ -170,7 +170,7 @@ def cycle_polynomial_class(n: int) -> list[Graph]:
         raise ValueError(f"cycle polynomial class sweep supports 3 <= n <= {LABELED_ENUM_MAX}")
     pairs = edge_pair_order(n)
     target = list(poly_cycle(n).coeffs)
-    b = min(BATCH_BITS, len(pairs))
+    b = _batch_bits(n)
     reps: list[Graph] = []
     for base in range(0, 1 << len(pairs), 1 << b):
         for g, (_, _, coeffs) in enumerate(_batch_tally(pairs, n, base, b)):

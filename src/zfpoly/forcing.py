@@ -11,22 +11,6 @@ from typing import Sequence
 from .graphs import Graph, vertices_of
 
 
-def _sweep_closure(adj: Sequence[int], colored: int) -> int:
-    """Fixpoint of the color change rule by repeated full sweeps."""
-    while True:
-        new = colored
-        rem = colored
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            unc = adj[b.bit_length() - 1] & ~colored
-            if unc and not (unc & (unc - 1)):
-                new |= unc
-        if new == colored:
-            return colored
-        colored = new
-
-
 def closure_table(g: Graph) -> list[int]:
     """List mapping every subset mask to its closure; index by subset.
 
@@ -60,13 +44,13 @@ def _check_subset(g: Graph, colored: int) -> None:
 def closure(g: Graph, colored: int) -> int:
     """Set of colored vertices once no further force is possible."""
     _check_subset(g, colored)
-    return _sweep_closure(g.adj, colored)
+    return _sweep(g.adj, colored)[1]
 
 
 def is_zero_forcing_set(g: Graph, colored: int) -> bool:
     """True iff the closure of the set is the whole vertex set."""
     _check_subset(g, colored)
-    return _sweep_closure(g.adj, colored) == g.vertex_mask
+    return _sweep(g.adj, colored)[1] == g.vertex_mask
 
 
 @dataclass(frozen=True)
@@ -102,14 +86,16 @@ def _chronological_forces(adj: Sequence[int], n: int, colored: int) -> tuple[lis
     return forces, state
 
 
-def _forcers(adj: Sequence[int], colored: int) -> int:
-    """The vertices that force in one chronological list of forces from
-    colored.
+def _sweep(adj: Sequence[int], colored: int) -> tuple[int, int]:
+    """(the vertices that force in one chronological list of forces from
+    colored, the closure of colored): the one per-set run of the color
+    change rule.
 
     Sweeps the colored vertices that have not forced, in vertex order, and
     performs each force as soon as it applies, so the forces performed form
     a chronological list.  A vertex with no uncolored neighbor never forces
-    again and leaves the sweep.
+    again and leaves the sweep, so a sweep that forces nothing ends at the
+    closure.
     """
     state = active = colored
     forcers = 0
@@ -128,20 +114,21 @@ def _forcers(adj: Sequence[int], colored: int) -> int:
                 state |= unc
                 active |= unc
         if state == before:
-            return forcers
+            return forcers, state
 
 
 def _lane_forcers(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
-    """_forcers from every lane at once: lane L is colored at v iff bit L of
-    planes[v] is set, nbrs[v] lists (w, the lanes with the edge vw), and bit
-    L of entry v of the result is set iff v is in lane L's forcer set."""
+    """_sweep's forcers from every lane at once: lane L is colored at v iff
+    bit L of planes[v] is set, nbrs[v] lists (w, the lanes with the edge
+    vw), and bit L of entry v of the result is set iff v is in lane L's
+    forcer set."""
     uncolored = [ones ^ p for p in planes[:len(nbrs)]]
     forcers = [0] * len(nbrs)
     moved = True
     while moved:  # a lane that stopped cannot change again
         moved = False
         # a round visits, in vertex order, the vertices colored at its start:
-        # one that left _forcers' active set has no uncolored neighbor left
+        # one that left _sweep's active set has no uncolored neighbor left
         colored = [ones ^ u for u in uncolored]
         for v, edges in enumerate(nbrs):
             one = two = 0

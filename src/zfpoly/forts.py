@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .closed_forms import binom
-from .graphs import Graph, vertices_of
+from .closed_forms import binom, poly_path
+from .graphs import Graph, mask_of, vertices_of
 from .polynomial import _blocks, _chunk_constants, _chunk_planes, _flag_table, _zero_forcing_number
 
 
@@ -147,7 +147,7 @@ def _min_cover(zf: int, coeffs: Sequence[int], n: int) -> tuple[int, int]:
     size = _zero_forcing_number(coeffs)
     table = zf.to_bytes(max(1, 1 << n >> 3), "little")
     for combo in combinations(range(n), size):  # lexicographic order
-        cover = sum(1 << v for v in combo)
+        cover = mask_of(combo)
         if table[cover >> 3] >> (cover & 7) & 1:  # it meets every fort iff it forces
             return size, cover
     raise RuntimeError(f"no zero forcing set of size {size}, the first nonzero coefficient: "
@@ -190,8 +190,5 @@ def small_fort_coefficient_bound(g: Graph) -> list[tuple[int, int, int, bool]] |
     z = _zero_forcing_number(coeffs)
     if smallest > z + 1:
         return None
-    rows = []
-    for i in range(1, n + 1):
-        bound = binom(n, i) - binom(n - i - 1, i)
-        rows.append((i, coeffs[i], bound, coeffs[i] <= bound))
-    return rows
+    bounds = poly_path(n).coeffs  # the path's, C(n,i) - C(n-i-1,i)
+    return [(i, coeffs[i], bounds[i], coeffs[i] <= bounds[i]) for i in range(1, n + 1)]

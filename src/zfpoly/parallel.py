@@ -4,11 +4,10 @@ from __future__ import annotations
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
 
-# Items per pool task: about BATCHES_PER_JOB batches per process, so the slow
-# tail of a sweep (large orders, dense graphs) spreads over the pool, but at
-# most MAX_BATCH items, so a batch's items and results stay small in memory.
+# A pool starts only when each process gets about BATCHES_PER_JOB tasks of
+# contiguous items, so the slow tail of a sweep (large orders, dense graphs)
+# spreads over the pool and the pool's start costs less than its work.
 BATCHES_PER_JOB = 16
-MAX_BATCH = 4096
 
 
 def parallel_map(worker: Callable, items: Sequence, jobs: int) -> Iterator:
@@ -21,8 +20,7 @@ def parallel_map(worker: Callable, items: Sequence, jobs: int) -> Iterator:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(items) >= jobs * BATCHES_PER_JOB:
-        chunksize = min(MAX_BATCH, len(items) // (jobs * BATCHES_PER_JOB))
         with Pool(jobs) as pool:
-            yield from pool.imap(worker, items, chunksize)
+            yield from pool.imap(worker, items, len(items) // (jobs * BATCHES_PER_JOB))
     else:
         yield from map(worker, items)

@@ -14,8 +14,8 @@ from functools import cache
 from math import comb
 from typing import Sequence
 
-from .forcing import _sweep_closure
-from .graphs import Graph, SizeCapError, _connected_components, vertices_of
+from .forcing import _sweep
+from .graphs import Graph, SizeCapError, _connected_components, mask_of, vertices_of
 
 # Full-subset enumeration is exponential: the 2^24 subsets of wheel:24 take
 # 110-140 ms and two 2 MiB bit tables, 25 MB peak RSS for the whole process
@@ -282,6 +282,13 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
 BATCH_BITS = 10
 
 
+def _batch_bits(n: int) -> int:
+    """The log2 of the graphs per batch at order n, whoever maps the batches
+    and with however many processes: every graph of the order up to
+    2^BATCH_BITS, and one graph below n = 3, where tables fill no byte."""
+    return min(BATCH_BITS, comb(n, 2)) if n >= 3 else 0
+
+
 def _batch_edges(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> tuple:
     """(all ones, planes, nbrs) of the batch of graphs with edge masks
     base + g, g < 2^b, for base a multiple of 2^b: lane g << n | m of a
@@ -366,15 +373,8 @@ def count_zfs(g: Graph, size: int) -> int:
     cap = enumeration_cap()
     if n > cap:
         raise SizeCapError(f"enumeration over {n} vertices exceeds cap {cap}")
-    full = (1 << n) - 1
-    count = 0
-    for combo in itertools.combinations(range(n), size):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if _sweep_closure(g.adj, mask) == full:
-            count += 1
-    return count
+    full = g.vertex_mask
+    return sum(_sweep(g.adj, mask_of(combo))[1] == full for combo in itertools.combinations(range(n), size))
 
 
 def _induced_adj(adj: Sequence[int], mask: int) -> list[int]:

@@ -28,7 +28,7 @@ from .closed_forms import (
     poly_threshold,
     poly_wheel,
 )
-from .forcing import _forcers, _lane_forcers, _lane_reversals
+from .forcing import _lane_forcers, _lane_reversals, _sweep
 from .forts import _batch_cover_sizes, _batch_fort_definition, _fort_bits, _fort_definition_bits
 from .graphs import (
     LABELED_ENUM_MAX,
@@ -50,8 +50,8 @@ from .graphs import (
     threshold_from_string,
     wheel,
 )
-from .parallel import BATCHES_PER_JOB, parallel_map
-from .polynomial import (BATCH_BITS, _batch_edges, _batch_tally, _blocks, _chunk_constants, _chunk_planes,
+from .parallel import parallel_map
+from .polynomial import (_batch_bits, _batch_edges, _batch_tally, _blocks, _chunk_constants, _chunk_planes,
                          _closure_tally, _component_product, _is_unimodal, _unblocks, _zero_forcing_number,
                          zf_polynomial)
 
@@ -147,22 +147,13 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
 
 def _unreversed(adj: list[int], zf: int, minimum: int) -> int:
     """The lowest set of minimum (a bit per mask) whose chain terminals, the
-    vertices outside its _forcers, do not force by zf, as a bit, or 0."""
+    vertices outside its forcers (_sweep), do not force by zf, as a bit, or 0."""
     while minimum:
         low = minimum & -minimum
         minimum ^= low
-        if not zf >> (_forcers(adj, low.bit_length() - 1) ^ (1 << len(adj)) - 1) & 1:
+        if not zf >> (_sweep(adj, low.bit_length() - 1)[0] ^ (1 << len(adj)) - 1) & 1:
             return low
     return 0
-
-
-def _batch_bits(n: int, jobs: int) -> int:
-    """The log2 of the graphs per batch at order n: up to BATCH_BITS, but
-    leaving at least 2^6 batches, and BATCHES_PER_JOB for each of jobs
-    processes, so that from order 4 up each process of a pool gets its
-    batches."""
-    spare = max(6, (jobs * BATCHES_PER_JOB - 1).bit_length())
-    return max(0, min(BATCH_BITS, comb(n, 2) - spare))
 
 
 def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int, list[tuple[str, str]]]]:
@@ -356,7 +347,7 @@ def exhaustive_sweep(checks, max_n: int, jobs: int = 1) -> tuple[int, list[dict]
     total_graphs = 0
     records: list[dict] = []
     for n in range(1, max_n + 1):
-        b = _batch_bits(n, jobs)
+        b = _batch_bits(n)
         bases = range(0, 1 << comb(n, 2), 1 << b)
         for failed in parallel_map(partial(_check_batch, checks, n, b), bases, jobs):
             for emask, bad in failed:

@@ -31,9 +31,9 @@ from zfpoly import (
     wheel,
     zf_polynomial,
 )
-from zfpoly import sweeps
 from zfpoly.analysis import _batch_structure, _extremal_coefficients, _is_path_graph
 from zfpoly.graphs import _connected_components, _edge_mask_adj, edge_pair_order
+from zfpoly.polynomial import _batch_bits
 from zfpoly.sweeps import expected_cycle_class
 
 
@@ -85,9 +85,9 @@ def _structure(pairs, n, emask):
 
 
 def test_batch_structure_matches_the_per_graph_kernels():
-    # every labeled graph with 3 <= n <= 6 at the sweep's widths for one
-    # and for eight processes, and seeded batches of 2^10 graphs at n = 7
-    batches = [(n, base, b) for n in range(3, 7) for b in {sweeps._batch_bits(n, 1), sweeps._batch_bits(n, 8)}
+    # every labeled graph with 3 <= n <= 6 at the sweep's width and one
+    # narrower, and seeded batches of 2^10 graphs at n = 7
+    batches = [(n, base, b) for n in range(3, 7) for b in {_batch_bits(n), _batch_bits(n) - 1}
                for base in range(0, 1 << comb(n, 2), 1 << b)]
     rng = random.Random(2424)
     batches += [(7, rng.randrange(0, 1 << 21, 1 << 10), 10) for _ in range(2)]

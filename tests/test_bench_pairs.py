@@ -57,10 +57,11 @@ def test_summarize_counts_no_ties_and_skips_a_run_that_ended_in_an_error(bench_p
     assert (raw["pairs"], raw["change_better_pairs"], raw["bound"]) == (2, 0, None)  # a tie and a loss
 
 
-def _fake_pairs(bench_pairs, monkeypatch, tmp_path, mode):
+def _fake_pairs(bench_pairs, monkeypatch, tmp_path, mode, calls=None):
     """Runs main with mode on two empty checkouts, subprocess.run stubbed;
-    returns the checkouts and the calls as (checkout, command, environment)."""
-    calls = []
+    returns the checkouts and the calls as (checkout, command, environment),
+    appended to calls if given."""
+    calls = [] if calls is None else calls
 
     def fake_run(cmd, cwd, env=None, **kwargs):  # git rev-parse gets no env
         calls.append((Path(cwd), cmd, env))
@@ -104,7 +105,18 @@ def test_each_side_runs_on_its_own_fresh_bytecode_prefix(bench_pairs, monkeypatc
 
 
 def test_criterion_4_warms_each_side_with_the_sweep_imports(bench_pairs, monkeypatch, tmp_path):
-    trees, calls = _fake_pairs(bench_pairs, monkeypatch, tmp_path, ["--criterion-4", "--pairs", "2"])
+    calls = []  # the sweeps' processes among the stubbed runs, in order
+
+    class FakeSweep:
+        def __init__(self, cmd, cwd, env, **kwargs):
+            calls.append((Path(cwd), cmd, env))
+            self.returncode = 0
+
+        def communicate(self):
+            return json.dumps({"metrics": {}, "nproc": 2, "python": "3"}), ""
+
+    monkeypatch.setattr(bench_pairs.subprocess, "Popen", FakeSweep)
+    trees, _ = _fake_pairs(bench_pairs, monkeypatch, tmp_path, ["--criterion-4", "--pairs", "2"], calls)
     for tree in trees.values():
         runs = [(cmd, env) for cwd, cmd, env in calls if cwd == tree]
         (_, compile_env), (warm_cmd, warm_env), *timed = runs
@@ -112,7 +124,11 @@ def test_criterion_4_warms_each_side_with_the_sweep_imports(bench_pairs, monkeyp
         assert warm_env["PYTHONPYCACHEPREFIX"] == compile_env["PYTHONPYCACHEPREFIX"]
         # each sweep, then git naming its commit
         assert [cmd[1:] for cmd, _ in timed] == [["-c", bench_pairs.CRITERION_4], ["rev-parse", "HEAD"]] * 2
-    assert [(cwd.name, cmd[1]) for cwd, cmd, _ in calls[2:4]] == [("parent", "-c"), ("change", "-c")]
+        assert all(env["PYTHONPYCACHEPREFIX"] == compile_env["PYTHONPYCACHEPREFIX"] for cmd, env in timed
+                   if cmd[1] == "-c")
+    # both warmed before the first sweep starts
+    assert [(cwd.name, cmd[2]) for cwd, cmd, _ in calls[2:4]] == [
+        ("parent", bench_pairs.CRITERION_4_IMPORTS), ("change", bench_pairs.CRITERION_4_IMPORTS)]
 
 
 def test_concurrent_criterion_4_alternates_the_side_started_first(bench_pairs, monkeypatch, tmp_path):
@@ -123,7 +139,7 @@ def test_concurrent_criterion_4_alternates_the_side_started_first(bench_pairs, m
 
     class FakeSweep:
         def __init__(self, cmd, cwd, env, **kwargs):
-            assert cmd[1:] == ["-c", bench_pairs.CRITERION_4, "1"]  # jobs=1
+            assert cmd[1:] == ["-c", bench_pairs.CRITERION_4]
             self.side, self.returncode = Path(cwd).name, 0
             events.append(("start", self.side))
 
@@ -134,7 +150,8 @@ def test_concurrent_criterion_4_alternates_the_side_started_first(bench_pairs, m
                                "python": "3"}), ""
 
     monkeypatch.setattr(bench_pairs.subprocess, "Popen", FakeSweep)
-    _fake_pairs(bench_pairs, monkeypatch, tmp_path, ["--criterion-4", "--concurrent", "--pairs", "4"])
+    _fake_pairs(bench_pairs, monkeypatch, tmp_path, ["--criterion-4", "--pairs", "4"])
+    assert "7, jobs=1)" in bench_pairs.CRITERION_4  # one process per side, one core each
     starts = [side for event, side in events if event == "start"]
     assert starts == ["parent", "change", "change", "parent"] * 2
     assert [event for event, _ in events] == ["start", "start", "wait", "wait"] * 4
@@ -179,7 +196,7 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
         def check_batch(checks, n, b, base):
             calls.append((n, b, base))
             return records if checks else []
-        return SimpleNamespace(CHECK_KEYS=("hall", "reversal"), _batch_bits=lambda n, jobs: 9,
+        return SimpleNamespace(CHECK_KEYS=("hall", "reversal"), _batch_bits=lambda n: 9,
                                _check_batch=check_batch, **memos)
 
     sides = {"zfpoly_parent": fake_sweeps([]), "zfpoly_change": fake_sweeps(planted, _tallies=memo)}

@@ -24,7 +24,7 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import polynomial
-from zfpoly.forcing import _forcers, _lane_forcers, _lane_reversals
+from zfpoly.forcing import _lane_forcers, _lane_reversals, _sweep
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
 from zfpoly.forts import _fort_bits
 from zfpoly.polynomial import _batch_edges, _closure_tally, _unblocks
@@ -267,6 +267,18 @@ def test_reversal_of_minimum_sets_exhaustive_small():
             assert _reversal_holds(g)
 
 
+def test_sweep_gives_the_closure_and_one_forcer_per_forced_vertex():
+    # every labeled graph with n <= 5 and every colored set S: the sweep
+    # ends at the closure, and each vertex it colors is forced by a vertex
+    # of its own
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            for mask in range(1 << n):
+                forcers, closed = _sweep(g.adj, mask)
+                assert closed == mask_of(naive_closure(g, set(vertices_of(mask)))), (g.adj, mask)
+                assert forcers.bit_count() == closed.bit_count() - mask.bit_count(), (g.adj, mask)
+
+
 def test_forcers_of_a_zero_forcing_set_leave_terminals_that_force():
     # a chronological list from S has n - |S| forces, one per forcer, and
     # its terminals V - forcers force again (the reversal theorem)
@@ -275,7 +287,7 @@ def test_forcers_of_a_zero_forcing_set_leave_terminals_that_force():
             for mask in range(1 << n):
                 if not naive_is_zfs(g, set(vertices_of(mask))):
                     continue
-                forcers = _forcers(g.adj, mask)
+                forcers = _sweep(g.adj, mask)[0]
                 assert forcers.bit_count() == n - mask.bit_count()
                 assert naive_is_zfs(g, set(vertices_of(g.vertex_mask & ~forcers)))
 
@@ -298,12 +310,12 @@ def test_lane_forcers_match_the_forcers_of_each_graph():
             adj = _edge_mask_adj(pairs, n, base + g)
             block = [plane >> (g << n) & (1 << (1 << n)) - 1 for plane in got]  # bit m of entry v: v forces from m
             lanes = [sum((plane >> mask & 1) << v for v, plane in enumerate(block)) for mask in range(1 << n)]
-            assert lanes == [_forcers(adj, mask) for mask in range(1 << n)], (n, base + g)
+            assert lanes == [_sweep(adj, mask)[0] for mask in range(1 << n)], (n, base + g)
 
 
 @pytest.mark.parametrize("table", ["flag-table", "random"])
 def test_lane_reversals_match_the_forcers_of_each_graph(table):
-    # every mask of every graph of the batches: bit L is bit V - _forcers
+    # every mask of every graph of the batches: bit L is bit V - _sweep's forcers
     # of the graph's table, its own zero forcing bits or random bits
     rng = random.Random(6868)
     for n, base, b in _lane_batches(6868):
@@ -313,7 +325,7 @@ def test_lane_reversals_match_the_forcers_of_each_graph(table):
         tables = [_closure_tally(adj, n)[0] if table == "flag-table" else rng.getrandbits(1 << n) for adj in adjs]
         got = _lane_reversals(_unblocks(tables, n), ones, _lane_forcers(ones, planes, nbrs))
         for g, (adj, zf) in enumerate(zip(adjs, tables)):
-            want = sum((zf >> ((1 << n) - 1 & ~_forcers(adj, mask)) & 1) << mask for mask in range(1 << n))
+            want = sum((zf >> ((1 << n) - 1 & ~_sweep(adj, mask)[0]) & 1) << mask for mask in range(1 << n))
             assert got >> (g << n) & (1 << (1 << n)) - 1 == want, (n, base + g)
 
 

@@ -27,7 +27,7 @@ from zfpoly import (
 from zfpoly import polynomial, sweeps
 from zfpoly.forts import _batch_cover_sizes, _batch_fort_definition, _fort_bits, _fort_definition_bits, _fort_family
 from zfpoly.graphs import edge_pair_order
-from zfpoly.polynomial import _batch_edges, _blocks, _chunk_planes, _closure_tally
+from zfpoly.polynomial import _batch_bits, _batch_edges, _blocks, _chunk_planes, _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
 
@@ -176,8 +176,8 @@ def test_fort_definition_bits_match_the_naive_forts(width):
 def test_batch_fort_definition_matches_the_naive_forts_on_every_graph():
     # every labeled graph with 3 <= n <= 6 at the sweep's widths, and
     # seeded batches of 2^10 graphs at n = 7
-    batches = [(n, base, sweeps._batch_bits(n, 1)) for n in range(3, 7)
-               for base in range(0, 1 << comb(n, 2), 1 << sweeps._batch_bits(n, 1))]
+    batches = [(n, base, _batch_bits(n)) for n in range(3, 7)
+               for base in range(0, 1 << comb(n, 2), 1 << _batch_bits(n))]
     rng = random.Random(707)
     batches += [(7, rng.randrange(0, 1 << 21, 1 << 10), 10) for _ in range(2)]
     for n, base, b in batches:

@@ -36,9 +36,9 @@ from zfpoly import (
     zf_polynomial,
     zf_polynomial_by_components,
 )
-from zfpoly import polynomial, sweeps
+from zfpoly import polynomial
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
-from zfpoly.polynomial import _batch_tally, _blocks, _chunk_planes, _closure_tally, _lane_width, _unblocks
+from zfpoly.polynomial import _batch_bits, _batch_tally, _blocks, _chunk_planes, _closure_tally, _lane_width, _unblocks
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
 
@@ -126,13 +126,13 @@ def test_batch_tally_matches_the_closure_tally_on_every_graph(n):
     # each width puts graphs in other blocks and other edges in the planes
     pairs = edge_pair_order(n)
     want = _tallies(pairs, n, range(1 << len(pairs)))
-    for b in sorted({0, 1, 3, sweeps._batch_bits(n, 2), sweeps._batch_bits(n, 8)}):
+    for b in sorted({0, 1, 3, _batch_bits(n) - 1, _batch_bits(n)}):
         got = [t for base in range(0, len(want), 1 << b) for t in _batch_tally(pairs, n, base, b)]
         assert got == want, b
 
 
 def test_batch_tally_matches_the_closure_tally_at_order_seven():
-    n, b = 7, sweeps._batch_bits(7, 2)
+    n, b = 7, _batch_bits(7)
     pairs = edge_pair_order(n)
     rng = random.Random(77)
     for base in [rng.randrange(0, 1 << 21, 1 << b) for _ in range(2)] + [(1 << 21) - (1 << b)]:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import edge_mask, everywhere, only_at
 from oracles import naive_consecutive_counts, naive_is_zfs
-from zfpoly import analysis, parallel, sweeps
+from zfpoly import analysis, parallel, polynomial, sweeps
 from zfpoly.closed_forms import poly_complete, poly_cycle, poly_path
 from zfpoly.graphs import (complete, cycle, disjoint_union, empty, from_edge_list, graph_from_edge_mask,
                            is_isomorphic, path, star)
@@ -101,11 +101,60 @@ needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 
 
 def test_parallel_sweep_is_deterministic(pool_starts):
-    solo = exhaustive_sweep({"extremal", "ip"}, max_n=4, jobs=1)
+    solo = exhaustive_sweep({"extremal", "ip"}, max_n=6, jobs=1)
     assert pool_starts == []
-    duo = exhaustive_sweep({"extremal", "ip"}, max_n=4, jobs=2)
-    assert pool_starts == [(2,)]  # order 4 only; orders 1-3 give no process 16 graphs
+    duo = exhaustive_sweep({"extremal", "ip"}, max_n=6, jobs=2)
+    assert pool_starts == [(2,)]  # order 6 only: 32 batches, 16 per process; orders 1-5 are a batch or two
     assert solo == duo
+
+
+@pytest.fixture
+def narrow_batches(monkeypatch):
+    """narrow_batches() narrows every order's batches to 2^3 graphs, so that
+    order 5 has 128 of them, 16 for each of 8 processes, and pools."""
+    return lambda: monkeypatch.setattr(polynomial, "BATCH_BITS", 3)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Records (processes, order) of every pool parallel_map starts, in a
+    pool that maps here, so a test sees where pools start without forking."""
+    starts = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, worker, items, chunksize):
+            starts.append((self.processes, worker.args[1]))  # partial(_check_batch, checks, n, b)
+            return map(worker, items)
+
+    monkeypatch.setattr(parallel, "Pool", SerialPool)
+    return starts
+
+
+def test_the_batch_width_depends_on_the_order_alone(monkeypatch, serial_pool):
+    # the batches of every order at every --jobs from 1 to 64, and a pool
+    # only where each process gets BATCHES_PER_JOB = 16 of them
+    widths = {1: 0, 2: 0, 3: 3, 4: 6, 5: 10, 6: 10, 7: 10}
+    assert {n: polynomial._batch_bits(n) for n in widths} == widths
+    want = [(n, widths[n], base) for n in widths for base in range(0, 1 << comb(n, 2), 1 << widths[n])]
+    assert len(want) == 1 + 2 + 1 + 1 + 1 + 32 + 2048
+    mapped = []
+    monkeypatch.setattr(sweeps, "_check_batch", lambda checks, n, b, base: mapped.append((n, b, base)) or [])
+    for jobs in range(1, 65):
+        mapped.clear()
+        serial_pool.clear()
+        assert exhaustive_sweep(CHECK_KEYS, max_n=7, jobs=jobs) == (sum(1 << comb(n, 2) for n in widths), [])
+        assert mapped == want, jobs
+        pooled = [6, 7] if jobs == 2 else [7] if jobs > 2 else []  # 32 and 2,048 batches
+        assert serial_pool == [(jobs, n) for n in pooled], jobs
 
 
 @pytest.fixture
@@ -120,36 +169,16 @@ def flipped_closed_bits(plant):
     plant(flipped)
 
 
-def test_wide_pools_still_start_at_orders_five_and_six(monkeypatch, flipped_closed_bits):
-    # more processes get narrower batches, so each still receives
-    # BATCHES_PER_JOB of them; a pool that maps here records the starts
-    # without forking eight processes, and the records of a planted fault
-    # do not depend on the batch width
-    starts = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            starts.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, worker, items, chunksize):
-            return map(worker, items)
-
-    monkeypatch.setattr(parallel, "Pool", SerialPool)
-    assert sweeps._batch_bits(6, 8) == 8 and sweeps._batch_bits(6, 1) == 9
+def test_wide_pools_still_start_at_orders_five_and_six(narrow_batches, serial_pool, flipped_closed_bits):
+    # with batches of 2^3 graphs, orders 5 and 6 give each of 8 processes
+    # 16 of them, and the records of a planted fault do not depend on the
+    # batch width
+    solo = exhaustive_sweep(CHECK_KEYS, max_n=6, jobs=1)
+    narrow_batches()
     wide = exhaustive_sweep(CHECK_KEYS, max_n=6, jobs=8)
     assert len(wide[1]) >= (1 << 15) // 7
-    assert wide == exhaustive_sweep(CHECK_KEYS, max_n=6, jobs=1)
-    assert starts == [8, 8]  # order 4 has 64 graphs, under 8 * 16
-    for jobs in range(1, 65):
-        for n in range(1, sweeps.EXHAUSTIVE_MAX_N + 1):
-            batches = 1 << comb(n, 2) - sweeps._batch_bits(n, jobs)
-            assert batches >= min(1 << comb(n, 2), 64, jobs * parallel.BATCHES_PER_JOB), (jobs, n)
+    assert wide == solo
+    assert serial_pool == [(8, 5), (8, 6)]  # order 4 has 8 batches, under 8 * 16
 
 
 def test_exhaustive_sweep_reports_a_fault_in_the_batch_tally(plant):
@@ -165,13 +194,16 @@ def test_exhaustive_sweep_reports_a_fault_in_the_batch_tally(plant):
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
-def test_exhaustive_sweep_equals_a_loop_over_single_graphs(pool_starts, flipped_closed_bits, jobs):
+def test_exhaustive_sweep_equals_a_loop_over_single_graphs(pool_starts, flipped_closed_bits, narrow_batches,
+                                                            jobs):
     graphs = [(n, emask) for n in range(1, 6) for emask in range(1 << comb(n, 2))]
     looped = [sweeps._record(check, n, emask, detail) for n, emask in graphs
               for check, detail in sweeps._check_one(frozenset(CHECK_KEYS), n, emask)]
     assert len(looped) >= len(graphs) // 7
+    if jobs == 2:
+        narrow_batches()  # else each order up to 5 is one batch, mapped here
     assert exhaustive_sweep(CHECK_KEYS, max_n=5, jobs=jobs) == (len(graphs), looped)
-    assert len(pool_starts) == (2 if jobs == 2 else 0)  # orders 4 and 5
+    assert len(pool_starts) == (1 if jobs == 2 else 0)  # order 5
 
 
 def _flipped(mask):
@@ -497,7 +529,8 @@ def test_random_sweep_conjectures_clean():
 def test_reversal_reports_terminals_that_do_not_force(monkeypatch):
     # claim that every vertex forces: the chain terminals are then the empty
     # set, which is closed and forces nothing on the 3-path
-    monkeypatch.setattr(sweeps, "_forcers", lambda adj, mask: (1 << len(adj)) - 1)
+    real_sweep = sweeps._sweep
+    monkeypatch.setattr(sweeps, "_sweep", lambda adj, mask: ((1 << len(adj)) - 1, real_sweep(adj, mask)[1]))
     _, records = random_sweep({"reversal"}, [(3, 0b101)])
     assert [r["check"] for r in records] == ["reversal"]
 
@@ -537,13 +570,13 @@ def test_ham_bound_skips_the_path_dp_when_both_conclusions_hold(monkeypatch):
 
 def test_reversal_visits_exactly_the_minimum_zero_forcing_sets(monkeypatch):
     seen = {}
-    real_forcers = sweeps._forcers
+    real_sweep = sweeps._sweep
 
     def spy(adj, mask):
         seen.setdefault((len(adj), tuple(adj)), []).append(mask)
-        return real_forcers(adj, mask)
+        return real_sweep(adj, mask)
 
-    monkeypatch.setattr(sweeps, "_forcers", spy)
+    monkeypatch.setattr(sweeps, "_sweep", spy)
     specs = [(n, e) for n in range(1, 6) for e in range(1 << (n * (n - 1) // 2))]
     assert random_sweep({"reversal"}, specs)[1] == []
     for n, emask in specs:
@@ -599,13 +632,14 @@ def fresh_context():
 
 
 @needs_fork
-def test_recognizability_reports_a_cycle_outside_the_list(monkeypatch, pool_starts, fresh_context):
+def test_recognizability_reports_a_cycle_outside_the_list(monkeypatch, pool_starts, fresh_context, narrow_batches):
     real_list = sweeps.expected_cycle_class
     # the plain 5-cycle dropped from the list
     monkeypatch.setattr(sweeps, "expected_cycle_class", lambda n: real_list(n)[1:] if n == 5 else real_list(n))
     solo = exhaustive_sweep({"recognizability"}, max_n=5, jobs=1)
+    narrow_batches()
     duo = exhaustive_sweep({"recognizability"}, max_n=5, jobs=2)
-    assert len(pool_starts) == 2  # orders 4 and 5
+    assert len(pool_starts) == 1  # order 5
     assert solo == duo
     records = solo[1]
     assert len(records) == 12  # 5!/10 labeled 5-cycles
