@@ -29,13 +29,13 @@ library modules the runs import into that prefix before the first pair.
 each run is a fresh process in the checkout that calls
 ``exhaustive_sweep(CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS, 7, jobs=1)``,
 with the check set imported from ``tests/test_acceptance.py``, and records
-the sweep's wall time, the peak RSS of the process and of any pool child,
-the CPU time of the process and its children, and ``graphs_checked``.  The
-two sides of each pair start together, one per core of a 2-core host, the
-side started first alternating from pair to pair, so that both run in the
-same speed phase of the host.  Each pair also gets the change/parent ratio
-of the wall and CPU times, and the summary their median; the pairs and their
-summary go under ``criterion-4-concurrent``.
+the sweep's wall time, the peak RSS of the process, the CPU time of the
+process and its children, and ``graphs_checked``.  The two sides of each
+pair start together, one per core of a 2-core host, the side started first
+alternating from pair to pair, so that both run in the same speed phase of
+the host.  Each pair also gets the change/parent ratio of the wall and CPU
+times, and the summary their median; the pairs and their summary go under
+``criterion-4-concurrent``.
 
 The rule for a claim: the change is faster when it wins at least 9 of 10
 pairs and its median beats the parent's by more than the spread between the
@@ -71,18 +71,15 @@ t0, cpu0 = time.perf_counter(), os.times()
 count, records = exhaustive_sweep(CRITERION_4_CHECKS | EXTRA_SWEEP_CHECKS, 7, jobs=1)
 wall = time.perf_counter() - t0
 cpu = sum(os.times()[:4]) - sum(cpu0[:4])  # user and system, of the process and its children
-rss = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who.upper())).ru_maxrss / 1024
-       for who in ("self", "children")}  # kB on Linux
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
 print(json.dumps({"python": platform.python_version(), "nproc": os.cpu_count(), "jobs": 1,
                   "graphs_checked": count, "failed": len(records), "metrics": {
                       "wall_s": {"value": wall, "unit": "s"}, "cpu_s": {"value": cpu, "unit": "s"},
-                      "peak_rss_self_mb": {"value": rss["self"], "unit": "MB"},
-                      "peak_rss_children_mb": {"value": rss["children"], "unit": "MB"}}}))
+                      "peak_rss_self_mb": {"value": rss, "unit": "MB"}}}))
 """
 
 CRITERION_4_METRICS = [{"name": name, "unit": unit, "better": "lower", "bound": None}
-                       for name, unit in (("wall_s", "s"), ("cpu_s", "s"), ("peak_rss_self_mb", "MB"),
-                                          ("peak_rss_children_mb", "MB"))]
+                       for name, unit in (("wall_s", "s"), ("cpu_s", "s"), ("peak_rss_self_mb", "MB"))]
 
 # Summarized beside the host-scaled metrics when the records carry them: the
 # unscaled throughput and the host's mean scale factor, which tell a change in

@@ -22,51 +22,35 @@ from .graphs import (
 from .polynomial import ZfPolynomial, _batch_bits, _batch_tally, _chunk_planes, zf_polynomial
 
 
-def _is_path_graph(adj: Sequence[int], n: int) -> bool:
-    if n <= 1:
-        return n == 1
-    ends = 0
-    for a in adj:
-        d = a.bit_count()
-        if d > 2:
-            return False
-        if d <= 1:
-            ends += 1
-    return ends == 2 and len(_connected_components(adj, n)) == 1
+def _structure(adj: Sequence[int], n: int) -> tuple[int, int, int, int]:
+    """One graph's row of _batch_structure: (non-isolated vertices, non-twin
+    pairs of them, is a path, is connected), the flags 0 or 1.  A path is
+    connected with degrees at most 2 and some vertex of degree at most 1."""
+    second = third = 0
+    for u, au in enumerate(adj):
+        if au:
+            second += 1
+            for v in range(u + 1, n):
+                av = adj[v]
+                if av and au & ~(1 << v) != av & ~(1 << u):
+                    third += 1
+    connected = len(_connected_components(adj, n)) == 1
+    path = connected and max(map(int.bit_count, adj)) <= 2 and min(map(int.bit_count, adj)) <= 1
+    return second, third, int(path), int(connected)
 
 
 def is_path_graph(g: Graph) -> bool:
-    """Structural path test: connected, max degree <= 2, exactly two ends."""
-    return _is_path_graph(g.adj, g.n)
-
-
-def _extremal_coefficients(adj: Sequence[int], n: int) -> tuple[int, int, int, int]:
-    second = sum(1 for a in adj if a)
-    third = 0
-    for u in range(n):
-        au = adj[u]
-        if not au:
-            continue
-        for v in range(u + 1, n):
-            av = adj[v]
-            if av and au & ~(1 << v) != av & ~(1 << u):
-                third += 1
-    if n == 1:
-        z1 = 1
-    elif _is_path_graph(adj, n):
-        z1 = 2
-    else:
-        z1 = 0
-    return 1, second, third, z1
+    """Structural path test: connected, max degree <= 2, some vertex of degree <= 1."""
+    return bool(_structure(g.adj, g.n)[2])
 
 
 def _batch_structure(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> list[tuple[int, int, int, int]]:
     """Per graph of the batch of edge masks base + g, g < 2^b, as in
     polynomial._batch_edges: (non-isolated vertices, non-twin pairs of them,
-    is a path, is connected), the flags 0 or 1, as _extremal_coefficients,
-    _is_path_graph and _connected_components give them.  Graph g is byte g
-    of each counter and bit 0 of a byte its indicator, so the counts are
-    sums of indicators with no carry between graphs (n <= 22)."""
+    is a path, is connected), the flags 0 or 1, as _structure gives them
+    for one graph.  Graph g is byte g of each counter and bit 0 of a byte
+    its indicator, so the counts are sums of indicators with no carry
+    between graphs (n <= 22)."""
     ones, planes = _chunk_planes(b + 3)
     low = ones & ~(planes[0] | planes[1] | planes[2])  # bit 0 of every byte
     edge = [low if base >> i & 1 else 0 for i in range(len(pairs))]
@@ -117,7 +101,8 @@ def extremal_coefficients(g: Graph) -> tuple[int, int, int, int]:
     """
     if g.n < 1:
         raise ValueError("requires a nonempty graph")
-    return _extremal_coefficients(g.adj, g.n)
+    second, third, is_path, _ = _structure(g.adj, g.n)
+    return 1, second, third, 1 if g.n == 1 else 2 * is_path
 
 
 def all_min_sets_forcing(g: Graph) -> bool:

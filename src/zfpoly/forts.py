@@ -132,12 +132,12 @@ def _batch_fort_definition(ones: int, planes: Sequence[int], nbrs: Sequence[Sequ
     return (ones ^ bad) & nonempty
 
 
-def _batch_cover_sizes(forts: int, planes: Sequence[int], n: int, b: int) -> list[int]:
+def _batch_cover_sizes(forts: int, n: int, b: int) -> list[int]:
     """The fewest vertices meeting every fort, for each block of forts laid
     out as by _batch_fort_definition (at b = 0, one graph's fort table):
     n minus the largest mask that holds none, as S meets them all iff V - S
     holds none.  Every block is closed upward at once."""
-    for i, plane in enumerate(planes[:n]):  # a shift by 2^i that lands on plane i stays in its block
+    for i, plane in enumerate(_chunk_planes(n + b)[1][:n]):  # a shift by 2^i that lands on plane i stays in its block
         forts |= forts << (1 << i) & plane
     levels = _chunk_constants(n)[2]  # the empty mask holds no fort, so each block has a free level
     return [n - next(j for j in range(n, -1, -1) if c & levels[j] != levels[j]) for c in _blocks(forts, n, b)]

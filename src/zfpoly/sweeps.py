@@ -12,12 +12,7 @@ from functools import cache, partial
 from math import comb
 from time import perf_counter
 
-from .analysis import (
-    _batch_structure,
-    _extremal_coefficients,
-    _hall_ok,
-    same_poly_threshold_family,
-)
+from .analysis import _batch_structure, _hall_ok, _structure, same_poly_threshold_family
 from .closed_forms import (
     _threshold_zfs_bits,
     count_consecutive_selections,
@@ -33,7 +28,6 @@ from .forts import _batch_cover_sizes, _batch_fort_definition, _fort_bits, _fort
 from .graphs import (
     LABELED_ENUM_MAX,
     Graph,
-    _connected_components,
     _edge_mask_adj,
     _has_hamiltonian_path,
     complete,
@@ -51,9 +45,8 @@ from .graphs import (
     wheel,
 )
 from .parallel import parallel_map
-from .polynomial import (_batch_bits, _batch_edges, _batch_tally, _blocks, _chunk_constants, _chunk_planes,
-                         _closure_tally, _component_product, _is_unimodal, _unblocks, _zero_forcing_number,
-                         zf_polynomial)
+from .polynomial import (_batch_bits, _batch_edges, _batch_tally, _blocks, _chunk_constants, _closure_tally,
+                         _component_product, _is_unimodal, _unblocks, _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -134,12 +127,9 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     kernels that are _check_batch's oracles; returns (check, detail) pairs,
     or the shared empty tuple when every check passes."""
     adj = _edge_mask_adj(_context(n).pairs, n, emask)
-    structure = None
-    if checks & STRUCTURE_CHECKS:
-        _, second, third, z1 = _extremal_coefficients(adj, n)
-        structure = (second, third, z1 > 0, len(_connected_components(adj, n)) == 1)  # z(G;1) > 0 iff a path
+    structure = _structure(adj, n) if checks & STRUCTURE_CHECKS else None
     definition = _fort_definition_bits(adj, n) if checks & FORT_CHECKS else 0
-    size = _batch_cover_sizes(definition, _chunk_planes(n)[1], n, 0)[0] if "ip" in checks else None
+    size = _batch_cover_sizes(definition, n, 0)[0] if "ip" in checks else None
     table = _closure_tally(adj, n)
     return _check_table(checks, n, emask, *table, structure, definition, size,
                         partial(_unreversed, adj, table[0]), _component_tally, _coefficient_facts, adj)
@@ -170,7 +160,7 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
     if checks & FORT_CHECKS:
         forts = _batch_fort_definition(*edges)
         definitions = _blocks(forts, n, b)
-        sizes = _batch_cover_sizes(forts, edges[1], n, b) if "ip" in checks else sizes
+        sizes = _batch_cover_sizes(forts, n, b) if "ip" in checks else sizes
     if "reversal" in checks:
         zf = _unblocks([table[0] for table in tables], n)
         failing = zf & ~_lane_reversals(zf, edges[0], _lane_forcers(*edges))  # zero forcing lanes that fail
@@ -282,7 +272,7 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
 
     if "ip" in checks:
         if diff:  # the definition's cover is the table's only where their forts agree
-            size = _batch_cover_sizes(fort_bits, _chunk_planes(n)[1], n, 0)[0]
+            size = _batch_cover_sizes(fort_bits, n, 0)[0]
         if size > z:
             bad.append(("ip", f"no fort cover of size {z}, the zero forcing number"))
         elif size < z:

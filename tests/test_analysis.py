@@ -2,6 +2,7 @@ import itertools
 import random
 from math import comb
 
+import networkx as nx
 import pytest
 
 from zfpoly import (
@@ -31,10 +32,10 @@ from zfpoly import (
     wheel,
     zf_polynomial,
 )
-from zfpoly.analysis import _batch_structure, _extremal_coefficients, _is_path_graph
-from zfpoly.graphs import _connected_components, _edge_mask_adj, edge_pair_order
+from zfpoly.analysis import _batch_structure, _structure
+from zfpoly.graphs import _edge_mask_adj, edge_pair_order
 from zfpoly.polynomial import _batch_bits
-from zfpoly.sweeps import expected_cycle_class
+from zfpoly.sweeps import expected_cycle_class, random_graph_specs
 
 
 def test_is_path_graph():
@@ -77,11 +78,31 @@ def test_extremal_matches_enumeration_exhaustively():
             assert coeffs[1] == z1
 
 
-def _structure(pairs, n, emask):
-    """The per-graph kernels' answers to what _batch_structure gives."""
-    adj = _edge_mask_adj(pairs, n, emask)
-    _, second, third, _ = _extremal_coefficients(adj, n)
-    return second, third, _is_path_graph(adj, n), len(_connected_components(adj, n)) == 1
+def _naive_structure(n, emask):
+    """_structure's row from networkx and a pair-by-pair twin count."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(pair for i, pair in enumerate(edge_pair_order(n)) if emask >> i & 1)
+    active = [v for v in g if g.degree(v)]
+    twins = sum(1 for u, v in itertools.combinations(active, 2) if set(g[u]) - {v} != set(g[v]) - {u})
+    return len(active), twins, int(nx.is_isomorphic(g, nx.path_graph(n))), int(nx.is_connected(g))
+
+
+def test_structure_matches_networkx_and_a_naive_twin_count():
+    # every labeled graph with 1 <= n <= 5, and with 6 <= n <= 12 seeded
+    # graphs and, on a shuffled vertex order, a path, a path beside an
+    # isolated vertex, and a cycle
+    graphs = [(n, emask) for n in range(1, 6) for emask in range(1 << comb(n, 2))]
+    graphs += random_graph_specs(200, 6, 12, seed=2929)
+    rng = random.Random(2929)
+    for n in range(6, 13):
+        pairs = edge_pair_order(n)
+        order = rng.sample(range(n), n)
+        links = [pairs.index(tuple(sorted(e))) for e in zip(order, order[1:] + order[:1])]
+        graphs += [(n, sum(1 << i for i in links[:k])) for k in (n - 1, n - 2, n)]
+    for n, emask in graphs:
+        assert _structure(_edge_mask_adj(edge_pair_order(n), n, emask), n) == _naive_structure(n, emask), (n, emask)
+    assert _structure([], 0)[2] == 0  # the empty graph is no path
 
 
 def test_batch_structure_matches_the_per_graph_kernels():
@@ -94,7 +115,7 @@ def test_batch_structure_matches_the_per_graph_kernels():
     for n, base, b in batches:
         pairs = edge_pair_order(n)
         got = _batch_structure(pairs, n, base, b)
-        assert got == [_structure(pairs, n, base + g) for g in range(1 << b)], (n, base, b)
+        assert got == [_structure(_edge_mask_adj(pairs, n, base + g), n) for g in range(1 << b)], (n, base, b)
 
 
 def test_all_min_sets_forcing_examples():

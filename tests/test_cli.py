@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import everywhere
 from zfpoly import parallel, sweeps
 from zfpoly.cli import main
 
@@ -166,6 +167,31 @@ def test_check_summary_names_the_seed_and_jobs(capsys, jobs):
     assert list(summary) == ["record", "suite", "max_n", "seed", "jobs", "graphs_checked", "failures", "warnings",
                              "passed", "elapsed_s"]
     assert (summary["seed"], summary["jobs"], summary["max_n"]) == (5, jobs, 3)
+
+
+def _top_coefficient_plus_one(zf, closed, coeffs):
+    return zf, closed, [*coeffs[:-1], coeffs[-1] + 1]
+
+
+def test_check_prints_a_line_per_failure_and_exits_one(capsys, plant):
+    plant(everywhere(_top_coefficient_plus_one))
+    code, out, _ = run(capsys, "check", "--suite", "extremal", "--max-n", "3")
+    assert code == 1
+    *lines, summary = [json.loads(line) for line in out.strip().splitlines()]
+    assert all(list(line) == ["record", "check", "n", "graph", "detail"] and line["record"] == "failure"
+               for line in lines)
+    assert lines and len(lines) == summary["failures"]
+    assert (summary["record"], summary["passed"], summary["warnings"]) == ("summary", False, 0)
+
+
+def test_check_warnings_never_fail_the_run(capsys, plant):
+    # the raised top coefficient exceeds the path's, a conjecture warning
+    plant(everywhere(_top_coefficient_plus_one))
+    code, out, _ = run(capsys, "check", "--suite", "conjectures", "--max-n", "3")
+    assert code == 0
+    *lines, summary = [json.loads(line) for line in out.strip().splitlines()]
+    assert lines and {line["record"] for line in lines} == {"warning"}
+    assert (len(lines), summary["failures"], summary["passed"]) == (summary["warnings"], 0, True)
 
 
 def _stub_sweep(monkeypatch):

@@ -27,7 +27,7 @@ from zfpoly import (
 from zfpoly import polynomial, sweeps
 from zfpoly.forts import _batch_cover_sizes, _batch_fort_definition, _fort_bits, _fort_definition_bits, _fort_family
 from zfpoly.graphs import edge_pair_order
-from zfpoly.polynomial import _batch_bits, _batch_edges, _blocks, _chunk_planes, _closure_tally
+from zfpoly.polynomial import _batch_bits, _batch_edges, _blocks, _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
 
@@ -187,7 +187,7 @@ def test_batch_fort_definition_matches_the_naive_forts_on_every_graph():
 
 def _cover_of(fort_bits, n):
     """The flat cover kernel on one graph's 2^n-bit fort table (b = 0)."""
-    return _batch_cover_sizes(fort_bits, _chunk_planes(n)[1], n, 0)[0]
+    return _batch_cover_sizes(fort_bits, n, 0)[0]
 
 
 def _fewest_meeting_all(n, sets):
@@ -210,7 +210,7 @@ def test_batch_cover_sizes_match_the_cover_size():
         for family in families:
             blocks = _blocks(family, n, b)
             want = [_fewest_meeting_all(n, [f for f in range(1 << n) if block >> f & 1]) for block in blocks]
-            assert _batch_cover_sizes(family, planes, n, b) == want, (n, base)
+            assert _batch_cover_sizes(family, n, b) == want, (n, base)
             assert [_cover_of(block, n) for block in blocks] == want, (n, base)
 
 

@@ -414,14 +414,18 @@ def test_the_batch_path_reads_the_structure_kernel(monkeypatch):
 
 
 def test_check_one_tests_for_a_path_once(monkeypatch):
-    # the path flag is read off the z(G;1) of _extremal_coefficients
+    # the path flag and connectivity come from one _structure call per graph
     calls = []
-    real = analysis._is_path_graph
-    for module in (analysis, sweeps):  # a sweeps copy, if any, is called directly
-        monkeypatch.setattr(module, "_is_path_graph", lambda adj, n: calls.append(n) or real(adj, n), raising=False)
-    for emask in (0, edge_mask(path(7)), edge_mask(cycle(7)), (1 << 21) - 1, 0b101101011010110100101):
+    real = sweeps._structure
+    monkeypatch.setattr(sweeps, "_structure", lambda adj, n: calls.append(n) or real(adj, n))
+    emasks = (0, edge_mask(path(7)), edge_mask(cycle(7)), (1 << 21) - 1, 0b101101011010110100101)
+    for emask in emasks:
         assert sweeps._check_one(frozenset(CHECK_KEYS), 7, emask) == ()
     assert calls == [7] * 5
+    # and what the extremal check compares is that call's row
+    monkeypatch.setattr(sweeps, "_structure", lambda adj, n: (real(adj, n)[0] + 1, *real(adj, n)[1:]))
+    for emask in emasks:
+        assert [detail[:10] for _, detail in sweeps._check_one(frozenset({"extremal"}), 7, emask)] == ["size n-1: "]
 
 
 def test_check_one_builds_the_adjacency_once_on_a_disconnected_graph(monkeypatch):
@@ -603,6 +607,32 @@ def test_closed_forms_suite_small():
     checked, records = run_closed_forms_suite(max_n=8)
     assert records == []
     assert checked > 100
+
+
+# One fault per check of the closed-forms suite: the name in sweeps that it
+# replaces, and the replacement, made from the real one.
+CLOSED_FORM_FAULTS = {
+    "family-path": ("path", lambda real: complete),
+    "family-cycle": ("cycle", lambda real: path),
+    "family-complete": ("complete", lambda real: empty),
+    "family-wheel": ("poly_wheel", lambda real: poly_complete),
+    "family-multipartite": ("complete_multipartite", lambda real: lambda parts: complete(sum(parts))),
+    "consecutive-selections": ("count_consecutive_selections", lambda real: lambda n, k, m: real(n, k, m) + (k == n)),
+    # not a chorded cycle: a 5-cycle with a chord has the cycle's polynomial
+    "chord-invariance": ("cycle_plus_chord", lambda real: lambda n, i, j: path(n)),
+    "threshold-permutation": ("same_poly_threshold_family",
+                              lambda real: lambda k: [*real(k)[:-1], ("1", poly_path(1))]),
+    "threshold-poly": ("poly_threshold", lambda real: lambda b: poly_path(len(b))),
+    "threshold-zfs-check": ("_threshold_zfs_bits", lambda real: lambda b: real(b) ^ 1),  # the empty set forces
+}
+
+
+@pytest.mark.parametrize("check", CLOSED_FORM_FAULTS)
+def test_each_closed_forms_check_reports_its_own_fault(monkeypatch, check):
+    name, fault = CLOSED_FORM_FAULTS[check]
+    monkeypatch.setattr(sweeps, name, fault(getattr(sweeps, name)))
+    _, records = run_closed_forms_suite(max_n=7, jobs=1)
+    assert records and {r["check"] for r in records} == {check}
 
 
 def test_expected_cycle_class_sizes():
