@@ -15,13 +15,20 @@ are the sweep's own batches at n = 6 and batches of 2^10 graphs at n = 7
 drawn with the fixed seed N7_SEED; ``--batches N`` keeps the first N of
 each.  Each side's process memos (``sweeps._tallies``, where the side has
 it) are emptied before every timed call, so that no call reads what an
-earlier one left there.
+earlier one left there.  Before anything is timed, each side runs every
+check once on the batch of each order that holds the labeled n-cycle, at
+the timed width, so that every lazy per-order constant is built, whatever
+graph or width builds it.
 
 ``sweep.n6`` then times SWEEP_PASSES passes of every check over the n = 6
 batches: each pass starts both sides from emptied memos, runs each batch on
 both sides, the side that runs first alternating from batch to batch, and
 keeps the ratio of the sides' totals, which is what a memo kept across the
-batches of a sweep saves.
+batches of a sweep saves.  ``random_sweep.n7`` times the per-graph path, the
+call that the benchmark's corpus-n7 workload times: SWEEP_PASSES passes of
+``random_sweep(CHECK_KEYS, [spec])`` over CORPUS_SPECS uniform labeled
+n = 7 graphs drawn with N7_SEED, alternating the side that runs first spec
+by spec, with the ratio of the sides' totals per pass.
 
 Per kernel and order the summary gives the median ratio, the calls the change
 won (ratio below 1), the call count and the exact two-sided sign-test p-value
@@ -52,8 +59,9 @@ from statistics import median
 from time import perf_counter_ns
 
 N7_BATCH_BITS = 10
-N7_SEED = 2601  # seed of the n = 7 batches
+N7_SEED = 2601  # seed of the n = 7 batches and specs
 SWEEP_PASSES = 16
+CORPUS_SPECS = 1000
 
 
 def load_sweeps(tree: Path, name: str):
@@ -90,6 +98,18 @@ def batches(sweeps, count: int) -> list[tuple[int, int, int]]:
             + [(7, N7_BATCH_BITS, rng.randrange(0, 1 << 21, 1 << N7_BATCH_BITS)) for _ in range(count)])
 
 
+def corpus(count: int) -> list[tuple[int, int]]:
+    """count uniform labeled n = 7 graph specs, drawn with N7_SEED."""
+    rng = random.Random(N7_SEED)
+    return [(7, rng.getrandbits(comb(7, 2))) for _ in range(count)]
+
+
+def cycle_batch(sweeps, n: int, b: int) -> int:
+    """The base of the batch of 2^b graphs that holds the n-cycle 0-1-...-(n-1)-0."""
+    cycle = sum(1 << i for i, (u, v) in enumerate(sweeps.edge_pair_order(n)) if v - u in (1, n - 1))
+    return cycle >> b << b
+
+
 def kernels(keys) -> dict:
     """The check set of each timed kernel, from the check keys."""
     keys = frozenset(keys)
@@ -116,14 +136,36 @@ def timed(sides: dict, order: tuple, call) -> tuple[float, bool]:
     return ns["change"] / ns["parent"], results["parent"] != results["change"]
 
 
-def run(sides: dict, work: list[tuple[int, int, int]]) -> tuple[dict, int]:
-    """Per kernel and order, the change/parent time ratio of each call, and
-    of each pass under sweep.n6, and the number of calls and passes whose
-    records differ."""
-    sets = kernels(sides["change"].CHECK_KEYS)
-    for n in sorted({n for n, _, _ in work}):  # build each side's per-order constants untimed
+def passes(sides: dict, calls: list, run_one) -> tuple[list[float], int]:
+    """The change/parent ratio of the sides' totals over calls, run_one(
+    sweeps, call) for each, in each of SWEEP_PASSES passes that start both
+    sides from emptied memos and alternate the side that runs first call by
+    call, and the number of passes whose results differ."""
+    ratios, mismatches = [], 0
+    for i in range(SWEEP_PASSES):
         for sweeps in sides.values():
-            sweeps._check_batch(sets["all"], n, 0, 0)
+            clear_memos(sweeps)
+        ns, results = dict.fromkeys(sides, 0), {side: [] for side in sides}
+        for j, call in enumerate(calls):
+            for side in ("parent", "change") if (i + j) % 2 == 0 else ("change", "parent"):
+                t0 = perf_counter_ns()
+                results[side].append(run_one(sides[side], call))
+                ns[side] += perf_counter_ns() - t0
+        mismatches += results["parent"] != results["change"]
+        ratios.append(ns["change"] / ns["parent"])
+    return ratios, mismatches
+
+
+def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, int]]) -> tuple[dict, int]:
+    """Per kernel and order, the change/parent time ratio of each call, and
+    of each pass under sweep.n6 and random_sweep.n7, and the number of calls
+    and passes whose records differ."""
+    sets = kernels(sides["change"].CHECK_KEYS)
+    for n, b in sorted({(n, b) for n, b, _ in work}):  # build each side's lazy per-order constants untimed
+        for sweeps in sides.values():
+            sweeps._check_batch(sets["all"], n, b, cycle_batch(sweeps, n, b))
+    for sweeps in sides.values():
+        sweeps.random_sweep(sets["all"], specs[:1])
     ratios: dict = {}
     mismatches = 0
     for i, (n, b, base) in enumerate(work):
@@ -133,17 +175,11 @@ def run(sides: dict, work: list[tuple[int, int, int]]) -> tuple[dict, int]:
             mismatches += differ
             ratios.setdefault(f"sweeps._check_batch.{kernel}.n{n}", []).append(ratio)
     sweep = [(n, b, base) for n, b, base in work if n == 6]
-    for i in range(SWEEP_PASSES):
-        for sweeps in sides.values():
-            clear_memos(sweeps)
-        ns, records = dict.fromkeys(sides, 0), {side: [] for side in sides}
-        for j, batch in enumerate(sweep):
-            for side in ("parent", "change") if (i + j) % 2 == 0 else ("change", "parent"):
-                t0 = perf_counter_ns()
-                records[side].append(sides[side]._check_batch(sets["all"], *batch))
-                ns[side] += perf_counter_ns() - t0
-        mismatches += records["parent"] != records["change"]
-        ratios.setdefault("sweep.n6", []).append(ns["change"] / ns["parent"])
+    for name, calls, run_one in (
+            ("sweep.n6", sweep, lambda sweeps, batch: sweeps._check_batch(sets["all"], *batch)),
+            ("random_sweep.n7", specs, lambda sweeps, spec: sweeps.random_sweep(sets["all"], [spec]))):
+        ratios[name], differ = passes(sides, calls, run_one)
+        mismatches += differ
     return ratios, mismatches
 
 
@@ -162,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.batches < 1:
         parser.error("--batches must be at least 1")
     sides = {side: load_sweeps(getattr(args, side), f"zfpoly_{side}") for side in ("parent", "change")}
-    ratios, mismatches = run(sides, batches(sides["change"], args.batches))
+    ratios, mismatches = run(sides, batches(sides["change"], args.batches), corpus(CORPUS_SPECS))
     summary = {name: summarize(values) for name, values in ratios.items()}
     for name, row in summary.items():
         print(f"{name:40} ratio {row['median_ratio']:.3f}  won {row['change_wins']}/{row['calls']}"

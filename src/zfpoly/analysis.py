@@ -39,6 +39,12 @@ def _structure(adj: Sequence[int], n: int) -> tuple[int, int, int, int]:
     return second, third, int(path), int(connected)
 
 
+def _size_one_count(n: int, is_path: int) -> int:
+    """z(G;1) by structure: the lone vertex forces at n = 1; otherwise a
+    path has its two ends and every other graph none."""
+    return 1 if n == 1 else 2 * is_path
+
+
 def is_path_graph(g: Graph) -> bool:
     """Structural path test: connected, max degree <= 2, some vertex of degree <= 1."""
     return bool(_structure(g.adj, g.n)[2])
@@ -102,7 +108,7 @@ def extremal_coefficients(g: Graph) -> tuple[int, int, int, int]:
     if g.n < 1:
         raise ValueError("requires a nonempty graph")
     second, third, is_path, _ = _structure(g.adj, g.n)
-    return 1, second, third, 1 if g.n == 1 else 2 * is_path
+    return 1, second, third, _size_one_count(g.n, is_path)
 
 
 def all_min_sets_forcing(g: Graph) -> bool:

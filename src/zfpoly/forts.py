@@ -25,7 +25,8 @@ from typing import Sequence
 
 from .closed_forms import binom, poly_path
 from .graphs import Graph, mask_of, vertices_of
-from .polynomial import _blocks, _chunk_constants, _chunk_planes, _flag_table, _zero_forcing_number
+from .polynomial import (_block_counts, _block_levels, _blocks, _chunk_constants, _chunk_planes, _flag_table,
+                         _zero_forcing_number)
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,14 @@ def _fort_bits(closed: int, n: int) -> int:
     size = 1 << n
     raw = closed.to_bytes(max(1, size >> 3), "big").translate(_REVERSED_BYTE)
     return int.from_bytes(raw, "little") >> max(0, 8 - size) & ~1
+
+
+def _batch_fort_bits(closed: int, n: int, b: int) -> list[int]:
+    """_fort_bits of each 2^n-bit block of a 2^(n+b)-bit table of closed
+    bits, lowest block first, from one reversal of the whole table: it takes
+    block g to block 2^b - 1 - g, and the bit of V in each block to lane 0,
+    the empty mask, which is cleared."""
+    return _blocks(_fort_bits(closed, n + b) & ~_block_levels(n, b)[0], n, b)[::-1]
 
 
 def _fort_family(fort_bits: int, n: int) -> FortFamily:
@@ -137,10 +146,22 @@ def _batch_cover_sizes(forts: int, n: int, b: int) -> list[int]:
     out as by _batch_fort_definition (at b = 0, one graph's fort table):
     n minus the largest mask that holds none, as S meets them all iff V - S
     holds none.  Every block is closed upward at once."""
-    for i, plane in enumerate(_chunk_planes(n + b)[1][:n]):  # a shift by 2^i that lands on plane i stays in its block
+    ones, planes = _chunk_planes(n + b)
+    for i, plane in enumerate(planes[:n]):  # a shift by 2^i that lands on plane i stays in its block
         forts |= forts << (1 << i) & plane
-    levels = _chunk_constants(n)[2]  # the empty mask holds no fort, so each block has a free level
-    return [n - next(j for j in range(n, -1, -1) if c & levels[j] != levels[j]) for c in _blocks(forts, n, b)]
+    if not b:  # one graph: the per-graph path's scan from the top level down
+        levels = _chunk_constants(n)[2]  # the empty mask holds no fort, so some level is not all forts
+        return [n - next(j for j in range(n, -1, -1) if forts & levels[j] != levels[j])]
+    # The fort-free masks are closed downward, so a block's largest has as
+    # many vertices as the levels j >= 1 that hold one: lane j of found.
+    levels = _block_levels(n, b)
+    free, found = ones ^ forts, 0
+    for j in range(1, n + 1):
+        held = free & levels[j]
+        for i in range(n):
+            held |= held >> (1 << i)  # lane 0 of a block gathers lanes 0 to 2^n - 1 of it
+        found |= (held & levels[0]) << j
+    return [n - j for j in _block_counts(found, n, b)]
 
 
 def _min_cover(zf: int, coeffs: Sequence[int], n: int) -> tuple[int, int]:

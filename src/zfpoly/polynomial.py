@@ -194,6 +194,37 @@ def _unblocks(blocks: Sequence[int], k: int) -> int:
     return int.from_bytes(b"".join(block.to_bytes(width, "little") for block in blocks), "little")
 
 
+@cache
+def _block_levels(k: int, c: int) -> tuple[int, ...]:
+    """The levels of _chunk_constants(k) in each of the 2^c blocks of 2^k
+    bits of a 2^(k+c)-bit table: bit g << k | m of level j is set iff m has
+    j bits.  Level 0 marks the empty mask, lane 0, of every block."""
+    levels = []
+    for level in _chunk_constants(k)[2]:
+        for i in range(k, k + c):
+            level |= level << (1 << i)
+        levels.append(level)
+    return tuple(levels)
+
+
+def _block_counts(table: int, k: int, c: int) -> Sequence[int]:
+    """The set bits of each 2^k-bit block of a 2^(k+c)-bit table, lowest
+    block first; 3 <= k <= 7 unless c = 0.  SWAR adds leave each byte its
+    own count, and k - 3 shifted adds sum the bytes of each block into its
+    low byte; each sum covers at most 2^k <= 128 bits, so none carries into
+    the next byte."""
+    if not c:
+        return (table.bit_count(),)
+    ones, planes = _chunk_planes(k + c)
+    pairs, nibbles, octets = (ones ^ plane for plane in planes[:3])  # 0x55.., 0x33.., 0x0f..
+    table -= table >> 1 & pairs
+    table = (table & nibbles) + (table >> 2 & nibbles)
+    table = (table + (table >> 4)) & octets
+    for i in range(3, k):
+        table += table >> (1 << i)
+    return table.to_bytes(1 << (k + c - 3), "little")[::1 << (k - 3)]
+
+
 def _close_up(z: int, moves: Sequence[tuple[int, int]]) -> int:
     """The least superset of z closed under z |= f & z >> shift for each
     (shift, f) in moves: a lane where a force into w applies is set once the
@@ -333,9 +364,9 @@ def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) ->
     for plane in planes[:n]:
         z &= plane  # V forces every vertex
     z = _close_up(z, [(1 << w, f) for w, f in enumerate(moves) if f])
-    levels = _chunk_constants(n)[2]
-    return [(zf, closed, [(zf & level).bit_count() for level in levels])
-            for zf, closed in zip(_blocks(z, n, b), _blocks(ones ^ union, n, b))]
+    counts = zip(*(_block_counts(z & level, n, b) for level in _block_levels(n, b)))  # per graph, per level
+    return [(zf, closed, list(coeffs))
+            for zf, closed, coeffs in zip(_blocks(z, n, b), _blocks(ones ^ union, n, b), counts)]
 
 
 def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
@@ -378,8 +409,24 @@ def count_zfs(g: Graph, size: int) -> int:
 
 
 def _induced_adj(adj: Sequence[int], mask: int) -> list[int]:
-    verts = vertices_of(mask)
-    return [sum(1 << i for i, u in enumerate(verts) if adj[v] >> u & 1) for v in verts]
+    """The adjacency induced by mask, relabeled to 0..k-1 in vertex order:
+    each maximal run of consecutive vertices of mask moves down to its new
+    labels with one mask and one shift."""
+    runs = []  # (a run's vertices, the shift down to their new labels)
+    rest, below = mask, 0
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)  # the carry clears the lowest run and stops above it
+        runs.append((run, low.bit_length() - 1 - below))
+        below += run.bit_count()
+        rest ^= run
+    out = []
+    for v in vertices_of(mask):
+        nbrs, sub = adj[v], 0
+        for run, shift in runs:
+            sub |= (nbrs & run) >> shift
+        out.append(sub)
+    return out
 
 
 def induced_subgraph(g: Graph, mask: int) -> Graph:

@@ -8,11 +8,12 @@ for a fixed seed regardless of worker count.
 from __future__ import annotations
 
 import random
-from functools import cache, partial
+from functools import cache, cached_property, partial
+from itertools import permutations
 from math import comb
 from time import perf_counter
 
-from .analysis import _batch_structure, _hall_ok, _structure, same_poly_threshold_family
+from .analysis import _batch_structure, _hall_ok, _size_one_count, _structure, same_poly_threshold_family
 from .closed_forms import (
     _threshold_zfs_bits,
     count_consecutive_selections,
@@ -24,7 +25,7 @@ from .closed_forms import (
     poly_wheel,
 )
 from .forcing import _lane_forcers, _lane_reversals, _sweep
-from .forts import _batch_cover_sizes, _batch_fort_definition, _fort_bits, _fort_definition_bits
+from .forts import _batch_cover_sizes, _batch_fort_bits, _batch_fort_definition, _fort_bits, _fort_definition_bits
 from .graphs import (
     LABELED_ENUM_MAX,
     Graph,
@@ -116,6 +117,17 @@ class _GraphContext:
         self.cycle_coeffs = poly_cycle(n).coeffs if 3 <= n <= EXHAUSTIVE_MAX_N else None
         self.cycle_class = expected_cycle_class(n) if self.cycle_coeffs else []
 
+    @cached_property
+    def cycle_orbit(self) -> frozenset[int]:
+        """The edge masks of every labeling of a graph of cycle_class, built
+        on first use (960 at n = 6, 5,400 at n = 7): the batch path's test of
+        the cycle class, which _check_one makes with is_isomorphic."""
+        bit = [[0] * self.n for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.pairs):
+            bit[u][v] = bit[v][u] = 1 << i
+        return frozenset(sum(bit[p[u]][p[v]] for u, v in g.edges())
+                         for g in self.cycle_class for p in permutations(range(self.n)))
+
 
 @cache
 def _context(n: int) -> _GraphContext:
@@ -130,9 +142,18 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     structure = _structure(adj, n) if checks & STRUCTURE_CHECKS else None
     definition = _fort_definition_bits(adj, n) if checks & FORT_CHECKS else 0
     size = _batch_cover_sizes(definition, n, 0)[0] if "ip" in checks else None
-    table = _closure_tally(adj, n)
-    return _check_table(checks, n, emask, *table, structure, definition, size,
-                        partial(_unreversed, adj, table[0]), _component_tally, _coefficient_facts, adj)
+    zf, closed, coeffs = _closure_tally(adj, n)
+    forts = _fort_bits(closed, n) if checks & FORT_CHECKS else 0
+    return _check_table(checks, n, emask, zf, forts, coeffs, structure, definition, size,
+                        partial(_unreversed, adj, zf), partial(_in_cycle_class, adj), _component_tally,
+                        _coefficient_facts, adj)
+
+
+def _in_cycle_class(adj: list[int], emask: int) -> bool:
+    """Whether the graph of adj, edge mask emask, is isomorphic to a graph of
+    the cycle class list: _check_one's oracle of the batch path's orbit."""
+    g = Graph(len(adj), tuple(adj))
+    return any(is_isomorphic(g, h) for h in _context(g.n).cycle_class)
 
 
 def _unreversed(adj: list[int], zf: int, minimum: int) -> int:
@@ -149,18 +170,22 @@ def _unreversed(adj: list[int], zf: int, minimum: int) -> int:
 def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int, list[tuple[str, str]]]]:
     """Run the requested checks on the 2^b graphs of one batch, edge masks
     base on; returns (edge mask, (check, detail) pairs) of each graph that
-    fails.  The flag tables, structures, forts and reversals are built for
-    the batch, each distinct coefficient vector's facts are found once per
-    call, and each distinct component is tallied once per process."""
+    fails.  The flag tables, structures, forts, cover sizes and reversals
+    are built for the batch, the tables' forts with one reversal of the
+    batch's closed bits, the cycle class is read off the orbit of its list,
+    each distinct coefficient vector's facts are found once per call, and
+    each distinct component is tallied once per process."""
     ctx = _context(n)
     tables = _batch_tally(ctx.pairs, n, base, b)
     edges = _batch_edges(ctx.pairs, n, base, b)
-    definitions = sizes = unreversed = [None] * len(tables)
+    forts = definitions = sizes = unreversed = [None] * len(tables)
     structures = _batch_structure(ctx.pairs, n, base, b) if checks & STRUCTURE_CHECKS else sizes
     if checks & FORT_CHECKS:
-        forts = _batch_fort_definition(*edges)
-        definitions = _blocks(forts, n, b)
-        sizes = _batch_cover_sizes(forts, n, b) if "ip" in checks else sizes
+        forts = _batch_fort_bits(_unblocks([table[1] for table in tables], n), n, b)
+        definition = _batch_fort_definition(*edges)
+        definitions = _blocks(definition, n, b)
+        sizes = _batch_cover_sizes(definition, n, b) if "ip" in checks else sizes
+    cyclic = ctx.cycle_orbit.__contains__ if "recognizability" in checks else None
     if "reversal" in checks:
         zf = _unblocks([table[0] for table in tables], n)
         failing = zf & ~_lane_reversals(zf, edges[0], _lane_forcers(*edges))  # zero forcing lanes that fail
@@ -168,10 +193,11 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
             unreversed = [block.__and__ for block in _blocks(failing, n, b)]
     facts = cache(_coefficient_facts)  # a memo of this call alone
     failed = []
-    rows = zip(tables, structures, definitions, sizes, unreversed)
-    for g, (table, structure, definition, size, unrev) in enumerate(rows):
+    rows = zip(tables, forts, structures, definitions, sizes, unreversed)
+    for g, ((zf, _, coeffs), fort, structure, definition, size, unrev) in enumerate(rows):
         emask = base + g
-        bad = _check_table(checks, n, emask, *table, structure, definition, size, unrev, _tallies, facts)
+        bad = _check_table(checks, n, emask, zf, fort, coeffs, structure, definition, size, unrev, cyclic,
+                           _tallies, facts)
         if bad:
             failed.append((emask, bad))
     return failed
@@ -210,15 +236,18 @@ def _coefficient_facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
             coeffs == ctx.path_coeffs, coeffs == ctx.complete_coeffs, coeffs == ctx.cycle_coeffs)
 
 
-def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, coeffs: list[int],
-                 structure: tuple | None, definition: int, size: int | None, unreversed,
+def _check_table(checks: frozenset, n: int, emask: int, zf: int, forts: int | None, coeffs: list[int],
+                 structure: tuple | None, definition: int, size: int | None, unreversed, cyclic,
                  tally, facts, adj: list[int] | None = None) -> list[tuple[str, str]] | tuple[()]:
-    """The checks of one labeled graph, given its flag table, its structure
-    (None unless a check of STRUCTURE_CHECKS runs), the forts by definition,
-    size, their cover size when ip runs, unreversed(minimum), the lowest at
-    least of the minimum sets (a bit per mask) whose chain terminals do not
-    force, or None when every zero forcing set's do, tally(component
-    adjacency), its coefficients, facts, _coefficient_facts or a memo of it
+    """The checks of one labeled graph, given its zero forcing bits, the
+    forts its flag table derives (_fort_bits of its closed bits; read only
+    by FORT_CHECKS), its coefficients, its structure (None unless a check of
+    STRUCTURE_CHECKS runs), the forts by definition, size, their cover size
+    when ip runs, unreversed(minimum), the lowest at least of the minimum
+    sets (a bit per mask) whose chain terminals do not force, or None when
+    every zero forcing set's do, cyclic(emask), whether the graph is in the
+    cycle class list up to isomorphism, tally(component adjacency), the
+    component's coefficients, facts, _coefficient_facts or a memo of it
     (not called when every check is in FACT_FREE_CHECKS), and adj, the
     caller's adjacency or None, in which case only the checks that read the
     adjacency build it, from emask.  Records come in CHECK_KEYS order."""
@@ -229,7 +258,7 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
 
     if "extremal" in checks:
         second, third, is_path, _ = structure
-        z1 = 1 if n == 1 else 2 * is_path
+        z1 = _size_one_count(n, is_path)
         if coeffs[n] != 1:
             bad.append(("extremal", f"top coefficient {coeffs[n]} != 1"))
         if coeffs[n - 1] != second:
@@ -251,28 +280,27 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
             bad.append(("multiplicativity", "component product differs from direct enumeration"))
 
     if checks & FORT_CHECKS:
-        fort_bits = _fort_bits(closed, n)
         # Complements of proper closed sets are avoided by no zero forcing
         # set (closure is monotone), so the fort theorems hold of the forts
         # only if the table derives exactly them: every fort and nothing
         # else.  Check both directions against a table built from the
         # definition alone.
-        diff = fort_bits ^ definition
+        diff = forts ^ definition
         if diff:
             f = (diff & -diff).bit_length() - 1
-            if fort_bits >> f & 1:
+            if forts >> f & 1:
                 bad.append(("fort-transversal", f"derived set {f:#x} is not a fort"))
             else:
                 bad.append(("fort-transversal", f"fort {f:#x} is missing from the table"))
 
     if "fort-count-bound" in checks:
-        count = fort_bits.bit_count()
+        count = forts.bit_count()
         if count > (1 << n) - zfs_count:
             bad.append(("fort-count-bound", f"{count} forts > 2^n - {zfs_count}"))
 
     if "ip" in checks:
         if diff:  # the definition's cover is the table's only where their forts agree
-            size = _batch_cover_sizes(fort_bits, n, 0)[0]
+            size = _batch_cover_sizes(forts, n, 0)[0]
         if size > z:
             bad.append(("ip", f"no fort cover of size {z}, the zero forcing number"))
         elif size < z:
@@ -295,10 +323,8 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, closed: int, co
             bad.append(("recognizability", "path polynomial does not characterize paths"))
         if is_completec != (emask == ctx.full_edges):
             bad.append(("recognizability", "complete polynomial does not characterize complete graphs"))
-        if is_cyclec:
-            g = Graph(n, tuple(adj or _edge_mask_adj(ctx.pairs, n, emask)))
-            if not any(is_isomorphic(g, h) for h in ctx.cycle_class):
-                bad.append(("recognizability", "cycle polynomial outside the listed cycle class"))
+        if is_cyclec and not cyclic(emask):
+            bad.append(("recognizability", "cycle polynomial outside the listed cycle class"))
 
     if "reversal" in checks and unreversed:
         failing = unreversed(zf & _chunk_constants(n)[2][z])  # of the minimum zero forcing sets

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from test_acceptance import CRITERION_4_CHECKS, EXTRA_SWEEP_CHECKS
+from zfpoly.graphs import edge_pair_order
 from zfpoly.sweeps import CHECK_KEYS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -187,8 +188,9 @@ def test_ab_layers_times_each_costly_check_alone(ab_layers):
 
 @pytest.mark.parametrize("planted, status", [([], 0), ([(5, [("hall", "planted")])], 1)], ids=["equal", "differ"])
 def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch, tmp_path, planted, status):
-    # stub checkouts: the change reports planted records on every batch with
-    # checks, and only it has a process memo, which each timed call empties
+    # stub checkouts: the change reports planted records on every batch and
+    # every graph with checks, and only it has a process memo, which each
+    # timed call empties
     calls = []
     memo = SimpleNamespace(cache_clear=lambda: calls.append("clear"))
 
@@ -196,34 +198,50 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
         def check_batch(checks, n, b, base):
             calls.append((n, b, base))
             return records if checks else []
+
+        def random_sweep(checks, specs):
+            calls.append(specs[0])
+            return len(specs), records if checks else []
         return SimpleNamespace(CHECK_KEYS=("hall", "reversal"), _batch_bits=lambda n: 9,
-                               _check_batch=check_batch, **memos)
+                               edge_pair_order=edge_pair_order, _check_batch=check_batch,
+                               random_sweep=random_sweep, **memos)
 
     sides = {"zfpoly_parent": fake_sweeps([]), "zfpoly_change": fake_sweeps(planted, _tallies=memo)}
     monkeypatch.setattr(ab_layers, "load_sweeps", lambda tree, name: sides[name])
     monkeypatch.setattr(ab_layers, "git_sha", lambda tree: None)
+    monkeypatch.setattr(ab_layers, "CORPUS_SPECS", 3)
     out = tmp_path / "layers.json"
     out.write_text('{"workloads": {}}')
     argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--batches", "2", "--out", str(out)]
     assert ab_layers.main(argv) == status
     doc = json.loads(out.read_text())
     # 4 batches, each under the three kernels with checks (multiplicativity
-    # is no key of the stubs), and the sweep passes
+    # is no key of the stubs), the sweep passes and the per-graph passes
     passes = ab_layers.SWEEP_PASSES
-    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + passes) * status
+    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 2 * passes) * status
     kernels = ("none", "criterion-4", "all", "reversal", "multiplicativity")
     assert {name: row["calls"] for name, row in doc["layers"]["kernels"].items()} == {
-        **{f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in kernels}, "sweep.n6": passes}
-    # one untimed call per side and order, then both sides on 2 sweep batches
-    # at n = 6 and 2 of 2^10 at n = 7, then the passes over the 2 at n = 6,
-    # each from an emptied memo and batch by batch on both sides
-    assert calls[:4] == [(6, 0, 0)] * 2 + [(7, 0, 0)] * 2
-    timed, sweep = calls[4:-5 * passes], calls[-5 * passes:]
+        **{f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in kernels},
+        "sweep.n6": passes, "random_sweep.n7": passes}
+    # untimed, per side: every check on the batch of each order that holds
+    # the n-cycle, at the timed width, and one per-graph call; then both
+    # sides on 2 sweep batches at n = 6 and 2 of 2^10 at n = 7, then the
+    # passes over the 2 at n = 6 and over the 3 specs at n = 7, each from an
+    # emptied memo and call by call on both sides
+    specs = ab_layers.corpus(3)
+    cycles = [(n, b, ab_layers.cycle_batch(sides["zfpoly_change"], n, b)) for n, b in ((6, 9), (7, 10))]
+    assert cycles[0] == (6, 9, 0b101001000110001 >> 9 << 9)  # the edges 01, 05, 12, 23, 34 and 45
+    assert calls[:6] == [cycles[0]] * 2 + [cycles[1]] * 2 + [specs[0]] * 2
+    per_graph = 7 * passes
+    timed = calls[6:-5 * passes - per_graph]
+    sweep, corpus = calls[-5 * passes - per_graph:-per_graph], calls[-per_graph:]
     assert timed.count("clear") == 4 * len(kernels)  # before each of the change's timed calls
     batches = [c for c in timed if c != "clear"]
     assert [c for c in batches if c[0] == 6] == [(6, 9, 0)] * 10 + [(6, 9, 512)] * 10
     assert all(b == 10 and base % 1024 == 0 for n, b, base in batches if n == 7)
     assert sweep == ["clear", (6, 9, 0), (6, 9, 0), (6, 9, 512), (6, 9, 512)] * passes
+    assert corpus == ["clear", *(spec for spec in specs for _ in range(2))] * passes
+    assert all(n == 7 and 0 <= emask < 1 << 21 for n, emask in specs)
 
 
 def test_ab_layers_loads_each_checkout_as_its_own_package(ab_layers, monkeypatch):

@@ -25,9 +25,10 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import polynomial, sweeps
-from zfpoly.forts import _batch_cover_sizes, _batch_fort_definition, _fort_bits, _fort_definition_bits, _fort_family
+from zfpoly.forts import (_batch_cover_sizes, _batch_fort_bits, _batch_fort_definition, _fort_bits,
+                          _fort_definition_bits, _fort_family)
 from zfpoly.graphs import edge_pair_order
-from zfpoly.polynomial import _batch_bits, _batch_edges, _blocks, _closure_tally
+from zfpoly.polynomial import _batch_bits, _batch_edges, _batch_tally, _blocks, _closure_tally, _unblocks
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
 
@@ -183,6 +184,19 @@ def test_batch_fort_definition_matches_the_naive_forts_on_every_graph():
     for n, base, b in batches:
         got = _batch_definitions(n, base, b)
         assert got == [_naive_fort_bits(graph_from_edge_mask(n, base + g)) for g in range(1 << b)], (n, base)
+
+
+def test_batch_fort_bits_match_the_per_graph_fort_bits():
+    # one reversal of a batch's closed bits gives each graph the forts of
+    # its own: every batch with n <= 6 at the sweep's widths (one graph at a
+    # time below n = 3), and seeded batches of 2^10 graphs at n = 7
+    batches = [(n, base, _batch_bits(n)) for n in range(1, 7)
+               for base in range(0, 1 << comb(n, 2), 1 << _batch_bits(n))]
+    rng = random.Random(3107)
+    batches += [(7, rng.randrange(0, 1 << 21, 1 << 10), 10) for _ in range(3)]
+    for n, base, b in batches:
+        closed = [table[1] for table in _batch_tally(edge_pair_order(n), n, base, b)]
+        assert _batch_fort_bits(_unblocks(closed, n), n, b) == [_fort_bits(c, n) for c in closed], (n, base)
 
 
 def _cover_of(fort_bits, n):

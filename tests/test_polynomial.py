@@ -37,8 +37,9 @@ from zfpoly import (
     zf_polynomial_by_components,
 )
 from zfpoly import polynomial
-from zfpoly.graphs import _edge_mask_adj, edge_pair_order
-from zfpoly.polynomial import _batch_bits, _batch_tally, _blocks, _chunk_planes, _closure_tally, _lane_width, _unblocks
+from zfpoly.graphs import _edge_mask_adj, edge_pair_order, vertices_of
+from zfpoly.polynomial import (_batch_bits, _batch_tally, _blocks, _chunk_planes, _closure_tally, _induced_adj,
+                               _lane_width, _unblocks)
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
 
@@ -273,6 +274,20 @@ def test_induced_subgraph_relabels():
     g = path(5)
     sub = induced_subgraph(g, 0b11100)
     assert sub.n == 3 and sub.edges() == [(0, 1), (1, 2)]
+
+
+def test_induced_adj_matches_a_naive_relabel():
+    # seeded graphs and vertex masks of every density up to n = 64, the
+    # empty and the full mask among them
+    rng = random.Random(6464)
+    for trial in range(400):
+        n = rng.randint(1, 64)
+        adj = _edge_mask_adj(edge_pair_order(n), n, rng.getrandbits(n * (n - 1) // 2))
+        density = rng.random()
+        mask = [0, (1 << n) - 1][trial] if trial < 2 else sum(1 << v for v in range(n) if rng.random() < density)
+        verts = vertices_of(mask)
+        naive = [sum(1 << i for i, u in enumerate(verts) if adj[v] >> u & 1) for v in verts]
+        assert _induced_adj(adj, mask) == naive, (n, mask)
 
 
 def test_evaluate_examples():

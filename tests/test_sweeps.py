@@ -1,5 +1,6 @@
 import itertools
 import multiprocessing
+import random
 import re
 from math import comb
 
@@ -12,7 +13,7 @@ from zfpoly.closed_forms import poly_complete, poly_cycle, poly_path
 from zfpoly.graphs import (complete, cycle, disjoint_union, empty, from_edge_list, graph_from_edge_mask,
                            is_isomorphic, path, star)
 from zfpoly.parallel import parallel_map
-from zfpoly.polynomial import _closure_tally, zf_polynomial
+from zfpoly.polynomial import _batch_tally, _closure_tally, zf_polynomial
 from zfpoly.sweeps import (
     CHECK_KEYS,
     COEFFICIENT_CHECKS,
@@ -362,11 +363,12 @@ def test_coefficient_checks_read_only_the_coefficients(plant):
     records = sweeps._check_one(COEFFICIENT_CHECKS, n, emask)
     assert [check for check, _ in records] == ["zero-range", "hall", "unimodality", "path-bound"]
     every_set = (1 << (1 << n)) - 1
-    # K5's edges, every set but V forcing, every set closed, no fort by the
-    # definition, a cover of size 0, no minimum set whose reversal forces and
-    # every component [2]
-    garbage = (sweeps._context(n).full_edges, every_set ^ 1 << (1 << n) - 1, every_set, coeffs,
-               (0, 0, True, False), 0, 0, lambda minimum: minimum, lambda sub: [2], sweeps._coefficient_facts)
+    # K5's edges, every set but V forcing, every nonempty set a fort of the
+    # table and none by the definition, a cover of size 0, no minimum set
+    # whose reversal forces, no graph in the cycle class and every component [2]
+    garbage = (sweeps._context(n).full_edges, every_set ^ 1 << (1 << n) - 1, every_set ^ 1, coeffs,
+               (0, 0, True, False), 0, 0, lambda minimum: minimum, lambda emask: False, lambda sub: [2],
+               sweeps._coefficient_facts)
     assert sweeps._check_table(COEFFICIENT_CHECKS, n, *garbage) == records
     for check in sorted(set(CHECK_KEYS) - COEFFICIENT_CHECKS):
         checks = COEFFICIENT_CHECKS | {check}
@@ -652,6 +654,44 @@ def test_listed_cycle_class_is_distinct_and_shares_the_cycle_polynomial(n):
         assert not any(is_isomorphic(g, h) for h in listed[i + 1:])
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_cycle_orbit_is_every_labeling_of_the_listed_class(n):
+    # the batch path's orbit against is_isomorphic to a listed graph, the
+    # per-graph path's test: every labeled graph at n = 3-5, the graphs with
+    # the cycle polynomial at n = 6, and at n = 7 seeded masks, of which half
+    # relabel a listed graph
+    ctx = sweeps._context(n)
+
+    def listed(emask):
+        return any(is_isomorphic(graph_from_edge_mask(n, emask), h) for h in ctx.cycle_class)
+
+    orbit = ctx.cycle_orbit
+    assert len(orbit) == {3: 1, 4: 12, 5: 72, 6: 960, 7: 5400}[n]
+    if n <= 5:
+        assert orbit == {emask for emask in range(1 << comb(n, 2)) if listed(emask)}
+    elif n == 6:
+        target = list(poly_cycle(n).coeffs)
+        cyclic = {base + g for base in range(0, 1 << 15, 1 << 10)
+                  for g, (_, _, coeffs) in enumerate(_batch_tally(ctx.pairs, n, base, 10)) if coeffs == target}
+        assert cyclic == orbit
+        assert all(map(listed, cyclic))
+    else:
+        rng = random.Random(5400)
+        masks = [rng.getrandbits(comb(n, 2)) for _ in range(200)]
+        for _ in range(200):
+            p = rng.sample(range(n), n)
+            masks.append(edge_mask(from_edge_list(n, [(p[u], p[v]) for u, v in rng.choice(ctx.cycle_class).edges()])))
+        assert [emask in orbit for emask in masks] == [listed(emask) for emask in masks]
+        assert sum(emask in orbit for emask in masks) >= 200
+
+
+def test_the_per_graph_path_builds_no_orbit(fresh_context):
+    # _check_one tests the cycle class with is_isomorphic, the orbit's oracle
+    for n in (5, 6):
+        assert random_sweep({"recognizability"}, [(n, edge_mask(cycle(n)))]) == (1, [])
+        assert "cycle_orbit" not in vars(sweeps._context(n))
+
+
 @pytest.fixture
 def fresh_context():
     """Drops the cached per-order constants before and after a patch of the
@@ -675,6 +715,8 @@ def test_recognizability_reports_a_cycle_outside_the_list(monkeypatch, pool_star
     assert len(records) == 12  # 5!/10 labeled 5-cycles
     assert all(r["check"] == "recognizability" and r["n"] == 5 for r in records)
     assert all(is_isomorphic(graph_from_edge_mask(5, r["graph"]), cycle(5)) for r in records)
+    # the per-graph path, which tests the class with is_isomorphic, agrees
+    assert random_sweep({"recognizability"}, [(5, emask) for emask in range(1 << 10)]) == (1 << 10, records)
 
 
 def test_verify_cycle_class_reports_a_listed_non_member(monkeypatch, fresh_context):
