@@ -1,4 +1,4 @@
-"""Time the sweep's batch kernel of two checkouts in one process, call by call.
+"""Time the sweep's batch kernel and per-graph path of two checkouts in one process, call by call.
 
     python3 scripts/ab_layers.py --parent ../parent --change . --out BENCH_26.json
     python3 scripts/ab_layers.py --parent . --change . --batches 2
