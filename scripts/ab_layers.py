@@ -1,4 +1,4 @@
-"""Time the sweep's batch kernel and per-graph path of two checkouts in one process, call by call.
+"""Time the sweep's batch kernel, per-graph path and suite runner of two checkouts in one process, call by call.
 
     python3 scripts/ab_layers.py --parent ../parent --change . --out BENCH_26.json
     python3 scripts/ab_layers.py --parent . --change . --batches 2
@@ -13,12 +13,12 @@ of the acceptance suite's criterion-4 sweep: every check but reversal),
 with every check, and with reversal or multiplicativity alone.  The batches
 are the sweep's own batches at n = 6 and batches of 2^10 graphs at n = 7
 drawn with the fixed seed N7_SEED; ``--batches N`` keeps the first N of
-each.  Each side's process memos (``sweeps._tallies``, where the side has
-it) are emptied before every timed call, so that no call reads what an
-earlier one left there.  Before anything is timed, each side runs every
-check once on the batch of each order that holds the labeled n-cycle, at
-the timed width, so that every lazy per-order constant is built, whatever
-graph or width builds it.
+each.  Each side's process memos (``sweeps._tallies`` and ``sweeps._facts``,
+where the side has them) are emptied before every timed call, so that no
+call reads what an earlier one left there.  Before anything is timed, each
+side runs every check once on the batch of each order that holds the
+labeled n-cycle, at the timed width, so that every lazy per-order constant
+is built, whatever graph or width builds it.
 
 ``sweep.n6`` then times SWEEP_PASSES passes of every check over the n = 6
 batches: each pass starts both sides from emptied memos, runs each batch on
@@ -28,7 +28,14 @@ batches of a sweep saves.  ``random_sweep.n7`` times the per-graph path, the
 call that the benchmark's corpus-n7 workload times: SWEEP_PASSES passes of
 ``random_sweep(CHECK_KEYS, [spec])`` over CORPUS_SPECS uniform labeled
 n = 7 graphs drawn with N7_SEED, alternating the side that runs first spec
-by spec, with the ratio of the sides' totals per pass.
+by spec, with the ratio of the sides' totals per pass.  ``run_suite.all.n6``
+times SWEEP_PASSES calls of ``run_suite("all", max_n=6, jobs=min(2, CPUs))``
+on each side, the side that runs first alternating from call to call, with
+the ratio of each pair of calls and the reports compared without
+``elapsed_s``: the user path with its process pools, which the
+``_check_batch`` kernels do not see.  The untimed warm-up has built the
+n = 6 cycle orbit in this process on both sides, so the pools' workers
+inherit it on both sides.
 
 Per kernel and order the summary gives the median ratio, the calls the change
 won (ratio below 1), the call count and the exact two-sided sign-test p-value
@@ -119,9 +126,16 @@ def kernels(keys) -> dict:
 
 def clear_memos(sweeps) -> None:
     """Empty the process memos of sweeps, where it has them."""
-    memo = getattr(sweeps, "_tallies", None)
-    if memo is not None:
-        memo.cache_clear()
+    for name in ("_tallies", "_facts"):
+        memo = getattr(sweeps, name, None)
+        if memo is not None:
+            memo.cache_clear()
+
+
+def suite_report(sweeps, jobs: int) -> dict:
+    """The report of run_suite("all", max_n=6, jobs=jobs), less its elapsed_s."""
+    report = sweeps.run_suite("all", max_n=6, jobs=jobs)
+    return {key: value for key, value in report.items() if key != "elapsed_s"}
 
 
 def timed(sides: dict, order: tuple, call) -> tuple[float, bool]:
@@ -158,8 +172,8 @@ def passes(sides: dict, calls: list, run_one) -> tuple[list[float], int]:
 
 def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, int]]) -> tuple[dict, int]:
     """Per kernel and order, the change/parent time ratio of each call, and
-    of each pass under sweep.n6 and random_sweep.n7, and the number of calls
-    and passes whose records differ."""
+    of each pass under sweep.n6, random_sweep.n7 and run_suite.all.n6, and
+    the number of calls and passes whose records differ."""
     sets = kernels(sides["change"].CHECK_KEYS)
     for n, b in sorted({(n, b) for n, b, _ in work}):  # build each side's lazy per-order constants untimed
         for sweeps in sides.values():
@@ -175,9 +189,11 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
             mismatches += differ
             ratios.setdefault(f"sweeps._check_batch.{kernel}.n{n}", []).append(ratio)
     sweep = [(n, b, base) for n, b, base in work if n == 6]
+    jobs = min(2, os.cpu_count() or 1)
     for name, calls, run_one in (
             ("sweep.n6", sweep, lambda sweeps, batch: sweeps._check_batch(sets["all"], *batch)),
-            ("random_sweep.n7", specs, lambda sweeps, spec: sweeps.random_sweep(sets["all"], [spec]))):
+            ("random_sweep.n7", specs, lambda sweeps, spec: sweeps.random_sweep(sets["all"], [spec])),
+            ("run_suite.all.n6", [jobs], suite_report)):
         ratios[name], differ = passes(sides, calls, run_one)
         mismatches += differ
     return ratios, mismatches

@@ -160,11 +160,11 @@ def cycle_polynomial_class(n: int) -> list[Graph]:
     if not 3 <= n <= LABELED_ENUM_MAX:
         raise ValueError(f"cycle polynomial class sweep supports 3 <= n <= {LABELED_ENUM_MAX}")
     pairs = edge_pair_order(n)
-    target = list(poly_cycle(n).coeffs)
+    target = poly_cycle(n).coeffs
     b = _batch_bits(n)
     reps: list[Graph] = []
     for base in range(0, 1 << len(pairs), 1 << b):
-        for g, (_, _, coeffs) in enumerate(_batch_tally(pairs, n, base, b)):
+        for g, coeffs in enumerate(_batch_tally(pairs, n, base, b)[2]):
             if coeffs == target:
                 h = Graph(n, tuple(_edge_mask_adj(pairs, n, base + g)))
                 if not any(is_isomorphic(h, rep) for rep in reps):  # rejects on degrees first

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .closed_forms import binom, poly_path
 from .graphs import Graph, mask_of, vertices_of
-from .polynomial import (_block_counts, _block_levels, _blocks, _chunk_constants, _chunk_planes, _flag_table,
+from .polynomial import (_batch_edges, _block_counts, _block_levels, _chunk_constants, _chunk_planes, _flag_table,
                          _zero_forcing_number)
 
 
@@ -70,14 +70,6 @@ def _fort_bits(closed: int, n: int) -> int:
     size = 1 << n
     raw = closed.to_bytes(max(1, size >> 3), "big").translate(_REVERSED_BYTE)
     return int.from_bytes(raw, "little") >> max(0, 8 - size) & ~1
-
-
-def _batch_fort_bits(closed: int, n: int, b: int) -> list[int]:
-    """_fort_bits of each 2^n-bit block of a 2^(n+b)-bit table of closed
-    bits, lowest block first, from one reversal of the whole table: it takes
-    block g to block 2^b - 1 - g, and the bit of V in each block to lane 0,
-    the empty mask, which is cleared."""
-    return _blocks(_fort_bits(closed, n + b) & ~_block_levels(n, b)[0], n, b)[::-1]
 
 
 def _fort_family(fort_bits: int, n: int) -> FortFamily:
@@ -139,6 +131,17 @@ def _batch_fort_definition(ones: int, planes: Sequence[int], nbrs: Sequence[Sequ
         bad |= (one ^ two) & ~planes[v]
         nonempty |= planes[v]
     return (ones ^ bad) & nonempty
+
+
+def _batch_fort_tables(closed: int, pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> tuple[int, int]:
+    """The forts of a batch's joined closed bits (polynomial._batch_tally)
+    and the forts by definition, as two 2^(n+b)-bit ints that hold graph
+    base + g in block 2^b - 1 - g.  One reversal of the whole table
+    (_fort_bits) takes block g there, and the bit of V in each block to lane
+    0, the empty mask, which is cleared; the definition is built over the
+    batch's reversed graph planes, so the two compare in one XOR."""
+    forts = _fort_bits(closed, n + b) & ~_block_levels(n, b)[0]
+    return forts, _batch_fort_definition(*_batch_edges(pairs, n, base, b, reverse=True))
 
 
 def _batch_cover_sizes(forts: int, n: int, b: int) -> list[int]:

@@ -320,16 +320,18 @@ def _batch_bits(n: int) -> int:
     return min(BATCH_BITS, comb(n, 2)) if n >= 3 else 0
 
 
-def _batch_edges(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> tuple:
+def _batch_edges(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int, reverse: bool = False) -> tuple:
     """(all ones, planes, nbrs) of the batch of graphs with edge masks
     base + g, g < 2^b, for base a multiple of 2^b: lane g << n | m of a
-    2^(n+b)-bit int is graph g at mask m.  Of the planes of _chunk_planes(
-    n + b), plane x < n holds the masks with x and plane n + i the graphs
-    with edge i < b; nbrs[v] lists (w, the lanes whose graph has edge vw).
+    2^(n+b)-bit int is graph g at mask m, or with reverse graph 2^b - 1 - g,
+    the block order of a reversal of the whole int.  Of the planes of
+    _chunk_planes(n + b), plane x < n holds the masks with x and plane n + i
+    the graphs with edge i < b (its complement with reverse); nbrs[v] lists
+    (w, the lanes whose graph has edge vw).
     """
     ones, planes = _chunk_planes(n + b)
     edge = [ones if base >> i & 1 else 0 for i in range(len(pairs))]
-    edge[:b] = planes[n:]
+    edge[:b] = [ones ^ plane for plane in planes[n:]] if reverse else planes[n:]
     nbrs = [[] for _ in range(n)]
     for e, (u, v) in zip(edge, pairs):
         if e:
@@ -338,13 +340,15 @@ def _batch_edges(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) ->
     return ones, planes, nbrs
 
 
-def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> list[tuple[int, int, list[int]]]:
+def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> tuple[int, int, list[tuple[int, ...]]]:
     """The flag tables of a batch of _batch_edges, for n >= 3 if b > 0 so
-    that tables fill bytes: entry g is _closure_tally(_edge_mask_adj(pairs,
-    n, base + g), n).  A force v -> w applies where the mask holds v and
-    misses w, and an "at least two" accumulator over v's neighbors outside
-    the mask rules out any other; a lane with a force into w reads zf 2^w
-    lanes up, in its own block, as in _closure_tally.
+    that tables fill bytes, joined: (zf, closed, counts), where block g of
+    the 2^(n+b)-bit ints zf and closed and the tuple counts[g] are
+    _closure_tally(_edge_mask_adj(pairs, n, base + g), n).  A force v -> w
+    applies where the mask holds v and misses w, and an "at least two"
+    accumulator over v's neighbors outside the mask rules out any other; a
+    lane with a force into w reads zf 2^w lanes up, in its own block, as in
+    _closure_tally.
     """
     ones, planes, nbrs = _batch_edges(pairs, n, base, b)
     moves = [0] * n  # per w: the lanes where some force into w applies
@@ -364,9 +368,8 @@ def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) ->
     for plane in planes[:n]:
         z &= plane  # V forces every vertex
     z = _close_up(z, [(1 << w, f) for w, f in enumerate(moves) if f])
-    counts = zip(*(_block_counts(z & level, n, b) for level in _block_levels(n, b)))  # per graph, per level
-    return [(zf, closed, list(coeffs))
-            for zf, closed, coeffs in zip(_blocks(z, n, b), _blocks(ones ^ union, n, b), counts)]
+    counts = list(zip(*(_block_counts(z & level, n, b) for level in _block_levels(n, b))))  # per graph, per level
+    return z, ones ^ union, counts
 
 
 def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:

@@ -12,6 +12,7 @@ from functools import cache, cached_property, partial
 from itertools import permutations
 from math import comb
 from time import perf_counter
+from typing import Sequence
 
 from .analysis import _batch_structure, _hall_ok, _size_one_count, _structure, same_poly_threshold_family
 from .closed_forms import (
@@ -25,7 +26,7 @@ from .closed_forms import (
     poly_wheel,
 )
 from .forcing import _lane_forcers, _lane_reversals, _sweep
-from .forts import _batch_cover_sizes, _batch_fort_bits, _batch_fort_definition, _fort_bits, _fort_definition_bits
+from .forts import _batch_cover_sizes, _batch_fort_tables, _fort_bits, _fort_definition_bits
 from .graphs import (
     LABELED_ENUM_MAX,
     Graph,
@@ -45,9 +46,9 @@ from .graphs import (
     threshold_from_string,
     wheel,
 )
-from .parallel import parallel_map
-from .polynomial import (_batch_bits, _batch_edges, _batch_tally, _blocks, _chunk_constants, _closure_tally,
-                         _component_product, _is_unimodal, _unblocks, _zero_forcing_number, zf_polynomial)
+from .parallel import parallel_map, run_scope
+from .polynomial import (_batch_bits, _batch_edges, _batch_tally, _block_counts, _blocks, _chunk_constants,
+                         _closure_tally, _component_product, _is_unimodal, _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -140,11 +141,14 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     or the shared empty tuple when every check passes."""
     adj = _edge_mask_adj(_context(n).pairs, n, emask)
     structure = _structure(adj, n) if checks & STRUCTURE_CHECKS else None
-    definition = _fort_definition_bits(adj, n) if checks & FORT_CHECKS else 0
-    size = _batch_cover_sizes(definition, n, 0)[0] if "ip" in checks else None
     zf, closed, coeffs = _closure_tally(adj, n)
-    forts = _fort_bits(closed, n) if checks & FORT_CHECKS else 0
-    return _check_table(checks, n, emask, zf, forts, coeffs, structure, definition, size,
+    count = diff = size = None
+    if checks & FORT_CHECKS:
+        definition = _fort_definition_bits(adj, n)
+        forts = _fort_bits(closed, n)
+        count, diff = forts.bit_count(), forts ^ definition
+        size = _batch_cover_sizes(definition, n, 0)[0] if "ip" in checks else None
+    return _check_table(checks, n, emask, zf, count, coeffs, structure, diff, size,
                         partial(_unreversed, adj, zf), partial(_in_cycle_class, adj), _component_tally,
                         _coefficient_facts, adj)
 
@@ -171,33 +175,40 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
     """Run the requested checks on the 2^b graphs of one batch, edge masks
     base on; returns (edge mask, (check, detail) pairs) of each graph that
     fails.  The flag tables, structures, forts, cover sizes and reversals
-    are built for the batch, the tables' forts with one reversal of the
-    batch's closed bits, the cycle class is read off the orbit of its list,
-    each distinct coefficient vector's facts are found once per call, and
-    each distinct component is tallied once per process."""
+    are built for the batch and stay joined: the tables' forts and the
+    definition's are compared in one XOR, and the tables are split into
+    per-graph blocks only where that or the reversal finds a failing lane.
+    The cycle class is read off the orbit of its list, and each distinct
+    coefficient vector's facts and each distinct component's tally are
+    found once per process."""
     ctx = _context(n)
-    tables = _batch_tally(ctx.pairs, n, base, b)
-    edges = _batch_edges(ctx.pairs, n, base, b)
-    forts = definitions = sizes = unreversed = [None] * len(tables)
-    structures = _batch_structure(ctx.pairs, n, base, b) if checks & STRUCTURE_CHECKS else sizes
+    zf, closed, counts = _batch_tally(ctx.pairs, n, base, b)
+    unread = [None] * len(counts)  # per graph, what no requested check reads
+    zfs = structures = fort_counts = diffs = sizes = unreversed = unread
+    if checks & STRUCTURE_CHECKS:
+        structures = _batch_structure(ctx.pairs, n, base, b)
     if checks & FORT_CHECKS:
-        forts = _batch_fort_bits(_unblocks([table[1] for table in tables], n), n, b)
-        definition = _batch_fort_definition(*edges)
-        definitions = _blocks(definition, n, b)
-        sizes = _batch_cover_sizes(definition, n, b) if "ip" in checks else sizes
+        # both tables hold graph g in block 2^b - 1 - g, so each per-graph list is read backwards
+        forts, definition = _batch_fort_tables(closed, ctx.pairs, n, base, b)
+        diff = forts ^ definition
+        diffs = _blocks(diff, n, b)[::-1] if diff else [0] * len(counts)
+        if "fort-count-bound" in checks:
+            fort_counts = _block_counts(forts, n, b)[::-1]
+        if "ip" in checks:
+            sizes = _batch_cover_sizes(definition, n, b)[::-1]
     cyclic = ctx.cycle_orbit.__contains__ if "recognizability" in checks else None
     if "reversal" in checks:
-        zf = _unblocks([table[0] for table in tables], n)
+        edges = _batch_edges(ctx.pairs, n, base, b)
         failing = zf & ~_lane_reversals(zf, edges[0], _lane_forcers(*edges))  # zero forcing lanes that fail
         if failing:
+            zfs = _blocks(zf, n, b)
             unreversed = [block.__and__ for block in _blocks(failing, n, b)]
-    facts = cache(_coefficient_facts)  # a memo of this call alone
     failed = []
-    rows = zip(tables, forts, structures, definitions, sizes, unreversed)
-    for g, ((zf, _, coeffs), fort, structure, definition, size, unrev) in enumerate(rows):
+    rows = zip(zfs, fort_counts, counts, structures, diffs, sizes, unreversed)
+    for g, (zf, count, coeffs, structure, diff, size, unrev) in enumerate(rows):
         emask = base + g
-        bad = _check_table(checks, n, emask, zf, fort, coeffs, structure, definition, size, unrev, cyclic,
-                           _tallies, facts)
+        bad = _check_table(checks, n, emask, zf, count, coeffs, structure, diff, size, unrev, cyclic,
+                           _tallies, _facts)
         if bad:
             failed.append((emask, bad))
     return failed
@@ -236,13 +247,24 @@ def _coefficient_facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
             coeffs == ctx.path_coeffs, coeffs == ctx.complete_coeffs, coeffs == ctx.cycle_coeffs)
 
 
-def _check_table(checks: frozenset, n: int, emask: int, zf: int, forts: int | None, coeffs: list[int],
-                 structure: tuple | None, definition: int, size: int | None, unreversed, cyclic,
-                 tally, facts, adj: list[int] | None = None) -> list[tuple[str, str]] | tuple[()]:
-    """The checks of one labeled graph, given its zero forcing bits, the
-    forts its flag table derives (_fort_bits of its closed bits; read only
-    by FORT_CHECKS), its coefficients, its structure (None unless a check of
-    STRUCTURE_CHECKS runs), the forts by definition, size, their cover size
+@cache
+def _facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
+    """_coefficient_facts, found once per distinct argument for the life of
+    the process (exhaustive_sweep clears it): the batch path's memo, of a
+    few hundred entries per order and check set (n = 7 has 327 distinct
+    coefficient vectors)."""
+    return _coefficient_facts(checks, n, coeffs)
+
+
+def _check_table(checks: frozenset, n: int, emask: int, zf: int | None, count: int | None,
+                 coeffs: Sequence[int], structure: tuple | None, diff: int | None, size: int | None, unreversed,
+                 cyclic, tally, facts, adj: list[int] | None = None) -> list[tuple[str, str]] | tuple[()]:
+    """The checks of one labeled graph, given its zero forcing bits (read
+    only where unreversed is given), the count of the forts its flag table
+    derives (_fort_bits of its closed bits; read only by fort-count-bound),
+    its coefficients, its structure (None unless a check of STRUCTURE_CHECKS
+    runs), diff, the masks where those forts and the forts by definition
+    differ (read only by FORT_CHECKS), size, the definition's cover size
     when ip runs, unreversed(minimum), the lowest at least of the minimum
     sets (a bit per mask) whose chain terminals do not force, or None when
     every zero forcing set's do, cyclic(emask), whether the graph is in the
@@ -276,25 +298,25 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int, forts: int | No
     if "multiplicativity" in checks and not structure[3]:
         adj = adj or _edge_mask_adj(ctx.pairs, n, emask)
         # the components' product against the whole graph's own table
-        if _component_product(adj, n, tally) != coeffs:
+        if _component_product(adj, n, tally) != list(coeffs):
             bad.append(("multiplicativity", "component product differs from direct enumeration"))
 
-    if checks & FORT_CHECKS:
+    if checks & FORT_CHECKS and diff:
         # Complements of proper closed sets are avoided by no zero forcing
         # set (closure is monotone), so the fort theorems hold of the forts
         # only if the table derives exactly them: every fort and nothing
         # else.  Check both directions against a table built from the
-        # definition alone.
-        diff = forts ^ definition
-        if diff:
-            f = (diff & -diff).bit_length() - 1
-            if forts >> f & 1:
-                bad.append(("fort-transversal", f"derived set {f:#x} is not a fort"))
-            else:
-                bad.append(("fort-transversal", f"fort {f:#x} is missing from the table"))
+        # definition alone; where they differ, the table's forts are the
+        # definition's with diff flipped.
+        adj = adj or _edge_mask_adj(ctx.pairs, n, emask)
+        forts = diff ^ _fort_definition_bits(adj, n)
+        f = (diff & -diff).bit_length() - 1
+        if forts >> f & 1:
+            bad.append(("fort-transversal", f"derived set {f:#x} is not a fort"))
+        else:
+            bad.append(("fort-transversal", f"fort {f:#x} is missing from the table"))
 
     if "fort-count-bound" in checks:
-        count = forts.bit_count()
         if count > (1 << n) - zfs_count:
             bad.append(("fort-count-bound", f"{count} forts > 2^n - {zfs_count}"))
 
@@ -360,16 +382,21 @@ def exhaustive_sweep(checks, max_n: int, jobs: int = 1) -> tuple[int, list[dict]
     if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive sweep needs 1 <= max_n <= {EXHAUSTIVE_MAX_N}, got {max_n}")
     _tallies.cache_clear()
+    _facts.cache_clear()
+    if "recognizability" in checks:
+        for n in range(3, max_n + 1):
+            _context(n).cycle_orbit  # built here, before a pool forks, so no worker builds its own
     total_graphs = 0
     records: list[dict] = []
-    for n in range(1, max_n + 1):
-        b = _batch_bits(n)
-        bases = range(0, 1 << comb(n, 2), 1 << b)
-        for failed in parallel_map(partial(_check_batch, checks, n, b), bases, jobs):
-            for emask, bad in failed:
-                for check, detail in bad:
-                    records.append(_record(check, n, emask, detail))
-        total_graphs += 1 << comb(n, 2)
+    with run_scope():  # one pool for every order, forked after the memos were emptied
+        for n in range(1, max_n + 1):
+            b = _batch_bits(n)
+            bases = range(0, 1 << comb(n, 2), 1 << b)
+            for failed in parallel_map(partial(_check_batch, checks, n, b), bases, jobs):
+                for emask, bad in failed:
+                    for check, detail in bad:
+                        records.append(_record(check, n, emask, detail))
+            total_graphs += 1 << comb(n, 2)
     return total_graphs, records
 
 
@@ -600,23 +627,24 @@ def run_suite(
     t0 = perf_counter()
     passes: list[tuple[int, list[dict]]] = []  # (items checked, records), in run order
 
-    if suite == "closed-forms":
-        max_n = forms_max
-        passes.append(run_closed_forms_suite(max_n=max_n, jobs=jobs))
-    else:
-        max_n = EXHAUSTIVE_MAX_N if max_n is None else min(max_n, EXHAUSTIVE_MAX_N)
-        checks = SWEEP_SUITE_CHECKS.get(suite, frozenset(CHECK_KEYS))
-        passes.append(exhaustive_sweep(checks, max_n, jobs=jobs))
-        if "ip" in checks:
-            specs = random_graph_specs(IP_RANDOM_COUNT, *RANDOM_N_RANGE, seed)
-            passes.append(random_sweep({"ip"}, specs, jobs=jobs))
-        if checks & CONJECTURE_CHECKS:
-            specs = random_graph_specs(CONJECTURE_RANDOM_COUNT, *RANDOM_N_RANGE, seed + 1)
-            passes.append(random_sweep(checks & CONJECTURE_CHECKS, specs, jobs=jobs))
-        if "recognizability" in checks:
-            passes.extend((1, verify_cycle_class(n)) for n in range(3, max_n + 1))
-        if suite == "all":
-            passes.append(run_closed_forms_suite(max_n=min(forms_max, 12), jobs=jobs))
+    with run_scope():  # one pool for every pass that pools
+        if suite == "closed-forms":
+            max_n = forms_max
+            passes.append(run_closed_forms_suite(max_n=max_n, jobs=jobs))
+        else:
+            max_n = EXHAUSTIVE_MAX_N if max_n is None else min(max_n, EXHAUSTIVE_MAX_N)
+            checks = SWEEP_SUITE_CHECKS.get(suite, frozenset(CHECK_KEYS))
+            passes.append(exhaustive_sweep(checks, max_n, jobs=jobs))
+            if "ip" in checks:
+                specs = random_graph_specs(IP_RANDOM_COUNT, *RANDOM_N_RANGE, seed)
+                passes.append(random_sweep({"ip"}, specs, jobs=jobs))
+            if checks & CONJECTURE_CHECKS:
+                specs = random_graph_specs(CONJECTURE_RANDOM_COUNT, *RANDOM_N_RANGE, seed + 1)
+                passes.append(random_sweep(checks & CONJECTURE_CHECKS, specs, jobs=jobs))
+            if "recognizability" in checks:
+                passes.extend((1, verify_cycle_class(n)) for n in range(3, max_n + 1))
+            if suite == "all":
+                passes.append(run_closed_forms_suite(max_n=min(forms_max, 12), jobs=jobs))
 
     records = [rec for _, recs in passes for rec in recs]
     failures = [rec for rec in records if rec["check"] not in CONJECTURE_CHECKS]

@@ -5,7 +5,7 @@ import pytest
 
 from zfpoly import sweeps
 from zfpoly.graphs import edge_pair_order
-from zfpoly.polynomial import _batch_tally, _closure_tally
+from zfpoly.polynomial import _batch_tally, _blocks, _closure_tally, _unblocks
 
 
 def edge_mask(g):
@@ -24,17 +24,30 @@ def only_at(g, corrupt):
     return lambda n, emask, table: corrupt(*table) if (n, emask) == target else table
 
 
+def clear_memos():
+    """Empty the sweep's process memos, the component tallies and the
+    coefficient facts."""
+    sweeps._tallies.cache_clear()
+    sweeps._facts.cache_clear()
+
+
 @pytest.fixture
 def plant(monkeypatch):
     """plant(corrupt) plants one fault in both producers of flag tables,
     sweeps._batch_tally and sweeps._closure_tally: corrupt(n, emask, table)
-    gives the table that each hands on for the graph of edge mask emask on n
-    vertices.  Each plant wraps the real producers, so a later one replaces
-    an earlier one.  Each plant, and the fixture's teardown, empties the
-    process memo of component tallies, so no tally outlives its fault."""
+    gives the table, (zf, closed, coefficient list), that each hands on for
+    the graph of edge mask emask on n vertices.  The batch producer's joined
+    tables are split into per-graph blocks here, corrupted and joined again.
+    Each plant wraps the real producers, so a later one replaces an earlier
+    one.  Each plant, and the fixture's teardown, empties the sweep's process
+    memos, so no tally or fact outlives its fault."""
     def plant(corrupt):
         def faulty_batch(pairs, n, base, b):
-            return [corrupt(n, base + g, t) for g, t in enumerate(_batch_tally(pairs, n, base, b))]
+            zf, closed, counts = _batch_tally(pairs, n, base, b)
+            tables = [corrupt(n, base + g, (z, c, list(coeffs)))
+                      for g, (z, c, coeffs) in enumerate(zip(_blocks(zf, n, b), _blocks(closed, n, b), counts))]
+            zfs, closeds, coeffs = zip(*tables)
+            return _unblocks(zfs, n), _unblocks(closeds, n), [tuple(c) for c in coeffs]
 
         def faulty_tally(adj, n):
             emask = sum(1 << i for i, (u, v) in enumerate(edge_pair_order(n)) if adj[u] >> v & 1)
@@ -42,7 +55,7 @@ def plant(monkeypatch):
 
         monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
         monkeypatch.setattr(sweeps, "_closure_tally", faulty_tally)
-        sweeps._tallies.cache_clear()
+        clear_memos()
 
     yield plant
-    sweeps._tallies.cache_clear()
+    clear_memos()

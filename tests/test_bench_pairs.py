@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from math import comb
@@ -188,9 +189,10 @@ def test_ab_layers_times_each_costly_check_alone(ab_layers):
 
 @pytest.mark.parametrize("planted, status", [([], 0), ([(5, [("hall", "planted")])], 1)], ids=["equal", "differ"])
 def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch, tmp_path, planted, status):
-    # stub checkouts: the change reports planted records on every batch and
-    # every graph with checks, and only it has a process memo, which each
-    # timed call empties
+    # stub checkouts: the change reports planted records on every batch,
+    # every graph with checks and every suite run, and only it has process
+    # memos, both of which each timed call empties; the reports' elapsed_s
+    # always differ
     calls = []
     memo = SimpleNamespace(cache_clear=lambda: calls.append("clear"))
 
@@ -202,11 +204,15 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
         def random_sweep(checks, specs):
             calls.append(specs[0])
             return len(specs), records if checks else []
+
+        def run_suite(suite, max_n, jobs):
+            calls.append((suite, max_n, jobs))
+            return {"failures": records, "elapsed_s": len(calls)}
         return SimpleNamespace(CHECK_KEYS=("hall", "reversal"), _batch_bits=lambda n: 9,
                                edge_pair_order=edge_pair_order, _check_batch=check_batch,
-                               random_sweep=random_sweep, **memos)
+                               random_sweep=random_sweep, run_suite=run_suite, **memos)
 
-    sides = {"zfpoly_parent": fake_sweeps([]), "zfpoly_change": fake_sweeps(planted, _tallies=memo)}
+    sides = {"zfpoly_parent": fake_sweeps([]), "zfpoly_change": fake_sweeps(planted, _tallies=memo, _facts=memo)}
     monkeypatch.setattr(ab_layers, "load_sweeps", lambda tree, name: sides[name])
     monkeypatch.setattr(ab_layers, "git_sha", lambda tree: None)
     monkeypatch.setattr(ab_layers, "CORPUS_SPECS", 3)
@@ -216,31 +222,36 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     assert ab_layers.main(argv) == status
     doc = json.loads(out.read_text())
     # 4 batches, each under the three kernels with checks (multiplicativity
-    # is no key of the stubs), the sweep passes and the per-graph passes
+    # is no key of the stubs), the sweep passes, the per-graph passes and
+    # the suite runs
     passes = ab_layers.SWEEP_PASSES
-    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 2 * passes) * status
+    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 3 * passes) * status
     kernels = ("none", "criterion-4", "all", "reversal", "multiplicativity")
     assert {name: row["calls"] for name, row in doc["layers"]["kernels"].items()} == {
         **{f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in kernels},
-        "sweep.n6": passes, "random_sweep.n7": passes}
+        "sweep.n6": passes, "random_sweep.n7": passes, "run_suite.all.n6": passes}
     # untimed, per side: every check on the batch of each order that holds
     # the n-cycle, at the timed width, and one per-graph call; then both
     # sides on 2 sweep batches at n = 6 and 2 of 2^10 at n = 7, then the
-    # passes over the 2 at n = 6 and over the 3 specs at n = 7, each from an
-    # emptied memo and call by call on both sides
+    # passes over the 2 at n = 6 and over the 3 specs at n = 7, each from
+    # emptied memos and call by call on both sides, then the suite runs,
+    # each from emptied memos, on both sides
     specs = ab_layers.corpus(3)
     cycles = [(n, b, ab_layers.cycle_batch(sides["zfpoly_change"], n, b)) for n, b in ((6, 9), (7, 10))]
     assert cycles[0] == (6, 9, 0b101001000110001 >> 9 << 9)  # the edges 01, 05, 12, 23, 34 and 45
     assert calls[:6] == [cycles[0]] * 2 + [cycles[1]] * 2 + [specs[0]] * 2
-    per_graph = 7 * passes
-    timed = calls[6:-5 * passes - per_graph]
-    sweep, corpus = calls[-5 * passes - per_graph:-per_graph], calls[-per_graph:]
-    assert timed.count("clear") == 4 * len(kernels)  # before each of the change's timed calls
+    swept, per_graph, suites = 6 * passes, 8 * passes, 4 * passes
+    timed = calls[6:-swept - per_graph - suites]
+    sweep = calls[-swept - per_graph - suites:-per_graph - suites]
+    corpus, suite = calls[-per_graph - suites:-suites], calls[-suites:]
+    assert timed.count("clear") == 2 * 4 * len(kernels)  # both memos, before each of the change's timed calls
     batches = [c for c in timed if c != "clear"]
     assert [c for c in batches if c[0] == 6] == [(6, 9, 0)] * 10 + [(6, 9, 512)] * 10
     assert all(b == 10 and base % 1024 == 0 for n, b, base in batches if n == 7)
-    assert sweep == ["clear", (6, 9, 0), (6, 9, 0), (6, 9, 512), (6, 9, 512)] * passes
-    assert corpus == ["clear", *(spec for spec in specs for _ in range(2))] * passes
+    assert sweep == ["clear", "clear", (6, 9, 0), (6, 9, 0), (6, 9, 512), (6, 9, 512)] * passes
+    assert corpus == ["clear", "clear", *(spec for spec in specs for _ in range(2))] * passes
+    jobs = min(2, os.cpu_count() or 1)
+    assert suite == ["clear", "clear", ("all", 6, jobs), ("all", 6, jobs)] * passes
     assert all(n == 7 and 0 <= emask < 1 << 21 for n, emask in specs)
 
 

@@ -25,10 +25,10 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import polynomial, sweeps
-from zfpoly.forts import (_batch_cover_sizes, _batch_fort_bits, _batch_fort_definition, _fort_bits,
+from zfpoly.forts import (_batch_cover_sizes, _batch_fort_definition, _batch_fort_tables, _fort_bits,
                           _fort_definition_bits, _fort_family)
-from zfpoly.graphs import edge_pair_order
-from zfpoly.polynomial import _batch_bits, _batch_edges, _batch_tally, _blocks, _closure_tally, _unblocks
+from zfpoly.graphs import _edge_mask_adj, edge_pair_order
+from zfpoly.polynomial import _batch_bits, _batch_edges, _batch_tally, _block_counts, _blocks, _closure_tally
 from zfpoly.sweeps import exhaustive_sweep, random_sweep
 
 
@@ -186,17 +186,32 @@ def test_batch_fort_definition_matches_the_naive_forts_on_every_graph():
         assert got == [_naive_fort_bits(graph_from_edge_mask(n, base + g)) for g in range(1 << b)], (n, base)
 
 
-def test_batch_fort_bits_match_the_per_graph_fort_bits():
-    # one reversal of a batch's closed bits gives each graph the forts of
-    # its own: every batch with n <= 6 at the sweep's widths (one graph at a
-    # time below n = 3), and seeded batches of 2^10 graphs at n = 7
+def test_joined_fort_tables_match_the_per_graph_fort_bits():
+    # one reversal of a batch's joined closed bits and the definition over
+    # its reversed graph planes hold each graph's own forts, in blocks of
+    # reversed graph order, and their block counts and XOR are its fort
+    # count and diff: every batch with n <= 6 at the sweep's widths (one
+    # graph at a time below n = 3) and seeded batches of 2^10 graphs at
+    # n = 7, on the true closed bits and on closed bits with seeded flips,
+    # where the two tables differ
     batches = [(n, base, _batch_bits(n)) for n in range(1, 7)
                for base in range(0, 1 << comb(n, 2), 1 << _batch_bits(n))]
     rng = random.Random(3107)
     batches += [(7, rng.randrange(0, 1 << 21, 1 << 10), 10) for _ in range(3)]
+    differ = 0
     for n, base, b in batches:
-        closed = [table[1] for table in _batch_tally(edge_pair_order(n), n, base, b)]
-        assert _batch_fort_bits(_unblocks(closed, n), n, b) == [_fort_bits(c, n) for c in closed], (n, base)
+        pairs = edge_pair_order(n)
+        for flipped, closed in enumerate((_batch_tally(pairs, n, base, b)[1], rng.getrandbits(1 << n + b))):
+            forts, definition = _batch_fort_tables(closed, pairs, n, base, b)
+            want = [(_fort_bits(c, n), _fort_definition_bits(_edge_mask_adj(pairs, n, base + g), n))
+                    for g, c in enumerate(_blocks(closed, n, b))]
+            assert _blocks(forts, n, b)[::-1] == [f for f, _ in want], (n, base)
+            assert _blocks(definition, n, b)[::-1] == [d for _, d in want], (n, base)
+            assert list(_block_counts(forts, n, b))[::-1] == [f.bit_count() for f, _ in want], (n, base)
+            assert _blocks(forts ^ definition, n, b)[::-1] == [f ^ d for f, d in want], (n, base)
+            assert flipped or forts == definition, (n, base)
+            differ += forts != definition
+    assert differ == len(batches)  # every table of flipped bits
 
 
 def _cover_of(fort_bits, n):

@@ -83,13 +83,16 @@ def test_parallel_map_rejects_jobs_below_one():
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Records the arguments of every process pool parallel_map starts."""
-    starts = []
+    """Records the arguments of every process pool parallel_map starts, and
+    holds each pool until the test ends, so that no pool's processes end
+    only because the pool was collected."""
+    starts, pools = [], []
     real_pool = parallel.Pool
 
     def counting_pool(*args, **kwargs):
         starts.append(args)
-        return real_pool(*args, **kwargs)
+        pools.append(real_pool(*args, **kwargs))
+        return pools[-1]
 
     monkeypatch.setattr(parallel, "Pool", counting_pool)
     return starts
@@ -109,6 +112,36 @@ def test_parallel_sweep_is_deterministic(pool_starts):
     assert solo == duo
 
 
+def test_a_run_scope_maps_every_pooled_call_in_one_pool_and_joins_it(pool_starts):
+    # a nested scope is part of the outer one; each pool process is gone
+    # when the outer scope exits, also when a worker raised
+    items = list(range(-40, 0))
+    with parallel.run_scope():
+        assert list(parallel_map(abs, items, 2)) == [-i for i in items]
+        with parallel.run_scope():
+            assert list(parallel_map(abs, items[:32], 2)) == [-i for i in items[:32]]
+        assert len(multiprocessing.active_children()) == 2
+    assert pool_starts == [(2,)]
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="'x'"), parallel.run_scope():
+        list(parallel_map(int, ["1"] * 40 + ["x"], 2))
+    assert pool_starts == [(2,), (2,)]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_suite_run_forks_one_pool_and_leaves_no_process(pool_starts):
+    # at jobs 2, order 6 (32 batches), the 100 ip specs and the 500
+    # conjecture specs each pool, all in one pool forked on first need; at
+    # jobs 1 no pool starts, and the reports agree
+    duo = run_suite("all", max_n=6, jobs=2)
+    assert pool_starts == [(2,)]
+    assert multiprocessing.active_children() == []
+    solo = run_suite("all", max_n=6, jobs=1)
+    assert pool_starts == [(2,)]
+    assert multiprocessing.active_children() == []
+    assert {**duo, "elapsed_s": 0, "jobs": 1} == {**solo, "elapsed_s": 0}
+
+
 @pytest.fixture
 def narrow_batches(monkeypatch):
     """narrow_batches() narrows every order's batches to 2^3 graphs, so that
@@ -126,11 +159,11 @@ def serial_pool(monkeypatch):
         def __init__(self, processes):
             self.processes = processes
 
-        def __enter__(self):
-            return self
+        def terminate(self):
+            pass
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
         def imap(self, worker, items, chunksize):
             starts.append((self.processes, worker.args[1]))  # partial(_check_batch, checks, n, b)
@@ -309,6 +342,24 @@ def test_a_planted_fault_changes_no_other_graph_of_its_batch(plant, check):
     assert sweeps._check_batch(every, n, b, masks.start) == looped
 
 
+@needs_fork
+@pytest.mark.parametrize("check", sorted(PLANTED_FAULTS))
+def test_a_planted_fault_gives_the_same_failures_at_jobs_one_and_two(plant, pool_starts, narrow_batches, check):
+    # with batches of 2^3 graphs order 5 pools at jobs 2, so a fault on a
+    # graph of order 5 reaches the workers of the run's one pool, which
+    # fork after the plant
+    g, corrupt, expected = PLANTED_FAULTS[check]
+    plant(only_at(g, corrupt))
+    narrow_batches()
+    solo, duo = (run_suite("all", max_n=5, jobs=jobs) for jobs in (1, 2))
+    assert pool_starts == [(2,)]
+    assert multiprocessing.active_children() == []
+    assert (duo["failures"], duo["warnings"]) == (solo["failures"], solo["warnings"])
+    at_fault = [(r["check"], r["detail"]) for r in solo["failures"] + solo["warnings"]
+                if (r["n"], r["graph"]) == (g.n, edge_mask(g))]
+    assert set(expected) <= set(at_fault)
+
+
 def test_component_tallies_outlive_one_batch_until_a_sweep_starts():
     checks = frozenset({"multiplicativity"})
     sweeps._tallies.cache_clear()
@@ -319,6 +370,18 @@ def test_component_tallies_outlive_one_batch_until_a_sweep_starts():
     assert sweeps._tallies.cache_info().misses == filled.misses  # every component found again
     assert exhaustive_sweep({"extremal"}, max_n=1) == (1, [])
     assert sweeps._tallies.cache_info().currsize == 0
+
+
+def test_coefficient_facts_outlive_one_batch_until_a_sweep_starts():
+    checks = frozenset({"hall"})
+    sweeps._facts.cache_clear()
+    sweeps._check_batch(checks, 5, 3, 0)
+    filled = sweeps._facts.cache_info()
+    assert 0 < filled.currsize < 8  # the batch's 8 graphs share coefficient vectors
+    sweeps._check_batch(checks, 5, 3, 0)
+    assert sweeps._facts.cache_info().misses == filled.misses  # every vector found again
+    assert exhaustive_sweep({"extremal"}, max_n=1) == (1, [])  # a check that reads no facts
+    assert sweeps._facts.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("corrupt", [_one_more_set, _x_doubled], ids=["one-more-set", "x-doubled"])
@@ -363,12 +426,13 @@ def test_coefficient_checks_read_only_the_coefficients(plant):
     records = sweeps._check_one(COEFFICIENT_CHECKS, n, emask)
     assert [check for check, _ in records] == ["zero-range", "hall", "unimodality", "path-bound"]
     every_set = (1 << (1 << n)) - 1
-    # K5's edges, every set but V forcing, every nonempty set a fort of the
-    # table and none by the definition, a cover of size 0, no minimum set
-    # whose reversal forces, no graph in the cycle class and every component [2]
-    garbage = (sweeps._context(n).full_edges, every_set ^ 1 << (1 << n) - 1, every_set ^ 1, coeffs,
-               (0, 0, True, False), 0, 0, lambda minimum: minimum, lambda emask: False, lambda sub: [2],
-               sweeps._coefficient_facts)
+    # K5's edges, every set but V forcing, 2^n - 1 forts of the table, which
+    # differ from the definition's at every nonempty set, a cover of size 0,
+    # no minimum set whose reversal forces, no graph in the cycle class and
+    # every component [2]
+    garbage = (sweeps._context(n).full_edges, every_set ^ 1 << (1 << n) - 1, (1 << n) - 1, coeffs,
+               (0, 0, True, False), every_set ^ 1, 0, lambda minimum: minimum, lambda emask: False,
+               lambda sub: [2], sweeps._coefficient_facts)
     assert sweeps._check_table(COEFFICIENT_CHECKS, n, *garbage) == records
     for check in sorted(set(CHECK_KEYS) - COEFFICIENT_CHECKS):
         checks = COEFFICIENT_CHECKS | {check}
@@ -670,9 +734,9 @@ def test_cycle_orbit_is_every_labeling_of_the_listed_class(n):
     if n <= 5:
         assert orbit == {emask for emask in range(1 << comb(n, 2)) if listed(emask)}
     elif n == 6:
-        target = list(poly_cycle(n).coeffs)
+        target = poly_cycle(n).coeffs
         cyclic = {base + g for base in range(0, 1 << 15, 1 << 10)
-                  for g, (_, _, coeffs) in enumerate(_batch_tally(ctx.pairs, n, base, 10)) if coeffs == target}
+                  for g, coeffs in enumerate(_batch_tally(ctx.pairs, n, base, 10)[2]) if coeffs == target}
         assert cyclic == orbit
         assert all(map(listed, cyclic))
     else:
@@ -683,6 +747,13 @@ def test_cycle_orbit_is_every_labeling_of_the_listed_class(n):
             masks.append(edge_mask(from_edge_list(n, [(p[u], p[v]) for u, v in rng.choice(ctx.cycle_class).edges()])))
         assert [emask in orbit for emask in masks] == [listed(emask) for emask in masks]
         assert sum(emask in orbit for emask in masks) >= 200
+
+
+def test_the_sweep_builds_the_orbits_before_a_pool_forks(fresh_context, pool_starts):
+    # order 6 maps in a pool at jobs 2, whose workers inherit the orbit
+    assert exhaustive_sweep({"recognizability"}, max_n=6, jobs=2) == (sum(1 << comb(n, 2) for n in range(1, 7)), [])
+    assert pool_starts == [(2,)]
+    assert all("cycle_orbit" in vars(sweeps._context(n)) for n in range(3, 7))
 
 
 def test_the_per_graph_path_builds_no_orbit(fresh_context):
