@@ -39,10 +39,14 @@ def _structure(adj: Sequence[int], n: int) -> tuple[int, int, int, int]:
     return second, third, int(path), int(connected)
 
 
-def _size_one_count(n: int, is_path: int) -> int:
-    """z(G;1) by structure: the lone vertex forces at n = 1; otherwise a
-    path has its two ends and every other graph none."""
-    return 1 if n == 1 else 2 * is_path
+def _extremal(n: int, structure: Sequence[int]) -> tuple[int, int, int, int]:
+    """The coefficients of sizes n, n-1, n-2 and 1 of the graph of a _structure
+    row.  Size n: only the full set.  Size n-1: one non-isolated vertex may be
+    dropped.  Size n-2: a pair may be dropped iff both are non-isolated and
+    their punctured neighborhoods differ.  Size 1: the lone vertex forces at
+    n = 1; otherwise a path has its two ends and every other graph none."""
+    second, third, is_path, _ = structure
+    return 1, second, third, 1 if n == 1 else 2 * is_path
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -98,17 +102,10 @@ def _batch_structure(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int
 
 def extremal_coefficients(g: Graph) -> tuple[int, int, int, int]:
     """The four characterized coefficients (sizes n, n-1, n-2, 1), computed
-    from graph structure rather than by enumeration.
-
-    Size n: only the full set.  Size n-1: one non-isolated vertex may be
-    dropped.  Size n-2: a pair may be dropped iff both are non-isolated and
-    their punctured neighborhoods differ.  Size 1: paths have two
-    single-vertex forcing sets (one when n = 1), everything else none.
-    """
+    from graph structure rather than by enumeration (_extremal)."""
     if g.n < 1:
         raise ValueError("requires a nonempty graph")
-    second, third, is_path, _ = _structure(g.adj, g.n)
-    return 1, second, third, _size_one_count(g.n, is_path)
+    return _extremal(g.n, _structure(g.adj, g.n))
 
 
 def all_min_sets_forcing(g: Graph) -> bool:
@@ -116,12 +113,15 @@ def all_min_sets_forcing(g: Graph) -> bool:
     if g.n < 1:
         raise ValueError("requires a nonempty graph")
     poly = zf_polynomial(g)
-    z = poly.zero_forcing_number()
-    return poly.coeffs[z] == comb(g.n, z)
+    return _min_sets_force(poly.coeffs, g.n, poly.zero_forcing_number())
+
+
+def _min_sets_force(coeffs: Sequence[int], n: int, z: int) -> bool:
+    return coeffs[z] == comb(n, z)  # every set of size z = Z(G) forces
 
 
 def _hall_ok(coeffs: Sequence[int], n: int) -> bool:
-    return all(coeffs[i] <= coeffs[i + 1] for i in range(1, (n - 1) // 2 + 1) if 2 * i < n)
+    return all(coeffs[i] <= coeffs[i + 1] for i in range(1, (n - 1) // 2 + 1))
 
 
 def hall_monotonicity_holds(g: Graph) -> bool:
@@ -134,9 +134,11 @@ def path_bound_holds(g: Graph) -> bool:
     """Every coefficient is at most the path's coefficient of the same size."""
     if g.n < 1:
         raise ValueError("requires a nonempty graph")
-    poly = zf_polynomial(g)
-    bound = poly_path(g.n)
-    return all(a <= b for a, b in zip(poly.coeffs, bound.coeffs))
+    return not _exceeds_path(zf_polynomial(g).coeffs, poly_path(g.n).coeffs)
+
+
+def _exceeds_path(coeffs: Sequence[int], path_coeffs: Sequence[int]) -> bool:
+    return any(c > p for c, p in zip(coeffs, path_coeffs))  # some coefficient above the path's of its size
 
 
 def recognizes_path(p: ZfPolynomial) -> bool:

@@ -14,7 +14,8 @@ from math import comb
 from time import perf_counter
 from typing import Sequence
 
-from .analysis import _batch_structure, _hall_ok, _size_one_count, _structure, same_poly_threshold_family
+from .analysis import (_batch_structure, _exceeds_path, _extremal, _hall_ok, _min_sets_force, _structure,
+                       same_poly_threshold_family)
 from .closed_forms import (
     _threshold_zfs_bits,
     count_consecutive_selections,
@@ -52,42 +53,40 @@ from .polynomial import (_batch_bits, _batch_edges, _batch_tally, _block_counts,
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
-# Every per-graph check, in record order, and the sweep suite that runs it.
-# "all" runs every check, so a check mapped to "all" runs nowhere else.  The
-# views below are derived from this table.
-CHECK_SUITES = {
-    "extremal": "extremal",                  # the four characterized coefficients match enumeration
-    "zero-range": "extremal",                # coefficients vanish exactly below the first nonzero one
-    "all-min-sets": "extremal",              # every minimum-size set forces iff complete or empty
-    "hall": "hall",                          # coefficient monotonicity below n/2
-    "multiplicativity": "multiplicativity",  # polynomial is the product over connected components
-    "fort-transversal": "forts",             # the table's forts are the definition's, both ways; no zero forcing set avoids one
-    "fort-count-bound": "forts",             # fort count at most 2^n minus the zero forcing set count
-    "ip": "ip",                              # minimum fort cover size equals the zero forcing number
-    "ham-bound": "forts",                    # Hamiltonian-path graphs obey the path bound (path DP runs only if it fails)
-    "recognizability": "recognizability",    # path, complete and cycle-class polynomials characterize their graphs
-    "unimodality": "conjectures",            # conjecture: coefficients rise then fall
-    "path-bound": "conjectures",             # conjecture: coefficients at most the path's
-    "reversal": "all",                       # reversing the chains of a minimum set forces again
+# Every per-graph check, in record order: the sweep suite that runs it ("all"
+# runs every check, so a check mapped to "all" runs nowhere else), and what it
+# reads beyond n, its edge mask and coefficients: "structure" (a _structure row),
+# "forts" (the table's and the definition's) and "facts" (_coefficient_facts),
+# or none when its record is one of the facts.  The views below derive from it.
+CHECKS = {
+    "extremal": ("extremal", "structure"),                  # the four characterized coefficients match enumeration
+    "zero-range": ("extremal", ""),                         # coefficients vanish exactly below the first nonzero one
+    "all-min-sets": ("extremal", "facts"),                  # every minimum-size set forces iff complete or empty
+    "hall": ("hall", ""),                                   # coefficient monotonicity below n/2
+    "multiplicativity": ("multiplicativity", "structure"),  # polynomial is the product over connected components
+    # the table's forts are the definition's, both ways; no zero forcing set avoids one.
+    # fort-count-bound and ip read the table's forts too, so each files this record, in any suite
+    "fort-transversal": ("forts", "forts"),
+    "fort-count-bound": ("forts", "forts facts"),           # fort count at most 2^n minus the zero forcing set count
+    "ip": ("ip", "forts facts"),                            # minimum fort cover size equals the zero forcing number
+    "ham-bound": ("forts", "structure facts"),              # Hamiltonian-path graphs obey the path bound
+    # path, complete and cycle-class polynomials characterize their graphs
+    "recognizability": ("recognizability", "structure facts"),
+    "unimodality": ("conjectures", ""),                     # conjecture: coefficients rise then fall
+    "path-bound": ("conjectures", ""),                      # conjecture: coefficients at most the path's
+    "reversal": ("all", "facts"),                           # reversing the chains of a minimum set forces again
 }
 
-CHECK_KEYS = tuple(CHECK_SUITES)
-
-FORT_CHECKS = frozenset({"fort-transversal", "fort-count-bound", "ip"})
-
-# The checks that read a graph's structure: (non-isolated vertices, non-twin pairs of them, is a path, is connected).
-STRUCTURE_CHECKS = frozenset({"extremal", "multiplicativity", "ham-bound", "recognizability"})
-
-# The checks that read nothing of a graph but n and its coefficients; a sweep
-# batch runs them once per distinct coefficient vector (_coefficient_facts).
-COEFFICIENT_CHECKS = frozenset({"zero-range", "hall", "unimodality", "path-bound"})
-
-# The checks that read none of _coefficient_facts; run alone, they skip finding them.
-FACT_FREE_CHECKS = frozenset({"extremal", "multiplicativity", "fort-transversal"})
-
+CHECK_KEYS = tuple(CHECKS)
+FORT_CHECKS, STRUCTURE_CHECKS = (frozenset(check for check, (_, reads) in CHECKS.items() if what in reads)
+                                 for what in ("forts", "structure"))
+# a sweep batch runs these once per distinct coefficient vector (_coefficient_facts)
+COEFFICIENT_CHECKS = frozenset(check for check, (_, reads) in CHECKS.items() if not reads)
+# run alone, these skip finding the facts
+FACT_FREE_CHECKS = frozenset(check for check, (_, reads) in CHECKS.items() if reads and "facts" not in reads)
 SWEEP_SUITE_CHECKS = {
-    suite: frozenset(check for check in CHECK_KEYS if CHECK_SUITES[check] == suite)
-    for suite in dict.fromkeys(CHECK_SUITES.values()) if suite != "all"
+    suite: frozenset(check for check in CHECK_KEYS if CHECKS[check][0] == suite)
+    for suite in dict.fromkeys(suite for suite, _ in CHECKS.values()) if suite != "all"
 }
 
 # Conjecture counterexamples are warnings; every other record is a failure.
@@ -230,9 +229,8 @@ def _coefficient_facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
     sets, and equality with the path's, the complete graph's and the cycle's
     coefficients."""
     ctx = _context(n)
-    checks &= COEFFICIENT_CHECKS
     z = _zero_forcing_number(coeffs)
-    exceeds = any(c > p for c, p in zip(coeffs, ctx.path_coeffs))
+    exceeds = _exceeds_path(coeffs, ctx.path_coeffs)
     shown = list(coeffs)
     bad = []
     if "zero-range" in checks and 0 in coeffs[z:n + 1]:
@@ -243,7 +241,7 @@ def _coefficient_facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
         bad.append(("unimodality", f"coefficients {shown} are not unimodal"))
     if "path-bound" in checks and exceeds:
         bad.append(("path-bound", f"coefficients {shown} exceed the path's"))
-    return (z, tuple(bad), exceeds, coeffs[z] == comb(n, z), sum(coeffs),
+    return (z, tuple(bad), exceeds, _min_sets_force(coeffs, n, z), sum(coeffs),
             coeffs == ctx.path_coeffs, coeffs == ctx.complete_coeffs, coeffs == ctx.cycle_coeffs)
 
 
@@ -279,16 +277,15 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int | None, count: i
     bad = list(coefficient_bad)
 
     if "extremal" in checks:
-        second, third, is_path, _ = structure
-        z1 = _size_one_count(n, is_path)
-        if coeffs[n] != 1:
-            bad.append(("extremal", f"top coefficient {coeffs[n]} != 1"))
+        top, second, third, single = _extremal(n, structure)
+        if coeffs[n] != top:
+            bad.append(("extremal", f"top coefficient {coeffs[n]} != {top}"))
         if coeffs[n - 1] != second:
             bad.append(("extremal", f"size n-1: {coeffs[n - 1]} != {second}"))
         if n >= 2 and coeffs[n - 2] != third:
             bad.append(("extremal", f"size n-2: {coeffs[n - 2]} != {third}"))
-        if coeffs[1] != z1:
-            bad.append(("extremal", f"size 1: {coeffs[1]} != {z1}"))
+        if coeffs[1] != single:
+            bad.append(("extremal", f"size 1: {coeffs[1]} != {single}"))
 
     if "all-min-sets" in checks:
         extreme = emask == 0 or emask == ctx.full_edges

@@ -29,7 +29,7 @@ from zfpoly.forts import (_batch_cover_sizes, _batch_fort_definition, _batch_for
                           _fort_definition_bits, _fort_family)
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
 from zfpoly.polynomial import _batch_bits, _batch_edges, _batch_tally, _block_counts, _blocks, _closure_tally
-from zfpoly.sweeps import exhaustive_sweep, random_sweep
+from zfpoly.sweeps import SWEEP_SUITE_CHECKS, exhaustive_sweep, random_sweep, run_suite
 
 
 def test_is_fort_examples():
@@ -84,6 +84,18 @@ def test_sweep_kernel_checks_every_derived_fort(plant):
         assert records and records[0]["check"] == "fort-transversal", checks
         assert "0x6" in records[0]["detail"]
         assert _on_the_batch_path(checks, path(3)) == [(path3, [(r["check"], r["detail"]) for r in records])]
+
+    # ... by every check that reads the table's forts, so a suite files it
+    # though it does not list fort-transversal: every pair of K4 is a fort,
+    # and a closed bit of V - {1, 2} flipped off hides one
+    k4 = edge_mask(complete(4))
+    plant(only_at(complete(4), lambda zf, closed, coeffs: (zf, closed ^ 1 << 0b1001, coeffs)))
+    assert "fort-transversal" not in SWEEP_SUITE_CHECKS["ip"]
+    report = run_suite("ip", max_n=4)
+    assert [(r["check"], r["n"], r["graph"], r["detail"]) for r in report["failures"]] == [
+        ("fort-transversal", 4, k4, "fort 0x6 is missing from the table"),
+        ("ip", 4, k4, "a fort cover smaller than the zero forcing number 3"),
+    ]
 
 
 def test_ip_check_reports_a_shifted_zero_forcing_number(plant):

@@ -1,3 +1,4 @@
+import fnmatch
 import itertools
 import multiprocessing
 import random
@@ -6,6 +7,7 @@ from math import comb
 
 import pytest
 
+import zfpoly
 from conftest import edge_mask, everywhere, only_at
 from oracles import naive_consecutive_counts, naive_is_zfs
 from zfpoly import analysis, parallel, polynomial, sweeps
@@ -865,6 +867,50 @@ def test_check_table_views_are_pinned():
     assert CONJECTURE_CHECKS == frozenset({"unimodality", "path-bound"})
     assert SUITES == ("conjectures", "extremal", "forts", "hall", "ip", "multiplicativity", "recognizability",
                       "closed-forms", "all")
+    # what each check reads, so a wrong entry in the table's second column
+    # fails here
+    assert sweeps.FORT_CHECKS == frozenset({"fort-transversal", "fort-count-bound", "ip"})
+    assert sweeps.STRUCTURE_CHECKS == frozenset({"extremal", "multiplicativity", "ham-bound", "recognizability"})
+    assert COEFFICIENT_CHECKS == frozenset({"zero-range", "hall", "unimodality", "path-bound"})
+    assert FACT_FREE_CHECKS == frozenset({"extremal", "multiplicativity", "fort-transversal"})
+
+
+# The public statements of the paper's results, each with the sweep check
+# (a CHECK_KEYS row or a closed-forms check) that tests it over the corpus,
+# and whether it is proved (True) or a conjecture (False).
+LEDGER = {
+    "all_min_sets_forcing": ("all-min-sets", True),
+    "extremal_coefficients": ("extremal", True),
+    "hall_monotonicity_holds": ("hall", True),
+    "fort_count_bound_holds": ("fort-count-bound", True),
+    "recognizes_path": ("recognizability", True),
+    "recognizes_complete": ("recognizability", True),
+    "path_bound_holds": ("path-bound", False),
+    "poly_path": ("family-path", True),
+    "poly_cycle": ("family-cycle", True),
+    "poly_complete": ("family-complete", True),
+    "poly_wheel": ("family-wheel", True),
+    "poly_multipartite": ("family-multipartite", True),
+    "poly_threshold": ("threshold-poly", True),
+    "threshold_zfs_check": ("threshold-zfs-check", True),
+    "count_consecutive_selections": ("consecutive-selections", True),
+}
+
+# Proved results that no sweep check tests yet: z(G;i) <= C(n,i) - C(n-i-1,i)
+# when some fort has at most Z(G)+1 vertices needs a check key of its own.
+UNCHECKED_THEOREMS = {"small_fort_coefficient_bound"}
+
+
+def test_every_public_result_maps_to_a_check():
+    patterns = ("*_holds", "*_bound", "recognizes_*", "poly_*")
+    named = {"all_min_sets_forcing", "extremal_coefficients", "threshold_zfs_check", "count_consecutive_selections"}
+    public = {name for name in dir(zfpoly) if not name.startswith("_")
+              and (name in named or any(fnmatch.fnmatchcase(name, p) for p in patterns))}
+    assert public == set(LEDGER) | UNCHECKED_THEOREMS
+    assert UNCHECKED_THEOREMS == {"small_fort_coefficient_bound"}
+    for name, (check, proved) in LEDGER.items():
+        assert check in CHECK_KEYS or check in CLOSED_FORM_FAULTS, name
+        assert (check in CONJECTURE_CHECKS) == (not proved), name
 
 
 def test_suite_names_stable():
