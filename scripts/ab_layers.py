@@ -13,9 +13,10 @@ of the acceptance suite's criterion-4 sweep: every check but reversal),
 with every check, and with reversal or multiplicativity alone.  The batches
 are the sweep's own batches at n = 6 and batches of 2^10 graphs at n = 7
 drawn with the fixed seed N7_SEED; ``--batches N`` keeps the first N of
-each.  Each side's process memos (``sweeps._tallies`` and ``sweeps._facts``,
-where the side has them) are emptied before every timed call, so that no
-call reads what an earlier one left there.  Before anything is timed, each
+each.  Each side's process memos (``sweeps._tallies``, ``sweeps._order_counts``,
+``sweeps._part_product`` and ``sweeps._facts``, where the side has them) are
+emptied before every timed call, so that no call reads what an earlier one
+left there: a side that keeps per-order tables rebuilds them in each call.  Before anything is timed, each
 side runs every check once on the batch of each order that holds the
 labeled n-cycle, at the timed width, so that every lazy per-order constant
 is built, whatever graph or width builds it.
@@ -126,7 +127,7 @@ def kernels(keys) -> dict:
 
 def clear_memos(sweeps) -> None:
     """Empty the process memos of sweeps, where it has them."""
-    for name in ("_tallies", "_facts"):
+    for name in ("_tallies", "_order_counts", "_part_product", "_facts"):
         memo = getattr(sweeps, name, None)
         if memo is not None:
             memo.cache_clear()

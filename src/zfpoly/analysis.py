@@ -23,20 +23,21 @@ from .polynomial import ZfPolynomial, _batch_bits, _batch_tally, _chunk_planes, 
 
 
 def _structure(adj: Sequence[int], n: int) -> tuple[int, int, int, int]:
-    """One graph's row of _batch_structure: (non-isolated vertices, non-twin
-    pairs of them, is a path, is connected), the flags 0 or 1.  A path is
-    connected with degrees at most 2 and some vertex of degree at most 1."""
-    second = third = 0
+    """One graph's row of _batch_structure: (the mask of its non-isolated
+    vertices, non-twin pairs of them, is a path, is connected), the flags 0
+    or 1.  A path is connected with degrees at most 2 and some vertex of
+    degree at most 1."""
+    active = third = 0
     for u, au in enumerate(adj):
         if au:
-            second += 1
+            active |= 1 << u
             for v in range(u + 1, n):
                 av = adj[v]
                 if av and au & ~(1 << v) != av & ~(1 << u):
                     third += 1
     connected = len(_connected_components(adj, n)) == 1
     path = connected and max(map(int.bit_count, adj)) <= 2 and min(map(int.bit_count, adj)) <= 1
-    return second, third, int(path), int(connected)
+    return active, third, int(path), int(connected)
 
 
 def _extremal(n: int, structure: Sequence[int]) -> tuple[int, int, int, int]:
@@ -45,8 +46,8 @@ def _extremal(n: int, structure: Sequence[int]) -> tuple[int, int, int, int]:
     dropped.  Size n-2: a pair may be dropped iff both are non-isolated and
     their punctured neighborhoods differ.  Size 1: the lone vertex forces at
     n = 1; otherwise a path has its two ends and every other graph none."""
-    second, third, is_path, _ = structure
-    return 1, second, third, 1 if n == 1 else 2 * is_path
+    active, third, is_path, _ = structure
+    return 1, active.bit_count(), third, 1 if n == 1 else 2 * is_path
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -56,11 +57,12 @@ def is_path_graph(g: Graph) -> bool:
 
 def _batch_structure(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> list[tuple[int, int, int, int]]:
     """Per graph of the batch of edge masks base + g, g < 2^b, as in
-    polynomial._batch_edges: (non-isolated vertices, non-twin pairs of them,
-    is a path, is connected), the flags 0 or 1, as _structure gives them
-    for one graph.  Graph g is byte g of each counter and bit 0 of a byte
-    its indicator, so the counts are sums of indicators with no carry
-    between graphs (n <= 22)."""
+    polynomial._batch_edges: (the mask of its non-isolated vertices,
+    non-twin pairs of them, is a path, is connected), the flags 0 or 1, as
+    _structure gives them for one graph.  Graph g is byte g of each counter
+    and bit 0 of a byte its indicator, so the counts are sums of indicators
+    and the masks sums of indicators shifted to their vertex's bit, with no
+    carry between graphs (n <= 8)."""
     ones, planes = _chunk_planes(b + 3)
     low = ones & ~(planes[0] | planes[1] | planes[2])  # bit 0 of every byte
     edge = [low if base >> i & 1 else 0 for i in range(len(pairs))]
@@ -70,15 +72,15 @@ def _batch_structure(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int
     for e, u, v in links:
         nbr[u][v] = nbr[v][u] = e
     active = []  # per v: the graphs where v has a neighbor
-    second = many = ends = 0  # many: a vertex of degree >= 3; ends: one of degree <= 1
-    for row in nbr:
+    mask = many = ends = 0  # many: a vertex of degree >= 3; ends: one of degree <= 1
+    for v, row in enumerate(nbr):
         one = two = three = 0
         for e in row:
             three |= two & e
             two |= one & e
             one |= e
         active.append(one)
-        second += one
+        mask |= one << v
         many |= three
         ends |= low & ~two
     third = 0
@@ -97,7 +99,7 @@ def _batch_structure(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int
     for r in reach:
         connected &= r
     path = connected & ends & ~many  # connected, degrees at most 2, not a cycle
-    return list(zip(*(c.to_bytes(1 << b, "little") for c in (second, third, path, connected))))
+    return list(zip(*(c.to_bytes(1 << b, "little") for c in (mask, third, path, connected))))
 
 
 def extremal_coefficients(g: Graph) -> tuple[int, int, int, int]:

@@ -92,8 +92,8 @@ def count_consecutive_selections(n: int, k: int, m: int) -> int:
         raise ValueError("cycle length n must be >= 3")
     if k < m or k > n:
         return 0
-    if k == n:
-        return 1 if n >= m else 0
+    if k == n:  # then n >= k >= m
+        return 1
     total = 0
     for t in range(1, n + 1):
         b1 = binom(n - m * t - 1, t - 1)

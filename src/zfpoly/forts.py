@@ -194,8 +194,15 @@ def fort_count_bound_holds(g: Graph) -> tuple[int, int, bool]:
     """Compare the fort count against 2^n minus the number of zero forcing sets."""
     _, closed, coeffs = _flag_table(g)
     lhs = closed.bit_count() - 1  # the proper closed sets, one per fort
-    rhs = (1 << g.n) - sum(coeffs)
-    return lhs, rhs, lhs <= rhs
+    return (lhs, *_fort_count_bound(lhs, g.n, sum(coeffs)))
+
+
+def _fort_count_bound(count: int, n: int, zfs_count: int) -> tuple[int, bool]:
+    """The fort-count theorem for count forts of a graph on n vertices with
+    zfs_count zero forcing sets: (the bound 2^n - zfs_count, whether count
+    is within it)."""
+    bound = (1 << n) - zfs_count
+    return bound, count <= bound
 
 
 def small_fort_coefficient_bound(g: Graph) -> list[tuple[int, int, int, bool]] | None:

@@ -411,11 +411,11 @@ def count_zfs(g: Graph, size: int) -> int:
     return sum(_sweep(g.adj, mask_of(combo))[1] == full for combo in itertools.combinations(range(n), size))
 
 
-def _induced_adj(adj: Sequence[int], mask: int) -> list[int]:
-    """The adjacency induced by mask, relabeled to 0..k-1 in vertex order:
-    each maximal run of consecutive vertices of mask moves down to its new
-    labels with one mask and one shift."""
-    runs = []  # (a run's vertices, the shift down to their new labels)
+def _gather_runs(mask: int) -> tuple[tuple[int, int], ...]:
+    """(run, shift) per maximal run of consecutive set bits of mask, lowest
+    first: _gather moves each run down to the next free low bits with one
+    mask and one shift."""
+    runs = []
     rest, below = mask, 0
     while rest:
         low = rest & -rest
@@ -423,13 +423,24 @@ def _induced_adj(adj: Sequence[int], mask: int) -> list[int]:
         runs.append((run, low.bit_length() - 1 - below))
         below += run.bit_count()
         rest ^= run
-    out = []
-    for v in vertices_of(mask):
-        nbrs, sub = adj[v], 0
-        for run, shift in runs:
-            sub |= (nbrs & run) >> shift
-        out.append(sub)
+    return tuple(runs)
+
+
+def _gather(bits: int, runs: Sequence[tuple[int, int]]) -> int:
+    """The bits of bits at the set bits of the mask of _gather_runs, packed
+    into the low bits in order."""
+    out = 0
+    for run, shift in runs:
+        out |= (bits & run) >> shift
     return out
+
+
+def _induced_adj(adj: Sequence[int], mask: int) -> list[int]:
+    """The adjacency induced by mask, relabeled to 0..k-1 in vertex order:
+    each maximal run of consecutive vertices of mask moves down to its new
+    labels with one mask and one shift."""
+    runs = _gather_runs(mask)
+    return [_gather(adj[v], runs) for v in vertices_of(mask)]
 
 
 def induced_subgraph(g: Graph, mask: int) -> Graph:
@@ -439,11 +450,12 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
 
 
 def _component_product(adj: Sequence[int], n: int, tally) -> list[int]:
-    """The convolution of tally(component adjacency tuple) over the connected
-    components: the graph's coefficients if tally gives each component's."""
+    """The convolution of tally(adj, component vertex mask) over the
+    connected components: the graph's coefficients if tally gives each
+    component's."""
     product = [1]
     for comp in _connected_components(adj, n):
-        product = _convolve(product, tally(tuple(_induced_adj(adj, comp))))
+        product = _convolve(product, tally(adj, comp))
     return product
 
 
@@ -451,4 +463,4 @@ def zf_polynomial_by_components(g: Graph) -> ZfPolynomial:
     """Product of the per-component polynomials; equals zf_polynomial(g).
     Each component, not g, must be within the enumeration cap."""
     return ZfPolynomial(g.n, tuple(_component_product(
-        g.adj, g.n, lambda sub: zf_polynomial(Graph(len(sub), sub)).coeffs)))
+        g.adj, g.n, lambda adj, comp: zf_polynomial(induced_subgraph(g, comp)).coeffs)))

@@ -27,7 +27,7 @@ from .closed_forms import (
     poly_wheel,
 )
 from .forcing import _lane_forcers, _lane_reversals, _sweep
-from .forts import _batch_cover_sizes, _batch_fort_tables, _fort_bits, _fort_definition_bits
+from .forts import _batch_cover_sizes, _batch_fort_tables, _fort_bits, _fort_count_bound, _fort_definition_bits
 from .graphs import (
     LABELED_ENUM_MAX,
     Graph,
@@ -49,7 +49,8 @@ from .graphs import (
 )
 from .parallel import parallel_map, run_scope
 from .polynomial import (_batch_bits, _batch_edges, _batch_tally, _block_counts, _blocks, _chunk_constants,
-                         _closure_tally, _component_product, _is_unimodal, _zero_forcing_number, zf_polynomial)
+                         _closure_tally, _component_product, _gather, _gather_runs, _induced_adj, _is_unimodal,
+                         _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -60,7 +61,9 @@ EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 # or none when its record is one of the facts.  The views below derive from it.
 CHECKS = {
     "extremal": ("extremal", "structure"),                  # the four characterized coefficients match enumeration
-    "zero-range": ("extremal", ""),                         # coefficients vanish exactly below the first nonzero one
+    # coefficients vanish exactly below the first nonzero one.  Where none is nonzero, every check set
+    # that finds the facts files this record, in any suite, and the checks that read z skip the graph
+    "zero-range": ("extremal", ""),
     "all-min-sets": ("extremal", "facts"),                  # every minimum-size set forces iff complete or empty
     "hall": ("hall", ""),                                   # coefficient monotonicity below n/2
     "multiplicativity": ("multiplicativity", "structure"),  # polynomial is the product over connected components
@@ -148,8 +151,13 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
         count, diff = forts.bit_count(), forts ^ definition
         size = _batch_cover_sizes(definition, n, 0)[0] if "ip" in checks else None
     return _check_table(checks, n, emask, zf, count, coeffs, structure, diff, size,
-                        partial(_unreversed, adj, zf), partial(_in_cycle_class, adj), _component_tally,
-                        _coefficient_facts, adj)
+                        partial(_unreversed, adj, zf), partial(_in_cycle_class, adj),
+                        lambda emask, active: tuple(_component_product(adj, n, _component_tally)), _coefficient_facts,
+                        adj)
+
+
+def _component_tally(adj: list[int], comp: int) -> list[int]:
+    return _closure_tally(_induced_adj(adj, comp), comp.bit_count())[2]
 
 
 def _in_cycle_class(adj: list[int], emask: int) -> bool:
@@ -177,9 +185,9 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
     are built for the batch and stay joined: the tables' forts and the
     definition's are compared in one XOR, and the tables are split into
     per-graph blocks only where that or the reversal finds a failing lane.
-    The cycle class is read off the orbit of its list, and each distinct
-    coefficient vector's facts and each distinct component's tally are
-    found once per process."""
+    The cycle class is read off the orbit of its list, each distinct
+    coefficient vector's facts are found once per process, and so is the
+    component product of each distinct non-isolated part (_batch_product)."""
     ctx = _context(n)
     zf, closed, counts = _batch_tally(ctx.pairs, n, base, b)
     unread = [None] * len(counts)  # per graph, what no requested check reads
@@ -203,37 +211,84 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
             zfs = _blocks(zf, n, b)
             unreversed = [block.__and__ for block in _blocks(failing, n, b)]
     failed = []
+    product = partial(_batch_product, n)
     rows = zip(zfs, fort_counts, counts, structures, diffs, sizes, unreversed)
     for g, (zf, count, coeffs, structure, diff, size, unrev) in enumerate(rows):
         emask = base + g
         bad = _check_table(checks, n, emask, zf, count, coeffs, structure, diff, size, unrev, cyclic,
-                           _tallies, _facts)
+                           product, _facts)
         if bad:
             failed.append((emask, bad))
     return failed
 
 
-def _component_tally(sub: tuple) -> tuple[int, ...]:
-    return tuple(_closure_tally(sub, len(sub))[2])  # immutable, as _tallies hands it to every caller
+# The batch path's component products.  Each component's coefficients come
+# from the table of its order, indexed by its edge mask, and the product of
+# a graph is found once per process for each non-isolated part: 871 parts
+# at n <= 6, 28,264 at n = 7.  exhaustive_sweep clears the tables and the
+# products; the gather runs read no table.
+
+@cache
+def _order_counts(k: int) -> list[tuple[int, ...]]:
+    """The coefficients of every labeled graph of order k, indexed by edge
+    mask, read off _batch_tally batches (1,024 graphs in one batch at k = 5,
+    32,768 in 32 at k = 6), each distinct vector held once."""
+    pairs, b = edge_pair_order(k), _batch_bits(k)
+    shared: dict = {}
+    return [shared.setdefault(coeffs, coeffs) for base in range(0, 1 << len(pairs), 1 << b)
+            for coeffs in _batch_tally(pairs, k, base, b)[2]]
 
 
-# The batch path's component tallies for the life of the process (exhaustive_sweep clears
-# it): at most the 27,476 connected labeled graphs of order below EXHAUSTIVE_MAX_N.
-_tallies = cache(_component_tally)
+@cache
+def _pair_runs(n: int, vertices: int) -> tuple[tuple[int, int], ...]:
+    """The _gather runs that take an edge mask over edge_pair_order(n) to the
+    edge mask of the graph it induces on vertices, relabeled in vertex order,
+    over edge_pair_order(|vertices|): an order-preserving relabeling keeps
+    the lexicographic order of the pairs inside vertices."""
+    inside = [vertices >> u & vertices >> v & 1 for u, v in edge_pair_order(n)]
+    return _gather_runs(sum(bit << i for i, bit in enumerate(inside)))
+
+
+def _batch_product(n: int, emask: int, active: int) -> tuple[int, ...]:
+    """The component product of the graph of edge mask emask on n vertices,
+    whose non-isolated vertices are active."""
+    r = active.bit_count()
+    if r == n:  # no isolated vertex: the graph is its own part, met once in a sweep
+        return _table_product(n, n, emask)
+    return _part_product(n, r, _gather(emask, _pair_runs(n, active)))
+
+
+def _table_product(n: int, r: int, m: int) -> tuple[int, ...]:
+    """The product of the order tables' coefficients of the components of
+    every graph on n vertices whose non-isolated part has r vertices and,
+    relabeled in vertex order, edge mask m, read off the one that keeps the
+    part on vertices 0 to r - 1.  Order-preserving relabelings compose, so
+    these graphs' components have the same relabeled edge masks, and the
+    product is theirs even under a wrong table."""
+    adj = _edge_mask_adj(edge_pair_order(r), r, m) + [0] * (n - r)
+    # a vertex at or past r is inside no pair of edge_pair_order(r): K1's table at mask 0
+    product = _component_product(adj, n, lambda _, c: _order_counts(c.bit_count())[_gather(m, _pair_runs(r, c))])
+    return tuple(product)  # immutable, as _part_product hands it to every caller
+
+
+_part_product = cache(_table_product)
 
 
 def _coefficient_facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
-    """What the checks read of one coefficient vector alone: z, the records
-    of the COEFFICIENT_CHECKS among checks, whether a coefficient exceeds
+    """What the checks read of one coefficient vector alone: z (None where
+    no coefficient is nonzero, which files zero-range's record whatever the
+    checks), the records of the COEFFICIENT_CHECKS among checks, whether a coefficient exceeds
     the path's, whether every minimum set forces, the count of zero forcing
     sets, and equality with the path's, the complete graph's and the cycle's
     coefficients."""
     ctx = _context(n)
-    z = _zero_forcing_number(coeffs)
+    z = _zero_forcing_number(coeffs) if any(coeffs) else None
     exceeds = _exceeds_path(coeffs, ctx.path_coeffs)
     shown = list(coeffs)
     bad = []
-    if "zero-range" in checks and 0 in coeffs[z:n + 1]:
+    if z is None:
+        bad.append(("zero-range", "no nonzero coefficient"))
+    elif "zero-range" in checks and 0 in coeffs[z:n + 1]:
         bad.append(("zero-range", f"zero coefficient above the first nonzero index {z}"))
     if "hall" in checks and not _hall_ok(coeffs, n):
         bad.append(("hall", f"coefficients {shown} decrease somewhere below n/2"))
@@ -241,7 +296,7 @@ def _coefficient_facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
         bad.append(("unimodality", f"coefficients {shown} are not unimodal"))
     if "path-bound" in checks and exceeds:
         bad.append(("path-bound", f"coefficients {shown} exceed the path's"))
-    return (z, tuple(bad), exceeds, _min_sets_force(coeffs, n, z), sum(coeffs),
+    return (z, tuple(bad), exceeds, z is not None and _min_sets_force(coeffs, n, z), sum(coeffs),
             coeffs == ctx.path_coeffs, coeffs == ctx.complete_coeffs, coeffs == ctx.cycle_coeffs)
 
 
@@ -256,7 +311,7 @@ def _facts(checks: frozenset, n: int, coeffs: tuple) -> tuple:
 
 def _check_table(checks: frozenset, n: int, emask: int, zf: int | None, count: int | None,
                  coeffs: Sequence[int], structure: tuple | None, diff: int | None, size: int | None, unreversed,
-                 cyclic, tally, facts, adj: list[int] | None = None) -> list[tuple[str, str]] | tuple[()]:
+                 cyclic, product, facts, adj: list[int] | None = None) -> list[tuple[str, str]] | tuple[()]:
     """The checks of one labeled graph, given its zero forcing bits (read
     only where unreversed is given), the count of the forts its flag table
     derives (_fort_bits of its closed bits; read only by fort-count-bound),
@@ -266,11 +321,13 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int | None, count: i
     when ip runs, unreversed(minimum), the lowest at least of the minimum
     sets (a bit per mask) whose chain terminals do not force, or None when
     every zero forcing set's do, cyclic(emask), whether the graph is in the
-    cycle class list up to isomorphism, tally(component adjacency), the
-    component's coefficients, facts, _coefficient_facts or a memo of it
-    (not called when every check is in FACT_FREE_CHECKS), and adj, the
-    caller's adjacency or None, in which case only the checks that read the
-    adjacency build it, from emask.  Records come in CHECK_KEYS order."""
+    cycle class list up to isomorphism, product(emask, the structure's mask
+    of non-isolated vertices), the product of the coefficients of its
+    components as a tuple, facts, _coefficient_facts or a memo of it (not called when
+    every check is in FACT_FREE_CHECKS; z is None where no coefficient is
+    nonzero), and adj, the caller's adjacency or None, in which case only
+    the checks that read the adjacency build it, from emask.  Records come
+    in CHECK_KEYS order."""
     ctx = _context(n)
     z, coefficient_bad, exceeds, every_min_forces, zfs_count, is_pathc, is_completec, is_cyclec = (
         (None, ()) + (None,) * 6 if checks <= FACT_FREE_CHECKS else facts(checks, n, tuple(coeffs)))
@@ -287,15 +344,14 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int | None, count: i
         if coeffs[1] != single:
             bad.append(("extremal", f"size 1: {coeffs[1]} != {single}"))
 
-    if "all-min-sets" in checks:
+    if "all-min-sets" in checks and z is not None:
         extreme = emask == 0 or emask == ctx.full_edges
         if every_min_forces != extreme:
             bad.append(("all-min-sets", f"all-minimum-sets {every_min_forces} vs complete/empty {extreme}"))
 
     if "multiplicativity" in checks and not structure[3]:
-        adj = adj or _edge_mask_adj(ctx.pairs, n, emask)
         # the components' product against the whole graph's own table
-        if _component_product(adj, n, tally) != list(coeffs):
+        if product(emask, structure[0]) != tuple(coeffs):
             bad.append(("multiplicativity", "component product differs from direct enumeration"))
 
     if checks & FORT_CHECKS and diff:
@@ -314,10 +370,10 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int | None, count: i
             bad.append(("fort-transversal", f"fort {f:#x} is missing from the table"))
 
     if "fort-count-bound" in checks:
-        if count > (1 << n) - zfs_count:
+        if not _fort_count_bound(count, n, zfs_count)[1]:
             bad.append(("fort-count-bound", f"{count} forts > 2^n - {zfs_count}"))
 
-    if "ip" in checks:
+    if "ip" in checks and z is not None:
         if diff:  # the definition's cover is the table's only where their forts agree
             size = _batch_cover_sizes(forts, n, 0)[0]
         if size > z:
@@ -345,7 +401,7 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int | None, count: i
         if is_cyclec and not cyclic(emask):
             bad.append(("recognizability", "cycle polynomial outside the listed cycle class"))
 
-    if "reversal" in checks and unreversed:
+    if "reversal" in checks and unreversed and z is not None:
         failing = unreversed(zf & _chunk_constants(n)[2][z])  # of the minimum zero forcing sets
         if failing:
             mask = (failing & -failing).bit_length() - 1
@@ -378,8 +434,8 @@ def exhaustive_sweep(checks, max_n: int, jobs: int = 1) -> tuple[int, list[dict]
     checks = _check_names(checks)
     if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive sweep needs 1 <= max_n <= {EXHAUSTIVE_MAX_N}, got {max_n}")
-    _tallies.cache_clear()
-    _facts.cache_clear()
+    for memo in (_order_counts, _part_product, _facts):
+        memo.cache_clear()
     if "recognizability" in checks:
         for n in range(3, max_n + 1):
             _context(n).cycle_orbit  # built here, before a pool forks, so no worker builds its own

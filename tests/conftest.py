@@ -25,10 +25,10 @@ def only_at(g, corrupt):
 
 
 def clear_memos():
-    """Empty the sweep's process memos, the component tallies and the
-    coefficient facts."""
-    sweeps._tallies.cache_clear()
-    sweeps._facts.cache_clear()
+    """Empty the sweep's process memos: the order tables, the component
+    products and the coefficient facts."""
+    for memo in (sweeps._order_counts, sweeps._part_product, sweeps._facts):
+        memo.cache_clear()
 
 
 @pytest.fixture
@@ -40,7 +40,7 @@ def plant(monkeypatch):
     tables are split into per-graph blocks here, corrupted and joined again.
     Each plant wraps the real producers, so a later one replaces an earlier
     one.  Each plant, and the fixture's teardown, empties the sweep's process
-    memos, so no tally or fact outlives its fault."""
+    memos, so no table, product or fact outlives its fault."""
     def plant(corrupt):
         def faulty_batch(pairs, n, base, b):
             zf, closed, counts = _batch_tally(pairs, n, base, b)

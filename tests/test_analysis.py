@@ -85,7 +85,7 @@ def _naive_structure(n, emask):
     g.add_edges_from(pair for i, pair in enumerate(edge_pair_order(n)) if emask >> i & 1)
     active = [v for v in g if g.degree(v)]
     twins = sum(1 for u, v in itertools.combinations(active, 2) if set(g[u]) - {v} != set(g[v]) - {u})
-    return len(active), twins, int(nx.is_isomorphic(g, nx.path_graph(n))), int(nx.is_connected(g))
+    return sum(1 << v for v in active), twins, int(nx.is_isomorphic(g, nx.path_graph(n))), int(nx.is_connected(g))
 
 
 def test_structure_matches_networkx_and_a_naive_twin_count():

@@ -191,7 +191,8 @@ def test_ab_layers_times_each_costly_check_alone(ab_layers):
 def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch, tmp_path, planted, status):
     # stub checkouts: the change reports planted records on every batch,
     # every graph with checks and every suite run, and only it has process
-    # memos, both of which each timed call empties; the reports' elapsed_s
+    # memos, the order tables, the component products and the facts, all
+    # of which each timed call empties; the reports' elapsed_s
     # always differ
     calls = []
     memo = SimpleNamespace(cache_clear=lambda: calls.append("clear"))
@@ -212,7 +213,8 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
                                edge_pair_order=edge_pair_order, _check_batch=check_batch,
                                random_sweep=random_sweep, run_suite=run_suite, **memos)
 
-    sides = {"zfpoly_parent": fake_sweeps([]), "zfpoly_change": fake_sweeps(planted, _tallies=memo, _facts=memo)}
+    memos = dict.fromkeys(("_order_counts", "_part_product", "_facts"), memo)
+    sides = {"zfpoly_parent": fake_sweeps([]), "zfpoly_change": fake_sweeps(planted, **memos)}
     monkeypatch.setattr(ab_layers, "load_sweeps", lambda tree, name: sides[name])
     monkeypatch.setattr(ab_layers, "git_sha", lambda tree: None)
     monkeypatch.setattr(ab_layers, "CORPUS_SPECS", 3)
@@ -240,18 +242,18 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     cycles = [(n, b, ab_layers.cycle_batch(sides["zfpoly_change"], n, b)) for n, b in ((6, 9), (7, 10))]
     assert cycles[0] == (6, 9, 0b101001000110001 >> 9 << 9)  # the edges 01, 05, 12, 23, 34 and 45
     assert calls[:6] == [cycles[0]] * 2 + [cycles[1]] * 2 + [specs[0]] * 2
-    swept, per_graph, suites = 6 * passes, 8 * passes, 4 * passes
+    swept, per_graph, suites = 7 * passes, 9 * passes, 5 * passes  # three memos cleared per pass
     timed = calls[6:-swept - per_graph - suites]
     sweep = calls[-swept - per_graph - suites:-per_graph - suites]
     corpus, suite = calls[-per_graph - suites:-suites], calls[-suites:]
-    assert timed.count("clear") == 2 * 4 * len(kernels)  # both memos, before each of the change's timed calls
+    assert timed.count("clear") == 3 * 4 * len(kernels)  # each memo, before each of the change's timed calls
     batches = [c for c in timed if c != "clear"]
     assert [c for c in batches if c[0] == 6] == [(6, 9, 0)] * 10 + [(6, 9, 512)] * 10
     assert all(b == 10 and base % 1024 == 0 for n, b, base in batches if n == 7)
-    assert sweep == ["clear", "clear", (6, 9, 0), (6, 9, 0), (6, 9, 512), (6, 9, 512)] * passes
-    assert corpus == ["clear", "clear", *(spec for spec in specs for _ in range(2))] * passes
+    assert sweep == (["clear"] * 3 + [(6, 9, 0), (6, 9, 0), (6, 9, 512), (6, 9, 512)]) * passes
+    assert corpus == (["clear"] * 3 + [spec for spec in specs for _ in range(2)]) * passes
     jobs = min(2, os.cpu_count() or 1)
-    assert suite == ["clear", "clear", ("all", 6, jobs), ("all", 6, jobs)] * passes
+    assert suite == (["clear"] * 3 + [("all", 6, jobs), ("all", 6, jobs)]) * passes
     assert all(n == 7 and 0 <= emask < 1 << 21 for n, emask in specs)
 
 

@@ -8,14 +8,14 @@ from math import comb
 import pytest
 
 import zfpoly
-from conftest import edge_mask, everywhere, only_at
+from conftest import clear_memos, edge_mask, everywhere, only_at
 from oracles import naive_consecutive_counts, naive_is_zfs
 from zfpoly import analysis, parallel, polynomial, sweeps
 from zfpoly.closed_forms import poly_complete, poly_cycle, poly_path
 from zfpoly.graphs import (complete, cycle, disjoint_union, empty, from_edge_list, graph_from_edge_mask,
                            is_isomorphic, path, star)
 from zfpoly.parallel import parallel_map
-from zfpoly.polynomial import _batch_tally, _closure_tally, zf_polynomial
+from zfpoly.polynomial import _batch_tally, _closure_tally, _component_product, zf_polynomial
 from zfpoly.sweeps import (
     CHECK_KEYS,
     COEFFICIENT_CHECKS,
@@ -363,15 +363,17 @@ def test_a_planted_fault_gives_the_same_failures_at_jobs_one_and_two(plant, pool
 
 
 def test_component_tallies_outlive_one_batch_until_a_sweep_starts():
+    # the order tables and the products of the non-isolated parts
     checks = frozenset({"multiplicativity"})
-    sweeps._tallies.cache_clear()
+    memos = (sweeps._order_counts, sweeps._part_product)
+    clear_memos()
     sweeps._check_batch(checks, 5, 3, 0)  # edges 3 to 9 absent: disconnected graphs
-    filled = sweeps._tallies.cache_info()
-    assert filled.currsize > 0
+    filled = [memo.cache_info() for memo in memos]
+    assert all(info.currsize > 0 for info in filled)
     sweeps._check_batch(checks, 5, 3, 0)
-    assert sweeps._tallies.cache_info().misses == filled.misses  # every component found again
+    assert [memo.cache_info().misses for memo in memos] == [info.misses for info in filled]  # all found again
     assert exhaustive_sweep({"extremal"}, max_n=1) == (1, [])
-    assert sweeps._tallies.cache_info().currsize == 0
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
 
 
 def test_coefficient_facts_outlive_one_batch_until_a_sweep_starts():
@@ -389,18 +391,84 @@ def test_coefficient_facts_outlive_one_batch_until_a_sweep_starts():
 @pytest.mark.parametrize("corrupt", [_one_more_set, _x_doubled], ids=["one-more-set", "x-doubled"])
 def test_a_plant_after_the_component_memo_filled_reaches_the_batch_path(plant, corrupt):
     # Z(G; 2x) is still the product of its components' Z(H; 2x), so with x
-    # doubled no graph fails multiplicativity, unless a component tally from
-    # before the plant is read
+    # doubled no graph fails multiplicativity, unless an order table or a
+    # component product from before the plant is read
     checks, n, b = frozenset({"multiplicativity"}), 5, 3
     bases = range(0, 1 << comb(n, 2), 1 << b)
-    sweeps._tallies.cache_clear()
+    clear_memos()
     for base in bases:
         assert sweeps._check_batch(checks, n, b, base) == []
-    assert sweeps._tallies.cache_info().currsize > 0
+    assert sweeps._order_counts.cache_info().currsize > 0 and sweeps._part_product.cache_info().currsize > 0
     plant(everywhere(corrupt))
     looped = [(e, bad) for e in range(1 << comb(n, 2)) if (bad := sweeps._check_one(checks, n, e))]
     assert [failed for base in bases for failed in sweeps._check_batch(checks, n, b, base)] == looped
     assert bool(looped) == (corrupt is _one_more_set)
+
+
+def test_the_batch_product_is_the_product_of_each_components_own_table():
+    # every disconnected labeled graph with n <= 6, and those of two seeded
+    # batches of 2^10 graphs at n = 7: the product read off the order tables,
+    # memoized by the non-isolated part, against each component's own flag
+    # table (_check_one's oracle)
+    graphs = [(n, emask) for n in range(2, 7) for emask in range(1 << comb(n, 2))]
+    rng = random.Random(3434)
+    graphs += [(7, emask) for base in (rng.randrange(0, 1 << 21, 1 << 10) for _ in range(2))
+               for emask in range(base, base + (1 << 10))]
+    clear_memos()
+    disconnected = 0
+    for n, emask in graphs:
+        adj = list(graph_from_edge_mask(n, emask).adj)
+        active, _, _, connected = analysis._structure(adj, n)
+        if not connected:
+            disconnected += 1
+            own = _component_product(adj, n, sweeps._component_tally)
+            assert sweeps._batch_product(n, emask, active) == tuple(own), (n, emask)
+    assert disconnected > 1 + 4 + 26 + 296 + 6064  # the disconnected labeled graphs of orders 2 to 6, then n = 7
+
+
+def test_a_plant_on_the_table_of_k1_reaches_every_isolated_vertex_on_both_paths(plant):
+    # K1 claimed to have two zero forcing sets of size 1: every product with
+    # an isolated vertex doubles, so exactly the order-5 graphs with an
+    # isolated vertex fail, on both paths
+    checks, n, b = frozenset({"multiplicativity"}), 5, 3
+    plant(only_at(empty(1), _one_more_set))
+    looped = [(e, bad) for e in range(1 << comb(n, 2)) if (bad := sweeps._check_one(checks, n, e))]
+    assert [failed for base in range(0, 1 << comb(n, 2), 1 << b)
+            for failed in sweeps._check_batch(checks, n, b, base)] == looped
+    isolated = [e for e in range(1 << comb(n, 2))
+                if analysis._structure(graph_from_edge_mask(n, e).adj, n)[0] != (1 << n) - 1]
+    assert [e for e, _ in looped] == isolated and len(isolated) == 1024 - 768  # 768 have no isolated vertex
+
+
+def test_the_plant_seam_empties_every_memo_that_reads_a_table(plant):
+    # every process memo of sweeps but the per-order constants and the
+    # gather runs, which read no flag table
+    memos = {name: memo for name, memo in vars(sweeps).items()
+             if hasattr(memo, "cache_clear") and memo.__module__ == sweeps.__name__}
+    assert exhaustive_sweep(CHECK_KEYS, 5) == (1099, [])
+    assert all(memo.cache_info().currsize for memo in memos.values())
+    plant(everywhere(lambda *table: table))
+    assert {name for name, memo in memos.items() if memo.cache_info().currsize} == {"_context", "_pair_runs"}
+
+
+def test_a_table_with_no_nonzero_coefficient_files_a_record_on_both_paths(plant):
+    # the zero-range row's fault, the tally losing V, on every order-5
+    # table leaves the edgeless graph, whose only zero forcing set is V, no
+    # nonzero coefficient: every check set that finds the facts files
+    # zero-range's record for it, in any suite, the checks that read z skip
+    # it, and the sweep goes on
+    _, corrupt, _ = PLANTED_FAULTS["zero-range"]
+    plant(lambda n, emask, table: corrupt(*table) if n == 5 else table)
+    record = ("zero-range", "no nonzero coefficient")
+    every = frozenset(CHECK_KEYS)
+    bad = sweeps._check_one(every, 5, 0)
+    assert [check for check, _ in bad] == ["extremal", "zero-range", "multiplicativity"] and record in bad
+    assert sweeps._check_batch(every, 5, 3, 0)[0] == (0, bad)
+    for check in sorted(every - FACT_FREE_CHECKS):
+        assert sweeps._check_one(frozenset({check}), 5, 0) == [record], check
+        assert sweeps._check_batch(frozenset({check}), 5, 3, 0)[:1] == [(0, [record])], check
+    _, records = exhaustive_sweep(CHECK_KEYS, 5)
+    assert [r for r in records if r["detail"] == record[1]] == [sweeps._record("zero-range", 5, 0, record[1])]
 
 
 def test_reversal_names_the_lowest_failing_minimum_set_on_both_paths(plant):
@@ -431,10 +499,10 @@ def test_coefficient_checks_read_only_the_coefficients(plant):
     # K5's edges, every set but V forcing, 2^n - 1 forts of the table, which
     # differ from the definition's at every nonempty set, a cover of size 0,
     # no minimum set whose reversal forces, no graph in the cycle class and
-    # every component [2]
+    # a component product of [2]
     garbage = (sweeps._context(n).full_edges, every_set ^ 1 << (1 << n) - 1, (1 << n) - 1, coeffs,
                (0, 0, True, False), every_set ^ 1, 0, lambda minimum: minimum, lambda emask: False,
-               lambda sub: [2], sweeps._coefficient_facts)
+               lambda emask, active: [2], sweeps._coefficient_facts)
     assert sweeps._check_table(COEFFICIENT_CHECKS, n, *garbage) == records
     for check in sorted(set(CHECK_KEYS) - COEFFICIENT_CHECKS):
         checks = COEFFICIENT_CHECKS | {check}
@@ -472,7 +540,7 @@ def test_the_batch_path_reads_the_structure_kernel(monkeypatch):
     real_structure = sweeps._batch_structure
 
     def one_more_active(pairs, n, base, b):
-        return [(second + 1, *rest) for second, *rest in real_structure(pairs, n, base, b)]
+        return [(active | 1 << n, *rest) for active, *rest in real_structure(pairs, n, base, b)]
 
     monkeypatch.setattr(sweeps, "_batch_structure", one_more_active)
     count, records = exhaustive_sweep({"extremal"}, 5)
@@ -491,7 +559,7 @@ def test_check_one_tests_for_a_path_once(monkeypatch):
         assert sweeps._check_one(frozenset(CHECK_KEYS), 7, emask) == ()
     assert calls == [7] * 5
     # and what the extremal check compares is that call's row
-    monkeypatch.setattr(sweeps, "_structure", lambda adj, n: (real(adj, n)[0] + 1, *real(adj, n)[1:]))
+    monkeypatch.setattr(sweeps, "_structure", lambda adj, n: (real(adj, n)[0] | 1 << n, *real(adj, n)[1:]))
     for emask in emasks:
         assert [detail[:10] for _, detail in sweeps._check_one(frozenset({"extremal"}), 7, emask)] == ["size n-1: "]
 
