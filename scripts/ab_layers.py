@@ -1,4 +1,4 @@
-"""Time the sweep's batch kernel, per-graph path and suite runner of two checkouts in one process, call by call.
+"""Time the sweep's batch kernel, per-graph path, flag-table kernel and suite runner of two checkouts in one process, call by call.
 
     python3 scripts/ab_layers.py --parent ../parent --change . --out BENCH_26.json
     python3 scripts/ab_layers.py --parent . --change . --batches 2
@@ -12,11 +12,14 @@ the change's time to the parent's is kept.  The kernels are
 of the acceptance suite's criterion-4 sweep: every check but reversal),
 with every check, and with reversal or multiplicativity alone.  The batches
 are the sweep's own batches at n = 6 and batches of 2^10 graphs at n = 7
-drawn with the fixed seed N7_SEED; ``--batches N`` keeps the first N of
+drawn with the fixed seed SEED; ``--batches N`` keeps the first N of
 each.  Each side's process memos (``sweeps._tallies``, ``sweeps._order_counts``,
 ``sweeps._part_product`` and ``sweeps._facts``, where the side has them) are
 emptied before every timed call, so that no call reads what an earlier one
-left there: a side that keeps per-order tables rebuilds them in each call.  Before anything is timed, each
+left there.  The order tables below the batch's order (``_order_counts(k)``,
+k < n, where the side has them) are then built again untimed, so a call pays
+for its component products and coefficient facts but not for the tables
+they read, which a sweep builds once per order.  Before anything is timed, each
 side runs every check once on the batch of each order that holds the
 labeled n-cycle, at the timed width, so that every lazy per-order constant
 is built, whatever graph or width builds it.
@@ -28,8 +31,16 @@ keeps the ratio of the sides' totals, which is what a memo kept across the
 batches of a sweep saves.  ``random_sweep.n7`` times the per-graph path, the
 call that the benchmark's corpus-n7 workload times: SWEEP_PASSES passes of
 ``random_sweep(CHECK_KEYS, [spec])`` over CORPUS_SPECS uniform labeled
-n = 7 graphs drawn with N7_SEED, alternating the side that runs first spec
-by spec, with the ratio of the sides' totals per pass.  ``run_suite.all.n6``
+n = 7 graphs drawn with SEED, alternating the side that runs first spec
+by spec, with the ratio of the sides' totals per pass.  Two passes time the
+flag-table kernel in the same way, call by call, with each call's result
+compared: ``polynomial._closure_tally.n7`` calls ``_closure_tally`` on the
+adjacency of each of those specs, its one-chunk path, and
+``polynomial.zf_polynomial.large`` calls ``zf_polynomial`` on the graphs of
+the benchmark's poly-large mix, the cycle and path at n = 19 and 20 and the
+wheel at n = 20 LARGE_REPEATS times each, then the cycle at n = 21 once, each
+relabeled by a shuffle drawn with SEED; both sides take the same graphs,
+built by the change's package.  ``run_suite.all.n6``
 times SWEEP_PASSES calls of ``run_suite("all", max_n=6, jobs=min(2, CPUs))``
 on each side, the side that runs first alternating from call to call, with
 the ratio of each pair of calls and the reports compared without
@@ -67,9 +78,11 @@ from statistics import median
 from time import perf_counter_ns
 
 N7_BATCH_BITS = 10
-N7_SEED = 2601  # seed of the n = 7 batches and specs
+SEED = 2601  # seed of the n = 7 batches and specs and of the relabelings
 SWEEP_PASSES = 16
 CORPUS_SPECS = 1000
+LARGE_GRAPHS = (("cycle", 19), ("path", 19), ("cycle", 20), ("path", 20), ("wheel", 20), ("cycle", 21))
+LARGE_REPEATS = 5  # per pass, of each graph below n = 21
 
 
 def load_sweeps(tree: Path, name: str):
@@ -101,15 +114,29 @@ def batches(sweeps, count: int) -> list[tuple[int, int, int]]:
     """(n, b, base) of the first count sweep batches at n = 6, then of count
     seeded 2^10-graph batches at n = 7."""
     b6 = sweeps._batch_bits(6)
-    rng = random.Random(N7_SEED)
+    rng = random.Random(SEED)
     return ([(6, b6, base) for base in range(0, 1 << 15, 1 << b6)][:count]
             + [(7, N7_BATCH_BITS, rng.randrange(0, 1 << 21, 1 << N7_BATCH_BITS)) for _ in range(count)])
 
 
 def corpus(count: int) -> list[tuple[int, int]]:
-    """count uniform labeled n = 7 graph specs, drawn with N7_SEED."""
-    rng = random.Random(N7_SEED)
+    """count uniform labeled n = 7 graph specs, drawn with SEED."""
+    rng = random.Random(SEED)
     return [(7, rng.getrandbits(comb(7, 2))) for _ in range(count)]
+
+
+def large_graphs(sweeps) -> list:
+    """The graphs of LARGE_GRAPHS, each relabeled by a shuffle drawn with
+    SEED, in the order of one pass: the graphs below n = 21 LARGE_REPEATS
+    times over, then the rest."""
+    rng = random.Random(SEED)
+    graphs = []
+    for family, n in LARGE_GRAPHS:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(sweeps.from_edge_list(n, [(perm[u], perm[v]) for u, v in getattr(sweeps, family)(n).edges()]))
+    below = [g for g in graphs if g.n < 21]
+    return below * LARGE_REPEATS + [g for g in graphs if g.n >= 21]
 
 
 def cycle_batch(sweeps, n: int, b: int) -> int:
@@ -133,18 +160,28 @@ def clear_memos(sweeps) -> None:
             memo.cache_clear()
 
 
+def build_order_tables(sweeps, n: int) -> None:
+    """Build the order tables of sweeps below n, where it has them."""
+    tables = getattr(sweeps, "_order_counts", None)
+    if tables is not None:
+        for k in range(1, n):
+            tables(k)
+
+
 def suite_report(sweeps, jobs: int) -> dict:
     """The report of run_suite("all", max_n=6, jobs=jobs), less its elapsed_s."""
     report = sweeps.run_suite("all", max_n=6, jobs=jobs)
     return {key: value for key, value in report.items() if key != "elapsed_s"}
 
 
-def timed(sides: dict, order: tuple, call) -> tuple[float, bool]:
+def timed(sides: dict, order: tuple, n: int, call) -> tuple[float, bool]:
     """The change/parent time ratio of call(sweeps), each side from emptied
-    memos in order, and whether the two sides' results differ."""
+    memos and rebuilt order tables below n, in order, and whether the two
+    sides' results differ."""
     ns, results = {}, {}
     for side in order:
         clear_memos(sides[side])
+        build_order_tables(sides[side], n)
         t0 = perf_counter_ns()
         results[side] = call(sides[side])
         ns[side] = perf_counter_ns() - t0
@@ -173,20 +210,25 @@ def passes(sides: dict, calls: list, run_one) -> tuple[list[float], int]:
 
 def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, int]]) -> tuple[dict, int]:
     """Per kernel and order, the change/parent time ratio of each call, and
-    of each pass under sweep.n6, random_sweep.n7 and run_suite.all.n6, and
-    the number of calls and passes whose records differ."""
-    sets = kernels(sides["change"].CHECK_KEYS)
+    of each pass under sweep.n6, random_sweep.n7, polynomial._closure_tally.n7,
+    polynomial.zf_polynomial.large and run_suite.all.n6, and the number of
+    calls and passes whose results differ."""
+    change = sides["change"]
+    sets = kernels(change.CHECK_KEYS)
+    adjs = [change._edge_mask_adj(change.edge_pair_order(n), n, emask) for n, emask in specs]
+    large = large_graphs(change)
     for n, b in sorted({(n, b) for n, b, _ in work}):  # build each side's lazy per-order constants untimed
         for sweeps in sides.values():
             sweeps._check_batch(sets["all"], n, b, cycle_batch(sweeps, n, b))
     for sweeps in sides.values():
         sweeps.random_sweep(sets["all"], specs[:1])
+        sweeps.zf_polynomial(large[0])  # and the constants of the 2^12-bit chunks
     ratios: dict = {}
     mismatches = 0
     for i, (n, b, base) in enumerate(work):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for kernel, checks in sets.items():
-            ratio, differ = timed(sides, order, lambda sweeps: sweeps._check_batch(checks, n, b, base))
+            ratio, differ = timed(sides, order, n, lambda sweeps: sweeps._check_batch(checks, n, b, base))
             mismatches += differ
             ratios.setdefault(f"sweeps._check_batch.{kernel}.n{n}", []).append(ratio)
     sweep = [(n, b, base) for n, b, base in work if n == 6]
@@ -194,6 +236,8 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
     for name, calls, run_one in (
             ("sweep.n6", sweep, lambda sweeps, batch: sweeps._check_batch(sets["all"], *batch)),
             ("random_sweep.n7", specs, lambda sweeps, spec: sweeps.random_sweep(sets["all"], [spec])),
+            ("polynomial._closure_tally.n7", adjs, lambda sweeps, adj: sweeps._closure_tally(adj, 7)),
+            ("polynomial.zf_polynomial.large", large, lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
             ("run_suite.all.n6", [jobs], suite_report)):
         ratios[name], differ = passes(sides, calls, run_one)
         mismatches += differ
@@ -223,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     entry = {"command": f"python3 scripts/ab_layers.py --parent PARENT --change CHANGE --batches {args.batches}",
              "python": platform.python_version(), "nproc": os.cpu_count(),
              "machine": platform.machine(), "parent_sha": git_sha(args.parent),
-             "change_sha": git_sha(args.change), "seed": N7_SEED, "records_differ": mismatches,
+             "change_sha": git_sha(args.change), "seed": SEED, "records_differ": mismatches,
              "kernels": summary}
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.is_file() else {}

@@ -171,6 +171,12 @@ def _chunk_constants(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return ones, planes, tuple(levels)
 
 
+@cache
+def _binomials(k: int) -> tuple[int, ...]:
+    """C(k, j) for j = 0..k: the set bits of level j of a 2^k-bit chunk."""
+    return tuple(comb(k, j) for j in range(k + 1))
+
+
 def _lane_width(n: int) -> int:
     """The k low vertices that index the bits of one chunk."""
     return min(n, _CHUNK_BITS)
@@ -225,24 +231,28 @@ def _block_counts(table: int, k: int, c: int) -> Sequence[int]:
     return table.to_bytes(1 << (k + c - 3), "little")[::1 << (k - 3)]
 
 
-def _close_up(z: int, moves: Sequence[tuple[int, int]]) -> int:
+def _close_up(z: int, moves: Sequence[tuple[int, int]], ones: int) -> int:
     """The least superset of z closed under z |= f & z >> shift for each
     (shift, f) in moves: a lane where a force into w applies is set once the
-    lane 2^w up, the mask it forces into, is."""
-    while True:
+    lane 2^w up, the mask it forces into, is.  ones is every lane, which is
+    closed, so no round runs once z reaches it."""
+    while z != ones:
         before = z
         for shift, f in moves:
             z |= f & z >> shift
         if z == before:
-            return z
+            break
+    return z
 
 
-def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
+def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple:
     """The flag table as two 2^n-bit ints, and the coefficients.
 
     Returns (zf, closed, coeffs): bit m of zf is set iff mask m forces every
     vertex, bit m of closed iff no force applies at m, and coeffs[i] counts
-    the zero forcing sets of size i.
+    the zero forcing sets of size i.  With join false, zf and closed are
+    the lists of their chunks, chunk 0 first, for a caller that reads only
+    the coefficients.
 
     The chunks take the lane layout, bit t of chunk h for mask h << k | t,
     and are visited in decreasing order of h.  A force v -> w applies at the
@@ -251,7 +261,9 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
     with an applicable force forces every vertex iff the mask it forces
     into does: a force into a high w copies bits of the finished chunk
     h | w, and the chunk is closed under the forces into low w until
-    nothing changes.
+    nothing changes or every bit is set.  A superset of a zero forcing set
+    forces, so chunk h is all ones iff the high set h forces alone; such a
+    chunk adds C(k, j) to coeffs[|h| + j] in place of counting its levels.
     """
     k = _lane_width(n)
     ones, planes, levels = _chunk_constants(k)
@@ -301,11 +313,17 @@ def _closure_tally(adj: Sequence[int], n: int) -> tuple[int, int, list[int]]:
             if f:
                 union |= f
                 moves.append((shift, f))
-        zf[h] = z = _close_up(z, moves)
+        zf[h] = z = _close_up(z, moves, ones)
         closed[h] = ones ^ union
         base = h.bit_count()
-        for j, level in enumerate(levels):
-            coeffs[base + j] += (z & level).bit_count()
+        if z == ones:  # h forces alone: every mask of the chunk forces
+            for j, count in enumerate(_binomials(k)):
+                coeffs[base + j] += count
+        else:
+            for j, level in enumerate(levels):
+                coeffs[base + j] += (z & level).bit_count()
+    if not join:
+        return zf, closed, coeffs
     return _unblocks(zf, k), _unblocks(closed, k), coeffs
 
 
@@ -367,7 +385,7 @@ def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) ->
     z = ones
     for plane in planes[:n]:
         z &= plane  # V forces every vertex
-    z = _close_up(z, [(1 << w, f) for w, f in enumerate(moves) if f])
+    z = _close_up(z, [(1 << w, f) for w, f in enumerate(moves) if f], ones)
     counts = list(zip(*(_block_counts(z & level, n, b) for level in _block_levels(n, b))))  # per graph, per level
     return z, ones ^ union, counts
 
@@ -377,13 +395,14 @@ def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
 
     ``engine="table"`` shares forcing work across subsets through two flag
     bits per subset, 2^12 subsets per big-int operation, at every order up
-    to the enumeration cap.
+    to the enumeration cap, and reads the coefficients without joining the
+    chunks into 2^n-bit tables.
     ``engine="sweep"`` counts each size with count_zfs, an independent sweep
     closure per subset; it is the differential oracle for the table (exact
     agreement is tested).  Both give the empty graph 1 (local convention).
     """
     if engine == "table":
-        coeffs = _flag_table(g)[2]
+        coeffs = _flag_table(g, join=False)[2]
     elif engine == "sweep":
         coeffs = [count_zfs(g, i) for i in range(g.n + 1)]
     else:
@@ -391,12 +410,13 @@ def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
     return ZfPolynomial(g.n, tuple(coeffs))
 
 
-def _flag_table(g: Graph) -> tuple[int, int, list[int]]:
-    """_closure_tally of a public graph, within the enumeration cap."""
+def _flag_table(g: Graph, join: bool = True) -> tuple:
+    """_closure_tally of a public graph, within the enumeration cap; join
+    false leaves the tables in chunks."""
     cap = enumeration_cap()
     if g.n > cap:
         raise SizeCapError(f"enumeration over {g.n} vertices exceeds cap {cap}")
-    return _closure_tally(g.adj, g.n)
+    return _closure_tally(g.adj, g.n, join)
 
 
 def count_zfs(g: Graph, size: int) -> int:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from test_acceptance import CRITERION_4_CHECKS, EXTRA_SWEEP_CHECKS
-from zfpoly.graphs import edge_pair_order
+from zfpoly.graphs import _edge_mask_adj, edge_pair_order
 from zfpoly.sweeps import CHECK_KEYS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -190,12 +190,19 @@ def test_ab_layers_times_each_costly_check_alone(ab_layers):
 @pytest.mark.parametrize("planted, status", [([], 0), ([(5, [("hall", "planted")])], 1)], ids=["equal", "differ"])
 def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch, tmp_path, planted, status):
     # stub checkouts: the change reports planted records on every batch,
-    # every graph with checks and every suite run, and only it has process
-    # memos, the order tables, the component products and the facts, all
-    # of which each timed call empties; the reports' elapsed_s
-    # always differ
+    # every graph with checks, every flag table, every polynomial and every
+    # suite run, and only it has process memos, the order tables, the
+    # component products and the facts, all of which each timed call
+    # empties, and then builds the order tables below the batch's order
+    # again; the reports' elapsed_s always differ
     calls = []
-    memo = SimpleNamespace(cache_clear=lambda: calls.append("clear"))
+
+    class Memo:
+        def __call__(self, k):
+            calls.append(("table", k))
+
+        def cache_clear(self):
+            calls.append("clear")
 
     def fake_sweeps(records, **memos):
         def check_batch(checks, n, b, base):
@@ -206,14 +213,26 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
             calls.append(specs[0])
             return len(specs), records if checks else []
 
+        def closure_tally(adj, n):
+            calls.append(("tally", n, tuple(adj)))
+            return adj, records
+
+        def zf_polynomial(g):
+            calls.append(("poly", g.n))
+            return SimpleNamespace(coeffs=records)
+
         def run_suite(suite, max_n, jobs):
             calls.append((suite, max_n, jobs))
             return {"failures": records, "elapsed_s": len(calls)}
+        family = lambda n: SimpleNamespace(edges=lambda: [(0, n - 1)])  # noqa: E731
         return SimpleNamespace(CHECK_KEYS=("hall", "reversal"), _batch_bits=lambda n: 9,
-                               edge_pair_order=edge_pair_order, _check_batch=check_batch,
-                               random_sweep=random_sweep, run_suite=run_suite, **memos)
+                               edge_pair_order=edge_pair_order, _edge_mask_adj=_edge_mask_adj,
+                               _check_batch=check_batch, random_sweep=random_sweep, _closure_tally=closure_tally,
+                               zf_polynomial=zf_polynomial, run_suite=run_suite, cycle=family, path=family,
+                               wheel=family, from_edge_list=lambda n, edges: SimpleNamespace(n=n, edges=edges),
+                               **memos)
 
-    memos = dict.fromkeys(("_order_counts", "_part_product", "_facts"), memo)
+    memos = dict.fromkeys(("_order_counts", "_part_product", "_facts"), Memo())
     sides = {"zfpoly_parent": fake_sweeps([]), "zfpoly_change": fake_sweeps(planted, **memos)}
     monkeypatch.setattr(ab_layers, "load_sweeps", lambda tree, name: sides[name])
     monkeypatch.setattr(ab_layers, "git_sha", lambda tree: None)
@@ -224,36 +243,46 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     assert ab_layers.main(argv) == status
     doc = json.loads(out.read_text())
     # 4 batches, each under the three kernels with checks (multiplicativity
-    # is no key of the stubs), the sweep passes, the per-graph passes and
-    # the suite runs
+    # is no key of the stubs), the sweep passes, the per-graph passes, the
+    # flag-table and polynomial passes and the suite runs
     passes = ab_layers.SWEEP_PASSES
-    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 3 * passes) * status
+    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 5 * passes) * status
     kernels = ("none", "criterion-4", "all", "reversal", "multiplicativity")
     assert {name: row["calls"] for name, row in doc["layers"]["kernels"].items()} == {
         **{f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in kernels},
-        "sweep.n6": passes, "random_sweep.n7": passes, "run_suite.all.n6": passes}
+        "sweep.n6": passes, "random_sweep.n7": passes, "polynomial._closure_tally.n7": passes,
+        "polynomial.zf_polynomial.large": passes, "run_suite.all.n6": passes}
     # untimed, per side: every check on the batch of each order that holds
-    # the n-cycle, at the timed width, and one per-graph call; then both
-    # sides on 2 sweep batches at n = 6 and 2 of 2^10 at n = 7, then the
-    # passes over the 2 at n = 6 and over the 3 specs at n = 7, each from
+    # the n-cycle, at the timed width, one per-graph call and one polynomial
+    # of the large mix; then both sides on 2 sweep batches at n = 6 and 2 of
+    # 2^10 at n = 7, then the passes over the 2 at n = 6, over the 3 specs
+    # at n = 7, over their adjacencies and over the large mix, each from
     # emptied memos and call by call on both sides, then the suite runs,
     # each from emptied memos, on both sides
     specs = ab_layers.corpus(3)
     cycles = [(n, b, ab_layers.cycle_batch(sides["zfpoly_change"], n, b)) for n, b in ((6, 9), (7, 10))]
     assert cycles[0] == (6, 9, 0b101001000110001 >> 9 << 9)  # the edges 01, 05, 12, 23, 34 and 45
-    assert calls[:6] == [cycles[0]] * 2 + [cycles[1]] * 2 + [specs[0]] * 2
-    swept, per_graph, suites = 7 * passes, 9 * passes, 5 * passes  # three memos cleared per pass
-    timed = calls[6:-swept - per_graph - suites]
-    sweep = calls[-swept - per_graph - suites:-per_graph - suites]
-    corpus, suite = calls[-per_graph - suites:-suites], calls[-suites:]
+    assert calls[:8] == [cycles[0]] * 2 + [cycles[1]] * 2 + [specs[0], ("poly", 19)] * 2
+    large = [n for _, n in ab_layers.LARGE_GRAPHS if n < 21] * ab_layers.LARGE_REPEATS + [21]
+    sections = {"sweep": 7, "per_graph": 9, "tally": 9, "poly": 3 + 2 * len(large), "suite": 5}  # calls per pass
+    tail = sum(sections.values()) * passes
+    timed, rest = calls[8:-tail], calls[-tail:]
+    parts = {}
+    for name, size in sections.items():
+        parts[name], rest = rest[:size * passes], rest[size * passes:]
     assert timed.count("clear") == 3 * 4 * len(kernels)  # each memo, before each of the change's timed calls
-    batches = [c for c in timed if c != "clear"]
+    tables = [c for c in timed if c != "clear" and c[0] == "table"]
+    assert tables == [("table", k) for n in (6, 6, 7, 7) for _ in kernels for k in range(1, n)]
+    batches = [c for c in timed if c != "clear" and c[0] != "table"]
     assert [c for c in batches if c[0] == 6] == [(6, 9, 0)] * 10 + [(6, 9, 512)] * 10
     assert all(b == 10 and base % 1024 == 0 for n, b, base in batches if n == 7)
-    assert sweep == (["clear"] * 3 + [(6, 9, 0), (6, 9, 0), (6, 9, 512), (6, 9, 512)]) * passes
-    assert corpus == (["clear"] * 3 + [spec for spec in specs for _ in range(2)]) * passes
+    assert parts["sweep"] == (["clear"] * 3 + [(6, 9, 0), (6, 9, 0), (6, 9, 512), (6, 9, 512)]) * passes
+    assert parts["per_graph"] == (["clear"] * 3 + [spec for spec in specs for _ in range(2)]) * passes
+    adjs = [tuple(_edge_mask_adj(edge_pair_order(n), n, emask)) for n, emask in specs]
+    assert parts["tally"] == (["clear"] * 3 + [("tally", 7, adj) for adj in adjs for _ in range(2)]) * passes
+    assert parts["poly"] == (["clear"] * 3 + [("poly", n) for n in large for _ in range(2)]) * passes
     jobs = min(2, os.cpu_count() or 1)
-    assert suite == (["clear"] * 3 + [("all", 6, jobs), ("all", 6, jobs)]) * passes
+    assert parts["suite"] == (["clear"] * 3 + [("all", 6, jobs), ("all", 6, jobs)]) * passes
     assert all(n == 7 and 0 <= emask < 1 << 21 for n, emask in specs)
 
 

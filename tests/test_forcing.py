@@ -137,6 +137,23 @@ def test_narrow_chunks_match_the_closure_table(monkeypatch, width):
             _assert_table_matches_closures(graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
 
 
+def test_all_ones_chunks_are_the_high_sets_that_force(monkeypatch):
+    # chunk h is all ones iff its high vertex set h forces alone; those
+    # chunks skip the close-up and add binomials in place of level counts,
+    # and still match the list table and the sweep engine
+    monkeypatch.setattr(polynomial, "_CHUNK_BITS", 3)
+    ones = (1 << (1 << 3)) - 1
+    rng = random.Random(35)
+    graphs = [path(7), cycle(8), wheel(9), graph_from_edge_mask(8, rng.getrandbits(28))]
+    for g in graphs:
+        zf_chunks, closed_chunks, coeffs = _closure_tally(g.adj, g.n, join=False)
+        assert any(chunk == ones for chunk in zf_chunks), g
+        _assert_table_matches_closures(g)  # the joined tables and their coefficients
+        zf, closed, joined_coeffs = _closure_tally(g.adj, g.n)
+        assert (_unblocks(zf_chunks, 3), _unblocks(closed_chunks, 3), coeffs) == (zf, closed, joined_coeffs)
+        assert [chunk == ones for chunk in zf_chunks] == [zf >> (h << 3) & 1 == 1 for h in range(len(zf_chunks))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph_and_set, st.randoms(use_true_random=False))
 def test_closure_confluent_under_random_force_order(gs, rng):

@@ -335,7 +335,8 @@ def test_min_fort_cover_witness_is_lex_min():
 def test_min_fort_cover_refuses_a_witness_that_does_not_force(monkeypatch):
     # the cover size is read off the coefficients and the witness off the zf
     # bits; hiding every zf bit of size Z leaves that size with no witness
-    def no_minimum_sets(adj, n):
+    def no_minimum_sets(adj, n, join=True):
+        assert join  # the witness scan reads the joined zf bits
         zf, closed, coeffs = _closure_tally(adj, n)
         z = next(i for i, c in enumerate(coeffs) if c)
         for mask in range(1 << n):

@@ -57,7 +57,9 @@ def test_isolated_vertices_force_nothing():
 
 
 def test_order_zero_convention():
+    # the one chunk, of one lane, is all ones: the empty set forces V = {}
     assert zf_polynomial(empty(0)).coeffs == (1,)
+    assert _closure_tally((), 0, join=False) == ([1], [1], [1])
 
 
 def test_engines_agree_exhaustively():
@@ -149,6 +151,10 @@ def test_table_engine_runs_past_order_twenty():
     assert zf_polynomial(cycle(22)) == poly_cycle(22)
     assert zf_polynomial(wheel(24)) == poly_wheel(24)
     rng = random.Random(2121)
+    for g, want in ((path(24), poly_path(24)), (cycle(24), poly_cycle(24))):
+        # most chunks of a relabeled path or cycle at the cap are all ones
+        perm = rng.sample(range(24), 24)
+        assert zf_polynomial(from_edge_list(24, [(perm[u], perm[v]) for u, v in g.edges()])) == want
     for g in (path(8), cycle(8), complete(8), empty(8), star(8), wheel(8),
               complete_multipartite([3, 3, 2]), threshold_from_string("11010011"),
               cycle_plus_chord(8, 0, 3)):
@@ -180,6 +186,14 @@ def test_one_enumeration_cap_for_every_enumeration(monkeypatch):
         enumerate_(path(6))
 
 
+def test_enumeration_cap_env_rejects_a_non_integer(monkeypatch):
+    monkeypatch.setenv("ZFPOLY_MAX_N", "twenty")
+    with pytest.raises(ValueError, match="must be an integer, got 'twenty'"):
+        enumeration_cap()
+    with pytest.raises(ValueError, match="must be an integer"):
+        zf_polynomial(path(2))
+
+
 def test_enumeration_cap_env_rejects_negative(monkeypatch):
     monkeypatch.setenv("ZFPOLY_MAX_N", "-1")
     with pytest.raises(ValueError, match="nonnegative"):
@@ -192,6 +206,25 @@ def test_count_zfs_examples():
     assert count_zfs(cycle(7), 2) == 7
     assert count_zfs(complete(4), 3) == 4
     assert count_zfs(path(4), 2) == 6
+
+
+@pytest.mark.parametrize("size", [-1, 5])
+def test_count_zfs_rejects_a_size_outside_the_order(size):
+    with pytest.raises(ValueError, match=f"size {size} out of range for order 4"):
+        count_zfs(path(4), size)
+
+
+@pytest.mark.parametrize("n, coeffs, message", [
+    (-1, (), "order must be nonnegative"),
+    (2, (0, 1), "exactly n\\+1 coefficients"),
+    (1, (0, 1, 0), "exactly n\\+1 coefficients"),
+    (2, (0, -1, 1), "coefficients must be nonnegative"),
+], ids=["negative-order", "too-few", "too-many", "negative-coefficient"])
+def test_zf_polynomial_rejects_a_malformed_coefficient_vector(n, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        ZfPolynomial(n, coeffs)
+    with pytest.raises(ValueError, match=message):
+        ZfPolynomial.from_json_dict({"n": n, "coeffs": [str(c) for c in coeffs]})
 
 
 def test_count_zfs_matches_polynomial():
