@@ -82,7 +82,7 @@ SEED = 2601  # seed of the n = 7 batches and specs and of the relabelings
 SWEEP_PASSES = 16
 CORPUS_SPECS = 1000
 LARGE_GRAPHS = (("cycle", 19), ("path", 19), ("cycle", 20), ("path", 20), ("wheel", 20), ("cycle", 21))
-LARGE_REPEATS = 5  # per pass, of each graph below n = 21
+LARGE_REPEATS = 5  # per pass, of each graph but the n = 21 cycle, as in a poly-large pass
 
 
 def load_sweeps(tree: Path, name: str):
@@ -127,16 +127,15 @@ def corpus(count: int) -> list[tuple[int, int]]:
 
 def large_graphs(sweeps) -> list:
     """The graphs of LARGE_GRAPHS, each relabeled by a shuffle drawn with
-    SEED, in the order of one pass: the graphs below n = 21 LARGE_REPEATS
-    times over, then the rest."""
+    SEED, in the order of one pass: all but the last LARGE_REPEATS times
+    over, then the last, the n = 21 cycle, once."""
     rng = random.Random(SEED)
     graphs = []
     for family, n in LARGE_GRAPHS:
         perm = list(range(n))
         rng.shuffle(perm)
         graphs.append(sweeps.from_edge_list(n, [(perm[u], perm[v]) for u, v in getattr(sweeps, family)(n).edges()]))
-    below = [g for g in graphs if g.n < 21]
-    return below * LARGE_REPEATS + [g for g in graphs if g.n >= 21]
+    return graphs[:-1] * LARGE_REPEATS + graphs[-1:]
 
 
 def cycle_batch(sweeps, n: int, b: int) -> int:

@@ -324,6 +324,8 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple:
                 coeffs[base + j] += (z & level).bit_count()
     if not join:
         return zf, closed, coeffs
+    if not top:  # one chunk is the whole table
+        return zf[0], closed[0], coeffs
     return _unblocks(zf, k), _unblocks(closed, k), coeffs
 
 
