@@ -39,8 +39,12 @@ adjacency of each of those specs, its one-chunk path, and
 ``polynomial.zf_polynomial.large`` calls ``zf_polynomial`` on the graphs of
 the benchmark's poly-large mix, the cycle and path at n = 19 and 20 and the
 wheel at n = 20 LARGE_REPEATS times each, then the cycle at n = 21 once, each
-relabeled by a shuffle drawn with SEED; both sides take the same graphs,
-built by the change's package.  ``run_suite.all.n6``
+relabeled by a shuffle drawn with SEED; ``polynomial.zf_polynomial.random``
+calls it on seeded G(n, p) graphs beyond that mix, RANDOM_GRAPHS for each
+order n = 13-20 of RANDOM_ORDERS and each density of RANDOM_DENSITIES,
+drawn with SEED, and ``polynomial.zf_polynomial.random.n13_16`` on those
+with n <= 16 alone, whose tables span at most 16 chunks; in each pass both
+sides take the same graphs, built by the change's package.  ``run_suite.all.n6``
 times SWEEP_PASSES calls of ``run_suite("all", max_n=6, jobs=min(2, CPUs))``
 on each side, the side that runs first alternating from call to call, with
 the ratio of each pair of calls and the reports compared without
@@ -83,6 +87,9 @@ SWEEP_PASSES = 16
 CORPUS_SPECS = 1000
 LARGE_GRAPHS = (("cycle", 19), ("path", 19), ("cycle", 20), ("path", 20), ("wheel", 20), ("cycle", 21))
 LARGE_REPEATS = 5  # per pass, of each graph but the n = 21 cycle, as in a poly-large pass
+RANDOM_ORDERS = range(13, 21)
+RANDOM_DENSITIES = (0.1, 0.25, 0.5)
+RANDOM_GRAPHS = 2  # per order and density
 
 
 def load_sweeps(tree: Path, name: str):
@@ -136,6 +143,15 @@ def large_graphs(sweeps) -> list:
         rng.shuffle(perm)
         graphs.append(sweeps.from_edge_list(n, [(perm[u], perm[v]) for u, v in getattr(sweeps, family)(n).edges()]))
     return graphs[:-1] * LARGE_REPEATS + graphs[-1:]
+
+
+def random_graphs(sweeps) -> list:
+    """RANDOM_GRAPHS graphs G(n, p) for each order n of RANDOM_ORDERS and
+    density p of RANDOM_DENSITIES, each pair of vertices an edge with
+    probability p, drawn with SEED."""
+    rng = random.Random(SEED)
+    return [sweeps.from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            for n in RANDOM_ORDERS for p in RANDOM_DENSITIES for _ in range(RANDOM_GRAPHS)]
 
 
 def cycle_batch(sweeps, n: int, b: int) -> int:
@@ -210,12 +226,14 @@ def passes(sides: dict, calls: list, run_one) -> tuple[list[float], int]:
 def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, int]]) -> tuple[dict, int]:
     """Per kernel and order, the change/parent time ratio of each call, and
     of each pass under sweep.n6, random_sweep.n7, polynomial._closure_tally.n7,
-    polynomial.zf_polynomial.large and run_suite.all.n6, and the number of
-    calls and passes whose results differ."""
+    polynomial.zf_polynomial.large, polynomial.zf_polynomial.random and its
+    n13_16 part, and run_suite.all.n6, and the number of calls and passes
+    whose results differ."""
     change = sides["change"]
     sets = kernels(change.CHECK_KEYS)
     adjs = [change._edge_mask_adj(change.edge_pair_order(n), n, emask) for n, emask in specs]
     large = large_graphs(change)
+    randoms = random_graphs(change)
     for n, b in sorted({(n, b) for n, b, _ in work}):  # build each side's lazy per-order constants untimed
         for sweeps in sides.values():
             sweeps._check_batch(sets["all"], n, b, cycle_batch(sweeps, n, b))
@@ -237,6 +255,9 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
             ("random_sweep.n7", specs, lambda sweeps, spec: sweeps.random_sweep(sets["all"], [spec])),
             ("polynomial._closure_tally.n7", adjs, lambda sweeps, adj: sweeps._closure_tally(adj, 7)),
             ("polynomial.zf_polynomial.large", large, lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
+            ("polynomial.zf_polynomial.random", randoms, lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
+            ("polynomial.zf_polynomial.random.n13_16", [g for g in randoms if g.n <= 16],
+             lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
             ("run_suite.all.n6", [jobs], suite_report)):
         ratios[name], differ = passes(sides, calls, run_one)
         mismatches += differ

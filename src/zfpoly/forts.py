@@ -212,7 +212,7 @@ def small_fort_coefficient_bound(g: Graph) -> list[tuple[int, int, int, bool]] |
     Rows are (i, coefficient, bound, holds).
     """
     n = g.n
-    coeffs = _flag_table(g, join=False)[2]
+    coeffs = _flag_table(g, join=False)
     if n == 0:
         return None  # the empty graph has no fort
     # a largest set that does not force is closed, so its complement is a

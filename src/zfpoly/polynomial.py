@@ -231,12 +231,13 @@ def _block_counts(table: int, k: int, c: int) -> Sequence[int]:
     return table.to_bytes(1 << (k + c - 3), "little")[::1 << (k - 3)]
 
 
-def _close_up(z: int, moves: Sequence[tuple[int, int]], ones: int) -> int:
+def _close_up(z: int, moves: Sequence[tuple[int, int]], stop: int = -1) -> int:
     """The least superset of z closed under z |= f & z >> shift for each
     (shift, f) in moves: a lane where a force into w applies is set once the
-    lane 2^w up, the mask it forces into, is.  ones is every lane, which is
-    closed, so no round runs once z reaches it."""
-    while z != ones:
+    lane 2^w up, the mask it forces into, is.  stop is a closed table, every
+    lane of a chunk, so no round runs once z reaches it; by default -1, which
+    no table is."""
+    while z != stop:
         before = z
         for shift, f in moves:
             z |= f & z >> shift
@@ -387,7 +388,7 @@ def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) ->
     z = ones
     for plane in planes[:n]:
         z &= plane  # V forces every vertex
-    z = _close_up(z, [(1 << w, f) for w, f in enumerate(moves) if f], ones)
+    z = _close_up(z, [(1 << w, f) for w, f in enumerate(moves) if f])  # the empty mask forces no graph
     counts = list(zip(*(_block_counts(z & level, n, b) for level in _block_levels(n, b))))  # per graph, per level
     return z, ones ^ union, counts
 
@@ -397,14 +398,16 @@ def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
 
     ``engine="table"`` shares forcing work across subsets through two flag
     bits per subset, 2^12 subsets per big-int operation, at every order up
-    to the enumeration cap, and reads the coefficients without joining the
-    chunks into 2^n-bit tables.
+    to the enumeration cap.  It reads the coefficients without joining the
+    chunks into 2^n-bit tables, and past one chunk tallies them over a
+    Cuthill-McKee relabeling of g where its high vertices force alone
+    (_band_order), as the coefficients do not depend on the labels.
     ``engine="sweep"`` counts each size with count_zfs, an independent sweep
     closure per subset; it is the differential oracle for the table (exact
     agreement is tested).  Both give the empty graph 1 (local convention).
     """
     if engine == "table":
-        coeffs = _flag_table(g, join=False)[2]
+        coeffs = _flag_table(g, join=False)
     elif engine == "sweep":
         coeffs = [count_zfs(g, i) for i in range(g.n + 1)]
     else:
@@ -412,13 +415,89 @@ def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
     return ZfPolynomial(g.n, tuple(coeffs))
 
 
-def _flag_table(g: Graph, join: bool = True) -> tuple:
-    """_closure_tally of a public graph, within the enumeration cap; join
-    false leaves the tables in chunks."""
+def _flag_table(g: Graph, join: bool = True) -> tuple | list[int]:
+    """_closure_tally of a public graph, within the enumeration cap: the
+    joined tables in the graph's own labels and the coefficients, or with
+    join false the coefficients alone.  Those do not depend on the labels,
+    so they are tallied over the relabeling of _band_order where it gives
+    one, and the chunks, in those labels, are dropped."""
     cap = enumeration_cap()
     if g.n > cap:
         raise SizeCapError(f"enumeration over {g.n} vertices exceeds cap {cap}")
-    return _closure_tally(g.adj, g.n, join)
+    if join:
+        return _closure_tally(g.adj, g.n)
+    order = _band_order(g.adj, g.n)
+    return _closure_tally(g.adj if order is None else _relabeled(g.adj, order), g.n, join=False)[2]
+
+
+def _band_order(adj: Sequence[int], n: int) -> list[int] | None:
+    """The vertices to relabel 0..n-1, in that order, so that the flag
+    table's high vertices force alone: the first n - k vertices of
+    _cuthill_mckee become the high vertices k..n-1, and the other k, in
+    that order, the low vertices 0..k-1.  None when there is no high vertex
+    or when those n - k do not force every vertex; the rest of the order is
+    then never built.
+
+    No n - k vertices force a graph of m edges if the least degree or
+    n - m, a floor on the components, each of which needs a vertex, exceeds
+    n - k, or if m exceeds (n - k)(n + k - 1)/2: a vertex that has forced
+    has no uncolored neighbor left, so a vertex, when forced, sees only the
+    n - k ends of the forcing chains among the colored ones, and the n - k
+    high vertices span at most C(n - k, 2) edges.  The band keeps each high
+    set's forces near the chunks that read them: more chunks are all ones,
+    and the close-up runs fewer rounds.
+    """
+    k = _lane_width(n)
+    high = n - k
+    if not high:
+        return None
+    degree = [a.bit_count() for a in adj]
+    edges = sum(degree) >> 1
+    if min(degree) > high or n - edges > high or 2 * edges > high * (n + k - 1):
+        return None
+    walk = _cuthill_mckee(adj, degree)
+    top = list(itertools.islice(walk, high))
+    if _sweep(adj, mask_of(top))[1] != (1 << n) - 1:
+        return None
+    return [*walk, *top]
+
+
+def _cuthill_mckee(adj: Sequence[int], degree: Sequence[int]):
+    """The vertices in Cuthill-McKee order (E. Cuthill and J. McKee,
+    "Reducing the bandwidth of sparse symmetric matrices", 1969), lazily: a
+    breadth-first search that visits the new neighbors of each vertex by
+    ascending degree, ties by label, started in each component at its first
+    least-degree vertex."""
+    seen = 0
+    for start in sorted(range(len(adj)), key=degree.__getitem__):
+        if seen >> start & 1:
+            continue
+        seen |= 1 << start
+        queue = [start]
+        for v in queue:  # the queue grows while it is read
+            yield v
+            new = adj[v] & ~seen
+            if new & (new - 1):
+                queue += sorted(vertices_of(new), key=degree.__getitem__)
+            elif new:
+                queue.append(new.bit_length() - 1)
+            seen |= new
+
+
+def _relabeled(adj: Sequence[int], order: Sequence[int]) -> list[int]:
+    """The adjacency with vertex order[i] relabeled i."""
+    label = [0] * len(order)
+    for i, v in enumerate(order):
+        label[v] = 1 << i
+    rows = []
+    for v in order:
+        row, rem = 0, adj[v]
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            row |= label[b.bit_length() - 1]
+        rows.append(row)
+    return rows
 
 
 def count_zfs(g: Graph, size: int) -> int:

@@ -3,7 +3,7 @@ that both of the sweep's producers hand on, on the per-graph path and on
 the batch path alike."""
 import pytest
 
-from zfpoly import sweeps
+from zfpoly import from_edge_list, sweeps
 from zfpoly.graphs import edge_pair_order
 from zfpoly.polynomial import _batch_tally, _blocks, _closure_tally, _unblocks
 
@@ -11,6 +11,12 @@ from zfpoly.polynomial import _batch_tally, _blocks, _closure_tally, _unblocks
 def edge_mask(g):
     """The edge mask of g, one bit per pair of edge_pair_order(g.n)."""
     return sum(1 << b for b, (u, v) in enumerate(edge_pair_order(g.n)) if g.has_edge(u, v))
+
+
+def shuffle_labels(g, rng):
+    """g with its vertices permuted by a shuffle drawn from rng."""
+    perm = rng.sample(range(g.n), g.n)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def everywhere(corrupt):

@@ -4,12 +4,13 @@ from math import comb
 
 import pytest
 
-from conftest import edge_mask, only_at
+from conftest import edge_mask, only_at, shuffle_labels
 from oracles import naive_forts, naive_min_cover_size
 from zfpoly import (
     all_labeled_graphs,
     complete,
     cycle,
+    disjoint_union,
     empty,
     enumerate_forts,
     fort_count_bound_holds,
@@ -19,8 +20,10 @@ from zfpoly import (
     mask_of,
     min_fort_cover,
     path,
+    poly_threshold,
     small_fort_coefficient_bound,
     star,
+    threshold_from_string,
     vertices_of,
     zf_polynomial,
 )
@@ -289,6 +292,35 @@ def test_fort_bits_match_the_fort_list():
         assert sum(1 << f for f in listed) == fort_bits
         assert list(listed) == sorted(listed, key=lambda f: (f.bit_count(), f))
         assert fort_bits == _fort_definition_bits(g.adj, g.n)
+
+
+def _seeded_graph(rng, n, p):
+    return graph_from_edge_mask(n, sum(1 << i for i in range(comb(n, 2)) if rng.random() < p))
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_exact_oracles_past_one_chunk_on_dense_and_disconnected_graphs(n):
+    # relabeled threshold graphs, dense, against their closed form; and
+    # relabeled disjoint unions of two seeded graphs against their sides,
+    # whose forts come from the definition alone: a fort of a union is a
+    # fort or empty on each side and not empty on both, and a set forces the
+    # union iff it forces each side.  The last union is sparse enough that
+    # zf_polynomial tallies it over its band order
+    rng = random.Random(n)
+    for _ in range(3):
+        first = rng.choice("01")
+        b = first + first + "".join(rng.choice("01") for _ in range(n - 3)) + "1"
+        assert zf_polynomial(shuffle_labels(threshold_from_string(b), rng)) == poly_threshold(b), b
+    unions = [[_seeded_graph(rng, m, p) for m in (n // 2, n - n // 2)] for p in (0.25, 0.5)]
+    unions.append([path(n - 14), cycle(14)])
+    for sides in unions:
+        g = shuffle_labels(disjoint_union(*sides), rng)
+        polys = [zf_polynomial(side, engine="sweep") for side in sides]
+        assert zf_polynomial(g) == polys[0] * polys[1]
+        f1, f2 = (_fort_definition_bits(side.adj, side.n).bit_count() for side in sides)
+        assert len(enumerate_forts(g).forts) == (f1 + 1) * (f2 + 1) - 1
+        assert min_fort_cover(g)[0] == sum(poly.zero_forcing_number() for poly in polys)
+    assert polynomial._band_order(g.adj, n) is not None
 
 
 def test_fort_family_sorted_by_size_then_mask():

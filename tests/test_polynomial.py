@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shuffle_labels
 from oracles import naive_zf_coeffs
 from zfpoly import (
     SizeCapError,
@@ -30,6 +31,7 @@ from zfpoly import (
     poly_cycle,
     poly_path,
     poly_wheel,
+    small_fort_coefficient_bound,
     star,
     threshold_from_string,
     wheel,
@@ -37,9 +39,10 @@ from zfpoly import (
     zf_polynomial_by_components,
 )
 from zfpoly import polynomial
-from zfpoly.graphs import _edge_mask_adj, edge_pair_order, vertices_of
-from zfpoly.polynomial import (_batch_bits, _batch_tally, _blocks, _chunk_planes, _closure_tally, _induced_adj,
-                               _lane_width, _unblocks)
+from zfpoly.forcing import _sweep
+from zfpoly.graphs import _edge_mask_adj, edge_pair_order, mask_of, vertices_of
+from zfpoly.polynomial import (_band_order, _batch_bits, _batch_tally, _blocks, _chunk_planes, _close_up,
+                               _closure_tally, _induced_adj, _lane_width, _relabeled, _unblocks)
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
 
@@ -161,6 +164,123 @@ def test_table_engine_runs_past_order_twenty():
         perm = rng.sample(range(8), 8)
         h = from_edge_list(8, [(perm[u], perm[v]) for u, v in g.edges()])
         assert zf_polynomial(h) == zf_polynomial(h, engine="sweep") == zf_polynomial(g)
+
+
+def test_close_up_fills_the_last_lane_at_the_real_width():
+    # a chunk one lane short of all ones, whose lane 0 reads lane 1: the
+    # close-up runs one more round, and stops at all ones or when nothing
+    # changes
+    ones = _chunk_planes(polynomial._CHUNK_BITS)[0]
+    assert _close_up(ones ^ 1, [(1, 1)], ones) == ones
+    assert _close_up(ones ^ 1, [(1, 1)]) == ones
+    assert _close_up(ones ^ 2, [(1, 1)], ones) == ones ^ 2  # lane 1 reads nothing
+    assert _close_up(ones, [], ones) == ones
+
+
+def _random_graphs(rng, orders, densities):
+    return [graph_from_edge_mask(n, sum(1 << i for i in range(n * (n - 1) // 2) if rng.random() < p))
+            for n in orders for p in densities]
+
+
+def _band_cases():
+    """Seeded G(n, p) at n = 13-18, disconnected graphs, and relabeled
+    paths, cycles and wheels at n = 19-24."""
+    rng = random.Random(36)
+    graphs = _random_graphs(rng, range(13, 19), (0.1, 0.2, 0.35, 0.6))
+    graphs += [disjoint_union(path(9), cycle(6)), disjoint_union(wheel(8), empty(6)),
+               shuffle_labels(disjoint_union(cycle(7), wheel(9)), rng),
+               shuffle_labels(disjoint_union(*_random_graphs(rng, (7, 9), (0.3,))), rng),
+               # the isolated vertices come first in the order, and are high
+               shuffle_labels(disjoint_union(empty(2), path(13)), rng),
+               shuffle_labels(disjoint_union(empty(1), cycle(15)), rng)]
+    return graphs, [shuffle_labels(family(n), rng) for n in range(19, 25) for family in (path, cycle, wheel)]
+
+
+def test_band_order_is_a_permutation_whose_high_vertices_force():
+    # the first n - k vertices of the order become the high ones and force
+    # alone, so in the relabeled table the top chunk is all ones
+    graphs, families = _band_cases()
+    banded = 0
+    for g in graphs + families:
+        order = _band_order(g.adj, g.n)
+        if order is None:
+            continue
+        banded += 1
+        n, k = g.n, _lane_width(g.n)
+        assert sorted(order) == list(range(n))
+        assert _sweep(g.adj, mask_of(order[k:]))[1] == g.vertex_mask
+        adj = _relabeled(g.adj, order)
+        assert all(adj[i] >> j & 1 == g.adj[order[i]] >> order[j] & 1 for i in range(n) for j in range(n))
+        if n <= 18:
+            assert _closure_tally(adj, n, join=False)[0][-1] == _chunk_planes(k)[0]
+    assert banded > len(families)
+
+
+def test_cuthill_mckee_visits_new_neighbors_by_ascending_degree():
+    # the isolated 7 first, then from 2, the least degree of the other
+    # component: 0, its new neighbors 3 (degree 2) before 1 (degree 3), and
+    # the tie of 4 and 5 by label
+    g = from_edge_list(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (3, 6)])
+    degree = [a.bit_count() for a in g.adj]
+    assert list(polynomial._cuthill_mckee(g.adj, degree)) == [7, 2, 0, 3, 1, 6, 4, 5]
+
+
+def test_band_order_skips_what_cannot_pay():
+    # one chunk has no high vertex; a least degree or an edge count above
+    # what n - k forcing vertices allow skips before any sweep; otherwise
+    # the first n - k vertices of the order are swept and must force
+    assert _band_order(wheel(12).adj, 12) is None
+    assert _band_order(path(13).adj, 13) == list(range(1, 13)) + [0]  # from an end of the path
+    assert _band_order(cycle(13).adj, 13) is None  # least degree 2, one high vertex
+    pendant = from_edge_list(14, list(complete(13).edges()) + [(0, 13)])
+    assert _band_order(pendant.adj, 14) is None  # 79 edges, more than 2 forcing vertices leave
+    prism = disjoint_union(cycle(7), cycle(7)).adj
+    prism = [a | 1 << (v + 7) % 14 for v, a in enumerate(prism)]  # 3-regular, 21 edges
+    assert _band_order(prism, 14) is None  # least degree 3
+    assert _band_order(star(14).adj, 14) is None  # swept: a leaf and the center leave 11 leaves
+    assert _band_order(cycle(14).adj, 14) is not None
+
+
+def test_band_order_bounds_skip_only_graphs_that_no_high_set_forces(monkeypatch):
+    # the two counting bounds hold: a graph they skip has no zero forcing
+    # set of n - k vertices
+    def no_sweep(adj, colored):
+        raise AssertionError("a bound should have skipped the sweep")
+
+    graphs, _ = _band_cases()
+    skipped = []
+    for g in graphs + [wheel(14), complete(13), star(15), from_edge_list(14, list(complete(13).edges()) + [(0, 13)])]:
+        with monkeypatch.context() as m:
+            m.setattr(polynomial, "_sweep", no_sweep)
+            try:
+                skipped.append((g, _band_order(g.adj, g.n)))
+            except AssertionError:
+                continue
+    assert len(skipped) > 5
+    for g, order in skipped:
+        assert order is None
+        assert _closure_tally(g.adj, g.n, join=False)[2][g.n - _lane_width(g.n)] == 0
+
+
+def test_banded_coefficients_match_the_unrelabeled_kernel():
+    # the relabeling changes the chunks but not the coefficients, on the
+    # graphs it relabels and on those it skips; the families all relabel
+    graphs, families = _band_cases()
+    taken = set()
+    for g in graphs + families:
+        taken.add(_band_order(g.adj, g.n) is not None)
+        assert polynomial._flag_table(g, join=False) == _closure_tally(g.adj, g.n, join=False)[2]
+    assert taken == {True, False}
+    assert all(_band_order(g.adj, g.n) is not None for g in families)
+
+
+def test_small_fort_coefficient_bound_rows_do_not_depend_on_the_relabeling(monkeypatch):
+    graphs, families = _band_cases()
+    graphs += families[:6]
+    banded = [small_fort_coefficient_bound(g) for g in graphs]
+    monkeypatch.setattr(polynomial, "_band_order", lambda adj, n: None)
+    assert banded == [small_fort_coefficient_bound(g) for g in graphs]
+    assert sum(rows is not None for rows in banded) > 5
 
 
 def test_unknown_engine_rejected():
