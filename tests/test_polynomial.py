@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import shuffle_labels
 from oracles import naive_zf_coeffs
 from zfpoly import (
+    Graph,
     SizeCapError,
     ZfPolynomial,
     all_labeled_graphs,
@@ -225,41 +226,44 @@ def test_cuthill_mckee_visits_new_neighbors_by_ascending_degree():
     assert list(polynomial._cuthill_mckee(g.adj, degree)) == [7, 2, 0, 3, 1, 6, 4, 5]
 
 
+def _bounded_graphs():
+    """Graphs at n = 14 past each counting bound of _band_order but no other."""
+    pendant = from_edge_list(14, list(complete(13).edges()) + [(0, 13)])  # 79 edges
+    matching = from_edge_list(14, [(2 * i, 2 * i + 1) for i in range(7)])  # 7 components
+    prism = disjoint_union(cycle(7), cycle(7)).adj
+    prism = Graph(14, tuple(a | 1 << (v + 7) % 14 for v, a in enumerate(prism)))  # 3-regular
+    return [pendant, matching, prism]  # past the edge, component and least-degree bounds
+
+
 def test_band_order_skips_what_cannot_pay():
-    # one chunk has no high vertex; a least degree or an edge count above
-    # what n - k forcing vertices allow skips before any sweep; otherwise
-    # the first n - k vertices of the order are swept and must force
+    # one chunk has no high vertex; a least degree, a component count or an
+    # edge count beyond what n - k forcing vertices allow skips before any
+    # sweep; otherwise the first n - k vertices of the order are swept and
+    # must force
     assert _band_order(wheel(12).adj, 12) is None
     assert _band_order(path(13).adj, 13) == list(range(1, 13)) + [0]  # from an end of the path
     assert _band_order(cycle(13).adj, 13) is None  # least degree 2, one high vertex
-    pendant = from_edge_list(14, list(complete(13).edges()) + [(0, 13)])
-    assert _band_order(pendant.adj, 14) is None  # 79 edges, more than 2 forcing vertices leave
-    prism = disjoint_union(cycle(7), cycle(7)).adj
-    prism = [a | 1 << (v + 7) % 14 for v, a in enumerate(prism)]  # 3-regular, 21 edges
-    assert _band_order(prism, 14) is None  # least degree 3
+    for g in _bounded_graphs():
+        assert _band_order(g.adj, 14) is None
     assert _band_order(star(14).adj, 14) is None  # swept: a leaf and the center leave 11 leaves
     assert _band_order(cycle(14).adj, 14) is not None
 
 
 def test_band_order_bounds_skip_only_graphs_that_no_high_set_forces(monkeypatch):
-    # the two counting bounds hold: a graph they skip has no zero forcing
-    # set of n - k vertices
-    def no_sweep(adj, colored):
-        raise AssertionError("a bound should have skipped the sweep")
-
+    # the counting bounds hold: a graph skipped before any sweep has no
+    # zero forcing set of n - k vertices
+    swept = []
+    monkeypatch.setattr(polynomial, "_sweep", lambda adj, colored: swept.append(colored) or _sweep(adj, colored))
     graphs, _ = _band_cases()
-    skipped = []
-    for g in graphs + [wheel(14), complete(13), star(15), from_edge_list(14, list(complete(13).edges()) + [(0, 13)])]:
-        with monkeypatch.context() as m:
-            m.setattr(polynomial, "_sweep", no_sweep)
-            try:
-                skipped.append((g, _band_order(g.adj, g.n)))
-            except AssertionError:
-                continue
-    assert len(skipped) > 5
-    for g, order in skipped:
-        assert order is None
-        assert _closure_tally(g.adj, g.n, join=False)[2][g.n - _lane_width(g.n)] == 0
+    skipped = 0
+    for g in graphs + _bounded_graphs() + [wheel(14), complete(13), star(15)]:
+        swept.clear()
+        order = _band_order(g.adj, g.n)
+        if not swept:
+            skipped += 1
+            assert order is None
+            assert _closure_tally(g.adj, g.n, join=False)[2][g.n - _lane_width(g.n)] == 0
+    assert skipped > 5
 
 
 def test_banded_coefficients_match_the_unrelabeled_kernel():
