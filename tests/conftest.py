@@ -3,7 +3,7 @@ that both of the sweep's producers hand on, on the per-graph path and on
 the batch path alike."""
 import pytest
 
-from zfpoly import from_edge_list, sweeps
+from zfpoly import from_edge_list, graph_from_edge_mask, sweeps
 from zfpoly.graphs import edge_pair_order
 from zfpoly.polynomial import _batch_tally, _blocks, _closure_tally, _unblocks
 
@@ -11,6 +11,11 @@ from zfpoly.polynomial import _batch_tally, _blocks, _closure_tally, _unblocks
 def edge_mask(g):
     """The edge mask of g, one bit per pair of edge_pair_order(g.n)."""
     return sum(1 << b for b, (u, v) in enumerate(edge_pair_order(g.n)) if g.has_edge(u, v))
+
+
+def seeded_graph(rng, n, p):
+    """A graph G(n, p) drawn from rng: each pair an edge with probability p."""
+    return graph_from_edge_mask(n, sum(1 << i for i in range(n * (n - 1) // 2) if rng.random() < p))
 
 
 def shuffle_labels(g, rng):

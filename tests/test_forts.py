@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from conftest import edge_mask, only_at, shuffle_labels
+from conftest import edge_mask, only_at, seeded_graph, shuffle_labels
 from oracles import naive_forts, naive_min_cover_size
 from zfpoly import (
     all_labeled_graphs,
@@ -294,10 +294,6 @@ def test_fort_bits_match_the_fort_list():
         assert fort_bits == _fort_definition_bits(g.adj, g.n)
 
 
-def _seeded_graph(rng, n, p):
-    return graph_from_edge_mask(n, sum(1 << i for i in range(comb(n, 2)) if rng.random() < p))
-
-
 @pytest.mark.parametrize("n", [15, 16])
 def test_exact_oracles_past_one_chunk_on_dense_and_disconnected_graphs(n):
     # relabeled threshold graphs, dense, against their closed form; and
@@ -311,7 +307,7 @@ def test_exact_oracles_past_one_chunk_on_dense_and_disconnected_graphs(n):
         first = rng.choice("01")
         b = first + first + "".join(rng.choice("01") for _ in range(n - 3)) + "1"
         assert zf_polynomial(shuffle_labels(threshold_from_string(b), rng)) == poly_threshold(b), b
-    unions = [[_seeded_graph(rng, m, p) for m in (n // 2, n - n // 2)] for p in (0.25, 0.5)]
+    unions = [[seeded_graph(rng, m, p) for m in (n // 2, n - n // 2)] for p in (0.25, 0.5)]
     unions.append([path(n - 14), cycle(14)])
     for sides in unions:
         g = shuffle_labels(disjoint_union(*sides), rng)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import shuffle_labels
+from conftest import seeded_graph, shuffle_labels
 from oracles import naive_zf_coeffs
 from zfpoly import (
     Graph,
@@ -178,19 +178,14 @@ def test_close_up_fills_the_last_lane_at_the_real_width():
     assert _close_up(ones, [], ones) == ones
 
 
-def _random_graphs(rng, orders, densities):
-    return [graph_from_edge_mask(n, sum(1 << i for i in range(n * (n - 1) // 2) if rng.random() < p))
-            for n in orders for p in densities]
-
-
 def _band_cases():
     """Seeded G(n, p) at n = 13-18, disconnected graphs, and relabeled
     paths, cycles and wheels at n = 19-24."""
     rng = random.Random(36)
-    graphs = _random_graphs(rng, range(13, 19), (0.1, 0.2, 0.35, 0.6))
+    graphs = [seeded_graph(rng, n, p) for n in range(13, 19) for p in (0.1, 0.2, 0.35, 0.6)]
     graphs += [disjoint_union(path(9), cycle(6)), disjoint_union(wheel(8), empty(6)),
                shuffle_labels(disjoint_union(cycle(7), wheel(9)), rng),
-               shuffle_labels(disjoint_union(*_random_graphs(rng, (7, 9), (0.3,))), rng),
+               shuffle_labels(disjoint_union(seeded_graph(rng, 7, 0.3), seeded_graph(rng, 9, 0.3)), rng),
                # the isolated vertices come first in the order, and are high
                shuffle_labels(disjoint_union(empty(2), path(13)), rng),
                shuffle_labels(disjoint_union(empty(1), cycle(15)), rng)]
