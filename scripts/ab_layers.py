@@ -43,10 +43,16 @@ relabeled by a shuffle drawn with SEED; ``polynomial.zf_polynomial.random``
 calls it on seeded G(n, p) graphs beyond that mix, RANDOM_GRAPHS for each
 order n = 13-20 of RANDOM_ORDERS and each density of RANDOM_DENSITIES,
 drawn with SEED, and ``polynomial.zf_polynomial.random.n13_16`` on those
-with n <= 16 alone, whose tables span at most 16 chunks; in each pass both
-sides take the same graphs, built by the change's package.  ``run_suite.all.n6``
-times SWEEP_PASSES calls of ``run_suite("all", max_n=6, jobs=min(2, CPUs))``
-on each side, the side that runs first alternating from call to call, with
+with n <= 16 alone, whose tables span at most 16 chunks;
+``polynomial.zf_polynomial.unbanded`` calls it on graphs that
+``_band_order`` skips: for each order n = 17-22 of UNBANDED_ORDERS,
+UNBANDED_GRAPHS random recursive trees (vertex v joined to a uniform
+earlier vertex) and as many disjoint unions of two G(m, UNION_DENSITY) on
+the halves of n, each relabeled by a shuffle, drawn with SEED; in each
+pass both sides take the same graphs, built by the change's package.
+``run_suite.all.n6`` times SWEEP_PASSES calls of ``run_suite("all",
+max_n=6, jobs=min(2, CPUs))`` on each side, the side that runs first
+alternating from call to call, with
 the ratio of each pair of calls and the reports compared without
 ``elapsed_s``: the user path with its process pools, which the
 ``_check_batch`` kernels do not see.  The untimed warm-up has built the
@@ -90,6 +96,9 @@ LARGE_REPEATS = 5  # per pass, of each graph but the n = 21 cycle, as in a poly-
 RANDOM_ORDERS = range(13, 21)
 RANDOM_DENSITIES = (0.1, 0.25, 0.5)
 RANDOM_GRAPHS = 2  # per order and density
+UNBANDED_ORDERS = range(17, 23)
+UNBANDED_GRAPHS = 2  # per order, trees and unions each
+UNION_DENSITY = 0.3
 
 
 def load_sweeps(tree: Path, name: str):
@@ -152,6 +161,26 @@ def random_graphs(sweeps) -> list:
     rng = random.Random(SEED)
     return [sweeps.from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
             for n in RANDOM_ORDERS for p in RANDOM_DENSITIES for _ in range(RANDOM_GRAPHS)]
+
+
+def unbanded_graphs(sweeps) -> list:
+    """For each order n of UNBANDED_ORDERS, UNBANDED_GRAPHS random
+    recursive trees and as many disjoint unions of two G(m, UNION_DENSITY)
+    on n // 2 and n - n // 2 vertices, each relabeled by a shuffle, drawn
+    with SEED: graphs whose band order's first n - 12 vertices cover one
+    branch or the first component and do not force."""
+    rng = random.Random(SEED)
+    graphs = []
+    for n in UNBANDED_ORDERS:
+        halves = ((0, n // 2), (n // 2, n - n // 2))
+        for _ in range(UNBANDED_GRAPHS):
+            tree = [(v, rng.randrange(v)) for v in range(1, n)]
+            union = [(s + u, s + v) for s, m in halves for u in range(m) for v in range(u + 1, m)
+                     if rng.random() < UNION_DENSITY]
+            for edges in (tree, union):
+                perm = rng.sample(range(n), n)
+                graphs.append(sweeps.from_edge_list(n, [(perm[u], perm[v]) for u, v in edges]))
+    return graphs
 
 
 def cycle_batch(sweeps, n: int, b: int) -> int:
@@ -227,8 +256,8 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
     """Per kernel and order, the change/parent time ratio of each call, and
     of each pass under sweep.n6, random_sweep.n7, polynomial._closure_tally.n7,
     polynomial.zf_polynomial.large, polynomial.zf_polynomial.random and its
-    n13_16 part, and run_suite.all.n6, and the number of calls and passes
-    whose results differ."""
+    n13_16 part, polynomial.zf_polynomial.unbanded and run_suite.all.n6, and
+    the number of calls and passes whose results differ."""
     change = sides["change"]
     sets = kernels(change.CHECK_KEYS)
     adjs = [change._edge_mask_adj(change.edge_pair_order(n), n, emask) for n, emask in specs]
@@ -257,6 +286,8 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
             ("polynomial.zf_polynomial.large", large, lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
             ("polynomial.zf_polynomial.random", randoms, lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
             ("polynomial.zf_polynomial.random.n13_16", [g for g in randoms if g.n <= 16],
+             lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
+            ("polynomial.zf_polynomial.unbanded", unbanded_graphs(change),
              lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
             ("run_suite.all.n6", [jobs], suite_report)):
         ratios[name], differ = passes(sides, calls, run_one)

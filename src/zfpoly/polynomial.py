@@ -18,8 +18,9 @@ from .forcing import _sweep
 from .graphs import Graph, SizeCapError, _connected_components, mask_of, vertices_of
 
 # Full-subset enumeration is exponential: the 2^24 subsets of wheel:24 take
-# 110-140 ms and two 2 MiB bit tables, 25 MB peak RSS for the whole process
-# (16 MB after import; 2-core Xeon, Python 3.11.7).
+# 30-50 ms for the coefficients alone, with no peak RSS past the 16 MB after
+# import, and 77-114 ms for the joined tables, two 2 MiB bit tables, 25 MB
+# peak RSS for the whole process (2-core Xeon, Python 3.11.7).
 DEFAULT_ENUMERATION_CAP = 24
 CAP_ENV_VAR = "ZFPOLY_MAX_N"
 
@@ -246,25 +247,27 @@ def _close_up(z: int, moves: Sequence[tuple[int, int]], stop: int = -1) -> int:
     return z
 
 
-def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple:
+def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | list[int]:
     """The flag table as two 2^n-bit ints, and the coefficients.
 
     Returns (zf, closed, coeffs): bit m of zf is set iff mask m forces every
     vertex, bit m of closed iff no force applies at m, and coeffs[i] counts
-    the zero forcing sets of size i.  With join false, zf and closed are
-    the lists of their chunks, chunk 0 first, for a caller that reads only
-    the coefficients.
+    the zero forcing sets of size i.  With join false it returns coeffs
+    alone, for a caller that reads nothing else, and builds no closed.
 
     The chunks take the lane layout, bit t of chunk h for mask h << k | t,
     and are visited in decreasing order of h.  A force v -> w applies at the
     masks that hold v and N(v) - w and miss w: within a chunk, a fixed
     low-bit pattern gated by a test of h.  The rule is confluent, so a mask
     with an applicable force forces every vertex iff the mask it forces
-    into does: a force into a high w copies bits of the finished chunk
-    h | w, and the chunk is closed under the forces into low w until
-    nothing changes or every bit is set.  A superset of a zero forcing set
-    forces, so chunk h is all ones iff the high set h forces alone; such a
-    chunk adds C(k, j) to coeffs[|h| + j] in place of counting its levels.
+    into does: a force into a high w seeds the chunk with bits of the
+    finished chunk h | w, and the chunk is closed under the forces into low
+    w until nothing changes or every bit is set.  A superset of a zero
+    forcing set forces, so chunk h is all ones iff the high set h forces
+    alone.  Such chunks are counted per |h|, and each adds C(k, j) to
+    coeffs[|h| + j] at the end in place of counting its levels.  Without
+    join, a chunk that its seeds fill is settled there: the forces into low
+    w would close up nothing, and they feed only closed.
     """
     k = _lane_width(n)
     ones, planes, levels = _chunk_constants(k)
@@ -296,15 +299,22 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple:
 
     top = (1 << (n - k)) - 1
     zf = [0] * (top + 1)
-    closed = [0] * (top + 1)
+    closed = [0] * (top + 1) if join else None
     coeffs = [0] * (n + 1)
+    settled = {}  # |h| -> the chunks that are all ones
     for h in range(top, -1, -1):
         z = 1 << low if h == top else 0  # V forces every vertex
         union = 0
         for gate, need, target, pattern in into_high:
             if h & gate == need:
-                union |= pattern
                 z |= pattern & zf[h | target]
+                if join:
+                    union |= pattern
+        base = h.bit_count()
+        if not join and z == ones:  # h forces alone; the forces into low w feed only closed
+            zf[h] = ones
+            settled[base] = settled.get(base, 0) + 1
+            continue
         moves = []
         for shift, forces in into_low:
             f = 0
@@ -315,16 +325,19 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple:
                 union |= f
                 moves.append((shift, f))
         zf[h] = z = _close_up(z, moves, ones)
-        closed[h] = ones ^ union
-        base = h.bit_count()
-        if z == ones:  # h forces alone: every mask of the chunk forces
-            for j, count in enumerate(_binomials(k)):
-                coeffs[base + j] += count
+        if z == ones:
+            settled[base] = settled.get(base, 0) + 1
         else:
             for j, level in enumerate(levels):
                 coeffs[base + j] += (z & level).bit_count()
+        if join:
+            closed[h] = ones ^ union
+    if settled:  # empty in one chunk unless n = 0
+        for base, count in settled.items():
+            for j, c in enumerate(_binomials(k)):
+                coeffs[base + j] += count * c
     if not join:
-        return zf, closed, coeffs
+        return coeffs
     if not top:  # one chunk is the whole table
         return zf[0], closed[0], coeffs
     return _unblocks(zf, k), _unblocks(closed, k), coeffs
@@ -398,10 +411,11 @@ def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
 
     ``engine="table"`` shares forcing work across subsets through two flag
     bits per subset, 2^12 subsets per big-int operation, at every order up
-    to the enumeration cap.  It reads the coefficients without joining the
-    chunks into 2^n-bit tables, and past one chunk tallies them over a
-    Cuthill-McKee relabeling of g where its high vertices force alone
-    (_band_order), as the coefficients do not depend on the labels.
+    to the enumeration cap.  It builds the coefficients alone, no 2^n-bit
+    table: a chunk that its forces into high vertices fill is settled
+    before its forces into low ones are built.  Past one chunk it tallies
+    over a Cuthill-McKee relabeling of g where its high vertices force
+    alone (_band_order), as the coefficients do not depend on the labels.
     ``engine="sweep"`` counts each size with count_zfs, an independent sweep
     closure per subset; it is the differential oracle for the table (exact
     agreement is tested).  Both give the empty graph 1 (local convention).
@@ -418,16 +432,16 @@ def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
 def _flag_table(g: Graph, join: bool = True) -> tuple | list[int]:
     """_closure_tally of a public graph, within the enumeration cap: the
     joined tables in the graph's own labels and the coefficients, or with
-    join false the coefficients alone.  Those do not depend on the labels,
-    so they are tallied over the relabeling of _band_order where it gives
-    one, and the chunks, in those labels, are dropped."""
+    join false the coefficients alone, from _closure_tally's coefficient
+    mode.  Those do not depend on the labels, so they are tallied over the
+    relabeling of _band_order where it gives one."""
     cap = enumeration_cap()
     if g.n > cap:
         raise SizeCapError(f"enumeration over {g.n} vertices exceeds cap {cap}")
     if join:
         return _closure_tally(g.adj, g.n)
     order = _band_order(g.adj, g.n)
-    return _closure_tally(g.adj if order is None else _relabeled(g.adj, order), g.n, join=False)[2]
+    return _closure_tally(g.adj if order is None else _relabeled(g.adj, order), g.n, join=False)
 
 
 def _band_order(adj: Sequence[int], n: int) -> list[int] | None:

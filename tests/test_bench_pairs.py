@@ -244,21 +244,23 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     doc = json.loads(out.read_text())
     # 4 batches, each under the three kernels with checks (multiplicativity
     # is no key of the stubs), the sweep passes, the per-graph passes, the
-    # flag-table pass, the three polynomial passes and the suite runs
+    # flag-table pass, the four polynomial passes and the suite runs
     passes = ab_layers.SWEEP_PASSES
-    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 7 * passes) * status
+    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 8 * passes) * status
     kernels = ("none", "criterion-4", "all", "reversal", "multiplicativity")
     assert {name: row["calls"] for name, row in doc["layers"]["kernels"].items()} == {
         **{f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in kernels},
         "sweep.n6": passes, "random_sweep.n7": passes, "polynomial._closure_tally.n7": passes,
         "polynomial.zf_polynomial.large": passes, "polynomial.zf_polynomial.random": passes,
-        "polynomial.zf_polynomial.random.n13_16": passes, "run_suite.all.n6": passes}
+        "polynomial.zf_polynomial.random.n13_16": passes, "polynomial.zf_polynomial.unbanded": passes,
+        "run_suite.all.n6": passes}
     # untimed, per side: every check on the batch of each order that holds
     # the n-cycle, at the timed width, one per-graph call and one polynomial
     # of the large mix; then both sides on 2 sweep batches at n = 6 and 2 of
     # 2^10 at n = 7, then the passes over the 2 at n = 6, over the 3 specs
     # at n = 7, over their adjacencies, over the large mix, over the seeded
-    # random graphs and over those with n <= 16, each from emptied memos and
+    # random graphs, over those with n <= 16 and over the trees and unions
+    # that skip the band order, each from emptied memos and
     # call by call on both sides, then the suite runs, each from emptied
     # memos, on both sides
     specs = ab_layers.corpus(3)
@@ -269,8 +271,10 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     randoms = [n for n in ab_layers.RANDOM_ORDERS for _ in ab_layers.RANDOM_DENSITIES
                for _ in range(ab_layers.RANDOM_GRAPHS)]
     small = [n for n in randoms if n <= 16]
+    unbanded = [n for n in ab_layers.UNBANDED_ORDERS for _ in range(2 * ab_layers.UNBANDED_GRAPHS)]
     sections = {"sweep": 7, "per_graph": 9, "tally": 9, "poly": 3 + 2 * len(large),
-                "random": 3 + 2 * len(randoms), "random_small": 3 + 2 * len(small), "suite": 5}  # calls per pass
+                "random": 3 + 2 * len(randoms), "random_small": 3 + 2 * len(small),
+                "unbanded": 3 + 2 * len(unbanded), "suite": 5}  # calls per pass
     tail = sum(sections.values()) * passes
     timed, rest = calls[8:-tail], calls[-tail:]
     parts = {}
@@ -290,6 +294,8 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     assert parts["random"] == (["clear"] * 3 + [("poly", n) for n in randoms for _ in range(2)]) * passes
     assert parts["random_small"] == (["clear"] * 3 + [("poly", n) for n in small for _ in range(2)]) * passes
     assert len(randoms) == 48 and min(randoms) == 13 and max(randoms) == 20 and len(small) == 24
+    assert parts["unbanded"] == (["clear"] * 3 + [("poly", n) for n in unbanded for _ in range(2)]) * passes
+    assert len(unbanded) == 24 and min(unbanded) == 17 and max(unbanded) == 22
     jobs = min(2, os.cpu_count() or 1)
     assert parts["suite"] == (["clear"] * 3 + [("all", 6, jobs), ("all", 6, jobs)]) * passes
     assert all(n == 7 and 0 <= emask < 1 << 21 for n, emask in specs)

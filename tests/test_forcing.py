@@ -27,7 +27,7 @@ from zfpoly import polynomial
 from zfpoly.forcing import _lane_forcers, _lane_reversals, _sweep
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
 from zfpoly.forts import _fort_bits
-from zfpoly.polynomial import _batch_edges, _closure_tally, _unblocks
+from zfpoly.polynomial import _batch_edges, _blocks, _closure_tally, _unblocks
 
 graph_and_set = st.integers(1, 7).flatmap(
     lambda n: st.tuples(
@@ -138,19 +138,21 @@ def test_narrow_chunks_match_the_closure_table(monkeypatch, width):
 
 
 def test_all_ones_chunks_are_the_high_sets_that_force(monkeypatch):
-    # chunk h is all ones iff its high vertex set h forces alone; those
-    # chunks skip the close-up and add binomials in place of level counts,
-    # and still match the list table and the sweep engine
+    # chunk h is all ones iff its high vertex set h forces alone, that is
+    # iff lane 0 of chunk h, the mask h << k, is set in the joined zf;
+    # those chunks skip the close-up and add binomials in place of level
+    # counts, and still match the list table, the sweep engine and the
+    # coefficient mode
     monkeypatch.setattr(polynomial, "_CHUNK_BITS", 3)
     ones = (1 << (1 << 3)) - 1
     rng = random.Random(35)
     graphs = [path(7), cycle(8), wheel(9), graph_from_edge_mask(8, rng.getrandbits(28))]
     for g in graphs:
-        zf_chunks, closed_chunks, coeffs = _closure_tally(g.adj, g.n, join=False)
+        zf, closed, coeffs = _closure_tally(g.adj, g.n)
+        zf_chunks = _blocks(zf, 3, g.n - 3)
         assert any(chunk == ones for chunk in zf_chunks), g
         _assert_table_matches_closures(g)  # the joined tables and their coefficients
-        zf, closed, joined_coeffs = _closure_tally(g.adj, g.n)
-        assert (_unblocks(zf_chunks, 3), _unblocks(closed_chunks, 3), coeffs) == (zf, closed, joined_coeffs)
+        assert _closure_tally(g.adj, g.n, join=False) == coeffs
         assert [chunk == ones for chunk in zf_chunks] == [zf >> (h << 3) & 1 == 1 for h in range(len(zf_chunks))]
 
 

@@ -61,9 +61,11 @@ def test_isolated_vertices_force_nothing():
 
 
 def test_order_zero_convention():
-    # the one chunk, of one lane, is all ones: the empty set forces V = {}
+    # the one chunk, of one lane, is all ones: the empty set forces V = {},
+    # and no force applies at it
     assert zf_polynomial(empty(0)).coeffs == (1,)
-    assert _closure_tally((), 0, join=False) == ([1], [1], [1])
+    assert _closure_tally((), 0) == (1, 1, [1])
+    assert _closure_tally((), 0, join=False) == [1]
 
 
 def test_engines_agree_exhaustively():
@@ -178,6 +180,42 @@ def test_close_up_fills_the_last_lane_at_the_real_width():
     assert _close_up(ones, [], ones) == ones
 
 
+def test_coefficient_mode_matches_the_joined_coefficients(monkeypatch):
+    # the coefficient mode settles a chunk that its seeds fill and builds
+    # no closed table; its coefficients are the joined mode's, at a narrow
+    # width on every labeled graph up to 8 chunks and at the real width on
+    # seeded G(n, p) up to 64 chunks
+    rng = random.Random(37)
+    graphs = [seeded_graph(rng, n, p) for n in range(13, 19) for p in (0.1, 0.2, 0.35, 0.6)]
+    for g in graphs:
+        assert _closure_tally(g.adj, g.n, join=False) == _closure_tally(g.adj, g.n)[2], g
+    monkeypatch.setattr(polynomial, "_CHUNK_BITS", 3)
+    for n in range(7):
+        for g in all_labeled_graphs(n):
+            assert _closure_tally(g.adj, n, join=False) == _closure_tally(g.adj, n)[2], g
+
+
+def test_coefficient_mode_closes_up_only_the_chunks_its_seeds_leave_short(monkeypatch):
+    # _close_up receives each chunk's seeds, the bits its forces into high
+    # vertices copy: the joined mode closes up every chunk, the coefficient
+    # mode, in the same order, only the chunks whose seeds are not all ones
+    ones = _chunk_planes(polynomial._CHUNK_BITS)[0]
+    seeds = []
+    monkeypatch.setattr(polynomial, "_close_up", lambda z, moves, stop=-1: seeds.append(z) or _close_up(z, moves, stop))
+    rng = random.Random(37)
+    for family in (cycle, wheel):
+        g = shuffle_labels(family(20), rng)
+        adj = _relabeled(g.adj, _band_order(g.adj, g.n))
+        seeds.clear()
+        coeffs = _closure_tally(adj, g.n)[2]
+        every = seeds[:]
+        seeds.clear()
+        assert _closure_tally(adj, g.n, join=False) == coeffs
+        assert len(every) == 1 << (g.n - _lane_width(g.n))
+        assert seeds == [z for z in every if z != ones]
+        assert len(seeds) < len(every)
+
+
 def _band_cases():
     """Seeded G(n, p) at n = 13-18, disconnected graphs, and relabeled
     paths, cycles and wheels at n = 19-24."""
@@ -194,7 +232,8 @@ def _band_cases():
 
 def test_band_order_is_a_permutation_whose_high_vertices_force():
     # the first n - k vertices of the order become the high ones and force
-    # alone, so in the relabeled table the top chunk is all ones
+    # alone, so in the relabeled table the top chunk, its top 2^k bits, is
+    # all ones
     graphs, families = _band_cases()
     banded = 0
     for g in graphs + families:
@@ -208,7 +247,7 @@ def test_band_order_is_a_permutation_whose_high_vertices_force():
         adj = _relabeled(g.adj, order)
         assert all(adj[i] >> j & 1 == g.adj[order[i]] >> order[j] & 1 for i in range(n) for j in range(n))
         if n <= 18:
-            assert _closure_tally(adj, n, join=False)[0][-1] == _chunk_planes(k)[0]
+            assert _closure_tally(adj, n)[0] >> ((1 << n) - (1 << k)) == _chunk_planes(k)[0]
     assert banded > len(families)
 
 
@@ -257,7 +296,7 @@ def test_band_order_bounds_skip_only_graphs_that_no_high_set_forces(monkeypatch)
         if not swept:
             skipped += 1
             assert order is None
-            assert _closure_tally(g.adj, g.n, join=False)[2][g.n - _lane_width(g.n)] == 0
+            assert _closure_tally(g.adj, g.n, join=False)[g.n - _lane_width(g.n)] == 0
     assert skipped > 5
 
 
@@ -268,7 +307,7 @@ def test_banded_coefficients_match_the_unrelabeled_kernel():
     taken = set()
     for g in graphs + families:
         taken.add(_band_order(g.adj, g.n) is not None)
-        assert polynomial._flag_table(g, join=False) == _closure_tally(g.adj, g.n, join=False)[2]
+        assert polynomial._flag_table(g, join=False) == _closure_tally(g.adj, g.n)[2]
     assert taken == {True, False}
     assert all(_band_order(g.adj, g.n) is not None for g in families)
 
