@@ -44,6 +44,9 @@ calls it on seeded G(n, p) graphs beyond that mix, RANDOM_GRAPHS for each
 order n = 13-20 of RANDOM_ORDERS and each density of RANDOM_DENSITIES,
 drawn with SEED, and ``polynomial.zf_polynomial.random.n13_16`` on those
 with n <= 16 alone, whose tables span at most 16 chunks;
+``polynomial._closure_tally.joined.n13_16`` calls ``_closure_tally`` on the
+adjacencies of those n <= 16 graphs, the joined mode past one chunk that
+the forts, the fort cover and the per-graph ip checks at n = 13-14 read;
 ``polynomial.zf_polynomial.unbanded`` calls it on graphs that
 ``_band_order`` skips: for each order n = 17-22 of UNBANDED_ORDERS,
 UNBANDED_GRAPHS random recursive trees (vertex v joined to a uniform
@@ -256,7 +259,8 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
     """Per kernel and order, the change/parent time ratio of each call, and
     of each pass under sweep.n6, random_sweep.n7, polynomial._closure_tally.n7,
     polynomial.zf_polynomial.large, polynomial.zf_polynomial.random and its
-    n13_16 part, polynomial.zf_polynomial.unbanded and run_suite.all.n6, and
+    n13_16 part, polynomial._closure_tally.joined.n13_16 on that part,
+    polynomial.zf_polynomial.unbanded and run_suite.all.n6, and
     the number of calls and passes whose results differ."""
     change = sides["change"]
     sets = kernels(change.CHECK_KEYS)
@@ -287,6 +291,8 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
             ("polynomial.zf_polynomial.random", randoms, lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
             ("polynomial.zf_polynomial.random.n13_16", [g for g in randoms if g.n <= 16],
              lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
+            ("polynomial._closure_tally.joined.n13_16", [g for g in randoms if g.n <= 16],
+             lambda sweeps, g: sweeps._closure_tally(g.adj, g.n)),
             ("polynomial.zf_polynomial.unbanded", unbanded_graphs(change),
              lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
             ("run_suite.all.n6", [jobs], suite_report)):

@@ -284,7 +284,7 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | lis
     k = _lane_width(n)
     ones, planes, levels = _chunk_constants(k)
     low = (1 << k) - 1
-    into_high = {}  # (gate, need, target's chunk bit) -> pattern
+    into_high = {}  # (mask, need, target's chunk bit) -> pattern, for the h with h & mask == need
     into_low = {}  # need -> per low target w, the pattern of the forces into w
     gate = 0  # the high bits that some force into a low w needs
     for v in range(n):
@@ -341,7 +341,7 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | lis
             continue
         if h & gate != key:  # the forces into low w test only the bits of gate
             key = h & gate
-            f = ()
+            f = ()  # per low w, the OR of the rows whose need h holds
             for need, row in into_low:
                 if key & need == need:
                     f = [a | b for a, b in zip(f, row)] if f else row
@@ -355,17 +355,14 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | lis
         if z == ones:
             settled[base] = settled.get(base, 0) + 1
         else:  # a ripple-carry add into the planes
-            count = counters.get(base)
-            if count is None:
-                counters[base] = [z]
+            count = counters.setdefault(base, [])
+            for i, plane in enumerate(count):
+                count[i] = plane ^ z
+                z &= plane
+                if not z:
+                    break
             else:
-                for i, plane in enumerate(count):
-                    count[i] = plane ^ z
-                    z &= plane
-                    if not z:
-                        break
-                else:
-                    count.append(z)
+                count.append(z)
         if join:
             closed[h] = ones ^ (union | low_union)
     for base, count in counters.items():

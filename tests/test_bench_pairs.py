@@ -229,7 +229,7 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
                                edge_pair_order=edge_pair_order, _edge_mask_adj=_edge_mask_adj,
                                _check_batch=check_batch, random_sweep=random_sweep, _closure_tally=closure_tally,
                                zf_polynomial=zf_polynomial, run_suite=run_suite, cycle=family, path=family,
-                               wheel=family, from_edge_list=lambda n, edges: SimpleNamespace(n=n, edges=edges),
+                               wheel=family, from_edge_list=lambda n, edges: SimpleNamespace(n=n, edges=edges, adj=[n]),
                                **memos)
 
     memos = dict.fromkeys(("_order_counts", "_part_product", "_facts"), Memo())
@@ -244,25 +244,26 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     doc = json.loads(out.read_text())
     # 4 batches, each under the three kernels with checks (multiplicativity
     # is no key of the stubs), the sweep passes, the per-graph passes, the
-    # flag-table pass, the four polynomial passes and the suite runs
+    # flag-table passes, the four polynomial passes and the suite runs
     passes = ab_layers.SWEEP_PASSES
-    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 8 * passes) * status
+    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 9 * passes) * status
     kernels = ("none", "criterion-4", "all", "reversal", "multiplicativity")
     assert {name: row["calls"] for name, row in doc["layers"]["kernels"].items()} == {
         **{f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in kernels},
         "sweep.n6": passes, "random_sweep.n7": passes, "polynomial._closure_tally.n7": passes,
         "polynomial.zf_polynomial.large": passes, "polynomial.zf_polynomial.random": passes,
-        "polynomial.zf_polynomial.random.n13_16": passes, "polynomial.zf_polynomial.unbanded": passes,
+        "polynomial.zf_polynomial.random.n13_16": passes, "polynomial._closure_tally.joined.n13_16": passes,
+        "polynomial.zf_polynomial.unbanded": passes,
         "run_suite.all.n6": passes}
     # untimed, per side: every check on the batch of each order that holds
     # the n-cycle, at the timed width, one per-graph call and one polynomial
     # of the large mix; then both sides on 2 sweep batches at n = 6 and 2 of
     # 2^10 at n = 7, then the passes over the 2 at n = 6, over the 3 specs
     # at n = 7, over their adjacencies, over the large mix, over the seeded
-    # random graphs, over those with n <= 16 and over the trees and unions
-    # that skip the band order, each from emptied memos and
-    # call by call on both sides, then the suite runs, each from emptied
-    # memos, on both sides
+    # random graphs, over those with n <= 16, over their adjacencies and
+    # over the trees and unions that skip the band order, each from emptied
+    # memos and call by call on both sides, then the suite runs, each from
+    # emptied memos, on both sides
     specs = ab_layers.corpus(3)
     cycles = [(n, b, ab_layers.cycle_batch(sides["zfpoly_change"], n, b)) for n, b in ((6, 9), (7, 10))]
     assert cycles[0] == (6, 9, 0b101001000110001 >> 9 << 9)  # the edges 01, 05, 12, 23, 34 and 45
@@ -273,7 +274,7 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     small = [n for n in randoms if n <= 16]
     unbanded = [n for n in ab_layers.UNBANDED_ORDERS for _ in range(2 * ab_layers.UNBANDED_GRAPHS)]
     sections = {"sweep": 7, "per_graph": 9, "tally": 9, "poly": 3 + 2 * len(large),
-                "random": 3 + 2 * len(randoms), "random_small": 3 + 2 * len(small),
+                "random": 3 + 2 * len(randoms), "random_small": 3 + 2 * len(small), "joined_small": 3 + 2 * len(small),
                 "unbanded": 3 + 2 * len(unbanded), "suite": 5}  # calls per pass
     tail = sum(sections.values()) * passes
     timed, rest = calls[8:-tail], calls[-tail:]
@@ -293,6 +294,7 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     assert parts["poly"] == (["clear"] * 3 + [("poly", n) for n in large for _ in range(2)]) * passes
     assert parts["random"] == (["clear"] * 3 + [("poly", n) for n in randoms for _ in range(2)]) * passes
     assert parts["random_small"] == (["clear"] * 3 + [("poly", n) for n in small for _ in range(2)]) * passes
+    assert parts["joined_small"] == (["clear"] * 3 + [("tally", n, (n,)) for n in small for _ in range(2)]) * passes
     assert len(randoms) == 48 and min(randoms) == 13 and max(randoms) == 20 and len(small) == 24
     assert parts["unbanded"] == (["clear"] * 3 + [("poly", n) for n in unbanded for _ in range(2)]) * passes
     assert len(unbanded) == 24 and min(unbanded) == 17 and max(unbanded) == 22

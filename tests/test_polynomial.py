@@ -180,19 +180,40 @@ def test_close_up_fills_the_last_lane_at_the_real_width():
     assert _close_up(ones, [], ones) == ones
 
 
+def _level_counts(zf, n):
+    """The coefficients read off the joined zf bits: the masks of j
+    vertices that force, one level of the flat 2^n-bit table at a time."""
+    return [(zf & level).bit_count() for level in polynomial._chunk_constants(n)[2]]
+
+
 def test_coefficient_mode_matches_the_joined_coefficients(monkeypatch):
-    # the coefficient mode settles a chunk that its seeds fill and builds
-    # no closed table; its coefficients are the joined mode's, at a narrow
-    # width on every labeled graph up to 8 chunks and at the real width on
-    # seeded G(n, p) up to 64 chunks
+    # both modes sum their chunks in bit-sliced counters, the oracle counts
+    # each level of the joined zf bits: at the real width on seeded G(n, p)
+    # up to 64 chunks, and at a narrow width on every labeled graph up to 8
+    # chunks and on seeded graphs of 16, where up to 6 chunks share one |h|
+    # and a count carries into a third plane
     rng = random.Random(37)
     graphs = [seeded_graph(rng, n, p) for n in range(13, 19) for p in (0.1, 0.2, 0.35, 0.6)]
     for g in graphs:
-        assert _closure_tally(g.adj, g.n, join=False) == _closure_tally(g.adj, g.n)[2], g
+        zf, _, coeffs = _closure_tally(g.adj, g.n)
+        assert _closure_tally(g.adj, g.n, join=False) == coeffs == _level_counts(zf, g.n), g
     monkeypatch.setattr(polynomial, "_CHUNK_BITS", 3)
-    for n in range(7):
-        for g in all_labeled_graphs(n):
-            assert _closure_tally(g.adj, n, join=False) == _closure_tally(g.adj, n)[2], g
+    graphs = [g for n in range(7) for g in all_labeled_graphs(n)]
+    graphs += [seeded_graph(rng, 7, p) for p in (0.15, 0.3, 0.5, 0.7) for _ in range(500)]
+    for g in graphs:
+        zf, _, coeffs = _closure_tally(g.adj, g.n)
+        assert _closure_tally(g.adj, g.n, join=False) == coeffs == _level_counts(zf, g.n), g
+
+
+def test_both_modes_meet_the_closed_forms_on_relabeled_families():
+    # up to 4,096 chunks, unbanded and over the band order
+    rng = random.Random(38)
+    for n in range(19, 25):
+        for family, closed_form in ((path, poly_path), (cycle, poly_cycle), (wheel, poly_wheel)):
+            g = shuffle_labels(family(n), rng)
+            want = list(closed_form(n).coeffs)
+            assert _closure_tally(g.adj, n, join=False) == _closure_tally(g.adj, n)[2] == want, g
+            assert polynomial._flag_table(g, join=False) == want, g
 
 
 def test_coefficient_mode_closes_up_only_the_chunks_its_seeds_leave_short(monkeypatch):
@@ -214,6 +235,60 @@ def test_coefficient_mode_closes_up_only_the_chunks_its_seeds_leave_short(monkey
         assert len(every) == 1 << (g.n - _lane_width(g.n))
         assert seeds == [z for z in every if z != ones]
         assert len(seeds) < len(every)
+
+
+def _rebuilt_moves(adj, n, h):
+    """Chunk h's moves from scratch: per low w, the lanes t that miss w and
+    where some neighbor v of w holds with N(v) - w in h << k | t."""
+    k = _lane_width(n)
+    ones, planes = _chunk_planes(k)
+    moves = []
+    for w in range(k):
+        f = 0
+        for v in vertices_of(adj[w]):
+            rest = (adj[v] | 1 << v) & ~(1 << w)
+            if rest >> k & ~h:
+                continue
+            lanes = ones ^ planes[w]
+            for x in vertices_of(rest & ((1 << k) - 1)):
+                lanes &= planes[x]
+            f |= lanes
+        if f:
+            moves.append((1 << w, f))
+    return moves
+
+
+def test_each_chunk_closes_up_under_its_own_moves(monkeypatch):
+    # the moves are kept while h & gate stays: on a banded cycle gate is
+    # the high vertices next to the low band, and runs of chunks share one
+    # list; on a banded wheel the hub is high, gate is every high bit, and
+    # each chunk builds its own.  Either way, each chunk's moves are a
+    # rebuild from scratch for its h, in both modes, the coefficient mode's
+    # chunks being the joined mode's whose seeds are not all ones
+    ones = _chunk_planes(polynomial._CHUNK_BITS)[0]
+    calls = []
+    monkeypatch.setattr(polynomial, "_close_up",
+                        lambda z, moves, stop=-1: calls.append((z, moves)) or _close_up(z, moves, stop))
+    rng = random.Random(38)
+    for family in (cycle, wheel):
+        g = shuffle_labels(family(20), rng)
+        adj = _relabeled(g.adj, _band_order(g.adj, g.n))
+        top = (1 << (g.n - _lane_width(g.n))) - 1
+        calls.clear()
+        _closure_tally(adj, g.n)
+        joined = calls[:]
+        calls.clear()
+        _closure_tally(adj, g.n, join=False)
+        short = [top - i for i, (z, _) in enumerate(joined) if z != ones]
+        assert len(joined) == top + 1 and len(calls) == len(short)
+        for h, (_, moves) in [*zip(range(top, -1, -1), joined), *zip(short, calls)]:
+            assert moves == _rebuilt_moves(adj, g.n, h), (family.__name__, h)
+        lists = len({id(moves) for _, moves in joined})
+        if family is cycle:
+            assert lists < len(joined) // 4
+        else:
+            hub = next(v for v, row in enumerate(adj) if row.bit_count() == g.n - 1)
+            assert hub >= _lane_width(g.n) and lists == len(joined)
 
 
 def _band_cases():
