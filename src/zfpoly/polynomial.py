@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
+from operator import or_
 from typing import Sequence
 
 from .forcing import _sweep
@@ -344,7 +345,7 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | lis
             f = ()  # per low w, the OR of the rows whose need h holds
             for need, row in into_low:
                 if key & need == need:
-                    f = [a | b for a, b in zip(f, row)] if f else row
+                    f = list(map(or_, f, row)) if f else row
             moves = []
             low_union = 0
             for w, pattern in enumerate(f):
