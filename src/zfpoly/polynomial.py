@@ -19,8 +19,8 @@ from .forcing import _sweep
 from .graphs import Graph, SizeCapError, _connected_components, mask_of, vertices_of
 
 # Full-subset enumeration is exponential: the 2^24 subsets of wheel:24 take
-# 30-50 ms for the coefficients alone, with no peak RSS past the 16 MB after
-# import, and 77-114 ms for the joined tables, two 2 MiB bit tables, 25 MB
+# 16-29 ms for the coefficients alone, with no peak RSS past the 16 MB after
+# import, and 57-74 ms for the joined tables, two 2 MiB bit tables, 25 MB
 # peak RSS for the whole process (2-core Xeon, Python 3.11.7).
 DEFAULT_ENUMERATION_CAP = 24
 CAP_ENV_VAR = "ZFPOLY_MAX_N"
@@ -270,8 +270,8 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | lis
     join, a chunk that its seeds fill is settled there: the forces into low
     w would close up nothing, and they feed only closed.
 
-    Forces with one gate, need and target into a high w are one entry, as
-    are the forces with one need into a low w, each with the OR of their
+    Forces into a high w with one test of h and one target are one entry,
+    as are the forces with one need into a low w, each with the OR of their
     patterns.  The forces into low w test only the bits of gate, the OR of
     their needs, so the chunk's moves are kept from the last chunk with the
     same h & gate; in a band order gate is the few high vertices next to

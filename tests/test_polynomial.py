@@ -238,8 +238,8 @@ def test_coefficient_mode_closes_up_only_the_chunks_its_seeds_leave_short(monkey
 
 
 def _rebuilt_moves(adj, n, h):
-    """Chunk h's moves from scratch: per low w, the lanes t that miss w and
-    where some neighbor v of w holds with N(v) - w in h << k | t."""
+    """Chunk h's moves from scratch: per low w, the lanes t whose mask
+    h << k | t misses w and holds N[v] - w for some neighbor v of w."""
     k = _lane_width(n)
     ones, planes = _chunk_planes(k)
     moves = []
