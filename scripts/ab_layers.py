@@ -1,4 +1,4 @@
-"""Time the sweep's batch kernel, per-graph path, flag-table kernel and suite runner of two checkouts in one process, call by call.
+"""Time the sweep's batch kernel, per-graph path, flag-table kernel, suite runner and closed-forms suite of two checkouts in one process, call by call.
 
     python3 scripts/ab_layers.py --parent ../parent --change . --out BENCH_26.json
     python3 scripts/ab_layers.py --parent . --change . --batches 2
@@ -60,7 +60,10 @@ the ratio of each pair of calls and the reports compared without
 ``elapsed_s``: the user path with its process pools, which the
 ``_check_batch`` kernels do not see.  The untimed warm-up has built the
 n = 6 cycle orbit in this process on both sides, so the pools' workers
-inherit it on both sides.
+inherit it on both sides.  ``sweeps.run_closed_forms_suite.n10`` times
+SWEEP_PASSES calls of ``run_closed_forms_suite(max_n=10, jobs=1)``, the
+call that the benchmark's closed-forms workload times, in the same way,
+with each pair's (count, records) compared.
 
 Per kernel and order the summary gives the median ratio, the calls the change
 won (ratio below 1), the call count and the exact two-sided sign-test p-value
@@ -260,8 +263,9 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
     of each pass under sweep.n6, random_sweep.n7, polynomial._closure_tally.n7,
     polynomial.zf_polynomial.large, polynomial.zf_polynomial.random and its
     n13_16 part, polynomial._closure_tally.joined.n13_16 on that part,
-    polynomial.zf_polynomial.unbanded and run_suite.all.n6, and
-    the number of calls and passes whose results differ."""
+    polynomial.zf_polynomial.unbanded, run_suite.all.n6 and
+    sweeps.run_closed_forms_suite.n10, and the number of calls and passes
+    whose results differ."""
     change = sides["change"]
     sets = kernels(change.CHECK_KEYS)
     adjs = [change._edge_mask_adj(change.edge_pair_order(n), n, emask) for n, emask in specs]
@@ -295,7 +299,9 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
              lambda sweeps, g: sweeps._closure_tally(g.adj, g.n)),
             ("polynomial.zf_polynomial.unbanded", unbanded_graphs(change),
              lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
-            ("run_suite.all.n6", [jobs], suite_report)):
+            ("run_suite.all.n6", [jobs], suite_report),
+            ("sweeps.run_closed_forms_suite.n10", [10],
+             lambda sweeps, max_n: sweeps.run_closed_forms_suite(max_n=max_n, jobs=1))):
         ratios[name], differ = passes(sides, calls, run_one)
         mismatches += differ
     return ratios, mismatches

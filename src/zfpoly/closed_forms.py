@@ -6,6 +6,7 @@ inclusion-exclusion over consecutive runs of a cycle), and threshold graphs
 """
 from __future__ import annotations
 
+import operator
 from math import comb
 
 from .graphs import BlockPartition, _require_binary, block_partition
@@ -132,45 +133,38 @@ def _require_usable(b: str) -> None:
         raise ValueError("binary string must end in '1' (connected threshold graph)")
 
 
-def block_exclusion_sets(blocks: BlockPartition) -> set[frozenset[int]]:
-    """All sets of block indices (1-based) from which a zero forcing set of the
-    threshold graph excludes exactly one vertex each.
+def _exclusion_fold(blocks: BlockPartition, unit, zero, extend, merge):
+    """The exclusion sets of the threshold graph of blocks, the sets of
+    block indices (1-based) from which a zero forcing set excludes exactly
+    one vertex each, folded into one value: unit stands for the empty set
+    alone and zero for no set, extend(value, i) adds block i to each set
+    that value stands for, and merge(a, b) joins two values; extend must
+    distribute over merge.
 
-    Built left to right over the 1-blocks.  Each state pairs an index set with
-    an indicator bit that is 1 exactly when a 1-block has been excluded and no
-    included 0-vertex follows the rightmost excluded 1-block; in that state a
-    length-1 0-block cannot be skipped while also excluding from the next
-    1-block.
+    Built left to right over the 1-blocks.  A set is pinned exactly when a
+    1-block has been excluded and no included 0-vertex follows the
+    rightmost excluded 1-block; a pinned set cannot skip a length-1 0-block
+    while also excluding from the next 1-block.  Each step takes 1-block s
+    and the 0-block before it, none before block 1.  The steps give each
+    set exactly one path, so a fold of weights counts each set once.
     """
     _require_usable(blocks.source)
     t = len(blocks.blocks)
-    if t % 2 == 1:
-        state: set[tuple[frozenset[int], int]] = {(frozenset(), 0), (frozenset({1}), 1)}
-        s = 3
-    else:
-        state = {
-            (frozenset(), 0),
-            (frozenset({1}), 0),
-            (frozenset({2}), 1),
-            (frozenset({1, 2}), 1),
-        }
-        s = 4
-    while s <= t:
-        gap_is_single = blocks.blocks[s - 2][1] == 1  # |B_{s-1}|
-        nxt: set[tuple[frozenset[int], int]] = set()
-        for subset, k in state:
-            if k == 1 and gap_is_single:
-                nxt.add((subset, 0))
-                nxt.add((subset | {s - 1}, 1))
-                nxt.add((subset | {s}, 1))
-            else:
-                nxt.add((subset, 0))
-                nxt.add((subset | {s - 1}, 0))
-                nxt.add((subset | {s}, 1))
-                nxt.add((subset | {s - 1, s}, 1))
-        state = nxt
-        s += 2
-    return {subset for subset, _ in state}
+    free, pinned = unit, zero
+    for s in range(2 - t % 2, t + 1, 2):  # the 1-blocks: every other block, ending at block t
+        gap = s - 1  # the 0-block before block s, 0 before block 1
+        narrow = gap and blocks.blocks[gap - 1][1] == 1
+        whole = merge(free, pinned)
+        free = merge(whole, extend(free if narrow else whole, gap)) if gap else whole
+        pinned = merge(extend(free, s), extend(pinned, gap)) if narrow else extend(free, s)
+    return merge(free, pinned)
+
+
+def block_exclusion_sets(blocks: BlockPartition) -> set[frozenset[int]]:
+    """All sets of block indices (1-based) from which a zero forcing set of the
+    threshold graph excludes exactly one vertex each (_exclusion_fold)."""
+    return _exclusion_fold(blocks, {frozenset()}, set(), lambda sets, i: {subset | {i} for subset in sets},
+                           operator.or_)
 
 
 def poly_threshold(b: str) -> ZfPolynomial:
@@ -179,17 +173,21 @@ def poly_threshold(b: str) -> ZfPolynomial:
     Requires a canonical connected string of length >= 2 (first two symbols
     equal, last symbol '1').  For non-canonical strings, compose the graph
     builder with brute-force enumeration instead.
+
+    The exclusion sets are folded as weights: field e of one int, n + 1
+    bits wide, counts the ways to exclude e vertices, one from each block
+    of a set, so that excluding from block i is one multiply by |B_i| and
+    one shift.  No count reaches 2^n, so no field carries into the next.
     """
     blocks = block_partition(b)
     n = len(b)
-    sizes = [length for _, length in blocks.blocks]
-    coeffs = [0] * (n + 1)
-    for subset in block_exclusion_sets(blocks):
-        prod = 1
-        for i in subset:
-            prod *= sizes[i - 1]
-        coeffs[n - len(subset)] += prod
-    return ZfPolynomial(n, tuple(coeffs))
+    width = n + 1
+    sizes = [0] + [length for _, length in blocks.blocks]
+    packed = _exclusion_fold(blocks, 1, 0, lambda weights, i: weights * sizes[i] << width, operator.add)
+    field = (1 << width) - 1
+    # a tuple of a list, not of a generator, whose tuple is resized to fit and
+    # then freed onto the free list of another size, where such tuples pile up
+    return ZfPolynomial(n, tuple([packed >> (n - i) * width & field for i in range(n + 1)]))
 
 
 def _threshold_lanes(b: str, ones: int, planes) -> int:

@@ -31,7 +31,9 @@ CAP_ENV_VAR = "ZFPOLY_MAX_N"
 # the high n - k its number h, chunk 0 lowest.  Only _closure_tally, the one
 # kernel that runs up to the enumeration cap, chunks, to bound its memory
 # there.  Every other table is one 2^n-bit int over _chunk_planes(n), or one
-# 2^(n+b)-bit int for 2^b graphs (_batch_edges).
+# 2^(n+b)-bit int for 2^b graphs, whose edge lanes one of two builders lays
+# out for _lane_tally: _batch_edges for consecutive edge masks (the sweep),
+# _threshold_edges for consecutive threshold strings (the closed forms).
 _CHUNK_BITS = 12
 
 
@@ -233,6 +235,18 @@ def _block_counts(table: int, k: int, c: int) -> Sequence[int]:
     return table.to_bytes(1 << (k + c - 3), "little")[::1 << (k - 3)]
 
 
+def _level_counts(table: int, k: int, c: int) -> list[tuple[int, ...]]:
+    """Per 2^k-bit block of a 2^(k+c)-bit table, lowest first, the set bits
+    at each level of _chunk_constants(k): by whole-table SWAR popcounts
+    (_block_counts) up to k = 7, whose byte sums cover at most 2^7 bits, and
+    past it block by block (a level holds C(11, 5) = 462 bits at k = 11)."""
+    if k <= 7 or not c:
+        return list(zip(*(_block_counts(table & level, k, c) for level in _block_levels(k, c))))
+    levels = _chunk_constants(k)[2]
+    # tuples of lists, as in poly_threshold
+    return [tuple([(block & level).bit_count() for level in levels]) for block in _blocks(table, k, c)]
+
+
 def _close_up(z: int, moves: Sequence[tuple[int, int]], stop: int = -1) -> int:
     """The least superset of z closed under z |= f & z >> shift for each
     (shift, f) in moves: a lane where a force into w applies is set once the
@@ -381,15 +395,19 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | lis
     return _unblocks(zf, k), _unblocks(closed, k), coeffs
 
 
-# The widest batch: the flag tables of up to 2^BATCH_BITS graphs at once.
+# The widest batch: the flag tables of up to 2^BATCH_BITS graphs at once, in
+# tables of up to 2^BATCH_TABLE_BITS bits, the sweep's at n = 7.
 BATCH_BITS = 10
+BATCH_TABLE_BITS = 17
 
 
 def _batch_bits(n: int) -> int:
     """The log2 of the graphs per batch at order n, whoever maps the batches
-    and with however many processes: every graph of the order up to
-    2^BATCH_BITS, and one graph below n = 3, where tables fill no byte."""
-    return min(BATCH_BITS, comb(n, 2)) if n >= 3 else 0
+    and with however many processes: every graph of the order, up to
+    2^BATCH_BITS graphs in a table of up to 2^BATCH_TABLE_BITS bits, which
+    leaves every order up to 7 its full width, and one graph below n = 3,
+    where tables fill no byte."""
+    return max(0, min(BATCH_BITS, comb(n, 2), BATCH_TABLE_BITS - n)) if n >= 3 else 0
 
 
 def _batch_edges(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int, reverse: bool = False) -> tuple:
@@ -399,7 +417,8 @@ def _batch_edges(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int, re
     the block order of a reversal of the whole int.  Of the planes of
     _chunk_planes(n + b), plane x < n holds the masks with x and plane n + i
     the graphs with edge i < b (its complement with reverse); nbrs[v] lists
-    (w, the lanes whose graph has edge vw).
+    (w, the lanes whose graph has edge vw), all ones itself for an edge of
+    every graph.
     """
     ones, planes = _chunk_planes(n + b)
     edge = [ones if base >> i & 1 else 0 for i in range(len(pairs))]
@@ -412,27 +431,56 @@ def _batch_edges(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int, re
     return ones, planes, nbrs
 
 
-def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> tuple[int, int, list[tuple[int, ...]]]:
-    """The flag tables of a batch of _batch_edges, for n >= 3 if b > 0 so
-    that tables fill bytes, joined: (zf, closed, counts), where block g of
-    the 2^(n+b)-bit ints zf and closed and the tuple counts[g] are
-    _closure_tally(_edge_mask_adj(pairs, n, base + g), n).  A force v -> w
-    applies where the mask holds v and misses w, and an "at least two"
-    accumulator over v's neighbors outside the mask rules out any other; a
-    lane with a force into w reads zf 2^w lanes up, in its own block, as in
-    _closure_tally.
-    """
-    ones, planes, nbrs = _batch_edges(pairs, n, base, b)
-    moves = [0] * n  # per w: the lanes where some force into w applies
-    for v in range(n):
-        missed = [(w, e & ~planes[w]) for w, e in nbrs[v]]  # lanes with edge vw whose mask misses w
+def _threshold_edges(length: int, base: int, b: int) -> tuple:
+    """(all ones, planes, nbrs), as _batch_edges gives them, of the batch of
+    threshold graphs whose canonical connected strings (as
+    sweeps.canonical_connected_strings lists them) have free bits base + g,
+    g < 2^b, for base a multiple of 2^b and b <= length - 2: symbol p of
+    string bits is bit p - 1 of bits for 1 <= p <= length - 2, symbol 0
+    copies symbol 1 and the last symbol is 1, and {j, k}, j < k, is an edge
+    iff symbol k is 1.  The lanes of symbol p are plane length + p - 1 of
+    _chunk_planes(length + b) for p <= b, all ones itself or 0 by bit
+    p - 1 of base past b, and all ones for the last symbol."""
+    ones, planes = _chunk_planes(length + b)
+    symbol = [0, *planes[length:], *(ones if base >> i & 1 else 0 for i in range(b, length - 2)), ones]
+    return ones, planes, [[(w, symbol[max(v, w)]) for w in range(length) if w != v and symbol[max(v, w)]]
+                          for v in range(length)]
+
+
+def _lane_moves(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[int, int]]], n: int) -> list[int]:
+    """Per vertex w, the lanes of a batch (_lane_tally) where some force
+    into w applies.  A force v -> w applies where the mask holds v and
+    misses w, and an "at least two" accumulator over v's neighbors outside
+    the mask rules out any other; the lanes where some neighbor of w holds
+    and misses no other neighbor are gathered per w and cut to the masks
+    that miss w once.  An edge lane that is all ones itself costs no AND.
+    Its per-vertex tables are freed on return, before the close-up."""
+    missing = [ones ^ plane for plane in planes[:n]]  # per w: the masks that miss w
+    reach = [0] * n  # per w: the lanes where a neighbor of w holds and misses no other neighbor
+    for v, edges in enumerate(nbrs):
         one = two = 0
-        for _, m in missed:
+        for w, e in edges:
+            m = missing[w] if e is ones else e & missing[w]  # lanes with edge vw whose mask misses w
             two |= one & m
             one |= m
         alone = planes[v] & ~two  # lanes where v holds and misses at most one neighbor
-        for w, m in missed:
-            moves[w] |= alone & m
+        for w, e in edges:
+            reach[w] |= alone if e is ones else alone & e
+    for w, m in enumerate(missing):
+        reach[w] &= m
+    return reach
+
+
+def _lane_tally(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[int, int]]], n: int,
+                b: int) -> tuple[int, int, list[tuple[int, ...]]]:
+    """The flag tables of 2^b graphs on n vertices, laid out in lanes by
+    _batch_edges or _threshold_edges (n >= 3 if b > 0, so that tables fill
+    bytes), joined: (zf, closed, counts), where block g of the 2^(n+b)-bit
+    ints zf and closed and the tuple counts[g] are graph g's
+    _closure_tally.  A lane with a force into w (_lane_moves) reads zf 2^w
+    lanes up, in its own block, as in _closure_tally.
+    """
+    moves = _lane_moves(ones, planes, nbrs, n)
     union = 0
     for f in moves:
         union |= f
@@ -440,8 +488,23 @@ def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) ->
     for plane in planes[:n]:
         z &= plane  # V forces every vertex
     z = _close_up(z, [(1 << w, f) for w, f in enumerate(moves) if f])  # the empty mask forces no graph
-    counts = list(zip(*(_block_counts(z & level, n, b) for level in _block_levels(n, b))))  # per graph, per level
-    return z, ones ^ union, counts
+    return z, ones ^ union, _level_counts(z, n, b)
+
+
+def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int,
+                 edges: tuple | None = None) -> tuple[int, int, list[tuple[int, ...]]]:
+    """_lane_tally of the batch of _batch_edges(pairs, n, base, b), or of
+    edges, those lanes when the caller has built them: block g of zf and
+    closed and counts[g] are _closure_tally(_edge_mask_adj(pairs, n,
+    base + g), n)."""
+    return _lane_tally(*(edges or _batch_edges(pairs, n, base, b)), n, b)
+
+
+def _threshold_tally(length: int, base: int, b: int) -> tuple[int, int, list[tuple[int, ...]]]:
+    """_lane_tally of the batch of _threshold_edges(length, base, b): block
+    g and counts[g] are the flag table of the threshold graph of the string
+    with free bits base + g."""
+    return _lane_tally(*_threshold_edges(length, base, b), length, b)
 
 
 def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:

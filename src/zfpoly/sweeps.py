@@ -44,13 +44,12 @@ from .graphs import (
     is_isomorphic,
     join,
     path,
-    threshold_from_string,
     wheel,
 )
 from .parallel import parallel_map, run_scope
 from .polynomial import (_batch_bits, _batch_edges, _batch_tally, _block_counts, _blocks, _chunk_constants,
                          _closure_tally, _component_product, _gather, _gather_runs, _induced_adj, _is_unimodal,
-                         _zero_forcing_number, zf_polynomial)
+                         _threshold_tally, _unblocks, _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -182,14 +181,16 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
     """Run the requested checks on the 2^b graphs of one batch, edge masks
     base on; returns (edge mask, (check, detail) pairs) of each graph that
     fails.  The flag tables, structures, forts, cover sizes and reversals
-    are built for the batch and stay joined: the tables' forts and the
-    definition's are compared in one XOR, and the tables are split into
-    per-graph blocks only where that or the reversal finds a failing lane.
+    are built for the batch, the tables and reversals from one build of its
+    lanes, and stay joined: the tables' forts and the definition's are
+    compared in one XOR, and the tables are split into per-graph blocks
+    only where that or the reversal finds a failing lane.
     The cycle class is read off the orbit of its list, each distinct
     coefficient vector's facts are found once per process, and so is the
     component product of each distinct non-isolated part (_batch_product)."""
     ctx = _context(n)
-    zf, closed, counts = _batch_tally(ctx.pairs, n, base, b)
+    edges = _batch_edges(ctx.pairs, n, base, b)
+    zf, closed, counts = _batch_tally(ctx.pairs, n, base, b, edges)
     unread = [None] * len(counts)  # per graph, what no requested check reads
     zfs = structures = fort_counts = diffs = sizes = unreversed = unread
     if checks & STRUCTURE_CHECKS:
@@ -205,7 +206,6 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
             sizes = _batch_cover_sizes(definition, n, b)[::-1]
     cyclic = ctx.cycle_orbit.__contains__ if "recognizability" in checks else None
     if "reversal" in checks:
-        edges = _batch_edges(ctx.pairs, n, base, b)
         failing = zf & ~_lane_reversals(zf, edges[0], _lane_forcers(*edges))  # zero forcing lanes that fail
         if failing:
             zfs = _blocks(zf, n, b)
@@ -522,35 +522,48 @@ def _partitions_min2(max_total: int) -> list[list[int]]:
     return results
 
 
-def _threshold_string_worker(b: str) -> list[tuple[str, str]] | tuple[()]:
-    """Check one threshold string: closed-form polynomial and the direct
-    zero-forcing-set characterization, both against enumeration.  Returns
-    (check, detail) pairs, or the shared empty tuple when both hold."""
-    bad = []
-    g = threshold_from_string(b)
-    zf, _, coeffs = _closure_tally(g.adj, g.n)
-    if tuple(coeffs) != poly_threshold(b).coeffs:
-        bad.append(("threshold-poly", "closed form differs from enumeration"))
-    diff = _threshold_zfs_bits(b) ^ zf
-    if diff:
-        mask = (diff & -diff).bit_length() - 1
-        bad.append(("threshold-zfs-check", f"characterization wrong on mask {mask:#x}"))
-    return bad or ()
+def _threshold_string(length: int, bits: int) -> str:
+    """The canonical connected string of one length whose free positions
+    1..length-2 hold the bits of bits, lowest first: position 0 copies
+    position 1 and the last position is '1'."""
+    tail = format(bits, f"0{length - 2}b")[::-1] + "1" if length > 2 else "1"
+    return tail[0] + tail
 
 
 def canonical_connected_strings(length: int) -> list[str]:
     """All binary strings of one length whose first two symbols agree and whose
-    last symbol is '1' (one generating string per connected threshold graph)."""
+    last symbol is '1' (one generating string per connected threshold graph),
+    in the order of their free bits."""
     if length < 2:
         raise ValueError("need length >= 2")
-    out = []
-    for bits in range(1 << (length - 2)):
-        # positions 1..length-2 are free, the last position is '1',
-        # and position 0 copies position 1
-        tail = [(bits >> i) & 1 for i in range(length - 2)] + [1]
-        symbols = [tail[0]] + tail
-        out.append("".join("01"[s] for s in symbols))
-    return out
+    return [_threshold_string(length, bits) for bits in range(1 << (length - 2))]
+
+
+def _check_threshold_batch(spec: tuple[int, int, int]) -> list[tuple[str, list[tuple[str, str]]]]:
+    """Check the 2^b threshold strings of one length whose free bits are
+    base + g, g < 2^b, spec (length, b, base): the closed-form polynomial
+    and the direct zero-forcing-set characterization, both against
+    enumeration.  Their flag tables come joined from one _threshold_tally;
+    their zero forcing bits are compared with the characterization tables,
+    each built from its string alone (_threshold_zfs_bits) and joined, in
+    one XOR, split into per-string blocks only where that finds a
+    difference, and each string's coefficients with poly_threshold.
+    Returns (string, (check, detail) pairs) of each string that fails."""
+    length, b, base = spec
+    strings = [_threshold_string(length, bits) for bits in range(base, base + (1 << b))]
+    zf, _, counts = _threshold_tally(length, base, b)
+    diff = zf ^ _unblocks([_threshold_zfs_bits(s) for s in strings], length)
+    diffs = _blocks(diff, length, b) if diff else [0] * len(strings)
+    failed = []
+    for s, coeffs, d in zip(strings, counts, diffs):
+        bad = []
+        if coeffs != poly_threshold(s).coeffs:
+            bad.append(("threshold-poly", "closed form differs from enumeration"))
+        if d:
+            bad.append(("threshold-zfs-check", f"characterization wrong on mask {(d & -d).bit_length() - 1:#x}"))
+        if bad:
+            failed.append((s, bad))
+    return failed
 
 
 def run_closed_forms_suite(max_n: int = 12, jobs: int = 1) -> tuple[int, list[dict]]:
@@ -559,8 +572,12 @@ def run_closed_forms_suite(max_n: int = 12, jobs: int = 1) -> tuple[int, list[di
     The threshold strings are checked against the flag table twice: the
     block-index expansion against its coefficients, and the characterization
     table ``_threshold_zfs_bits``, built from the string alone, against its
-    zero forcing bits in one compare.  The consecutive-run formula is checked
-    against ``_count_consecutive_direct`` on the cycle's own planes.
+    zero forcing bits.  The strings of each length go in batches of 2^b
+    consecutive ones, b = min(length - 2, _batch_bits(length)), whose flag
+    tables one lane kernel builds joined (``_check_threshold_batch``), so
+    that the zero forcing bits of a batch are compared in one XOR; the
+    batches are mapped over jobs processes.  The consecutive-run formula is
+    checked against ``_count_consecutive_direct`` on the cycle's own planes.
 
     Returns (instances checked, failure records).
     """
@@ -617,13 +634,15 @@ def run_closed_forms_suite(max_n: int = 12, jobs: int = 1) -> tuple[int, list[di
                  "permuted block sizes changed the polynomial")
 
     # every canonical connected string, closed form + characterization
-    strings = []
+    specs = []
     for length in range(2, max_n + 1):
-        strings.extend(canonical_connected_strings(length))
-    for b, bad in zip(strings, parallel_map(_threshold_string_worker, strings, jobs)):
-        for check, detail in bad:
-            fail(check, len(b), f"threshold:{b}", detail)
-    checked += len(strings)
+        b = min(length - 2, _batch_bits(length))
+        specs.extend((length, b, base) for base in range(0, 1 << (length - 2), 1 << b))
+        checked += 1 << (length - 2)
+    for failed in parallel_map(_check_threshold_batch, specs, jobs):
+        for s, bad in failed:
+            for check, detail in bad:
+                fail(check, len(s), f"threshold:{s}", detail)
 
     return checked, records
 

@@ -1,11 +1,11 @@
 """The tests' one seam for planted faults: a corruption of the flag tables
-that both of the sweep's producers hand on, on the per-graph path and on
-the batch path alike."""
+that every producer in the sweeps hands on, on the per-graph path, on the
+batch path and on the closed-forms suite's threshold batches alike."""
 import pytest
 
-from zfpoly import from_edge_list, graph_from_edge_mask, sweeps
+from zfpoly import from_edge_list, graph_from_edge_mask, sweeps, threshold_from_string
 from zfpoly.graphs import edge_pair_order
-from zfpoly.polynomial import _batch_tally, _blocks, _closure_tally, _unblocks
+from zfpoly.polynomial import _batch_tally, _blocks, _closure_tally, _threshold_tally, _unblocks
 
 
 def edge_mask(g):
@@ -44,27 +44,38 @@ def clear_memos():
 
 @pytest.fixture
 def plant(monkeypatch):
-    """plant(corrupt) plants one fault in both producers of flag tables,
-    sweeps._batch_tally and sweeps._closure_tally: corrupt(n, emask, table)
-    gives the table, (zf, closed, coefficient list), that each hands on for
-    the graph of edge mask emask on n vertices.  The batch producer's joined
-    tables are split into per-graph blocks here, corrupted and joined again.
-    Each plant wraps the real producers, so a later one replaces an earlier
-    one.  Each plant, and the fixture's teardown, empties the sweep's process
-    memos, so no table, product or fact outlives its fault."""
+    """plant(corrupt) plants one fault in every producer of flag tables,
+    sweeps._batch_tally, sweeps._threshold_tally and sweeps._closure_tally:
+    corrupt(n, emask, table) gives the table, (zf, closed, coefficient
+    list), that each hands on for the graph of edge mask emask on n
+    vertices (a threshold string's graph over edge_pair_order(n)).  The
+    batch producers' joined tables are split into per-graph blocks here,
+    corrupted and joined again.  Each plant wraps the real producers, so a
+    later one replaces an earlier one.  Each plant, and the fixture's
+    teardown, empties the sweep's process memos, so no table, product or
+    fact outlives its fault."""
     def plant(corrupt):
-        def faulty_batch(pairs, n, base, b):
-            zf, closed, counts = _batch_tally(pairs, n, base, b)
-            tables = [corrupt(n, base + g, (z, c, list(coeffs)))
-                      for g, (z, c, coeffs) in enumerate(zip(_blocks(zf, n, b), _blocks(closed, n, b), counts))]
+        def corrupted(tables, n, b, emasks):
+            zf, closed, counts = tables
+            tables = [corrupt(n, emask, (z, c, list(coeffs))) for emask, z, c, coeffs
+                      in zip(emasks, _blocks(zf, n, b), _blocks(closed, n, b), counts)]
             zfs, closeds, coeffs = zip(*tables)
             return _unblocks(zfs, n), _unblocks(closeds, n), [tuple(c) for c in coeffs]
+
+        def faulty_batch(pairs, n, base, b, edges=None):
+            return corrupted(_batch_tally(pairs, n, base, b, edges), n, b, range(base, base + (1 << b)))
+
+        def faulty_threshold(length, base, b):
+            strings = (sweeps._threshold_string(length, bits) for bits in range(base, base + (1 << b)))
+            return corrupted(_threshold_tally(length, base, b), length, b,
+                             [edge_mask(threshold_from_string(s)) for s in strings])
 
         def faulty_tally(adj, n):
             emask = sum(1 << i for i, (u, v) in enumerate(edge_pair_order(n)) if adj[u] >> v & 1)
             return corrupt(n, emask, _closure_tally(adj, n))
 
         monkeypatch.setattr(sweeps, "_batch_tally", faulty_batch)
+        monkeypatch.setattr(sweeps, "_threshold_tally", faulty_threshold)
         monkeypatch.setattr(sweeps, "_closure_tally", faulty_tally)
         clear_memos()
 

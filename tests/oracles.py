@@ -1,13 +1,16 @@
 """Independent reference implementations used only as test oracles.
 
-Everything here is set-based and deliberately naive so that it shares no
-code path with the bitmask implementations under test.
+Everything here but threshold_string_records is set-based and deliberately
+naive so that it shares no code path with the bitmask implementations under
+test.  threshold_string_records is the closed-forms suite's per-string
+check, the oracle of its threshold batches: it reads one graph's flag table
+and the closed forms through sweeps, so that a planted fault reaches it.
 """
 from __future__ import annotations
 
 import itertools
 
-from zfpoly import Graph
+from zfpoly import Graph, sweeps, threshold_from_string
 
 
 def naive_closure(g: Graph, colored: set[int]) -> set[int]:
@@ -89,3 +92,19 @@ def naive_consecutive_count(n: int, k: int, m: int) -> int:
 def naive_consecutive_counts(n: int, m: int) -> dict[int, int]:
     """naive_consecutive_count for every subset size k = 0..n."""
     return {k: naive_consecutive_count(n, k, m) for k in range(n + 1)}
+
+
+def threshold_string_records(b: str) -> list[tuple[str, str]]:
+    """The (check, detail) pairs of one threshold string: the closed-form
+    polynomial and the characterization table, both against the flag table
+    of the string's own graph."""
+    bad = []
+    g = threshold_from_string(b)
+    zf, _, coeffs = sweeps._closure_tally(g.adj, g.n)
+    if tuple(coeffs) != sweeps.poly_threshold(b).coeffs:
+        bad.append(("threshold-poly", "closed form differs from enumeration"))
+    diff = sweeps._threshold_zfs_bits(b) ^ zf
+    if diff:
+        mask = (diff & -diff).bit_length() - 1
+        bad.append(("threshold-zfs-check", f"characterization wrong on mask {mask:#x}"))
+    return bad

@@ -224,11 +224,16 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
         def run_suite(suite, max_n, jobs):
             calls.append((suite, max_n, jobs))
             return {"failures": records, "elapsed_s": len(calls)}
+
+        def run_closed_forms_suite(max_n, jobs):
+            calls.append(("closed-forms", max_n, jobs))
+            return 925, records
         family = lambda n: SimpleNamespace(edges=lambda: [(0, n - 1)])  # noqa: E731
         return SimpleNamespace(CHECK_KEYS=("hall", "reversal"), _batch_bits=lambda n: 9,
                                edge_pair_order=edge_pair_order, _edge_mask_adj=_edge_mask_adj,
                                _check_batch=check_batch, random_sweep=random_sweep, _closure_tally=closure_tally,
-                               zf_polynomial=zf_polynomial, run_suite=run_suite, cycle=family, path=family,
+                               zf_polynomial=zf_polynomial, run_suite=run_suite,
+                               run_closed_forms_suite=run_closed_forms_suite, cycle=family, path=family,
                                wheel=family, from_edge_list=lambda n, edges: SimpleNamespace(n=n, edges=edges, adj=[n]),
                                **memos)
 
@@ -244,9 +249,10 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     doc = json.loads(out.read_text())
     # 4 batches, each under the three kernels with checks (multiplicativity
     # is no key of the stubs), the sweep passes, the per-graph passes, the
-    # flag-table passes, the four polynomial passes and the suite runs
+    # flag-table passes, the four polynomial passes, the suite runs and the
+    # closed-forms suite runs
     passes = ab_layers.SWEEP_PASSES
-    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 9 * passes) * status
+    assert doc["workloads"] == {} and doc["layers"]["records_differ"] == (12 + 10 * passes) * status
     kernels = ("none", "criterion-4", "all", "reversal", "multiplicativity")
     assert {name: row["calls"] for name, row in doc["layers"]["kernels"].items()} == {
         **{f"sweeps._check_batch.{kernel}.n{n}": 2 for n in (6, 7) for kernel in kernels},
@@ -254,7 +260,7 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
         "polynomial.zf_polynomial.large": passes, "polynomial.zf_polynomial.random": passes,
         "polynomial.zf_polynomial.random.n13_16": passes, "polynomial._closure_tally.joined.n13_16": passes,
         "polynomial.zf_polynomial.unbanded": passes,
-        "run_suite.all.n6": passes}
+        "run_suite.all.n6": passes, "sweeps.run_closed_forms_suite.n10": passes}
     # untimed, per side: every check on the batch of each order that holds
     # the n-cycle, at the timed width, one per-graph call and one polynomial
     # of the large mix; then both sides on 2 sweep batches at n = 6 and 2 of
@@ -262,8 +268,8 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     # at n = 7, over their adjacencies, over the large mix, over the seeded
     # random graphs, over those with n <= 16, over their adjacencies and
     # over the trees and unions that skip the band order, each from emptied
-    # memos and call by call on both sides, then the suite runs, each from
-    # emptied memos, on both sides
+    # memos and call by call on both sides, then the suite runs and the
+    # closed-forms suite runs, each from emptied memos, on both sides
     specs = ab_layers.corpus(3)
     cycles = [(n, b, ab_layers.cycle_batch(sides["zfpoly_change"], n, b)) for n, b in ((6, 9), (7, 10))]
     assert cycles[0] == (6, 9, 0b101001000110001 >> 9 << 9)  # the edges 01, 05, 12, 23, 34 and 45
@@ -275,7 +281,7 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     unbanded = [n for n in ab_layers.UNBANDED_ORDERS for _ in range(2 * ab_layers.UNBANDED_GRAPHS)]
     sections = {"sweep": 7, "per_graph": 9, "tally": 9, "poly": 3 + 2 * len(large),
                 "random": 3 + 2 * len(randoms), "random_small": 3 + 2 * len(small), "joined_small": 3 + 2 * len(small),
-                "unbanded": 3 + 2 * len(unbanded), "suite": 5}  # calls per pass
+                "unbanded": 3 + 2 * len(unbanded), "suite": 5, "closed_forms": 5}  # calls per pass
     tail = sum(sections.values()) * passes
     timed, rest = calls[8:-tail], calls[-tail:]
     parts = {}
@@ -300,6 +306,7 @@ def test_ab_layers_exits_nonzero_when_the_records_differ(ab_layers, monkeypatch,
     assert len(unbanded) == 24 and min(unbanded) == 17 and max(unbanded) == 22
     jobs = min(2, os.cpu_count() or 1)
     assert parts["suite"] == (["clear"] * 3 + [("all", 6, jobs), ("all", 6, jobs)]) * passes
+    assert parts["closed_forms"] == (["clear"] * 3 + [("closed-forms", 10, 1)] * 2) * passes
     assert all(n == 7 and 0 <= emask < 1 << 21 for n, emask in specs)
 
 

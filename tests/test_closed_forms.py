@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -156,6 +157,18 @@ def test_poly_threshold_values():
 def test_poly_threshold_matches_enumeration():
     for b in ("0011", "11011", "000111", "110011", "00101011"):
         assert poly_threshold(b) == zf_polynomial(threshold_from_string(b))
+
+
+def test_poly_threshold_folds_the_weights_of_the_exclusion_sets():
+    # the weight fold against the sum over the sets, one product of block
+    # sizes per set, for every canonical connected string up to length 14
+    for length in range(2, 15):
+        for b in canonical_connected_strings(length):
+            blocks = block_partition(b)
+            want = [0] * (length + 1)
+            for subset in block_exclusion_sets(blocks):
+                want[length - len(subset)] += math.prod(blocks.blocks[i - 1][1] for i in subset)
+            assert poly_threshold(b).coeffs == tuple(want), b
 
 
 @pytest.mark.parametrize("b", ["011", "1100", "1", "0"])

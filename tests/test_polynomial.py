@@ -43,7 +43,8 @@ from zfpoly import polynomial
 from zfpoly.forcing import _sweep
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order, mask_of, vertices_of
 from zfpoly.polynomial import (_band_order, _batch_bits, _batch_tally, _blocks, _chunk_planes, _close_up,
-                               _closure_tally, _induced_adj, _lane_width, _relabeled, _unblocks)
+                               _closure_tally, _induced_adj, _lane_width, _relabeled, _threshold_tally, _unblocks)
+from zfpoly.sweeps import canonical_connected_strings
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
 
@@ -147,6 +148,42 @@ def test_batch_tally_matches_the_closure_tally_at_order_seven():
     rng = random.Random(77)
     for base in [rng.randrange(0, 1 << 21, 1 << b) for _ in range(2)] + [(1 << 21) - (1 << b)]:
         assert _batch_tally(pairs, n, base, b) == _joined_tallies(pairs, n, range(base, base + (1 << b))), base
+
+
+def _threshold_batches(length):
+    """(b, base) of each batch of the closed-forms suite's threshold strings of one length."""
+    b = min(length - 2, _batch_bits(length))
+    return [(b, base) for base in range(0, 1 << (length - 2), 1 << b)]
+
+
+def test_batch_widths_stop_at_the_sweeps_widest_table():
+    assert [_batch_bits(n) for n in range(1, 19)] == [0, 0, 3, 6, 10, 10, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0]
+    assert [min(length - 2, _batch_bits(length)) for length in range(2, 14)] == [0, 1, 2, 3, 4, 5, 6, 7, 7, 6, 5, 4]
+
+
+def test_threshold_tally_matches_the_closure_tally_on_every_string():
+    # all 2,047 canonical connected strings of length 2-12, in their batches
+    for length in range(2, 13):
+        strings = canonical_connected_strings(length)
+        for b, base in _threshold_batches(length):
+            tallies = [_closure_tally(threshold_from_string(s).adj, length) for s in strings[base:base + (1 << b)]]
+            zf, closed, coeffs = zip(*tallies)
+            want = _unblocks(zf, length), _unblocks(closed, length), list(map(tuple, coeffs))
+            assert _threshold_tally(length, base, b) == want, (length, base)
+
+
+@pytest.mark.parametrize("length", range(8, 14))
+def test_threshold_counts_match_per_block_popcounts(length):
+    # past a byte: a level of a 2^length-bit block holds up to C(11, 5) = 462
+    # bits at length 11; every batch, against levels built mask by mask
+    levels = [sum(1 << m for m in range(1 << length) if m.bit_count() == j) for j in range(length + 1)]
+    widest = 0
+    for b, base in _threshold_batches(length):
+        zf, _, counts = _threshold_tally(length, base, b)
+        assert counts == [tuple((block & level).bit_count() for level in levels)
+                          for block in _blocks(zf, length, b)], (length, base)
+        widest = max(widest, *map(max, counts))
+    assert (widest > 255) == (length >= 11)
 
 
 def test_table_engine_runs_past_order_twenty():

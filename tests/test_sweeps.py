@@ -9,13 +9,13 @@ import pytest
 
 import zfpoly
 from conftest import clear_memos, edge_mask, everywhere, only_at
-from oracles import naive_consecutive_counts, naive_is_zfs
+from oracles import naive_consecutive_counts, naive_is_zfs, threshold_string_records
 from zfpoly import analysis, parallel, polynomial, sweeps
 from zfpoly.closed_forms import poly_complete, poly_cycle, poly_path
 from zfpoly.graphs import (complete, cycle, disjoint_union, empty, from_edge_list, graph_from_edge_mask,
                            is_isomorphic, path, star)
 from zfpoly.parallel import parallel_map
-from zfpoly.polynomial import _batch_tally, _closure_tally, _component_product, zf_polynomial
+from zfpoly.polynomial import ZfPolynomial, _batch_tally, _closure_tally, _component_product, zf_polynomial
 from zfpoly.sweeps import (
     CHECK_KEYS,
     COEFFICIENT_CHECKS,
@@ -606,21 +606,57 @@ def test_random_sweep_records_do_not_depend_on_jobs(plant, pool_starts):
     assert solo == duo
 
 
-@needs_fork
-def test_closed_forms_suite_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
+def _negated_on_odd_lengths(monkeypatch):
+    """Negate the characterization table of every string of odd length."""
     real_bits = sweeps._threshold_zfs_bits
 
-    def negated_on_odd_lengths(b):
+    def negated(b):
         bits = real_bits(b)
         return bits ^ (1 << (1 << len(b))) - 1 if len(b) % 2 else bits
 
-    monkeypatch.setattr(sweeps, "_threshold_zfs_bits", negated_on_odd_lengths)
-    solo = run_closed_forms_suite(max_n=7, jobs=1)
-    duo = run_closed_forms_suite(max_n=7, jobs=2)
+    monkeypatch.setattr(sweeps, "_threshold_zfs_bits", negated)
+
+
+@needs_fork
+def test_closed_forms_suite_records_do_not_depend_on_jobs(monkeypatch, pool_starts):
+    # at max_n 12 the threshold strings go in 50 batches, enough for a pool
+    # of 2 processes
+    _negated_on_odd_lengths(monkeypatch)
+    solo = run_closed_forms_suite(max_n=12, jobs=1)
+    duo = run_closed_forms_suite(max_n=12, jobs=2)
     assert len(pool_starts) == 1
-    assert len(solo[1]) == 2 + 8 + 32  # the strings of length 3, 5 and 7
+    assert len(solo[1]) == 2 + 8 + 32 + 128 + 512  # the strings of length 3, 5, 7, 9 and 11
     assert {r["detail"] for r in solo[1]} == {"characterization wrong on mask 0x0"}
     assert solo == duo
+
+
+def _one_string_off_by_one(monkeypatch):
+    """Add one to the top coefficient of one string's closed form."""
+    real = sweeps.poly_threshold
+
+    def off(b):
+        p = real(b)
+        return ZfPolynomial(p.n, p.coeffs[:-1] + (p.coeffs[-1] + 1,)) if b == "0010110111" else p
+
+    monkeypatch.setattr(sweeps, "poly_threshold", off)
+
+
+@pytest.mark.parametrize("fault", ["none", "negated-on-odd-lengths", "one-closed-form-off", "zf-flip"])
+def test_closed_forms_suite_threshold_records_equal_the_per_string_oracle(monkeypatch, plant, fault):
+    # record for record, in order, against the per-string check of every
+    # string up to length 12; the zf flip (the empty set forces) reaches the
+    # batches and the oracle's flag table through the plant seam
+    if fault == "negated-on-odd-lengths":
+        _negated_on_odd_lengths(monkeypatch)
+    elif fault == "one-closed-form-off":
+        _one_string_off_by_one(monkeypatch)
+    elif fault == "zf-flip":
+        plant(everywhere(lambda zf, closed, coeffs: (zf ^ 1, closed, coeffs)))
+    _, records = run_closed_forms_suite(max_n=12, jobs=1)
+    want = [sweeps._record(check, length, f"threshold:{b}", detail) for length in range(2, 13)
+            for b in canonical_connected_strings(length) for check, detail in threshold_string_records(b)]
+    assert [r for r in records if r["graph"].startswith("threshold:")] == want
+    assert len(want) == {"none": 0, "negated-on-odd-lengths": 682, "one-closed-form-off": 1, "zf-flip": 2047}[fault]
 
 
 @pytest.mark.parametrize(
@@ -630,12 +666,14 @@ def test_closed_forms_suite_records_do_not_depend_on_jobs(monkeypatch, pool_star
 )
 def test_threshold_check_names_the_lowest_differing_mask(plant, flipped, detail):
     # 0011 generates K4 minus the edge 01: its zero forcing sets are the sets
-    # of two or more vertices other than {0, 1} and {2, 3}
+    # of two or more vertices other than {0, 1} and {2, 3}; it is string 1
+    # of the one batch of length 4, all 4 strings of which take the flips
     flips = sum(1 << mask for mask in flipped)
     plant(everywhere(lambda zf, closed, coeffs: (zf ^ flips, closed, coeffs)))
-    assert sweeps._threshold_string_worker("0011") == [
-        ("threshold-zfs-check", f"characterization wrong on mask {detail}")
-    ]
+    want = [("threshold-zfs-check", f"characterization wrong on mask {detail}")]
+    failed = dict(sweeps._check_threshold_batch((4, 2, 0)))
+    assert list(failed) == canonical_connected_strings(4) and failed["0011"] == want
+    assert threshold_string_records("0011") == want
 
 
 def test_count_consecutive_direct_matches_the_naive_counts():
