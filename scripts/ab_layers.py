@@ -33,9 +33,10 @@ call that the benchmark's corpus-n7 workload times: SWEEP_PASSES passes of
 ``random_sweep(CHECK_KEYS, [spec])`` over CORPUS_SPECS uniform labeled
 n = 7 graphs drawn with SEED, alternating the side that runs first spec
 by spec, with the ratio of the sides' totals per pass.  Two passes time the
-flag-table kernel in the same way, call by call, with each call's result
-compared: ``polynomial._closure_tally.n7`` calls ``_closure_tally`` on the
-adjacency of each of those specs, its one-chunk path, and
+flag-table kernel in the same way, call by call, with each call's
+coefficients compared: ``polynomial._closure_tally.n7`` calls
+``_closure_tally`` on the adjacency of each of those specs, its one-chunk
+path, and
 ``polynomial.zf_polynomial.large`` calls ``zf_polynomial`` on the graphs of
 the benchmark's poly-large mix, the cycle and path at n = 19 and 20 and the
 wheel at n = 20 LARGE_REPEATS times each, then the cycle at n = 21 once, each
@@ -44,9 +45,6 @@ calls it on seeded G(n, p) graphs beyond that mix, RANDOM_GRAPHS for each
 order n = 13-20 of RANDOM_ORDERS and each density of RANDOM_DENSITIES,
 drawn with SEED, and ``polynomial.zf_polynomial.random.n13_16`` on those
 with n <= 16 alone, whose tables span at most 16 chunks;
-``polynomial._closure_tally.joined.n13_16`` calls ``_closure_tally`` on the
-adjacencies of those n <= 16 graphs, the joined mode past one chunk that
-the forts, the fort cover and the per-graph ip checks at n = 13-14 read;
 ``polynomial.zf_polynomial.unbanded`` calls it on graphs that
 ``_band_order`` skips: for each order n = 17-22 of UNBANDED_ORDERS,
 UNBANDED_GRAPHS random recursive trees (vertex v joined to a uniform
@@ -262,8 +260,7 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
     """Per kernel and order, the change/parent time ratio of each call, and
     of each pass under sweep.n6, random_sweep.n7, polynomial._closure_tally.n7,
     polynomial.zf_polynomial.large, polynomial.zf_polynomial.random and its
-    n13_16 part, polynomial._closure_tally.joined.n13_16 on that part,
-    polynomial.zf_polynomial.unbanded, run_suite.all.n6 and
+    n13_16 part, polynomial.zf_polynomial.unbanded, run_suite.all.n6 and
     sweeps.run_closed_forms_suite.n10, and the number of calls and passes
     whose results differ."""
     change = sides["change"]
@@ -290,13 +287,11 @@ def run(sides: dict, work: list[tuple[int, int, int]], specs: list[tuple[int, in
     for name, calls, run_one in (
             ("sweep.n6", sweep, lambda sweeps, batch: sweeps._check_batch(sets["all"], *batch)),
             ("random_sweep.n7", specs, lambda sweeps, spec: sweeps.random_sweep(sets["all"], [spec])),
-            ("polynomial._closure_tally.n7", adjs, lambda sweeps, adj: sweeps._closure_tally(adj, 7)),
+            ("polynomial._closure_tally.n7", adjs, lambda sweeps, adj: sweeps._closure_tally(adj, 7)[-1]),
             ("polynomial.zf_polynomial.large", large, lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
             ("polynomial.zf_polynomial.random", randoms, lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
             ("polynomial.zf_polynomial.random.n13_16", [g for g in randoms if g.n <= 16],
              lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
-            ("polynomial._closure_tally.joined.n13_16", [g for g in randoms if g.n <= 16],
-             lambda sweeps, g: sweeps._closure_tally(g.adj, g.n)),
             ("polynomial.zf_polynomial.unbanded", unbanded_graphs(change),
              lambda sweeps, g: sweeps.zf_polynomial(g).coeffs),
             ("run_suite.all.n6", [jobs], suite_report),

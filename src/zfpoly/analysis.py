@@ -168,7 +168,7 @@ def cycle_polynomial_class(n: int) -> list[Graph]:
     b = _batch_bits(n)
     reps: list[Graph] = []
     for base in range(0, 1 << len(pairs), 1 << b):
-        for g, coeffs in enumerate(_batch_tally(pairs, n, base, b)[2]):
+        for g, coeffs in enumerate(_batch_tally(pairs, n, base, b)[1]):
             if coeffs == target:
                 h = Graph(n, tuple(_edge_mask_adj(pairs, n, base + g)))
                 if not any(is_isomorphic(h, rep) for rep in reps):  # rejects on degrees first

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import closed_forms, sweeps
-from .forts import _fort_bits, _fort_family, _min_cover
+from .forts import enumerate_forts, min_fort_cover
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -34,7 +34,7 @@ from .graphs import (
     vertices_of,
     wheel,
 )
-from .polynomial import _flag_table, zf_polynomial, zf_polynomial_by_components
+from .polynomial import zf_polynomial, zf_polynomial_by_components
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -150,10 +150,9 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_forts(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    zf, closed, coeffs = _flag_table(g)  # one table for the forts and the cover
-    payload = _fort_family(_fort_bits(closed, g.n), g.n).to_json_dict()
+    payload = enumerate_forts(g).to_json_dict()
     if args.min_cover:
-        size, witness = _min_cover(zf, coeffs, g.n)
+        size, witness = min_fort_cover(g)
         payload["min_cover"] = {"size": size, "witness": vertices_of(witness)}
     print(json.dumps(payload))
     return EXIT_OK

@@ -8,14 +8,16 @@ neighbor in F, so F is a fort iff V - F is a proper closed set, and
 
 if S does not force, V minus its closure is a fort that S misses; if S
 misses a fort F, S lies in the closed set V - F.  So the minimum fort
-transversal has size Z(G), and each fort question is read off the flag
-table: the forts from its closed bits (_fort_bits), the transversals from
-its zero forcing bits and their size from its coefficients.  Two tables of
-their own check that reading in the sweeps: the forts from the definition
-alone, compared with _fort_bits in both directions, and those forts closed
-upward, whose largest fort-free mask gives the cover size without the zero
-forcing bits.  Each is one flat 2^n-bit int per graph, or one 2^(n+b)-bit
+transversal has size Z(G).  The forts are built from the definition alone
+(_fort_definition_bits), one flat 2^n-bit int per graph, or one 2^(n+b)-bit
 int for 2^b graphs; the per-graph definition is the batch one's oracle.
+The transversals are read off the flag table: their size from its
+coefficients, the witness from its zero forcing bits.  The sweeps check
+the duality on those two independent sides: the definition's forts closed
+upward (_up_closure) and reversed (_reversed) are the sets that lie in a
+proper closed set, which must be exactly the masks that do not force; the
+largest fort-free mask of the same closure gives the cover size without the
+zero forcing bits.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from typing import Sequence
 
 from .closed_forms import binom, poly_path
 from .graphs import Graph, mask_of, vertices_of
-from .polynomial import (_batch_edges, _block_counts, _block_levels, _chunk_constants, _chunk_planes, _flag_table,
-                         _zero_forcing_number)
+from .polynomial import (_block_counts, _block_levels, _chunk_constants, _chunk_planes, _flag_table, _within_cap,
+                         _zero_forcing_number, zf_polynomial)
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,13 @@ def is_fort(g: Graph, mask: int) -> bool:
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _fort_bits(closed: int, n: int) -> int:
-    """The forts as one 2^n-bit int: bit F is set iff V - F is a proper
-    closed set.  Bit m of closed becomes bit V - m, a reversal of the whole
-    table, and the empty mask, the complement of V, is cleared."""
-    size = 1 << n
-    raw = closed.to_bytes(max(1, size >> 3), "big").translate(_REVERSED_BYTE)
-    return int.from_bytes(raw, "little") >> max(0, 8 - size) & ~1
+def _reversed(table: int, bits: int) -> int:
+    """A 2^bits-bit table reversed as a whole: bit m moves to bit
+    2^bits - 1 - m, so mask m of a 2^n-bit table moves to V - m, and in a
+    2^(n+b)-bit table block g moves to block 2^b - 1 - g."""
+    size = 1 << bits
+    raw = table.to_bytes(max(1, size >> 3), "big").translate(_REVERSED_BYTE)
+    return int.from_bytes(raw, "little") >> max(0, 8 - size)
 
 
 def _fort_family(fort_bits: int, n: int) -> FortFamily:
@@ -84,24 +86,25 @@ def _fort_family(fort_bits: int, n: int) -> FortFamily:
 
 
 def enumerate_forts(g: Graph) -> FortFamily:
-    """All forts, as the complements of the proper closed sets, at every
-    order up to the enumeration cap."""
-    return _fort_family(_fort_bits(_flag_table(g)[1], g.n), g.n)
+    """All forts, from the definition, at every order up to the enumeration
+    cap."""
+    _within_cap(g.n)
+    return _fort_family(_fort_definition_bits(g.adj, g.n), g.n)
 
 
 # ---------------------------------------------------------------------------
-# The fort table's two checks: the definition, and the forts closed upward
+# The forts by definition, and the fort duality on them
 
 
 def _fort_definition_bits(adj: Sequence[int], n: int) -> int:
     """The forts as one 2^n-bit int, from the definition alone: bit F is set
     iff F is nonempty and no vertex outside F has exactly one neighbor in F.
 
-    Independent of the flag table, whose closed bits _fort_bits reads: this
-    works in F space over the planes of _chunk_planes(n), where plane u
-    holds the masks that contain u.  For each v, "at least one" and "at
-    least two" accumulators over the planes of v's neighbors give the masks
-    that see exactly one of them, which rule F out when F misses v.
+    Independent of the flag table: this works in F space over the planes
+    of _chunk_planes(n), where plane u holds the masks that contain u.  For
+    each v, "at least one" and "at least two" accumulators over the planes
+    of v's neighbors give the masks that see exactly one of them, which
+    rule F out when F misses v.
     """
     ones, planes = _chunk_planes(n)
     bad = 0  # the masks that some v outside them rules out
@@ -114,7 +117,7 @@ def _fort_definition_bits(adj: Sequence[int], n: int) -> int:
             plane = planes[b.bit_length() - 1]
             two |= one & plane
             one |= plane
-        bad |= (one ^ two) & ~planes[v]
+        bad |= (one ^ two) & (ones ^ planes[v])
     return (ones ^ bad) & ~1  # the empty mask is no fort
 
 
@@ -128,54 +131,37 @@ def _batch_fort_definition(ones: int, planes: Sequence[int], nbrs: Sequence[Sequ
             seen = e & planes[w]
             two |= one & seen
             one |= seen
-        bad |= (one ^ two) & ~planes[v]
+        bad |= (one ^ two) & (ones ^ planes[v])
         nonempty |= planes[v]
     return (ones ^ bad) & nonempty
 
 
-def _batch_fort_tables(closed: int, pairs: Sequence[tuple[int, int]], n: int, base: int, b: int) -> tuple[int, int]:
-    """The forts of a batch's joined closed bits (polynomial._batch_tally)
-    and the forts by definition, as two 2^(n+b)-bit ints that hold graph
-    base + g in block 2^b - 1 - g.  One reversal of the whole table
-    (_fort_bits) takes block g there, and the bit of V in each block to lane
-    0, the empty mask, which is cleared; the definition is built over the
-    batch's reversed graph planes, so the two compare in one XOR."""
-    forts = _fort_bits(closed, n + b) & ~_block_levels(n, b)[0]
-    return forts, _batch_fort_definition(*_batch_edges(pairs, n, base, b, reverse=True))
-
-
-def _batch_cover_sizes(forts: int, n: int, b: int) -> list[int]:
-    """The fewest vertices meeting every fort, for each block of forts laid
-    out as by _batch_fort_definition (at b = 0, one graph's fort table):
-    n minus the largest mask that holds none, as S meets them all iff V - S
-    holds none.  Every block is closed upward at once."""
-    ones, planes = _chunk_planes(n + b)
-    for i, plane in enumerate(planes[:n]):  # a shift by 2^i that lands on plane i stays in its block
+def _up_closure(forts: int, n: int, b: int) -> int:
+    """Each 2^n-bit block of a 2^(n+b)-bit table closed upward, every block
+    at once: bit m of a block is set iff m holds a set of that block."""
+    for i, plane in enumerate(_chunk_planes(n + b)[1][:n]):  # a shift by 2^i that lands on plane i stays in its block
         forts |= forts << (1 << i) & plane
+    return forts
+
+
+def _batch_cover_sizes(up: int, n: int, b: int) -> list[int]:
+    """The fewest vertices meeting every fort, for each block of forts laid
+    out as by _batch_fort_definition (at b = 0, one graph's fort table) and
+    closed upward (_up_closure): n minus the largest mask that holds none,
+    as S meets them all iff V - S holds none."""
     if not b:  # one graph: the per-graph path's scan from the top level down
         levels = _chunk_constants(n)[2]  # the empty mask holds no fort, so some level is not all forts
-        return [n - next(j for j in range(n, -1, -1) if forts & levels[j] != levels[j])]
+        return [n - next(j for j in range(n, -1, -1) if up & levels[j] != levels[j])]
     # The fort-free masks are closed downward, so a block's largest has as
     # many vertices as the levels j >= 1 that hold one: lane j of found.
     levels = _block_levels(n, b)
-    free, found = ones ^ forts, 0
+    free, found = _chunk_planes(n + b)[0] ^ up, 0
     for j in range(1, n + 1):
         held = free & levels[j]
         for i in range(n):
             held |= held >> (1 << i)  # lane 0 of a block gathers lanes 0 to 2^n - 1 of it
         found |= (held & levels[0]) << j
     return [n - j for j in _block_counts(found, n, b)]
-
-
-def _min_cover(zf: int, coeffs: Sequence[int], n: int) -> tuple[int, int]:
-    size = _zero_forcing_number(coeffs)
-    table = zf.to_bytes(max(1, 1 << n >> 3), "little")
-    for combo in combinations(range(n), size):  # lexicographic order
-        cover = mask_of(combo)
-        if table[cover >> 3] >> (cover & 7) & 1:  # it meets every fort iff it forces
-            return size, cover
-    raise RuntimeError(f"no zero forcing set of size {size}, the first nonzero coefficient: "
-                       "the zf and coefficient tables disagree")
 
 
 def min_fort_cover(g: Graph) -> tuple[int, int]:
@@ -186,15 +172,23 @@ def min_fort_cover(g: Graph) -> tuple[int, int]:
     sorted vertex list is lexicographically smallest, which is the
     lexicographically smallest optimal transversal.
     """
-    zf, _, coeffs = _flag_table(g)
-    return _min_cover(zf, coeffs, g.n)
+    zf, coeffs = _flag_table(g)
+    n = g.n
+    size = _zero_forcing_number(coeffs)
+    table = zf.to_bytes(max(1, 1 << n >> 3), "little")
+    for combo in combinations(range(n), size):  # lexicographic order
+        cover = mask_of(combo)
+        if table[cover >> 3] >> (cover & 7) & 1:  # it meets every fort iff it forces
+            return size, cover
+    raise RuntimeError(f"no zero forcing set of size {size}, the first nonzero coefficient: "
+                       "the zf and coefficient tables disagree")
 
 
 def fort_count_bound_holds(g: Graph) -> tuple[int, int, bool]:
     """Compare the fort count against 2^n minus the number of zero forcing sets."""
-    _, closed, coeffs = _flag_table(g)
-    lhs = closed.bit_count() - 1  # the proper closed sets, one per fort
-    return (lhs, *_fort_count_bound(lhs, g.n, sum(coeffs)))
+    zfs_count = sum(zf_polynomial(g).coeffs)  # within the cap, before the definition's 2^n bits
+    lhs = _fort_definition_bits(g.adj, g.n).bit_count()
+    return (lhs, *_fort_count_bound(lhs, g.n, zfs_count))
 
 
 def _fort_count_bound(count: int, n: int, zfs_count: int) -> tuple[int, bool]:
@@ -212,7 +206,7 @@ def small_fort_coefficient_bound(g: Graph) -> list[tuple[int, int, int, bool]] |
     Rows are (i, coefficient, bound, holds).
     """
     n = g.n
-    coeffs = _flag_table(g, join=False)
+    coeffs = zf_polynomial(g).coeffs
     if n == 0:
         return None  # the empty graph has no fort
     # a largest set that does not force is closed, so its complement is a

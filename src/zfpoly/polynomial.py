@@ -19,9 +19,9 @@ from .forcing import _sweep
 from .graphs import Graph, SizeCapError, _connected_components, mask_of, vertices_of
 
 # Full-subset enumeration is exponential: the 2^24 subsets of wheel:24 take
-# 16-29 ms for the coefficients alone, with no peak RSS past the 16 MB after
-# import, and 57-74 ms for the joined tables, two 2 MiB bit tables, 25 MB
-# peak RSS for the whole process (2-core Xeon, Python 3.11.7).
+# 15-19 ms through the flag table for the coefficients alone, and 22-36 ms
+# with its zf bits joined into one 2 MiB table, at 18 and 22 MB peak RSS for
+# the whole process, 16.6 MB after import (2-core Xeon, Python 3.11.7).
 DEFAULT_ENUMERATION_CAP = 24
 CAP_ENV_VAR = "ZFPOLY_MAX_N"
 
@@ -147,10 +147,16 @@ def multiply(p: ZfPolynomial, q: ZfPolynomial) -> ZfPolynomial:
     return ZfPolynomial(p.n + q.n, tuple(_convolve(p.coeffs, q.coeffs)))
 
 
-@cache
 def _chunk_planes(k: int) -> tuple[int, tuple[int, ...]]:
     """(all ones, planes) of a 2^k-bit chunk: bit m of plane i is set iff m
-    has bit i."""
+    has bit i.  Held for the life of the process up to the widest batch
+    table, 2^BATCH_TABLE_BITS bits, and built afresh past it, where the k
+    planes of a flat table hold 2 MiB each at k = 24."""
+    return _held_planes(k) if k <= BATCH_TABLE_BITS else _held_planes.__wrapped__(k)
+
+
+@cache
+def _held_planes(k: int) -> tuple[int, tuple[int, ...]]:
     size = 1 << k
     planes = []
     for i in range(k):
@@ -262,27 +268,23 @@ def _close_up(z: int, moves: Sequence[tuple[int, int]], stop: int = -1) -> int:
     return z
 
 
-def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | list[int]:
-    """The flag table as two 2^n-bit ints, and the coefficients.
+def _closure_tally(adj: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """The flag table as chunks, and the coefficients.
 
-    Returns (zf, closed, coeffs): bit m of zf is set iff mask m forces every
-    vertex, bit m of closed iff no force applies at m, and coeffs[i] counts
-    the zero forcing sets of size i.  With join false it returns coeffs
-    alone, for a caller that reads nothing else, and builds no closed.
+    Returns (zf, coeffs): bit t of zf[h] is set iff mask h << k | t forces
+    every vertex, and coeffs[i] counts the zero forcing sets of size i.
 
-    The chunks take the lane layout, bit t of chunk h for mask h << k | t,
-    and are visited in decreasing order of h.  A force v -> w applies at the
-    masks that hold v and N(v) - w and miss w: within a chunk, a fixed
-    low-bit pattern gated by a test of h.  The rule is confluent, so a mask
-    with an applicable force forces every vertex iff the mask it forces
-    into does: a force into a high w seeds the chunk with bits of the
-    finished chunk h | w, and the chunk is closed under the forces into low
-    w until nothing changes or every bit is set.  A superset of a zero
-    forcing set forces, so chunk h is all ones iff the high set h forces
-    alone.  Such chunks are counted per |h|, and each adds C(k, j) to
-    coeffs[|h| + j] at the end in place of counting its levels.  Without
-    join, a chunk that its seeds fill is settled there: the forces into low
-    w would close up nothing, and they feed only closed.
+    The chunks take the lane layout and are visited in decreasing order of
+    h.  A force v -> w applies at the masks that hold v and N(v) - w and
+    miss w: within a chunk, a fixed low-bit pattern gated by a test of h.
+    The rule is confluent, so a mask with an applicable force forces every
+    vertex iff the mask it forces into does: a force into a high w seeds the
+    chunk with bits of the finished chunk h | w, and a chunk that its seeds
+    do not fill is closed under the forces into low w until nothing changes
+    or every bit is set.  A superset of a zero forcing set forces, so chunk
+    h is all ones iff the high set h forces alone.  Such chunks are counted
+    per |h|, and each adds C(k, j) to coeffs[|h| + j] at the end in place
+    of counting its levels.
 
     Forces into a high w with one test of h and one target are one entry,
     as are the forces with one need into a low w, each with the OR of their
@@ -336,37 +338,26 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | lis
 
     top = (1 << (n - k)) - 1
     zf = [0] * (top + 1)
-    closed = [0] * (top + 1) if join else None
     coeffs = [0] * (n + 1)
     settled = {}  # |h| -> the chunks that are all ones
     counters = {}  # |h| -> the other chunks' sum: bit t of plane i is bit i of lane t's count
     key = -1  # h & gate of the moves built last; no h gives -1
     for h in range(top, -1, -1):
         z = 1 << low if h == top else 0  # V forces every vertex
-        union = 0
         for mask, need, target, pattern in into_high:
             if h & mask == need:
                 z |= pattern & zf[h | target]
-                if join:
-                    union |= pattern
+        if z != ones:  # else h forces alone, and the forces into low w close up nothing
+            if h & gate != key:  # the forces into low w test only the bits of gate
+                key = h & gate
+                f = ()  # per low w, the OR of the rows whose need h holds
+                for need, row in into_low:
+                    if key & need == need:
+                        f = list(map(or_, f, row)) if f else row
+                moves = [(1 << w, pattern) for w, pattern in enumerate(f) if pattern]
+            z = _close_up(z, moves, ones)
+        zf[h] = z
         base = h.bit_count()
-        if not join and z == ones:  # h forces alone; the forces into low w feed only closed
-            zf[h] = ones
-            settled[base] = settled.get(base, 0) + 1
-            continue
-        if h & gate != key:  # the forces into low w test only the bits of gate
-            key = h & gate
-            f = ()  # per low w, the OR of the rows whose need h holds
-            for need, row in into_low:
-                if key & need == need:
-                    f = list(map(or_, f, row)) if f else row
-            moves = []
-            low_union = 0
-            for w, pattern in enumerate(f):
-                if pattern:
-                    low_union |= pattern
-                    moves.append((1 << w, pattern))
-        zf[h] = z = _close_up(z, moves, ones)
         if z == ones:
             settled[base] = settled.get(base, 0) + 1
         else:  # a ripple-carry add into the planes
@@ -378,8 +369,6 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | lis
                     break
             else:
                 count.append(z)
-        if join:
-            closed[h] = ones ^ (union | low_union)
     for base, count in counters.items():
         for i, plane in enumerate(count):
             for j, level in enumerate(levels, base):
@@ -388,11 +377,12 @@ def _closure_tally(adj: Sequence[int], n: int, join: bool = True) -> tuple | lis
         for base, count in settled.items():
             for j, c in enumerate(_binomials(k)):
                 coeffs[base + j] += count * c
-    if not join:
-        return coeffs
-    if not top:  # one chunk is the whole table
-        return zf[0], closed[0], coeffs
-    return _unblocks(zf, k), _unblocks(closed, k), coeffs
+    return zf, coeffs
+
+
+def _joined(zf: Sequence[int], n: int) -> int:
+    """The zf chunks of _closure_tally(adj, n) as one 2^n-bit int."""
+    return _unblocks(zf, _lane_width(n))
 
 
 # The widest batch: the flag tables of up to 2^BATCH_BITS graphs at once, in
@@ -472,35 +462,31 @@ def _lane_moves(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[
 
 
 def _lane_tally(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[int, int]]], n: int,
-                b: int) -> tuple[int, int, list[tuple[int, ...]]]:
+                b: int) -> tuple[int, list[tuple[int, ...]]]:
     """The flag tables of 2^b graphs on n vertices, laid out in lanes by
     _batch_edges or _threshold_edges (n >= 3 if b > 0, so that tables fill
-    bytes), joined: (zf, closed, counts), where block g of the 2^(n+b)-bit
-    ints zf and closed and the tuple counts[g] are graph g's
-    _closure_tally.  A lane with a force into w (_lane_moves) reads zf 2^w
-    lanes up, in its own block, as in _closure_tally.
+    bytes), joined: (zf, counts), where block g of the 2^(n+b)-bit int zf
+    and the tuple counts[g] are graph g's _closure_tally, its zf chunks
+    joined.  A lane with a force into w (_lane_moves) reads zf 2^w lanes
+    up, in its own block, as in _closure_tally.
     """
     moves = _lane_moves(ones, planes, nbrs, n)
-    union = 0
-    for f in moves:
-        union |= f
     z = ones
     for plane in planes[:n]:
         z &= plane  # V forces every vertex
     z = _close_up(z, [(1 << w, f) for w, f in enumerate(moves) if f])  # the empty mask forces no graph
-    return z, ones ^ union, _level_counts(z, n, b)
+    return z, _level_counts(z, n, b)
 
 
 def _batch_tally(pairs: Sequence[tuple[int, int]], n: int, base: int, b: int,
-                 edges: tuple | None = None) -> tuple[int, int, list[tuple[int, ...]]]:
+                 edges: tuple | None = None) -> tuple[int, list[tuple[int, ...]]]:
     """_lane_tally of the batch of _batch_edges(pairs, n, base, b), or of
     edges, those lanes when the caller has built them: block g of zf and
-    closed and counts[g] are _closure_tally(_edge_mask_adj(pairs, n,
-    base + g), n)."""
+    counts[g] are _closure_tally(_edge_mask_adj(pairs, n, base + g), n)."""
     return _lane_tally(*(edges or _batch_edges(pairs, n, base, b)), n, b)
 
 
-def _threshold_tally(length: int, base: int, b: int) -> tuple[int, int, list[tuple[int, ...]]]:
+def _threshold_tally(length: int, base: int, b: int) -> tuple[int, list[tuple[int, ...]]]:
     """_lane_tally of the batch of _threshold_edges(length, base, b): block
     g and counts[g] are the flag table of the threshold graph of the string
     with free bits base + g."""
@@ -510,19 +496,20 @@ def _threshold_tally(length: int, base: int, b: int) -> tuple[int, int, list[tup
 def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
     """Exact coefficients by enumerating all 2^n subsets.
 
-    ``engine="table"`` shares forcing work across subsets through two flag
-    bits per subset, 2^12 subsets per big-int operation, at every order up
-    to the enumeration cap.  It builds the coefficients alone, no 2^n-bit
-    table: a chunk that its forces into high vertices fill is settled
-    before its forces into low ones are built.  Past one chunk it tallies
-    over a Cuthill-McKee relabeling of g where its high vertices force
-    alone (_band_order), as the coefficients do not depend on the labels.
-    ``engine="sweep"`` counts each size with count_zfs, an independent sweep
-    closure per subset; it is the differential oracle for the table (exact
-    agreement is tested).  Both give the empty graph 1 (local convention).
+    ``engine="table"`` shares forcing work across subsets through one flag
+    bit per subset, 2^12 subsets per big-int operation, at every order up
+    to the enumeration cap (_closure_tally).  It reads the coefficients
+    alone, so past one chunk it tallies over a Cuthill-McKee relabeling of
+    g where its high vertices force alone (_band_order), as the
+    coefficients do not depend on the labels.  ``engine="sweep"`` counts
+    each size with count_zfs, an independent sweep closure per subset; it
+    is the differential oracle for the table (exact agreement is tested).
+    Both give the empty graph 1 (local convention).
     """
     if engine == "table":
-        coeffs = _flag_table(g, join=False)
+        _within_cap(g.n)
+        order = _band_order(g.adj, g.n)
+        coeffs = _closure_tally(g.adj if order is None else _relabeled(g.adj, order), g.n)[1]
     elif engine == "sweep":
         coeffs = [count_zfs(g, i) for i in range(g.n + 1)]
     else:
@@ -530,19 +517,21 @@ def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:
     return ZfPolynomial(g.n, tuple(coeffs))
 
 
-def _flag_table(g: Graph, join: bool = True) -> tuple | list[int]:
-    """_closure_tally of a public graph, within the enumeration cap: the
-    joined tables in the graph's own labels and the coefficients, or with
-    join false the coefficients alone, from _closure_tally's coefficient
-    mode.  Those do not depend on the labels, so they are tallied over the
-    relabeling of _band_order where it gives one."""
+def _within_cap(n: int) -> None:
+    """The one enumeration cap check: raise SizeCapError for a table of 2^n
+    subsets past the cap."""
     cap = enumeration_cap()
-    if g.n > cap:
-        raise SizeCapError(f"enumeration over {g.n} vertices exceeds cap {cap}")
-    if join:
-        return _closure_tally(g.adj, g.n)
-    order = _band_order(g.adj, g.n)
-    return _closure_tally(g.adj if order is None else _relabeled(g.adj, order), g.n, join=False)
+    if n > cap:
+        raise SizeCapError(f"enumeration over {n} vertices exceeds cap {cap}")
+
+
+def _flag_table(g: Graph) -> tuple[int, list[int]]:
+    """_closure_tally of a public graph, within the enumeration cap, in the
+    graph's own labels: its zf bits as one 2^n-bit int, and its
+    coefficients."""
+    _within_cap(g.n)
+    zf, coeffs = _closure_tally(g.adj, g.n)
+    return _joined(zf, g.n), coeffs
 
 
 def _band_order(adj: Sequence[int], n: int) -> list[int] | None:
@@ -620,9 +609,7 @@ def count_zfs(g: Graph, size: int) -> int:
     n = g.n
     if not 0 <= size <= n:
         raise ValueError(f"size {size} out of range for order {n}")
-    cap = enumeration_cap()
-    if n > cap:
-        raise SizeCapError(f"enumeration over {n} vertices exceeds cap {cap}")
+    _within_cap(n)
     full = g.vertex_mask
     return sum(_sweep(g.adj, mask_of(combo))[1] == full for combo in itertools.combinations(range(n), size))
 

@@ -27,7 +27,8 @@ from .closed_forms import (
     poly_wheel,
 )
 from .forcing import _lane_forcers, _lane_reversals, _sweep
-from .forts import _batch_cover_sizes, _batch_fort_tables, _fort_bits, _fort_count_bound, _fort_definition_bits
+from .forts import (_batch_cover_sizes, _batch_fort_definition, _fort_count_bound, _fort_definition_bits, _reversed,
+                    _up_closure)
 from .graphs import (
     LABELED_ENUM_MAX,
     Graph,
@@ -49,14 +50,14 @@ from .graphs import (
 from .parallel import parallel_map, run_scope
 from .polynomial import (_batch_bits, _batch_edges, _batch_tally, _block_counts, _blocks, _chunk_constants,
                          _closure_tally, _component_product, _gather, _gather_runs, _induced_adj, _is_unimodal,
-                         _threshold_tally, _unblocks, _zero_forcing_number, zf_polynomial)
+                         _joined, _threshold_tally, _unblocks, _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
 # Every per-graph check, in record order: the sweep suite that runs it ("all"
 # runs every check, so a check mapped to "all" runs nowhere else), and what it
 # reads beyond n, its edge mask and coefficients: "structure" (a _structure row),
-# "forts" (the table's and the definition's) and "facts" (_coefficient_facts),
+# "forts" (the definition's, closed upward) and "facts" (_coefficient_facts),
 # or none when its record is one of the facts.  The views below derive from it.
 CHECKS = {
     "extremal": ("extremal", "structure"),                  # the four characterized coefficients match enumeration
@@ -66,8 +67,8 @@ CHECKS = {
     "all-min-sets": ("extremal", "facts"),                  # every minimum-size set forces iff complete or empty
     "hall": ("hall", ""),                                   # coefficient monotonicity below n/2
     "multiplicativity": ("multiplicativity", "structure"),  # polynomial is the product over connected components
-    # the table's forts are the definition's, both ways; no zero forcing set avoids one.
-    # fort-count-bound and ip read the table's forts too, so each files this record, in any suite
+    # the fort duality: a set forces by the zf bits iff it lies in no proper closed set by the definition.
+    # fort-count-bound and ip read the definition's forts too, so each files this record, in any suite
     "fort-transversal": ("forts", "forts"),
     "fort-count-bound": ("forts", "forts facts"),           # fort count at most 2^n minus the zero forcing set count
     "ip": ("ip", "forts facts"),                            # minimum fort cover size equals the zero forcing number
@@ -142,13 +143,14 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
     or the shared empty tuple when every check passes."""
     adj = _edge_mask_adj(_context(n).pairs, n, emask)
     structure = _structure(adj, n) if checks & STRUCTURE_CHECKS else None
-    zf, closed, coeffs = _closure_tally(adj, n)
+    zf, coeffs = _closure_tally(adj, n)
+    zf = _joined(zf, n)
     count = diff = size = None
     if checks & FORT_CHECKS:
         definition = _fort_definition_bits(adj, n)
-        forts = _fort_bits(closed, n)
-        count, diff = forts.bit_count(), forts ^ definition
-        size = _batch_cover_sizes(definition, n, 0)[0] if "ip" in checks else None
+        up = _up_closure(definition, n, 0)
+        count, diff = definition.bit_count(), _reversed(up, n) ^ zf ^ (1 << (1 << n)) - 1
+        size = _batch_cover_sizes(up, n, 0)[0] if "ip" in checks else None
     return _check_table(checks, n, emask, zf, count, coeffs, structure, diff, size,
                         partial(_unreversed, adj, zf), partial(_in_cycle_class, adj),
                         lambda emask, active: tuple(_component_product(adj, n, _component_tally)), _coefficient_facts,
@@ -156,7 +158,7 @@ def _check_one(checks: frozenset, n: int, emask: int) -> list[tuple[str, str]] |
 
 
 def _component_tally(adj: list[int], comp: int) -> list[int]:
-    return _closure_tally(_induced_adj(adj, comp), comp.bit_count())[2]
+    return _closure_tally(_induced_adj(adj, comp), comp.bit_count())[1]
 
 
 def _in_cycle_class(adj: list[int], emask: int) -> bool:
@@ -182,28 +184,33 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
     base on; returns (edge mask, (check, detail) pairs) of each graph that
     fails.  The flag tables, structures, forts, cover sizes and reversals
     are built for the batch, the tables and reversals from one build of its
-    lanes, and stay joined: the tables' forts and the definition's are
-    compared in one XOR, and the tables are split into per-graph blocks
-    only where that or the reversal finds a failing lane.
+    lanes, and stay joined: the forts by definition are built over the
+    reversed lanes, so that one reversal of their upward closure lines its
+    blocks up with the zf bits for the fort duality's XOR, and the tables
+    are split into per-graph blocks only where that or the reversal finds a
+    failing lane.
     The cycle class is read off the orbit of its list, each distinct
     coefficient vector's facts are found once per process, and so is the
     component product of each distinct non-isolated part (_batch_product)."""
     ctx = _context(n)
     edges = _batch_edges(ctx.pairs, n, base, b)
-    zf, closed, counts = _batch_tally(ctx.pairs, n, base, b, edges)
+    zf, counts = _batch_tally(ctx.pairs, n, base, b, edges)
     unread = [None] * len(counts)  # per graph, what no requested check reads
     zfs = structures = fort_counts = diffs = sizes = unreversed = unread
     if checks & STRUCTURE_CHECKS:
         structures = _batch_structure(ctx.pairs, n, base, b)
     if checks & FORT_CHECKS:
-        # both tables hold graph g in block 2^b - 1 - g, so each per-graph list is read backwards
-        forts, definition = _batch_fort_tables(closed, ctx.pairs, n, base, b)
-        diff = forts ^ definition
-        diffs = _blocks(diff, n, b)[::-1] if diff else [0] * len(counts)
+        # the definition and its upward closure hold graph g in block 2^b - 1 - g, so each per-graph
+        # list is read backwards; the reversal of the closure holds it in block g
+        definition = _batch_fort_definition(*_batch_edges(ctx.pairs, n, base, b, reverse=True))
+        up = _up_closure(definition, n, b)
+        diff = _reversed(up, n + b) ^ zf ^ edges[0]
+        if diff:
+            zfs, diffs = _blocks(zf, n, b), _blocks(diff, n, b)
         if "fort-count-bound" in checks:
-            fort_counts = _block_counts(forts, n, b)[::-1]
+            fort_counts = _block_counts(definition, n, b)[::-1]
         if "ip" in checks:
-            sizes = _batch_cover_sizes(definition, n, b)[::-1]
+            sizes = _batch_cover_sizes(up, n, b)[::-1]
     cyclic = ctx.cycle_orbit.__contains__ if "recognizability" in checks else None
     if "reversal" in checks:
         failing = zf & ~_lane_reversals(zf, edges[0], _lane_forcers(*edges))  # zero forcing lanes that fail
@@ -236,7 +243,7 @@ def _order_counts(k: int) -> list[tuple[int, ...]]:
     pairs, b = edge_pair_order(k), _batch_bits(k)
     shared: dict = {}
     return [shared.setdefault(coeffs, coeffs) for base in range(0, 1 << len(pairs), 1 << b)
-            for coeffs in _batch_tally(pairs, k, base, b)[2]]
+            for coeffs in _batch_tally(pairs, k, base, b)[1]]
 
 
 @cache
@@ -313,12 +320,13 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int | None, count: i
                  coeffs: Sequence[int], structure: tuple | None, diff: int | None, size: int | None, unreversed,
                  cyclic, product, facts, adj: list[int] | None = None) -> list[tuple[str, str]] | tuple[()]:
     """The checks of one labeled graph, given its zero forcing bits (read
-    only where unreversed is given), the count of the forts its flag table
-    derives (_fort_bits of its closed bits; read only by fort-count-bound),
-    its coefficients, its structure (None unless a check of STRUCTURE_CHECKS
-    runs), diff, the masks where those forts and the forts by definition
-    differ (read only by FORT_CHECKS), size, the definition's cover size
-    when ip runs, unreversed(minimum), the lowest at least of the minimum
+    only where diff or unreversed is given), the count of its forts by
+    definition (read only by fort-count-bound), its coefficients, its
+    structure (None unless a check of STRUCTURE_CHECKS runs), diff, the
+    masks that the zero forcing bits and the sets lying in a proper closed
+    set by definition both hold or both miss (falsy where none; read only
+    by FORT_CHECKS), size, the definition's cover size when ip runs,
+    unreversed(minimum), the lowest at least of the minimum
     sets (a bit per mask) whose chain terminals do not force, or None when
     every zero forcing set's do, cyclic(emask), whether the graph is in the
     cycle class list up to isomorphism, product(emask, the structure's mask
@@ -326,8 +334,8 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int | None, count: i
     components as a tuple, facts, _coefficient_facts or a memo of it (not called when
     every check is in FACT_FREE_CHECKS; z is None where no coefficient is
     nonzero), and adj, the caller's adjacency or None, in which case only
-    the checks that read the adjacency build it, from emask.  Records come
-    in CHECK_KEYS order."""
+    ham-bound, which reads the adjacency, builds it, from emask.  Records
+    come in CHECK_KEYS order."""
     ctx = _context(n)
     z, coefficient_bad, exceeds, every_min_forces, zfs_count, is_pathc, is_completec, is_cyclec = (
         (None, ()) + (None,) * 6 if checks <= FACT_FREE_CHECKS else facts(checks, n, tuple(coeffs)))
@@ -355,27 +363,21 @@ def _check_table(checks: frozenset, n: int, emask: int, zf: int | None, count: i
             bad.append(("multiplicativity", "component product differs from direct enumeration"))
 
     if checks & FORT_CHECKS and diff:
-        # Complements of proper closed sets are avoided by no zero forcing
-        # set (closure is monotone), so the fort theorems hold of the forts
-        # only if the table derives exactly them: every fort and nothing
-        # else.  Check both directions against a table built from the
-        # definition alone; where they differ, the table's forts are the
-        # definition's with diff flipped.
-        adj = adj or _edge_mask_adj(ctx.pairs, n, emask)
-        forts = diff ^ _fort_definition_bits(adj, n)
+        # The fort duality: a set forces iff it meets every fort, that is
+        # iff it lies in no proper closed set, the complement of a fort.
+        # The zero forcing bits come from the close-up alone and the closed
+        # sets from the definition alone, so each side checks the other.
         f = (diff & -diff).bit_length() - 1
-        if forts >> f & 1:
-            bad.append(("fort-transversal", f"derived set {f:#x} is not a fort"))
+        if zf >> f & 1:
+            bad.append(("fort-transversal", f"zero forcing set {f:#x} lies in a proper closed set"))
         else:
-            bad.append(("fort-transversal", f"fort {f:#x} is missing from the table"))
+            bad.append(("fort-transversal", f"set {f:#x} lies in no proper closed set but does not force"))
 
     if "fort-count-bound" in checks:
         if not _fort_count_bound(count, n, zfs_count)[1]:
             bad.append(("fort-count-bound", f"{count} forts > 2^n - {zfs_count}"))
 
     if "ip" in checks and z is not None:
-        if diff:  # the definition's cover is the table's only where their forts agree
-            size = _batch_cover_sizes(forts, n, 0)[0]
         if size > z:
             bad.append(("ip", f"no fort cover of size {z}, the zero forcing number"))
         elif size < z:
@@ -551,7 +553,7 @@ def _check_threshold_batch(spec: tuple[int, int, int]) -> list[tuple[str, list[t
     Returns (string, (check, detail) pairs) of each string that fails."""
     length, b, base = spec
     strings = [_threshold_string(length, bits) for bits in range(base, base + (1 << b))]
-    zf, _, counts = _threshold_tally(length, base, b)
+    zf, counts = _threshold_tally(length, base, b)
     diff = zf ^ _unblocks([_threshold_zfs_bits(s) for s in strings], length)
     diffs = _blocks(diff, length, b) if diff else [0] * len(strings)
     failed = []

@@ -1,10 +1,13 @@
 """Independent reference implementations used only as test oracles.
 
-Everything here but threshold_string_records is set-based and deliberately
-naive so that it shares no code path with the bitmask implementations under
-test.  threshold_string_records is the closed-forms suite's per-string
-check, the oracle of its threshold batches: it reads one graph's flag table
-and the closed forms through sweeps, so that a planted fault reaches it.
+Everything here but duality_zf_bits and threshold_string_records is
+set-based and deliberately naive so that it shares no code path with the
+bitmask implementations under test.  duality_zf_bits is the exact flat
+oracle of the flag table at orders where a set-based one is too slow: its
+own planes over one 2^n-bit int, and none of the flag table's code.
+threshold_string_records is the closed-forms suite's per-string check, the
+oracle of its threshold batches: it reads one graph's flag table and the
+closed forms through sweeps, so that a planted fault reaches it.
 """
 from __future__ import annotations
 
@@ -94,13 +97,48 @@ def naive_consecutive_counts(n: int, m: int) -> dict[int, int]:
     return {k: naive_consecutive_count(n, k, m) for k in range(n + 1)}
 
 
+def duality_zf_bits(g: Graph) -> tuple[int, list[int]]:
+    """(zf, coeffs) of g from the fort definition alone, for n up to the
+    enumeration cap: bit m of the 2^n-bit int zf is set iff m forces, and
+    coeffs[j] counts those bits at masks of j vertices.  S forces iff it
+    lies in no proper closed set V - F, F a fort, so the masks that do not
+    force are the forts, reversed (F to V - F) and closed downward."""
+    n, size = g.n, 1 << g.n
+    ones = (1 << size) - 1
+    planes = []  # bit m of planes[u] is set iff m holds u
+    for u in range(n):
+        plane, width = ((1 << (1 << u)) - 1) << (1 << u), 2 << u
+        while width < size:
+            plane |= plane << width
+            width *= 2
+        planes.append(plane)
+    forts = ones ^ 1  # the nonempty masks, less those that a vertex outside sees once
+    for v in range(n):
+        one = two = 0
+        for u in range(n):
+            if g.has_edge(u, v):
+                two |= one & planes[u]
+                one |= planes[u]
+        forts &= ~((one ^ two) & ~planes[v])
+    closed = int(format(forts, f"0{size}b")[::-1], 2)  # the digits read backwards: F to V - F
+    for plane in planes:
+        closed |= (closed & plane) >> (plane & -plane).bit_length() - 1  # drop u from each mask that holds it
+    zf = ones ^ closed
+    levels = [ones]  # bit m of levels[j] is set iff m has j vertices, among the vertices seen so far
+    for plane in planes:
+        rest = ones ^ plane
+        levels = [a & rest | b & plane for a, b in zip(levels + [0], [0] + levels)]
+    return zf, [(zf & level).bit_count() for level in levels]
+
+
 def threshold_string_records(b: str) -> list[tuple[str, str]]:
     """The (check, detail) pairs of one threshold string: the closed-form
     polynomial and the characterization table, both against the flag table
     of the string's own graph."""
     bad = []
     g = threshold_from_string(b)
-    zf, _, coeffs = sweeps._closure_tally(g.adj, g.n)
+    zf, coeffs = sweeps._closure_tally(g.adj, g.n)
+    zf = sweeps._joined(zf, g.n)
     if tuple(coeffs) != sweeps.poly_threshold(b).coeffs:
         bad.append(("threshold-poly", "closed form differs from enumeration"))
     diff = sweeps._threshold_zfs_bits(b) ^ zf

@@ -110,6 +110,15 @@ def test_poly_size_cap_exit(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("extra", [[], ["--min-cover"]], ids=["forts", "min-cover"])
+def test_forts_size_cap_exit(capsys, monkeypatch, extra):
+    # the forts come from the definition, which checks the cap before it
+    # builds its 2^n-bit table
+    monkeypatch.setenv("ZFPOLY_MAX_N", "3")
+    code, out, err = run(capsys, "forts", "--family", "path:4", *extra)
+    assert (code, out) == (3, "") and "exceeds cap 3" in err
+
+
 def test_forts_listing(capsys):
     code, out, _ = run(capsys, "forts", "--family", "path:3")
     assert code == 0
@@ -169,8 +178,8 @@ def test_check_summary_names_the_seed_and_jobs(capsys, jobs):
     assert (summary["seed"], summary["jobs"], summary["max_n"]) == (5, jobs, 3)
 
 
-def _top_coefficient_plus_one(zf, closed, coeffs):
-    return zf, closed, [*coeffs[:-1], coeffs[-1] + 1]
+def _top_coefficient_plus_one(zf, coeffs):
+    return zf, [*coeffs[:-1], coeffs[-1] + 1]
 
 
 def test_check_prints_a_line_per_failure_and_exits_one(capsys, plant):

@@ -31,7 +31,7 @@ from zfpoly import (
 )
 from zfpoly import polynomial
 from zfpoly.closed_forms import _threshold_zfs_bits
-from zfpoly.polynomial import _closure_tally
+from zfpoly.polynomial import _closure_tally, _joined
 from zfpoly.sweeps import canonical_connected_strings
 
 
@@ -210,7 +210,7 @@ def test_threshold_zfs_bits_match_the_flag_table(monkeypatch, width):
     for length in range(2, 11):
         for b in canonical_connected_strings(length):
             g = threshold_from_string(b)
-            assert _threshold_zfs_bits(b) == _closure_tally(g.adj, g.n)[0], b
+            assert _threshold_zfs_bits(b) == _joined(_closure_tally(g.adj, g.n)[0], g.n), b
 
 
 def test_threshold_zfs_bits_match_the_flag_table_past_one_chunk():
@@ -219,7 +219,7 @@ def test_threshold_zfs_bits_match_the_flag_table_past_one_chunk():
         first = rng.choice("01")
         b = first + first + "".join(rng.choice("01") for _ in range(length - 3)) + "1"
         g = threshold_from_string(b)
-        assert _threshold_zfs_bits(b) == _closure_tally(g.adj, g.n)[0], b
+        assert _threshold_zfs_bits(b) == _joined(_closure_tally(g.adj, g.n)[0], g.n), b
 
 
 @settings(max_examples=50, deadline=None)

@@ -26,8 +26,8 @@ from zfpoly import (
 from zfpoly import polynomial
 from zfpoly.forcing import _lane_forcers, _lane_reversals, _sweep
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
-from zfpoly.forts import _fort_bits
-from zfpoly.polynomial import _batch_edges, _blocks, _closure_tally, _unblocks
+from zfpoly.forts import _fort_definition_bits, _reversed, _up_closure
+from zfpoly.polynomial import _batch_edges, _closure_tally, _joined, _unblocks
 
 graph_and_set = st.integers(1, 7).flatmap(
     lambda n: st.tuples(
@@ -85,13 +85,13 @@ def test_closure_table_matches_per_subset_closure(gs):
 
 def _assert_bits_match_the_closure_table(g):
     table = closure_table(g)
-    zf, closed, coeffs = _closure_tally(g.adj, g.n)
+    zf, coeffs = _closure_tally(g.adj, g.n)
+    zf = _joined(zf, g.n)
     assert len(table) == 1 << g.n
-    assert zf >> (1 << g.n) == closed >> (1 << g.n) == 0
+    assert zf >> (1 << g.n) == 0
     for m, c in enumerate(table):
         assert zf >> m & 1 == (c == g.vertex_mask), m
-        assert closed >> m & 1 == (c == m), m
-    return table, closed, coeffs
+    return table, zf, coeffs
 
 
 def test_flags_match_the_closure_table_exhaustively():
@@ -102,13 +102,17 @@ def test_flags_match_the_closure_table_exhaustively():
 
 def _assert_table_matches_closures(g):
     # the bits against the list table, the coefficients against the sweep
-    # engine, and the forts against the table's proper closed sets
-    table, closed, coeffs = _assert_bits_match_the_closure_table(g)
+    # engine, the forts by definition against the list table's proper
+    # closed sets, and the zf bits against the fort duality: a mask forces
+    # iff it lies in no proper closed set
+    table, zf, coeffs = _assert_bits_match_the_closure_table(g)
     assert tuple(coeffs) == zf_polynomial(g, engine="sweep").coeffs
     proper_closed = [m for m, c in enumerate(table) if c == m != g.vertex_mask]
     forts = sorted(g.vertex_mask ^ m for m in proper_closed)
-    assert _fort_bits(closed, g.n) == sum(1 << f for f in forts)
+    definition = _fort_definition_bits(g.adj, g.n)
+    assert definition == sum(1 << f for f in forts)
     assert sorted(enumerate_forts(g).forts) == forts
+    assert _reversed(_up_closure(definition, g.n, 0), g.n) == (1 << (1 << g.n)) - 1 ^ zf
 
 
 @pytest.mark.parametrize("n", [13, 14])
@@ -140,19 +144,17 @@ def test_narrow_chunks_match_the_closure_table(monkeypatch, width):
 def test_all_ones_chunks_are_the_high_sets_that_force(monkeypatch):
     # chunk h is all ones iff its high vertex set h forces alone, that is
     # iff lane 0 of chunk h, the mask h << k, is set in the joined zf;
-    # those chunks skip the close-up and add binomials in place of level
-    # counts, and still match the list table, the sweep engine and the
-    # coefficient mode
+    # those chunks add binomials in place of level counts, and still match
+    # the list table and the sweep engine
     monkeypatch.setattr(polynomial, "_CHUNK_BITS", 3)
     ones = (1 << (1 << 3)) - 1
     rng = random.Random(35)
     graphs = [path(7), cycle(8), wheel(9), graph_from_edge_mask(8, rng.getrandbits(28))]
     for g in graphs:
-        zf, closed, coeffs = _closure_tally(g.adj, g.n)
-        zf_chunks = _blocks(zf, 3, g.n - 3)
+        zf_chunks = _closure_tally(g.adj, g.n)[0]
+        zf = _joined(zf_chunks, g.n)
         assert any(chunk == ones for chunk in zf_chunks), g
-        _assert_table_matches_closures(g)  # the joined tables and their coefficients
-        assert _closure_tally(g.adj, g.n, join=False) == coeffs
+        _assert_table_matches_closures(g)  # the joined zf bits and the coefficients
         assert [chunk == ones for chunk in zf_chunks] == [zf >> (h << 3) & 1 == 1 for h in range(len(zf_chunks))]
 
 
@@ -341,7 +343,8 @@ def test_lane_reversals_match_the_forcers_of_each_graph(table):
         pairs = edge_pair_order(n)
         ones, planes, nbrs = _batch_edges(pairs, n, base, b)
         adjs = [_edge_mask_adj(pairs, n, base + g) for g in range(1 << b)]
-        tables = [_closure_tally(adj, n)[0] if table == "flag-table" else rng.getrandbits(1 << n) for adj in adjs]
+        tables = [_joined(_closure_tally(adj, n)[0], n) if table == "flag-table" else rng.getrandbits(1 << n)
+                  for adj in adjs]
         got = _lane_reversals(_unblocks(tables, n), ones, _lane_forcers(ones, planes, nbrs))
         for g, (adj, zf) in enumerate(zip(adjs, tables)):
             want = sum((zf >> ((1 << n) - 1 & ~_sweep(adj, mask)[0]) & 1) << mask for mask in range(1 << n))

@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 from math import comb
 
 import pytest
 
-from conftest import edge_mask, only_at, seeded_graph, shuffle_labels
+from conftest import edge_mask, everywhere, level_preserving_swap, needs_fork, only_at, seeded_graph, shuffle_labels
 from oracles import naive_forts, naive_min_cover_size
 from zfpoly import (
     all_labeled_graphs,
@@ -28,10 +29,10 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import polynomial, sweeps
-from zfpoly.forts import (_batch_cover_sizes, _batch_fort_definition, _batch_fort_tables, _fort_bits,
-                          _fort_definition_bits, _fort_family)
+from zfpoly.forts import _batch_cover_sizes, _batch_fort_definition, _fort_definition_bits, _reversed, _up_closure
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order
-from zfpoly.polynomial import _batch_bits, _batch_edges, _batch_tally, _block_counts, _blocks, _closure_tally
+from zfpoly.polynomial import (_batch_bits, _batch_edges, _batch_tally, _block_counts, _blocks, _closure_tally, _joined,
+                               _lane_width)
 from zfpoly.sweeps import SWEEP_SUITE_CHECKS, exhaustive_sweep, random_sweep, run_suite
 
 
@@ -69,46 +70,71 @@ def _on_the_batch_path(checks, g):
     return sweeps._check_batch(frozenset(checks), g.n, b, target >> b << b)
 
 
+def _duality_diff(g):
+    """The per-graph fort duality of g: the masks where its joined zf bits
+    and the reversed upward closure of its forts by definition both hold
+    or both miss."""
+    n = g.n
+    zf = _joined(_closure_tally(g.adj, n)[0], n)
+    return _reversed(_up_closure(_fort_definition_bits(g.adj, n), n, 0), n) ^ zf ^ (1 << (1 << n)) - 1
+
+
 def test_sweep_kernel_checks_every_derived_fort(plant):
-    # the sets the sweep kernel derives are forts by the definition ...
+    # the sets that lie in no proper closed set by the definition are the
+    # sets that force by the zf bits ...
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
-            fort_bits = _fort_bits(_closure_tally(g.adj, n)[1], n)
-            derived = [f for f in range(1 << n) if fort_bits >> f & 1]
-            assert derived and all(is_fort(g, f) for f in derived)
+            assert _duality_diff(g) == 0, g.edges()
     assert exhaustive_sweep({"fort-transversal"}, max_n=5)[1] == []
 
-    # ... and a set that is not (a corrupted closed bit) is reported:
-    # {0} forces the whole 3-path; claim it is closed
-    plant(only_at(path(3), lambda zf, closed, coeffs: (zf, closed | 1 << 0b001, coeffs)))
+    # ... and a zf bit that breaks the duality is reported: {0} forces the
+    # whole 3-path; claim it does not
+    plant(only_at(path(3), lambda zf, coeffs: (zf ^ 1 << 0b001, coeffs)))
     path3 = 0b101  # edges (0, 1) and (1, 2) in edge_pair_order(3)
     for checks in ({"fort-transversal"}, {"fort-count-bound"}, {"ip"}):
         _, records = random_sweep(checks, [(3, path3)])
         assert records and records[0]["check"] == "fort-transversal", checks
-        assert "0x6" in records[0]["detail"]
+        assert records[0]["detail"] == "set 0x1 lies in no proper closed set but does not force"
         assert _on_the_batch_path(checks, path(3)) == [(path3, [(r["check"], r["detail"]) for r in records])]
 
-    # ... by every check that reads the table's forts, so a suite files it
-    # though it does not list fort-transversal: every pair of K4 is a fort,
-    # and a closed bit of V - {1, 2} flipped off hides one
+    # ... by every check that reads the forts, so a suite files it though it
+    # does not list fort-transversal: no pair of K4 forces, and the pair
+    # {1, 2} claimed to force lies in the closed set V - {0, 3}
     k4 = edge_mask(complete(4))
-    plant(only_at(complete(4), lambda zf, closed, coeffs: (zf, closed ^ 1 << 0b1001, coeffs)))
+    plant(only_at(complete(4), lambda zf, coeffs: (zf | 1 << 0b0110, coeffs)))
     assert "fort-transversal" not in SWEEP_SUITE_CHECKS["ip"]
     report = run_suite("ip", max_n=4)
     assert [(r["check"], r["n"], r["graph"], r["detail"]) for r in report["failures"]] == [
-        ("fort-transversal", 4, k4, "fort 0x6 is missing from the table"),
-        ("ip", 4, k4, "a fort cover smaller than the zero forcing number 3"),
+        ("fort-transversal", 4, k4, "zero forcing set 0x6 lies in a proper closed set"),
     ]
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+def test_a_level_preserving_zf_swap_fails_the_fort_duality_in_the_suite(plant, jobs):
+    # the fault keeps every coefficient, so of the forts suite only
+    # fort-transversal sees it, on every graph that has such a swap
+    def swappable(n, emask):
+        zf, coeffs = _closure_tally(graph_from_edge_mask(n, emask).adj, n)
+        zf = _joined(zf, n)
+        return level_preserving_swap(zf, coeffs) != (zf, coeffs)
+
+    graphs = [(n, emask) for n in range(1, 6) for emask in range(1 << comb(n, 2)) if swappable(n, emask)]
+    plant(everywhere(level_preserving_swap))
+    report = run_suite("forts", max_n=5, jobs=jobs)
+    assert [(r["n"], r["graph"]) for r in report["failures"]] == graphs and len(graphs) > 100
+    assert {r["check"] for r in report["failures"]} == {"fort-transversal"}
+    assert all(re.fullmatch(r"(zero forcing )?set 0x[0-9a-f]+ lies in (a|no) proper closed set( but does not force)?",
+                            r["detail"]) for r in report["failures"])
 
 
 def test_ip_check_reports_a_shifted_zero_forcing_number(plant):
     # a cover of size z must exist and none of size z - 1; moving the first
     # nonzero coefficient up breaks the second, moving it down the first
     def shifted(step):
-        def corrupt(zf, closed, coeffs):
+        def corrupt(zf, coeffs):
             z = next(i for i, c in enumerate(coeffs) if c)
             coeffs[z + step], coeffs[z] = coeffs[z], 0
-            return zf, closed, coeffs
+            return zf, coeffs
         return corrupt
 
     graphs = [path(3), complete(4)]  # Z = 1 and Z = 3
@@ -122,41 +148,45 @@ def test_ip_check_reports_a_shifted_zero_forcing_number(plant):
             assert _on_the_batch_path({"ip"}, g) == [(edge_mask(g), [(r["check"], r["detail"])])], step
 
 
-def test_ip_check_reports_missing_forts(plant):
+def test_ip_check_reports_missing_forts(monkeypatch):
     # every set of two or more vertices is a fort of K4; hiding the three
-    # pairs through vertex 0 lets two of 1, 2, 3 meet every fort left
-    def hidden(zf, closed, coeffs):
-        for pair in (0b0011, 0b0101, 0b1001):
-            closed &= ~(1 << (0b1111 ^ pair))
-        return zf, closed, coeffs
-
-    plant(only_at(complete(4), hidden))
+    # pairs through vertex 0 from the definition lets two of 1, 2, 3 meet
+    # every fort left, and leaves V minus each of those pairs in no proper
+    # closed set, though it does not force: {1, 2} = 0x6 is the lowest
+    hidden = 1 << 0b0011 | 1 << 0b0101 | 1 << 0b1001
+    definition, batch_definition = sweeps._fort_definition_bits, sweeps._batch_fort_definition
+    monkeypatch.setattr(sweeps, "_fort_definition_bits", lambda adj, n: definition(adj, n) & ~hidden)
+    # in every block of a batch at n = 4
+    monkeypatch.setattr(sweeps, "_batch_fort_definition", lambda ones, planes, nbrs: batch_definition(
+        ones, planes, nbrs) & ~sum(hidden << (g << 4) for g in range(ones.bit_length() >> 4)))
     _, records = random_sweep({"ip"}, [(4, 0b111111)])
     expected = [
-        ("fort-transversal", "fort 0x3 is missing from the table"),
+        ("fort-transversal", "set 0x6 lies in no proper closed set but does not force"),
         ("ip", "a fort cover smaller than the zero forcing number 3"),
     ]
     assert [(r["check"], r["detail"]) for r in records] == expected
-    assert _on_the_batch_path({"ip"}, complete(4)) == [(0b111111, expected)]
+    assert dict(_on_the_batch_path({"ip"}, complete(4)))[0b111111] == expected
 
 
 @pytest.mark.parametrize(
     "flipped, detail",
     [
-        ((0b1100, 0b0110), "fort 0x6 is missing from the table"),
-        ((0b0100, 0b0010), "derived set 0x2 is not a fort"),
-        ((0b0110, 0b0100), "derived set 0x4 is not a fort"),
+        ((0b1100, 0b0110), "zero forcing set 0x6 lies in a proper closed set"),
+        ((0b1110, 0b0111), "set 0x7 lies in no proper closed set but does not force"),
+        ((0b1100, 0b0111), "set 0x7 lies in no proper closed set but does not force"),
     ],
     ids=["missing-forts", "derived-non-forts", "both"],
 )
 def test_fort_check_names_the_lowest_differing_mask(plant, flipped, detail):
-    # every set of two or more vertices of K4 is a fort and no single vertex
-    # is; flipping the closed bit of V - F removes F from the table's forts
-    # or adds it
-    def corrupted(zf, closed, coeffs):
+    # the sets of three or more vertices of K4 force and no pair does, so
+    # each pair lies in a proper closed set and no larger set does; a zf
+    # bit flipped on claims a pair forces, and so misses a fort, a zf bit
+    # flipped off claims a larger set does not, and so derives a closed set
+    # that is none
+    def corrupted(zf, coeffs):
         for f in flipped:
-            closed ^= 1 << (0b1111 ^ f)
-        return zf, closed, coeffs
+            zf ^= 1 << f
+        return zf, coeffs
 
     plant(only_at(complete(4), corrupted))
     expected = [("fort-transversal", detail)]
@@ -201,14 +231,14 @@ def test_batch_fort_definition_matches_the_naive_forts_on_every_graph():
         assert got == [_naive_fort_bits(graph_from_edge_mask(n, base + g)) for g in range(1 << b)], (n, base)
 
 
-def test_joined_fort_tables_match_the_per_graph_fort_bits():
-    # one reversal of a batch's joined closed bits and the definition over
-    # its reversed graph planes hold each graph's own forts, in blocks of
-    # reversed graph order, and their block counts and XOR are its fort
-    # count and diff: every batch with n <= 6 at the sweep's widths (one
-    # graph at a time below n = 3) and seeded batches of 2^10 graphs at
-    # n = 7, on the true closed bits and on closed bits with seeded flips,
-    # where the two tables differ
+def test_batch_duality_tables_match_the_per_graph_tables():
+    # the definition over a batch's reversed graph planes, its upward
+    # closure and their reversal hold each graph's own tables, in blocks of
+    # reversed graph order and then, reversed, in graph order; with the
+    # batch's zf bits, their XOR is each graph's diff: every batch with
+    # n <= 6 at the sweep's widths (one graph at a time below n = 3) and
+    # seeded batches of 2^10 graphs at n = 7, on the true zf bits and on
+    # zf bits with seeded flips, where the duality fails
     batches = [(n, base, _batch_bits(n)) for n in range(1, 7)
                for base in range(0, 1 << comb(n, 2), 1 << _batch_bits(n))]
     rng = random.Random(3107)
@@ -216,22 +246,29 @@ def test_joined_fort_tables_match_the_per_graph_fort_bits():
     differ = 0
     for n, base, b in batches:
         pairs = edge_pair_order(n)
-        for flipped, closed in enumerate((_batch_tally(pairs, n, base, b)[1], rng.getrandbits(1 << n + b))):
-            forts, definition = _batch_fort_tables(closed, pairs, n, base, b)
-            want = [(_fort_bits(c, n), _fort_definition_bits(_edge_mask_adj(pairs, n, base + g), n))
-                    for g, c in enumerate(_blocks(closed, n, b))]
-            assert _blocks(forts, n, b)[::-1] == [f for f, _ in want], (n, base)
-            assert _blocks(definition, n, b)[::-1] == [d for _, d in want], (n, base)
-            assert list(_block_counts(forts, n, b))[::-1] == [f.bit_count() for f, _ in want], (n, base)
-            assert _blocks(forts ^ definition, n, b)[::-1] == [f ^ d for f, d in want], (n, base)
-            assert flipped or forts == definition, (n, base)
-            differ += forts != definition
+        ones, planes, nbrs = _batch_edges(pairs, n, base, b, reverse=True)
+        definition = _batch_fort_definition(ones, planes, nbrs)
+        up = _up_closure(definition, n, b)
+        closed = _reversed(up, n + b)
+        adjs = [_edge_mask_adj(pairs, n, base + g) for g in range(1 << b)]
+        per_graph = [_fort_definition_bits(adj, n) for adj in adjs]
+        assert _blocks(definition, n, b)[::-1] == per_graph, (n, base)
+        assert list(_block_counts(definition, n, b))[::-1] == [d.bit_count() for d in per_graph], (n, base)
+        assert _blocks(up, n, b)[::-1] == [_up_closure(d, n, 0) for d in per_graph], (n, base)
+        assert _blocks(closed, n, b) == [_reversed(_up_closure(d, n, 0), n) for d in per_graph], (n, base)
+        for flipped, zf in enumerate((_batch_tally(pairs, n, base, b)[0], rng.getrandbits(1 << n + b))):
+            diff = closed ^ zf ^ ones
+            want = [c ^ z ^ (1 << (1 << n)) - 1 for c, z in zip(_blocks(closed, n, b), _blocks(zf, n, b))]
+            assert _blocks(diff, n, b) == want, (n, base)
+            assert flipped or not diff, (n, base)
+            differ += diff != 0
     assert differ == len(batches)  # every table of flipped bits
 
 
 def _cover_of(fort_bits, n):
-    """The flat cover kernel on one graph's 2^n-bit fort table (b = 0)."""
-    return _batch_cover_sizes(fort_bits, n, 0)[0]
+    """The flat cover kernel on one graph's 2^n-bit fort table (b = 0),
+    closed upward."""
+    return _batch_cover_sizes(_up_closure(fort_bits, n, 0), n, 0)[0]
 
 
 def _fewest_meeting_all(n, sets):
@@ -254,7 +291,7 @@ def test_batch_cover_sizes_match_the_cover_size():
         for family in families:
             blocks = _blocks(family, n, b)
             want = [_fewest_meeting_all(n, [f for f in range(1 << n) if block >> f & 1]) for block in blocks]
-            assert _batch_cover_sizes(family, n, b) == want, (n, base)
+            assert _batch_cover_sizes(_up_closure(family, n, b), n, b) == want, (n, base)
             assert [_cover_of(block, n) for block in blocks] == want, (n, base)
 
 
@@ -268,30 +305,28 @@ def test_cover_size_matches_brute_force_hitting_sets():
 
 def test_cover_size_is_the_zero_forcing_number_past_one_chunk():
     # at n = 13-14 the flag table spans several chunks of the lane layout;
-    # the cover of its forts is one flat table
+    # the cover of the forts by definition is one flat table
     rng = random.Random(1314)
     graphs = [path(13), cycle(14)]
     graphs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (13, 13, 14, 14)]
     for g in graphs:
-        n = g.n
-        closed = _closure_tally(g.adj, n)[1]
-        assert _cover_of(_fort_bits(closed, n), n) == zf_polynomial(g).zero_forcing_number()
+        assert _cover_of(_fort_definition_bits(g.adj, g.n), g.n) == zf_polynomial(g).zero_forcing_number()
 
 
 def test_fort_bits_match_the_fort_list():
-    # the sweep reads _fort_bits and enumerate_forts lists its set bits:
-    # the list must hold exactly those bits, in (size, mask) order, and the
-    # bits must be the flat definition table's, also where the flag table
-    # spans several chunks, at n = 13 to 16
+    # the sweep reads _fort_definition_bits and enumerate_forts lists its
+    # set bits: the list must hold exactly those bits, in (size, mask)
+    # order, and the bits must meet the fort duality with the zf bits, also
+    # where the flag table spans several chunks, at n = 13 to 16
     graphs = [g for n in range(1, 7) for g in all_labeled_graphs(n)]
     rng = random.Random(1313)
     graphs += [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (13, 13, 13, 14, 14, 15, 15, 16, 16)]
     for g in graphs:
-        fort_bits = _fort_bits(_closure_tally(g.adj, g.n)[1], g.n)
-        listed = _fort_family(fort_bits, g.n).forts
+        fort_bits = _fort_definition_bits(g.adj, g.n)
+        listed = enumerate_forts(g).forts
         assert sum(1 << f for f in listed) == fort_bits
         assert list(listed) == sorted(listed, key=lambda f: (f.bit_count(), f))
-        assert fort_bits == _fort_definition_bits(g.adj, g.n)
+        assert _duality_diff(g) == 0
 
 
 @pytest.mark.parametrize("n", [15, 16])
@@ -363,14 +398,15 @@ def test_min_fort_cover_witness_is_lex_min():
 def test_min_fort_cover_refuses_a_witness_that_does_not_force(monkeypatch):
     # the cover size is read off the coefficients and the witness off the zf
     # bits; hiding every zf bit of size Z leaves that size with no witness
-    def no_minimum_sets(adj, n, join=True):
-        assert join  # the witness scan reads the joined zf bits
-        zf, closed, coeffs = _closure_tally(adj, n)
+    def no_minimum_sets(adj, n):
+        zf, coeffs = _closure_tally(adj, n)
+        k = _lane_width(n)
+        zf = _joined(zf, n)
         z = next(i for i, c in enumerate(coeffs) if c)
         for mask in range(1 << n):
             if mask.bit_count() == z:
                 zf &= ~(1 << mask)
-        return zf, closed, coeffs
+        return _blocks(zf, k, n - k), coeffs
 
     monkeypatch.setattr(polynomial, "_closure_tally", no_minimum_sets)
     for g in (path(4), cycle(5), complete(4), star(5), graph_from_edge_mask(6, 0b101101011010110)):

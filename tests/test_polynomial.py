@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_graph, shuffle_labels
-from oracles import naive_zf_coeffs
+from oracles import duality_zf_bits, naive_zf_coeffs
 from zfpoly import (
     Graph,
     SizeCapError,
@@ -27,6 +27,7 @@ from zfpoly import (
     from_edge_list,
     graph_from_edge_mask,
     induced_subgraph,
+    min_fort_cover,
     multiply,
     path,
     poly_cycle,
@@ -43,7 +44,8 @@ from zfpoly import polynomial
 from zfpoly.forcing import _sweep
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order, mask_of, vertices_of
 from zfpoly.polynomial import (_band_order, _batch_bits, _batch_tally, _blocks, _chunk_planes, _close_up,
-                               _closure_tally, _induced_adj, _lane_width, _relabeled, _threshold_tally, _unblocks)
+                               _closure_tally, _induced_adj, _joined, _lane_width, _relabeled, _threshold_tally,
+                               _unblocks)
 from zfpoly.sweeps import canonical_connected_strings
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
@@ -65,8 +67,7 @@ def test_order_zero_convention():
     # the one chunk, of one lane, is all ones: the empty set forces V = {},
     # and no force applies at it
     assert zf_polynomial(empty(0)).coeffs == (1,)
-    assert _closure_tally((), 0) == (1, 1, [1])
-    assert _closure_tally((), 0, join=False) == [1]
+    assert _closure_tally((), 0) == ([1], [1])
 
 
 def test_engines_agree_exhaustively():
@@ -127,10 +128,10 @@ def test_chunk_planes_match_the_definition():
             assert plane >> 2 * run == plane & ((1 << (size - 2 * run)) - 1)
 
 
-def _joined_tallies(pairs, n, emasks):
-    """The _closure_tally tables of emasks, joined as _batch_tally joins them."""
-    zf, closed, coeffs = zip(*(_closure_tally(_edge_mask_adj(pairs, n, e), n) for e in emasks))
-    return _unblocks(zf, n), _unblocks(closed, n), list(map(tuple, coeffs))
+def _joined_tallies(adjs, n):
+    """The _closure_tally tables of adjs, joined as _batch_tally joins them."""
+    zf, coeffs = zip(*(_closure_tally(adj, n) for adj in adjs))
+    return _unblocks([_joined(z, n) for z in zf], n), list(map(tuple, coeffs))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -139,7 +140,8 @@ def test_batch_tally_matches_the_closure_tally_on_every_graph(n):
     pairs = edge_pair_order(n)
     for b in sorted({0, 1, 3, _batch_bits(n) - 1, _batch_bits(n)}):
         for base in range(0, 1 << len(pairs), 1 << b):
-            assert _batch_tally(pairs, n, base, b) == _joined_tallies(pairs, n, range(base, base + (1 << b))), b
+            adjs = [_edge_mask_adj(pairs, n, e) for e in range(base, base + (1 << b))]
+            assert _batch_tally(pairs, n, base, b) == _joined_tallies(adjs, n), b
 
 
 def test_batch_tally_matches_the_closure_tally_at_order_seven():
@@ -147,7 +149,8 @@ def test_batch_tally_matches_the_closure_tally_at_order_seven():
     pairs = edge_pair_order(n)
     rng = random.Random(77)
     for base in [rng.randrange(0, 1 << 21, 1 << b) for _ in range(2)] + [(1 << 21) - (1 << b)]:
-        assert _batch_tally(pairs, n, base, b) == _joined_tallies(pairs, n, range(base, base + (1 << b))), base
+        adjs = [_edge_mask_adj(pairs, n, e) for e in range(base, base + (1 << b))]
+        assert _batch_tally(pairs, n, base, b) == _joined_tallies(adjs, n), base
 
 
 def _threshold_batches(length):
@@ -166,10 +169,8 @@ def test_threshold_tally_matches_the_closure_tally_on_every_string():
     for length in range(2, 13):
         strings = canonical_connected_strings(length)
         for b, base in _threshold_batches(length):
-            tallies = [_closure_tally(threshold_from_string(s).adj, length) for s in strings[base:base + (1 << b)]]
-            zf, closed, coeffs = zip(*tallies)
-            want = _unblocks(zf, length), _unblocks(closed, length), list(map(tuple, coeffs))
-            assert _threshold_tally(length, base, b) == want, (length, base)
+            adjs = [threshold_from_string(s).adj for s in strings[base:base + (1 << b)]]
+            assert _threshold_tally(length, base, b) == _joined_tallies(adjs, length), (length, base)
 
 
 @pytest.mark.parametrize("length", range(8, 14))
@@ -179,7 +180,7 @@ def test_threshold_counts_match_per_block_popcounts(length):
     levels = [sum(1 << m for m in range(1 << length) if m.bit_count() == j) for j in range(length + 1)]
     widest = 0
     for b, base in _threshold_batches(length):
-        zf, _, counts = _threshold_tally(length, base, b)
+        zf, counts = _threshold_tally(length, base, b)
         assert counts == [tuple((block & level).bit_count() for level in levels)
                           for block in _blocks(zf, length, b)], (length, base)
         widest = max(widest, *map(max, counts))
@@ -223,55 +224,79 @@ def _level_counts(zf, n):
     return [(zf & level).bit_count() for level in polynomial._chunk_constants(n)[2]]
 
 
-def test_coefficient_mode_matches_the_joined_coefficients(monkeypatch):
-    # both modes sum their chunks in bit-sliced counters, the oracle counts
-    # each level of the joined zf bits: at the real width on seeded G(n, p)
-    # up to 64 chunks, and at a narrow width on every labeled graph up to 8
-    # chunks and on seeded graphs of 16, where up to 6 chunks share one |h|
-    # and a count carries into a third plane
+def test_coefficients_match_the_joined_zf_levels(monkeypatch):
+    # the tally sums its chunks in bit-sliced counters and adds binomials
+    # for the chunks that are all ones; the oracle counts each level of the
+    # joined zf bits: at the real width on seeded G(n, p) up to 64 chunks,
+    # and at a narrow width on every labeled graph up to 8 chunks and on
+    # seeded graphs of 16, where up to 6 chunks share one |h| and a count
+    # carries into a third plane
     rng = random.Random(37)
     graphs = [seeded_graph(rng, n, p) for n in range(13, 19) for p in (0.1, 0.2, 0.35, 0.6)]
     for g in graphs:
-        zf, _, coeffs = _closure_tally(g.adj, g.n)
-        assert _closure_tally(g.adj, g.n, join=False) == coeffs == _level_counts(zf, g.n), g
+        zf, coeffs = _closure_tally(g.adj, g.n)
+        assert coeffs == _level_counts(_joined(zf, g.n), g.n), g
     monkeypatch.setattr(polynomial, "_CHUNK_BITS", 3)
     graphs = [g for n in range(7) for g in all_labeled_graphs(n)]
     graphs += [seeded_graph(rng, 7, p) for p in (0.15, 0.3, 0.5, 0.7) for _ in range(500)]
     for g in graphs:
-        zf, _, coeffs = _closure_tally(g.adj, g.n)
-        assert _closure_tally(g.adj, g.n, join=False) == coeffs == _level_counts(zf, g.n), g
+        zf, coeffs = _closure_tally(g.adj, g.n)
+        assert coeffs == _level_counts(_joined(zf, g.n), g.n), g
 
 
-def test_both_modes_meet_the_closed_forms_on_relabeled_families():
+@pytest.mark.parametrize("n", range(13, 21))
+def test_the_flag_table_matches_the_flat_duality_oracle(n):
+    # the zf bits and coefficients against the fort definition's closed
+    # sets, reversed and down-closed in one flat table (oracles), on seeded
+    # G(n, p): the joined zf chunks, and the coefficients unbanded and over
+    # the band order
+    rng = random.Random(4100 + n)
+    for p in (0.15, 0.3, 0.5):
+        g = seeded_graph(rng, n, p)
+        zf, coeffs = duality_zf_bits(g)
+        assert polynomial._flag_table(g) == (zf, coeffs), (n, p)
+        assert zf_polynomial(g).coeffs == tuple(coeffs), (n, p)
+
+
+def test_the_tally_meets_the_closed_forms_on_relabeled_families():
     # up to 4,096 chunks, unbanded and over the band order
     rng = random.Random(38)
     for n in range(19, 25):
         for family, closed_form in ((path, poly_path), (cycle, poly_cycle), (wheel, poly_wheel)):
             g = shuffle_labels(family(n), rng)
-            want = list(closed_form(n).coeffs)
-            assert _closure_tally(g.adj, n, join=False) == _closure_tally(g.adj, n)[2] == want, g
-            assert polynomial._flag_table(g, join=False) == want, g
+            want = closed_form(n)
+            assert _closure_tally(g.adj, n)[1] == list(want.coeffs), g
+            assert zf_polynomial(g) == want, g
 
 
-def test_coefficient_mode_closes_up_only_the_chunks_its_seeds_leave_short(monkeypatch):
+def _closing_up(monkeypatch):
+    """A list that gains (seeds, moves, result) per call of _close_up."""
+    calls = []
+
+    def recorded(z, moves, stop=-1):
+        calls.append((z, moves, _close_up(z, moves, stop)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(polynomial, "_close_up", recorded)
+    return calls
+
+
+def test_the_tally_closes_up_only_the_chunks_its_seeds_leave_short(monkeypatch):
     # _close_up receives each chunk's seeds, the bits its forces into high
-    # vertices copy: the joined mode closes up every chunk, the coefficient
-    # mode, in the same order, only the chunks whose seeds are not all ones
+    # vertices copy, only where they are not all ones: a chunk that it does
+    # not receive is all ones, and on these banded graphs some are
     ones = _chunk_planes(polynomial._CHUNK_BITS)[0]
-    seeds = []
-    monkeypatch.setattr(polynomial, "_close_up", lambda z, moves, stop=-1: seeds.append(z) or _close_up(z, moves, stop))
+    calls = _closing_up(monkeypatch)
     rng = random.Random(37)
-    for family in (cycle, wheel):
+    for family, closed_form in ((cycle, poly_cycle), (wheel, poly_wheel)):
         g = shuffle_labels(family(20), rng)
         adj = _relabeled(g.adj, _band_order(g.adj, g.n))
-        seeds.clear()
-        coeffs = _closure_tally(adj, g.n)[2]
-        every = seeds[:]
-        seeds.clear()
-        assert _closure_tally(adj, g.n, join=False) == coeffs
-        assert len(every) == 1 << (g.n - _lane_width(g.n))
-        assert seeds == [z for z in every if z != ones]
-        assert len(seeds) < len(every)
+        calls.clear()
+        zf, coeffs = _closure_tally(adj, g.n)
+        assert coeffs == list(closed_form(20).coeffs)
+        assert all(z != ones for z, _, _ in calls)
+        assert sum(chunk != ones for chunk in zf) == sum(z != ones for _, _, z in calls)
+        assert 0 < len(calls) < len(zf) == 1 << (g.n - _lane_width(g.n))
 
 
 def _rebuilt_moves(adj, n, h):
@@ -300,32 +325,28 @@ def test_each_chunk_closes_up_under_its_own_moves(monkeypatch):
     # the high vertices next to the low band, and runs of chunks share one
     # list; on a banded wheel the hub is high, gate is every high bit, and
     # each chunk builds its own.  Either way, each chunk's moves are a
-    # rebuild from scratch for its h, in both modes, the coefficient mode's
-    # chunks being the joined mode's whose seeds are not all ones
+    # rebuild from scratch for its h: the chunks that end short of all ones
+    # are closed up in decreasing order of h, so each such call is matched
+    # with its h
     ones = _chunk_planes(polynomial._CHUNK_BITS)[0]
-    calls = []
-    monkeypatch.setattr(polynomial, "_close_up",
-                        lambda z, moves, stop=-1: calls.append((z, moves)) or _close_up(z, moves, stop))
+    calls = _closing_up(monkeypatch)
     rng = random.Random(38)
     for family in (cycle, wheel):
         g = shuffle_labels(family(20), rng)
         adj = _relabeled(g.adj, _band_order(g.adj, g.n))
-        top = (1 << (g.n - _lane_width(g.n))) - 1
         calls.clear()
-        _closure_tally(adj, g.n)
-        joined = calls[:]
-        calls.clear()
-        _closure_tally(adj, g.n, join=False)
-        short = [top - i for i, (z, _) in enumerate(joined) if z != ones]
-        assert len(joined) == top + 1 and len(calls) == len(short)
-        for h, (_, moves) in [*zip(range(top, -1, -1), joined), *zip(short, calls)]:
+        zf, _ = _closure_tally(adj, g.n)
+        short = [h for h in range(len(zf) - 1, -1, -1) if zf[h] != ones]
+        closed = [moves for _, moves, z in calls if z != ones]
+        assert len(closed) == len(short) > 0
+        for h, moves in zip(short, closed):
             assert moves == _rebuilt_moves(adj, g.n, h), (family.__name__, h)
-        lists = len({id(moves) for _, moves in joined})
+        lists = len({id(moves) for _, moves, _ in calls})
         if family is cycle:
-            assert lists < len(joined) // 4
+            assert lists < len(calls) // 4
         else:
             hub = next(v for v, row in enumerate(adj) if row.bit_count() == g.n - 1)
-            assert hub >= _lane_width(g.n) and lists == len(joined)
+            assert hub >= _lane_width(g.n) and lists == len(calls)
 
 
 def _band_cases():
@@ -359,7 +380,7 @@ def test_band_order_is_a_permutation_whose_high_vertices_force():
         adj = _relabeled(g.adj, order)
         assert all(adj[i] >> j & 1 == g.adj[order[i]] >> order[j] & 1 for i in range(n) for j in range(n))
         if n <= 18:
-            assert _closure_tally(adj, n)[0] >> ((1 << n) - (1 << k)) == _chunk_planes(k)[0]
+            assert _closure_tally(adj, n)[0][-1] == _chunk_planes(k)[0]
     assert banded > len(families)
 
 
@@ -408,7 +429,7 @@ def test_band_order_bounds_skip_only_graphs_that_no_high_set_forces(monkeypatch)
         if not swept:
             skipped += 1
             assert order is None
-            assert _closure_tally(g.adj, g.n, join=False)[g.n - _lane_width(g.n)] == 0
+            assert _closure_tally(g.adj, g.n)[1][g.n - _lane_width(g.n)] == 0
     assert skipped > 5
 
 
@@ -419,7 +440,7 @@ def test_banded_coefficients_match_the_unrelabeled_kernel():
     taken = set()
     for g in graphs + families:
         taken.add(_band_order(g.adj, g.n) is not None)
-        assert polynomial._flag_table(g, join=False) == _closure_tally(g.adj, g.n)[2]
+        assert list(zf_polynomial(g).coeffs) == _closure_tally(g.adj, g.n)[1]
     assert taken == {True, False}
     assert all(_band_order(g.adj, g.n) is not None for g in families)
 
@@ -450,7 +471,8 @@ def test_enumeration_cap_env(monkeypatch):
 
 def test_one_enumeration_cap_for_every_enumeration(monkeypatch):
     monkeypatch.setenv("ZFPOLY_MAX_N", "6")
-    for enumerate_ in (zf_polynomial, lambda g: count_zfs(g, 2), enumerate_forts, fort_count_bound_holds):
+    for enumerate_ in (zf_polynomial, lambda g: count_zfs(g, 2), enumerate_forts, fort_count_bound_holds,
+                       min_fort_cover, small_fort_coefficient_bound):
         with pytest.raises(SizeCapError):
             enumerate_(path(7))
         enumerate_(path(6))

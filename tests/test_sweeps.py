@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 import zfpoly
-from conftest import clear_memos, edge_mask, everywhere, only_at
+from conftest import clear_memos, edge_mask, everywhere, level_preserving_swap, needs_fork, only_at
 from oracles import naive_consecutive_counts, naive_is_zfs, threshold_string_records
 from zfpoly import analysis, parallel, polynomial, sweeps
 from zfpoly.closed_forms import poly_complete, poly_cycle, poly_path
@@ -100,12 +100,6 @@ def pool_starts(monkeypatch):
     return starts
 
 
-# Planted failures are module attributes patched in this process; pool
-# workers see them only when they are forked from it.
-needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                reason="planted failures reach pool workers only through fork")
-
-
 def test_parallel_sweep_is_deterministic(pool_starts):
     solo = exhaustive_sweep({"extremal", "ip"}, max_n=6, jobs=1)
     assert pool_starts == []
@@ -194,18 +188,18 @@ def test_the_batch_width_depends_on_the_order_alone(monkeypatch, serial_pool):
 
 
 @pytest.fixture
-def flipped_closed_bits(plant):
+def flipped_zf_bits(plant):
     """A fault in the flag table that both producers hand on: every seventh
-    graph flips the closed bit of one proper mask, so its table gains or
-    loses a fort, which fort-transversal and maybe ip and the count report."""
+    graph flips the zf bit of one proper mask, so its table breaks the fort
+    duality, which fort-transversal and maybe reversal report."""
     def flipped(n, emask, table):
-        zf, closed, coeffs = table
-        return (zf, closed ^ 1 << emask % ((1 << n) - 1), coeffs) if emask % 7 == 0 else table
+        zf, coeffs = table
+        return (zf ^ 1 << emask % ((1 << n) - 1), coeffs) if emask % 7 == 0 else table
 
     plant(flipped)
 
 
-def test_wide_pools_still_start_at_orders_five_and_six(narrow_batches, serial_pool, flipped_closed_bits):
+def test_wide_pools_still_start_at_orders_five_and_six(narrow_batches, serial_pool, flipped_zf_bits):
     # with batches of 2^3 graphs, orders 5 and 6 give each of 8 processes
     # 16 of them, and the records of a planted fault do not depend on the
     # batch width
@@ -220,9 +214,9 @@ def test_wide_pools_still_start_at_orders_five_and_six(narrow_batches, serial_po
 def test_exhaustive_sweep_reports_a_fault_in_the_batch_tally(plant):
     # in the batch of the 5-path 0-1-2-3-4: {0} forces along the path, so
     # clearing the zf bit of its chain terminal {4} fails reversal, and
-    # clearing the closed bit of the empty set drops the fort V
+    # leaves {4}, which lies in no proper closed set, claimed not to force
     target = edge_mask(path(5))
-    plant(only_at(path(5), lambda zf, closed, coeffs: (zf ^ 1 << 0b10000, closed ^ 1, coeffs)))
+    plant(only_at(path(5), lambda zf, coeffs: (zf ^ 1 << 0b10000, coeffs)))
     _, records = exhaustive_sweep(CHECK_KEYS, max_n=5)
     bad = sweeps._check_one(frozenset(CHECK_KEYS), 5, target)
     assert [check for check, _ in bad] == ["fort-transversal", "reversal"]
@@ -230,7 +224,7 @@ def test_exhaustive_sweep_reports_a_fault_in_the_batch_tally(plant):
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
-def test_exhaustive_sweep_equals_a_loop_over_single_graphs(pool_starts, flipped_closed_bits, narrow_batches,
+def test_exhaustive_sweep_equals_a_loop_over_single_graphs(pool_starts, flipped_zf_bits, narrow_batches,
                                                             jobs):
     graphs = [(n, emask) for n in range(1, 6) for emask in range(1 << comb(n, 2))]
     looped = [sweeps._record(check, n, emask, detail) for n, emask in graphs
@@ -242,25 +236,21 @@ def test_exhaustive_sweep_equals_a_loop_over_single_graphs(pool_starts, flipped_
     assert len(pool_starts) == (1 if jobs == 2 else 0)  # order 5
 
 
-def _flipped(mask):
-    return lambda zf, closed, coeffs: (zf, closed ^ 1 << mask, coeffs)
+def _one_more_set(zf, coeffs):
+    return zf, coeffs[:-1] + [coeffs[-1] + 1]
 
 
-def _one_more_set(zf, closed, coeffs):
-    return zf, closed, coeffs[:-1] + [coeffs[-1] + 1]
-
-
-def _z_one_lower(zf, closed, coeffs):
+def _z_one_lower(zf, coeffs):
     z = next(i for i, c in enumerate(coeffs) if c)
-    return zf, closed, coeffs[:z - 1] + [coeffs[z], 0] + coeffs[z + 1:]
+    return zf, coeffs[:z - 1] + [coeffs[z], 0] + coeffs[z + 1:]
 
 
 def _planted(coeffs):
-    return lambda zf, closed, _: (zf, closed, list(coeffs))
+    return lambda zf, _: (zf, list(coeffs))
 
 
-def _x_doubled(zf, closed, coeffs):
-    return zf, closed, [c << i for i, c in enumerate(coeffs)]
+def _x_doubled(zf, coeffs):
+    return zf, [c << i for i, c in enumerate(coeffs)]
 
 
 # One planted fault per check, so that no one-line weakening can switch a
@@ -270,7 +260,7 @@ PLANTED_FAULTS = {
     # one more set of size n: the 4-path then has two
     "extremal": (path(4), _one_more_set, [("extremal", "top coefficient 2 != 1")]),
     # the tally loses V, the one set of size n
-    "zero-range": (cycle(5), lambda zf, closed, coeffs: (zf, closed, coeffs[:-1] + [0]),
+    "zero-range": (cycle(5), lambda zf, coeffs: (zf, coeffs[:-1] + [0]),
                    [("zero-range", "zero coefficient above the first nonzero index 2")]),
     # every single vertex claimed to force the 3-path; every minimum set
     # forces only in the complete and the empty graph
@@ -288,8 +278,9 @@ PLANTED_FAULTS = {
                   [("ham-bound", "path-bound equality profile does not single out the path")]),
     "recognizability": (cycle(4), _planted(poly_complete(4).coeffs),
                         [("recognizability", "complete polynomial does not characterize complete graphs")]),
-    # every pair of K4 is a fort; a closed bit of V - {1, 2} flipped off hides one
-    "fort-transversal": (complete(4), _flipped(0b1001), [("fort-transversal", "fort 0x6 is missing from the table")]),
+    # {0, 1} forces the 5-path 0-1-2-3-4 and {1, 3} does not; swapped, every coefficient stays
+    "fort-transversal": (path(5), level_preserving_swap,
+                         [("fort-transversal", "set 0x3 lies in no proper closed set but does not force")]),
     # the empty graph meets the bound exactly, 2^4 - 1 forts and as many
     # sets that do not force; one more zero forcing set makes one fort too many
     "fort-count-bound": (empty(4), _one_more_set, [("fort-count-bound", "15 forts > 2^n - 2")]),
@@ -300,7 +291,7 @@ PLANTED_FAULTS = {
     "path-bound": (cycle(4), _planted([1, 0, 4, 4, 1]),
                    [("path-bound", "coefficients [1, 0, 4, 4, 1] exceed the path's")]),
     # {0} forces along the 5-path, whose chain terminal {4} then does not force
-    "reversal": (path(5), lambda zf, closed, coeffs: (zf ^ 1 << 0b10000, closed, coeffs),
+    "reversal": (path(5), lambda zf, coeffs: (zf ^ 1 << 0b10000, coeffs),
                  [("reversal", "reversed chains of 0x1 do not force")]),
 }
 
@@ -333,7 +324,7 @@ def test_a_planted_fault_changes_no_other_graph_of_its_batch(plant, check):
                         for p in itertools.permutations(range(n))})
     for target in labelings:
         masks = range(target >> b << b, (target >> b << b) + (1 << b))
-        true = {e: _closure_tally(graph_from_edge_mask(n, e).adj, n)[2] for e in masks}
+        true = {e: _closure_tally(graph_from_edge_mask(n, e).adj, n)[1] for e in masks}
         twins = [e for e in masks if e != target and true[e] == true[target]]
         plant(only_at(graph_from_edge_mask(n, target), corrupt))
         looped = [(e, bad) for e in masks if (bad := sweeps._check_one(every, n, e))]
@@ -477,7 +468,7 @@ def test_reversal_names_the_lowest_failing_minimum_set_on_both_paths(plant):
     # chains end at {1, 2}, fails
     g = cycle(5)
     n, target = g.n, edge_mask(g)
-    plant(only_at(g, lambda zf, closed, coeffs: (zf ^ 1 << 0b00110, closed, coeffs)))
+    plant(only_at(g, lambda zf, coeffs: (zf ^ 1 << 0b00110, coeffs)))
     expected = [("reversal", "reversed chains of 0x18 do not force")]
     assert sweeps._check_one(frozenset({"reversal"}), n, target) == expected
     assert sweeps._check_batch(frozenset({"reversal"}), n, 3, target >> 3 << 3) == [(target, expected)]
@@ -575,10 +566,10 @@ def test_check_one_builds_the_adjacency_once_on_a_disconnected_graph(monkeypatch
         assert calls == [edge_mask(g)]
 
 
-def _without_the_last_minimum_set(zf, closed, coeffs):
+def _without_the_last_minimum_set(zf, coeffs):
     z = next(i for i, c in enumerate(coeffs) if c)
     minimum = [m for m in range(zf.bit_length()) if zf >> m & 1 and m.bit_count() == z]
-    return (zf ^ 1 << minimum[-1] if len(minimum) > 1 else zf), closed, coeffs
+    return (zf ^ 1 << minimum[-1] if len(minimum) > 1 else zf), coeffs
 
 
 def test_batched_reversal_fails_on_the_masks_of_the_per_graph_path(plant):
@@ -651,7 +642,7 @@ def test_closed_forms_suite_threshold_records_equal_the_per_string_oracle(monkey
     elif fault == "one-closed-form-off":
         _one_string_off_by_one(monkeypatch)
     elif fault == "zf-flip":
-        plant(everywhere(lambda zf, closed, coeffs: (zf ^ 1, closed, coeffs)))
+        plant(everywhere(lambda zf, coeffs: (zf ^ 1, coeffs)))
     _, records = run_closed_forms_suite(max_n=12, jobs=1)
     want = [sweeps._record(check, length, f"threshold:{b}", detail) for length in range(2, 13)
             for b in canonical_connected_strings(length) for check, detail in threshold_string_records(b)]
@@ -669,7 +660,7 @@ def test_threshold_check_names_the_lowest_differing_mask(plant, flipped, detail)
     # of two or more vertices other than {0, 1} and {2, 3}; it is string 1
     # of the one batch of length 4, all 4 strings of which take the flips
     flips = sum(1 << mask for mask in flipped)
-    plant(everywhere(lambda zf, closed, coeffs: (zf ^ flips, closed, coeffs)))
+    plant(everywhere(lambda zf, coeffs: (zf ^ flips, coeffs)))
     want = [("threshold-zfs-check", f"characterization wrong on mask {detail}")]
     failed = dict(sweeps._check_threshold_batch((4, 2, 0)))
     assert list(failed) == canonical_connected_strings(4) and failed["0011"] == want
@@ -844,7 +835,7 @@ def test_cycle_orbit_is_every_labeling_of_the_listed_class(n):
     elif n == 6:
         target = poly_cycle(n).coeffs
         cyclic = {base + g for base in range(0, 1 << 15, 1 << 10)
-                  for g, coeffs in enumerate(_batch_tally(ctx.pairs, n, base, 10)[2]) if coeffs == target}
+                  for g, coeffs in enumerate(_batch_tally(ctx.pairs, n, base, 10)[1]) if coeffs == target}
         assert cyclic == orbit
         assert all(map(listed, cyclic))
     else:
