@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import operator
 from math import comb
+from typing import Sequence
 
-from .graphs import BlockPartition, _require_binary, block_partition
-from .polynomial import ZfPolynomial, _chunk_planes
+from .graphs import BlockPartition, _require_binary
+from .polynomial import ZfPolynomial, _bit_lanes, _chunk_planes
 
 
 def binom(a: int, b: int) -> int:
@@ -133,13 +134,14 @@ def _require_usable(b: str) -> None:
         raise ValueError("binary string must end in '1' (connected threshold graph)")
 
 
-def _exclusion_fold(blocks: BlockPartition, unit, zero, extend, merge):
-    """The exclusion sets of the threshold graph of blocks, the sets of
-    block indices (1-based) from which a zero forcing set excludes exactly
-    one vertex each, folded into one value: unit stands for the empty set
-    alone and zero for no set, extend(value, i) adds block i to each set
-    that value stands for, and merge(a, b) joins two values; extend must
-    distribute over merge.
+def _exclusion_fold(runs: Sequence[int], unit, zero, extend, merge):
+    """The exclusion sets of the threshold graph whose string has the run
+    lengths runs (block i, 1-based, has runs[i - 1] vertices), the sets of
+    block indices from which a zero forcing set excludes exactly one vertex
+    each, folded into one value: unit stands for the empty set alone and
+    zero for no set, extend(value, i) adds block i to each set that value
+    stands for, and merge(a, b) joins two values; extend must distribute
+    over merge.  The caller checks the string (_require_usable).
 
     Built left to right over the 1-blocks.  A set is pinned exactly when a
     1-block has been excluded and no included 0-vertex follows the
@@ -148,12 +150,11 @@ def _exclusion_fold(blocks: BlockPartition, unit, zero, extend, merge):
     and the 0-block before it, none before block 1.  The steps give each
     set exactly one path, so a fold of weights counts each set once.
     """
-    _require_usable(blocks.source)
-    t = len(blocks.blocks)
+    t = len(runs)
     free, pinned = unit, zero
     for s in range(2 - t % 2, t + 1, 2):  # the 1-blocks: every other block, ending at block t
         gap = s - 1  # the 0-block before block s, 0 before block 1
-        narrow = gap and blocks.blocks[gap - 1][1] == 1
+        narrow = gap and runs[gap - 1] == 1
         whole = merge(free, pinned)
         free = merge(whole, extend(free if narrow else whole, gap)) if gap else whole
         pinned = merge(extend(free, s), extend(pinned, gap)) if narrow else extend(free, s)
@@ -163,8 +164,9 @@ def _exclusion_fold(blocks: BlockPartition, unit, zero, extend, merge):
 def block_exclusion_sets(blocks: BlockPartition) -> set[frozenset[int]]:
     """All sets of block indices (1-based) from which a zero forcing set of the
     threshold graph excludes exactly one vertex each (_exclusion_fold)."""
-    return _exclusion_fold(blocks, {frozenset()}, set(), lambda sets, i: {subset | {i} for subset in sets},
-                           operator.or_)
+    _require_usable(blocks.source)
+    return _exclusion_fold([length for _, length in blocks.blocks], {frozenset()}, set(),
+                           lambda sets, i: {subset | {i} for subset in sets}, operator.or_)
 
 
 def poly_threshold(b: str) -> ZfPolynomial:
@@ -178,39 +180,46 @@ def poly_threshold(b: str) -> ZfPolynomial:
     bits wide, counts the ways to exclude e vertices, one from each block
     of a set, so that excluding from block i is one multiply by |B_i| and
     one shift.  No count reaches 2^n, so no field carries into the next.
+    The string is checked once and its run lengths taken in one pass.
     """
-    blocks = block_partition(b)
+    _require_usable(b)
+    runs = []
+    prev = ""
+    for c in b:
+        if c == prev:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+            prev = c
     n = len(b)
     width = n + 1
-    sizes = [0] + [length for _, length in blocks.blocks]
-    packed = _exclusion_fold(blocks, 1, 0, lambda weights, i: weights * sizes[i] << width, operator.add)
+    packed = _exclusion_fold(runs, 1, 0, lambda weights, i: weights * runs[i - 1] << width, operator.add)
     field = (1 << width) - 1
     # a tuple of a list, not of a generator, whose tuple is resized to fit and
     # then freed onto the free list of another size, where such tuples pile up
     return ZfPolynomial(n, tuple([packed >> (n - i) * width & field for i in range(n + 1)]))
 
 
-def _threshold_lanes(b: str, ones: int, planes) -> int:
-    """threshold_zfs_check on one set per lane: bit m of ``planes[i]`` is set
-    iff set m includes position i, ``ones`` has every lane set, and bit m of
-    the result is set iff set m passes.  One pass over the string; a new
-    block starts wherever the symbol changes.
+def _threshold_lanes(symbols: Sequence[int], ones: int, planes: Sequence[int]) -> int:
+    """threshold_zfs_check on one (string, set) pair per lane: bit m of
+    ``symbols[i]`` is set iff the string of lane m has a '1' at position i,
+    bit m of ``planes[i]`` iff the set of lane m includes position i,
+    ``ones`` has every lane set, and bit m of the result is set iff the set
+    of lane m passes.  One pass over the positions; a new block starts in
+    each lane where its symbol changes.  One string passes ``ones`` or 0 as
+    each symbol.
     """
     bad = 0
     block = 0  # the current block already excludes a vertex
     blocked = 0  # an excluded 1-vertex with no included 0-vertex since
-    prev = ""
-    for c, plane in zip(b, planes):
+    prev = symbols[0]
+    for sym, plane in zip(symbols, planes):
         out = ones ^ plane
-        if c != prev:
-            prev = c
-            block = 0
-        if c == "1":
-            bad |= out & (block | blocked)
-            blocked |= out
-        else:
-            bad |= out & block
-            blocked &= out
+        if sym is not prev:  # one object at both positions changes no lane's symbol
+            block &= ones ^ sym ^ prev
+            prev = sym
+        bad |= out & (block | blocked & sym)
+        blocked = blocked & out | sym & (blocked | out)  # set by a 1-vertex, cleared by a 0-vertex
         block |= out
     return ones ^ bad
 
@@ -226,7 +235,7 @@ def threshold_zfs_check(b: str, included: int) -> bool:
     _require_usable(b)
     if included >> len(b):  # a negative mask shifts to -1
         raise ValueError("included mask has bits outside the string")
-    return bool(_threshold_lanes(b, 1, [included >> i & 1 for i in range(len(b))]))
+    return bool(_threshold_lanes(list(map(int, b)), 1, [included >> i & 1 for i in range(len(b))]))
 
 
 def _threshold_zfs_bits(b: str) -> int:
@@ -239,4 +248,17 @@ def _threshold_zfs_bits(b: str) -> int:
     small enough for a flat table.
     """
     _require_usable(b)
-    return _threshold_lanes(b, *_chunk_planes(len(b)))
+    ones, planes = _chunk_planes(len(b))
+    return _threshold_lanes([ones if c == "1" else 0 for c in b], ones, planes)
+
+
+def _threshold_batch_bits(strings: Sequence[str], b: int) -> int:
+    """_threshold_zfs_bits of up to 2^b strings of one length at once:
+    block g of the result, 2^length bits, is the table of strings[g], and
+    the blocks past the list read every symbol as '0'.  The symbol lanes
+    are cut from the strings' characters (_bit_lanes), never from a graph's
+    lanes, so that the table stays independent of the flag tables it is
+    checked against."""
+    length = len(strings[0])
+    symbols = _bit_lanes([int(s[::-1], 2) for s in strings], length, b)
+    return _threshold_lanes(symbols, *_chunk_planes(length + b))

@@ -313,7 +313,7 @@ def _require_binary(b: str) -> None:
     """Reject an empty string or one with a symbol other than '0' and '1'."""
     if not b:
         raise ValueError("binary string must be nonempty")
-    if not set(b) <= {"0", "1"}:
+    if b.strip("01"):  # what strip leaves holds a symbol other than '0' and '1'
         raise ValueError(f"illegal character in binary string {b!r}")
 
 

@@ -31,9 +31,10 @@ CAP_ENV_VAR = "ZFPOLY_MAX_N"
 # the high n - k its number h, chunk 0 lowest.  Only _closure_tally, the one
 # kernel that runs up to the enumeration cap, chunks, to bound its memory
 # there.  Every other table is one 2^n-bit int over _chunk_planes(n), or one
-# 2^(n+b)-bit int for 2^b graphs, whose edge lanes one of two builders lays
+# 2^(n+b)-bit int for 2^b graphs, whose edge lanes one of three builders lays
 # out for _lane_tally: _batch_edges for consecutive edge masks (the sweep),
-# _threshold_edges for consecutive threshold strings (the closed forms).
+# _threshold_edges for consecutive threshold strings, and _list_edges for a
+# list of adjacency lists (the closed-forms families and the cycle class).
 _CHUNK_BITS = 12
 
 
@@ -63,7 +64,7 @@ class ZfPolynomial:
             raise ValueError("polynomial order must be nonnegative")
         if len(self.coeffs) != self.n + 1:
             raise ValueError("need exactly n+1 coefficients")
-        if any(c < 0 for c in self.coeffs):
+        if min(self.coeffs) < 0:  # the n + 1 >= 1 coefficients checked above
             raise ValueError("coefficients must be nonnegative")
 
     def evaluate(self, x: int | Fraction) -> Fraction:
@@ -437,6 +438,54 @@ def _threshold_edges(length: int, base: int, b: int) -> tuple:
                           for v in range(length)]
 
 
+@cache
+def _block_bases(n: int, b: int) -> int:
+    """The low end, lane 0, of each 2^n-bit block of a 2^(n+b)-bit table."""
+    base = 1
+    for i in range(n, n + b):
+        base |= base << (1 << i)
+    return base
+
+
+def _bit_lanes(rows: Sequence[int], n: int, b: int, low: int = 0) -> list[int]:
+    """Per bit c = low..n-1, the 2^(n+b)-bit int whose block g of 2^n bits
+    is all ones iff rows[g], an int of n bits, has bit c, for up to 2^b
+    rows; the blocks past the rows are 0.  The rows are stacked at the low
+    ends of their blocks, a byte at a time, in one int; each bit is cut
+    from the stack by a shift and _block_bases and spread over its blocks
+    by (s << 2^n) - s.  A bit that 2^b rows have gives all ones itself,
+    _chunk_planes(n + b)'s object, and a bit that no row has gives 0.
+    n >= 3 unless b = 0."""
+    ones = _chunk_planes(n + b)[0]
+    step = 1 << max(0, n - 3)  # bytes per block
+    buf = bytearray(step << b)
+    for k in range(0, n, 8):
+        buf[k >> 3:len(rows) * step:step] = bytes([row >> k & 255 for row in rows])
+    stack = int.from_bytes(buf, "little")
+    base = _block_bases(n, b)
+    lanes = []
+    for c in range(low, n):
+        s = stack >> c & base
+        lanes.append(ones if s == base else (s << (1 << n)) - s if s else 0)
+    return lanes
+
+
+def _list_edges(adjs: Sequence[Sequence[int]], n: int, b: int) -> tuple:
+    """(all ones, planes, nbrs), as _batch_edges gives them, of the graphs
+    on n vertices with adjacency lists adjs, up to 2^b of them: block g of
+    each lane is graph g, and the blocks past the list are edgeless graphs.
+    The lanes of the pairs {u, v}, v > u, are cut from one stack of the
+    graphs' rows of u (_bit_lanes)."""
+    ones, planes = _chunk_planes(n + b)
+    nbrs = [[] for _ in range(n)]
+    for u in range(n - 1):
+        for v, e in enumerate(_bit_lanes([adj[u] for adj in adjs], n, b, u + 1), u + 1):
+            if e:
+                nbrs[u].append((v, e))
+                nbrs[v].append((u, e))
+    return ones, planes, nbrs
+
+
 def _lane_moves(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[int, int]]], n: int) -> list[int]:
     """Per vertex w, the lanes of a batch (_lane_tally) where some force
     into w applies.  A force v -> w applies where the mask holds v and
@@ -453,7 +502,7 @@ def _lane_moves(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[
             m = missing[w] if e is ones else e & missing[w]  # lanes with edge vw whose mask misses w
             two |= one & m
             one |= m
-        alone = planes[v] & ~two  # lanes where v holds and misses at most one neighbor
+        alone = planes[v] & (ones ^ two)  # lanes where v holds and misses at most one neighbor
         for w, e in edges:
             reach[w] |= alone if e is ones else alone & e
     for w, m in enumerate(missing):
@@ -464,11 +513,11 @@ def _lane_moves(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[
 def _lane_tally(ones: int, planes: Sequence[int], nbrs: Sequence[Sequence[tuple[int, int]]], n: int,
                 b: int) -> tuple[int, list[tuple[int, ...]]]:
     """The flag tables of 2^b graphs on n vertices, laid out in lanes by
-    _batch_edges or _threshold_edges (n >= 3 if b > 0, so that tables fill
-    bytes), joined: (zf, counts), where block g of the 2^(n+b)-bit int zf
-    and the tuple counts[g] are graph g's _closure_tally, its zf chunks
-    joined.  A lane with a force into w (_lane_moves) reads zf 2^w lanes
-    up, in its own block, as in _closure_tally.
+    _batch_edges, _threshold_edges or _list_edges (n >= 3 if b > 0, so that
+    tables fill bytes), joined: (zf, counts), where block g of the
+    2^(n+b)-bit int zf and the tuple counts[g] are graph g's _closure_tally,
+    its zf chunks joined.  A lane with a force into w (_lane_moves) reads
+    zf 2^w lanes up, in its own block, as in _closure_tally.
     """
     moves = _lane_moves(ones, planes, nbrs, n)
     z = ones
@@ -491,6 +540,12 @@ def _threshold_tally(length: int, base: int, b: int) -> tuple[int, list[tuple[in
     g and counts[g] are the flag table of the threshold graph of the string
     with free bits base + g."""
     return _lane_tally(*_threshold_edges(length, base, b), length, b)
+
+
+def _list_tally(adjs: Sequence[Sequence[int]], n: int, b: int) -> tuple[int, list[tuple[int, ...]]]:
+    """_lane_tally of the batch of _list_edges(adjs, n, b): block g and
+    counts[g] are the flag table of the graph adjs[g], g < len(adjs)."""
+    return _lane_tally(*_list_edges(adjs, n, b), n, b)
 
 
 def zf_polynomial(g: Graph, engine: str = "table") -> ZfPolynomial:

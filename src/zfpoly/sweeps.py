@@ -17,7 +17,7 @@ from typing import Sequence
 from .analysis import (_batch_structure, _exceeds_path, _extremal, _hall_ok, _min_sets_force, _structure,
                        same_poly_threshold_family)
 from .closed_forms import (
-    _threshold_zfs_bits,
+    _threshold_batch_bits,
     count_consecutive_selections,
     poly_complete,
     poly_cycle,
@@ -50,7 +50,7 @@ from .graphs import (
 from .parallel import parallel_map, run_scope
 from .polynomial import (_batch_bits, _batch_edges, _batch_tally, _block_counts, _blocks, _chunk_constants,
                          _closure_tally, _component_product, _gather, _gather_runs, _induced_adj, _is_unimodal,
-                         _joined, _threshold_tally, _unblocks, _zero_forcing_number, zf_polynomial)
+                         _joined, _list_tally, _threshold_tally, _zero_forcing_number, zf_polynomial)
 
 EXHAUSTIVE_MAX_N = LABELED_ENUM_MAX
 
@@ -213,7 +213,8 @@ def _check_batch(checks: frozenset, n: int, b: int, base: int) -> list[tuple[int
             sizes = _batch_cover_sizes(up, n, b)[::-1]
     cyclic = ctx.cycle_orbit.__contains__ if "recognizability" in checks else None
     if "reversal" in checks:
-        failing = zf & ~_lane_reversals(zf, edges[0], _lane_forcers(*edges))  # zero forcing lanes that fail
+        # the zero forcing lanes that fail
+        failing = zf & (edges[0] ^ _lane_reversals(zf, edges[0], _lane_forcers(*edges)))
         if failing:
             zfs = _blocks(zf, n, b)
             unreversed = [block.__and__ for block in _blocks(failing, n, b)]
@@ -545,16 +546,16 @@ def _check_threshold_batch(spec: tuple[int, int, int]) -> list[tuple[str, list[t
     """Check the 2^b threshold strings of one length whose free bits are
     base + g, g < 2^b, spec (length, b, base): the closed-form polynomial
     and the direct zero-forcing-set characterization, both against
-    enumeration.  Their flag tables come joined from one _threshold_tally;
-    their zero forcing bits are compared with the characterization tables,
-    each built from its string alone (_threshold_zfs_bits) and joined, in
-    one XOR, split into per-string blocks only where that finds a
-    difference, and each string's coefficients with poly_threshold.
+    enumeration.  Their flag tables come joined from one _threshold_tally,
+    and their characterization tables from one _threshold_batch_bits,
+    built from the strings' characters; the two are compared in one XOR,
+    split into per-string blocks only where that finds a difference, and
+    each string's coefficients with poly_threshold.
     Returns (string, (check, detail) pairs) of each string that fails."""
     length, b, base = spec
     strings = [_threshold_string(length, bits) for bits in range(base, base + (1 << b))]
     zf, counts = _threshold_tally(length, base, b)
-    diff = zf ^ _unblocks([_threshold_zfs_bits(s) for s in strings], length)
+    diff = zf ^ _threshold_batch_bits(strings, b)
     diffs = _blocks(diff, length, b) if diff else [0] * len(strings)
     failed = []
     for s, coeffs, d in zip(strings, counts, diffs):
@@ -568,12 +569,76 @@ def _check_threshold_batch(spec: tuple[int, int, int]) -> list[tuple[str, list[t
     return failed
 
 
+def _chorded_cycles(n: int) -> list[tuple[int, int, list[int]]]:
+    """(i, j, adjacency) of cycle_plus_chord(n, i, j) for each chord {i, j},
+    i < j, in order: the ring's adjacency with the two chord bits set, with
+    no Graph built."""
+    ring = [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)]
+    chords = []
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            adj = ring.copy()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            chords.append((i, j, adj))
+    return chords
+
+
+def _family_instances(max_n: int) -> list[tuple[str, int, str, Sequence[int], tuple[int, ...]]]:
+    """(check, n, graph, adjacency, closed-form coefficients) of each graph
+    of the closed-forms suite's families, in record order: the paths,
+    cycles, complete graphs and wheels up to order max_n and the complete
+    multipartite graphs of every _partitions_min2(max_n), each against its
+    own closed form, then the single-chord cycles up to order
+    min(10, max_n), each against the cycle's."""
+    instances = []
+    for label, first, build, form in (
+        ("path", 1, path, poly_path),
+        ("cycle", 3, cycle, poly_cycle),
+        ("complete", 1, complete, poly_complete),
+        ("wheel", 5, wheel, poly_wheel),
+    ):
+        instances += [(f"family-{label}", n, f"{label}:{n}", build(n).adj, form(n).coeffs)
+                      for n in range(first, max_n + 1)]
+    instances += [("family-multipartite", sum(parts), f"multipartite:{parts}", complete_multipartite(parts).adj,
+                   poly_multipartite(parts).coeffs) for parts in _partitions_min2(max_n)]
+    for n in range(4, min(10, max_n) + 1):
+        target = poly_cycle(n).coeffs
+        instances += [("chord-invariance", n, f"cycle-chord:{n}:{i}:{j}", adj, target)
+                      for i, j, adj in _chorded_cycles(n)]
+    return instances
+
+
+def _listed_coeffs(graphs: Sequence[tuple[int, Sequence[int]]]) -> list[tuple[int, ...]]:
+    """The coefficients of each (n, adjacency) of graphs, in order: the
+    graphs of each order n go through _list_tally in batches of up to
+    2^_batch_bits(n), no wider than the list needs, and through
+    zf_polynomial at the orders where _batch_bits(n) is 0."""
+    by_order: dict[int, list[int]] = {}
+    for i, (n, _) in enumerate(graphs):
+        by_order.setdefault(n, []).append(i)
+    coeffs = [()] * len(graphs)
+    for n, listed in by_order.items():
+        adjs = [graphs[i][1] for i in listed]
+        if _batch_bits(n):
+            b = min(_batch_bits(n), (len(adjs) - 1).bit_length())
+            counts = [c for start in range(0, len(adjs), 1 << b)
+                      for c in _list_tally(adjs[start:start + (1 << b)], n, b)[1]]
+        else:
+            counts = [zf_polynomial(Graph(n, tuple(adj))).coeffs for adj in adjs]
+        for i, c in zip(listed, counts):
+            coeffs[i] = c
+    return coeffs
+
+
 def run_closed_forms_suite(max_n: int = 12, jobs: int = 1) -> tuple[int, list[dict]]:
     """Closed forms against brute-force enumeration for every admissible size.
 
-    The threshold strings are checked against the flag table twice: the
-    block-index expansion against its coefficients, and the characterization
-    table ``_threshold_zfs_bits``, built from the string alone, against its
+    The family graphs of each order are tallied in lane batches
+    (``_listed_coeffs``) and each graph's counts compared with its closed
+    form.  The threshold strings are checked against the flag table twice:
+    the block-index expansion against its coefficients, and the
+    characterization table, built from the strings' characters, against its
     zero forcing bits.  The strings of each length go in batches of 2^b
     consecutive ones, b = min(length - 2, _batch_bits(length)), whose flag
     tables one lane kernel builds joined (``_check_threshold_batch``), so
@@ -583,27 +648,18 @@ def run_closed_forms_suite(max_n: int = 12, jobs: int = 1) -> tuple[int, list[di
 
     Returns (instances checked, failure records).
     """
-    checked = 0
     records: list[dict] = []
 
     def fail(check: str, n, graph, detail: str) -> None:
         records.append(_record(check, n, graph, detail))
 
-    for label, first, build, form in (
-        ("path", 1, path, poly_path),
-        ("cycle", 3, cycle, poly_cycle),
-        ("complete", 1, complete, poly_complete),
-        ("wheel", 5, wheel, poly_wheel),
-    ):
-        for n in range(first, max_n + 1):
-            checked += 1
-            if form(n).coeffs != zf_polynomial(build(n)).coeffs:
-                fail(f"family-{label}", n, f"{label}:{n}", "closed form differs from enumeration")
-    for parts in _partitions_min2(max_n):
-        checked += 1
-        if poly_multipartite(parts).coeffs != zf_polynomial(complete_multipartite(parts)).coeffs:
-            fail("family-multipartite", sum(parts), f"multipartite:{parts}",
-                 "closed form differs from enumeration")
+    instances = _family_instances(max_n)
+    checked = len(instances)
+    wrong = [(check, n, graph) for (check, n, graph, _, want), got
+             in zip(instances, _listed_coeffs([(n, adj) for _, n, _, adj, _ in instances])) if got != want]
+    for check, n, graph in wrong:
+        if check != "chord-invariance":
+            fail(check, n, graph, "closed form differs from enumeration")
 
     # consecutive-run selections against direct counting, n <= 14
     for m in (3, 4):
@@ -617,15 +673,9 @@ def run_closed_forms_suite(max_n: int = 12, jobs: int = 1) -> tuple[int, list[di
                          f"formula {got} != direct {direct[k]}")
 
     # single-chord cycles share the cycle polynomial
-    for n in range(4, min(10, max_n) + 1):
-        target = poly_cycle(n).coeffs
-        for i in range(n):
-            for j in range(n):
-                if i < j and (j - i) % n not in (1, n - 1):
-                    checked += 1
-                    if zf_polynomial(cycle_plus_chord(n, i, j)).coeffs != target:
-                        fail("chord-invariance", n, f"cycle-chord:{n}:{i}:{j}",
-                             "chorded cycle polynomial differs from the cycle's")
+    for check, n, graph in wrong:
+        if check == "chord-invariance":
+            fail(check, n, graph, "chorded cycle polynomial differs from the cycle's")
 
     # permutation-invariant threshold families
     for k in (3, 4):
@@ -673,8 +723,9 @@ def verify_cycle_class(n: int) -> list[dict]:
     ``recognizability`` check, which tests every labeled graph of order n.
     """
     target = poly_cycle(n).coeffs
+    listed = expected_cycle_class(n)
     return [_record("cycle-class", n, f"n={n}", f"listed graph with edges {g.edges()} lacks the cycle polynomial")
-            for g in expected_cycle_class(n) if zf_polynomial(g).coeffs != target]
+            for g, coeffs in zip(listed, _listed_coeffs([(n, g.adj) for g in listed])) if coeffs != target]
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ oracle of the flag table at orders where a set-based one is too slow: its
 own planes over one 2^n-bit int, and none of the flag table's code.
 threshold_string_records is the closed-forms suite's per-string check, the
 oracle of its threshold batches: it reads one graph's flag table and the
-closed forms through sweeps, so that a planted fault reaches it.
+closed form through sweeps and the per-string characterization through
+closed_forms, so that a planted fault reaches it.
 """
 from __future__ import annotations
 
 import itertools
 
-from zfpoly import Graph, sweeps, threshold_from_string
+from zfpoly import Graph, closed_forms, sweeps, threshold_from_string
 
 
 def naive_closure(g: Graph, colored: set[int]) -> set[int]:
@@ -141,7 +142,7 @@ def threshold_string_records(b: str) -> list[tuple[str, str]]:
     zf = sweeps._joined(zf, g.n)
     if tuple(coeffs) != sweeps.poly_threshold(b).coeffs:
         bad.append(("threshold-poly", "closed form differs from enumeration"))
-    diff = sweeps._threshold_zfs_bits(b) ^ zf
+    diff = closed_forms._threshold_zfs_bits(b) ^ zf
     if diff:
         mask = (diff & -diff).bit_length() - 1
         bad.append(("threshold-zfs-check", f"characterization wrong on mask {mask:#x}"))

@@ -30,8 +30,8 @@ from zfpoly import (
     zf_polynomial,
 )
 from zfpoly import polynomial
-from zfpoly.closed_forms import _threshold_zfs_bits
-from zfpoly.polynomial import _closure_tally, _joined
+from zfpoly.closed_forms import _threshold_batch_bits, _threshold_zfs_bits
+from zfpoly.polynomial import _batch_bits, _blocks, _closure_tally, _joined
 from zfpoly.sweeps import canonical_connected_strings
 
 
@@ -220,6 +220,19 @@ def test_threshold_zfs_bits_match_the_flag_table_past_one_chunk():
         b = first + first + "".join(rng.choice("01") for _ in range(length - 3)) + "1"
         g = threshold_from_string(b)
         assert _threshold_zfs_bits(b) == _joined(_closure_tally(g.adj, g.n)[0], g.n), b
+
+
+@pytest.mark.parametrize("length", range(3, 13))
+def test_string_lanes_match_the_per_string_tables(length):
+    # every string of the length, in the suite's batches and in batches of
+    # three, short of a power of two, whose fourth block holds no string
+    strings = canonical_connected_strings(length)
+    b = min(length - 2, _batch_bits(length))
+    for width, count in ((b, 1 << b), (2, 3)):
+        for start in range(0, len(strings), count):
+            batch = strings[start:start + count]
+            blocks = _blocks(_threshold_batch_bits(batch, width), length, width)
+            assert blocks[:len(batch)] == [_threshold_zfs_bits(s) for s in batch], (length, start)
 
 
 @settings(max_examples=50, deadline=None)

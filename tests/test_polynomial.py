@@ -44,8 +44,8 @@ from zfpoly import polynomial
 from zfpoly.forcing import _sweep
 from zfpoly.graphs import _edge_mask_adj, edge_pair_order, mask_of, vertices_of
 from zfpoly.polynomial import (_band_order, _batch_bits, _batch_tally, _blocks, _chunk_planes, _close_up,
-                               _closure_tally, _induced_adj, _joined, _lane_width, _relabeled, _threshold_tally,
-                               _unblocks)
+                               _closure_tally, _induced_adj, _joined, _lane_width, _list_edges, _list_tally,
+                               _relabeled, _threshold_tally, _unblocks)
 from zfpoly.sweeps import canonical_connected_strings
 
 P4_COEFFS = (0, 2, 6, 4, 1)  # 2x + 6x^2 + 4x^3 + x^4
@@ -171,6 +171,30 @@ def test_threshold_tally_matches_the_closure_tally_on_every_string():
         for b, base in _threshold_batches(length):
             adjs = [threshold_from_string(s).adj for s in strings[base:base + (1 << b)]]
             assert _threshold_tally(length, base, b) == _joined_tallies(adjs, length), (length, base)
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_list_tally_matches_the_closure_tally_on_seeded_lists(n):
+    # one graph, a list short of a power of two and a full batch; the pair
+    # {0, 1} is in every graph and {0, n - 1} in none, and past the list
+    # the padding is edgeless
+    rng = random.Random(1300 + n)
+    b = _batch_bits(n)
+    for count in sorted({1, 3, (1 << b) - 1, 1 << b}):
+        width = (count - 1).bit_length()
+        adjs = []
+        for _ in range(count):
+            adj = list(seeded_graph(rng, n, rng.choice((0.2, 0.5, 0.8))).adj)
+            adj[0] = (adj[0] | 0b10) & ~(1 << n - 1)
+            adj[1] |= 1
+            adj[n - 1] &= ~1
+            adjs.append(adj)
+        padded = adjs + [[0] * n] * ((1 << width) - count)
+        assert _list_tally(adjs, n, width) == _joined_tallies(padded, n), (n, count)
+        ones, _, nbrs = _list_edges(adjs, n, width)
+        shared = [e for w, e in nbrs[0] if w == 1]
+        assert (shared[0] is ones) == (count == 1 << width)  # an edge of every lane is all ones itself
+        assert all(w != n - 1 for w, _ in nbrs[0])
 
 
 @pytest.mark.parametrize("length", range(8, 14))

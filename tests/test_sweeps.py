@@ -10,12 +10,13 @@ import pytest
 import zfpoly
 from conftest import clear_memos, edge_mask, everywhere, level_preserving_swap, needs_fork, only_at
 from oracles import naive_consecutive_counts, naive_is_zfs, threshold_string_records
-from zfpoly import analysis, parallel, polynomial, sweeps
-from zfpoly.closed_forms import poly_complete, poly_cycle, poly_path
-from zfpoly.graphs import (complete, cycle, disjoint_union, empty, from_edge_list, graph_from_edge_mask,
-                           is_isomorphic, path, star)
+from zfpoly import analysis, closed_forms, parallel, polynomial, sweeps
+from zfpoly.closed_forms import poly_complete, poly_cycle, poly_multipartite, poly_path, poly_wheel
+from zfpoly.graphs import (complete, complete_multipartite, cycle, cycle_plus_chord, disjoint_union, empty,
+                           from_edge_list, graph_from_edge_mask, is_isomorphic, path, star, wheel)
 from zfpoly.parallel import parallel_map
-from zfpoly.polynomial import ZfPolynomial, _batch_tally, _closure_tally, _component_product, zf_polynomial
+from zfpoly.polynomial import (ZfPolynomial, _batch_tally, _block_bases, _closure_tally, _component_product,
+                               zf_polynomial)
 from zfpoly.sweeps import (
     CHECK_KEYS,
     COEFFICIENT_CHECKS,
@@ -598,14 +599,15 @@ def test_random_sweep_records_do_not_depend_on_jobs(plant, pool_starts):
 
 
 def _negated_on_odd_lengths(monkeypatch):
-    """Negate the characterization table of every string of odd length."""
-    real_bits = sweeps._threshold_zfs_bits
+    """Negate the characterization table of every string of odd length, in
+    the one kernel behind the suite's batches and the per-string oracle."""
+    real_lanes = closed_forms._threshold_lanes
 
-    def negated(b):
-        bits = real_bits(b)
-        return bits ^ (1 << (1 << len(b))) - 1 if len(b) % 2 else bits
+    def negated(symbols, ones, planes):
+        bits = real_lanes(symbols, ones, planes)
+        return bits ^ ones if len(symbols) % 2 else bits
 
-    monkeypatch.setattr(sweeps, "_threshold_zfs_bits", negated)
+    monkeypatch.setattr(closed_forms, "_threshold_lanes", negated)
 
 
 @needs_fork
@@ -783,12 +785,14 @@ CLOSED_FORM_FAULTS = {
     "family-wheel": ("poly_wheel", lambda real: poly_complete),
     "family-multipartite": ("complete_multipartite", lambda real: lambda parts: complete(sum(parts))),
     "consecutive-selections": ("count_consecutive_selections", lambda real: lambda n, k, m: real(n, k, m) + (k == n)),
-    # not a chorded cycle: a 5-cycle with a chord has the cycle's polynomial
-    "chord-invariance": ("cycle_plus_chord", lambda real: lambda n, i, j: path(n)),
+    # not chorded cycles: a 5-cycle with a chord has the cycle's polynomial
+    "chord-invariance": ("_chorded_cycles", lambda real: lambda n: [(i, j, path(n).adj) for i, j, _ in real(n)]),
     "threshold-permutation": ("same_poly_threshold_family",
                               lambda real: lambda k: [*real(k)[:-1], ("1", poly_path(1))]),
     "threshold-poly": ("poly_threshold", lambda real: lambda b: poly_path(len(b))),
-    "threshold-zfs-check": ("_threshold_zfs_bits", lambda real: lambda b: real(b) ^ 1),  # the empty set forces
+    # the empty set forces every string of the batch
+    "threshold-zfs-check": ("_threshold_batch_bits",
+                            lambda real: lambda strings, b: real(strings, b) ^ _block_bases(len(strings[0]), b)),
 }
 
 
@@ -798,6 +802,70 @@ def test_each_closed_forms_check_reports_its_own_fault(monkeypatch, check):
     monkeypatch.setattr(sweeps, name, fault(getattr(sweeps, name)))
     _, records = run_closed_forms_suite(max_n=7, jobs=1)
     assert records and {r["check"] for r in records} == {check}
+
+
+def _public_family(graph):
+    """The public builder's graph and the closed form behind the name a
+    closed-forms record gives a family instance."""
+    label, _, arg = graph.partition(":")
+    if label == "multipartite":
+        parts = [int(a) for a in arg.strip("[]").split(",")]
+        return complete_multipartite(parts), poly_multipartite(parts)
+    if label == "cycle-chord":
+        n, i, j = map(int, arg.split(":"))
+        return cycle_plus_chord(n, i, j), poly_cycle(n)
+    build, form = {"path": (path, poly_path), "cycle": (cycle, poly_cycle), "complete": (complete, poly_complete),
+                   "wheel": (wheel, poly_wheel)}[label]
+    return build(int(arg)), form(int(arg))
+
+
+@pytest.mark.parametrize("check", ["family-path", "family-cycle", "family-complete", "family-wheel",
+                                   "family-multipartite", "chord-invariance"])
+def test_zf_polynomial_meets_each_closed_form_the_suite_lists(check):
+    # the suite tallies its families in lane batches; here every instance it
+    # lists at max_n 12 goes through zf_polynomial, built by the public builder
+    instances = [inst for inst in sweeps._family_instances(12) if inst[0] == check]
+    assert len(instances) == {"family-path": 12, "family-cycle": 10, "family-complete": 12, "family-wheel": 8,
+                              "family-multipartite": 65, "chord-invariance": 112}[check]
+    for _, n, graph, adj, want in instances:
+        g, form = _public_family(graph)
+        assert g.n == n and g.adj == tuple(adj), graph
+        assert zf_polynomial(g).coeffs == form.coeffs == want, graph
+
+
+@pytest.mark.parametrize("graph, check, detail", [
+    ("wheel:6", "family-wheel", "closed form differs from enumeration"),
+    ("multipartite:[3, 3, 2]", "family-multipartite", "closed form differs from enumeration"),
+    ("cycle-chord:7:1:4", "chord-invariance", "chorded cycle polynomial differs from the cycle's"),
+])
+def test_a_wrong_coefficient_in_the_family_tally_files_its_record(monkeypatch, graph, check, detail):
+    target = list(_public_family(graph)[0].adj)
+    real = sweeps._list_tally
+
+    def off(adjs, n, b):
+        zf, counts = real(adjs, n, b)
+        return zf, [c[:-1] + (c[-1] + 1,) if list(adj) == target else c for adj, c in zip(adjs, counts)]
+
+    monkeypatch.setattr(sweeps, "_list_tally", off)
+    _, records = run_closed_forms_suite(max_n=12, jobs=1)
+    assert [(r["check"], r["graph"], r["detail"]) for r in records] == [(check, graph, detail)]
+
+
+def test_a_wrong_lane_of_the_string_lanes_names_its_string_and_mask(monkeypatch):
+    # a fault in the characterization kernel on one lane of the one batch of
+    # length 8 (2^6 strings of 2^8 masks), which the per-string tables miss
+    real = closed_forms._threshold_lanes
+
+    def flipped(symbols, ones, planes):
+        bits = real(symbols, ones, planes)
+        return bits ^ 1 << (5 << 8 | 0x13) if ones.bit_length() == 1 << 14 else bits
+
+    monkeypatch.setattr(closed_forms, "_threshold_lanes", flipped)
+    _, records = run_closed_forms_suite(max_n=12, jobs=1)
+    b = canonical_connected_strings(8)[5]
+    want = ("threshold-zfs-check", "characterization wrong on mask 0x13")
+    assert records == [sweeps._record(want[0], 8, f"threshold:{b}", want[1])]
+    assert threshold_string_records(b) == []
 
 
 def test_expected_cycle_class_sizes():
